@@ -20,6 +20,7 @@ from fractions import Fraction as Q
 
 from .errors import (
     DegenerateIntersection,
+    DegreeCapExceeded,
     InconsistentData,
     InvalidData,
     LedgerInconsistent,
@@ -42,6 +43,7 @@ from .phimodule import (
     phi_module_from_json,
     standard_filtration,
     validate,
+    vanishing_factor,
 )
 from .scalars import parse_scalar, scalar_str
 from .symplectic import flag_anisotropy_check
@@ -78,7 +80,14 @@ def _rows_strs(rows):
 def _load_document(path: str | None) -> dict:
     if path is None:
         return {}
-    raw = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    if path == "-":
+        raw = sys.stdin.read()
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read input: {exc}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -161,7 +170,7 @@ def run_recover(doc, args):
             while True:
                 a = Q(rng.randint(-9, 9), rng.randint(1, 5))
                 b = Q(rng.randint(-9, 9), rng.randint(1, 5))
-                if a * b * (b + 1) * (a + b) * (a * b + a + b) != 0:
+                if vanishing_factor(a, b) is None:
                     break
             got = recover_parameters(kernel_basis(a, b))
             results.append(
@@ -290,8 +299,10 @@ _HANDLERS = {
 def dispatch(command: str, doc: dict, args) -> tuple[dict, int]:
     """Run one command; returns (report, exit_code)."""
     try:
+        if not isinstance(doc, dict):
+            raise ParseError(f"{command} needs a JSON object, not {type(doc).__name__}")
         report = _HANDLERS[command](doc, args)
-    except (ParseError, InvalidData, InconsistentData, KeyError, TypeError, ValueError) as exc:
+    except (ParseError, InvalidData, InconsistentData, DegreeCapExceeded, KeyError, TypeError, ValueError) as exc:
         report = _report(command, "invalid", {"error": str(exc) or repr(exc)})
     except (DegenerateIntersection, NotALine) as exc:
         report = _report(command, "degenerate", {"error": str(exc)})

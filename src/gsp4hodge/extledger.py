@@ -17,13 +17,15 @@ from itertools import combinations
 from .errors import InvalidData, InvalidIndexSet, LedgerInconsistent, NotALine
 from .kernel import (
     GENERATOR_LABELS,
+    RECOVERY_LABELS,
+    generator_meets,
     generator_vector,
     glue_subspace,
     jbar_rank,
     kernel_basis,
-    recover_parameters,
+    parameters_from_meets,
 )
-from .linalg import coerce_rows, intersect_row_spaces, rank, row_space, rref
+from .linalg import rank, row_space
 from .scalars import Scalar
 from .weyl import WeylElem
 
@@ -542,34 +544,24 @@ class LInvariantPlane:
 def l_invariant_plane(a: Scalar, b: Scalar) -> LInvariantPlane:
     K = kernel_basis(a, b)
     glue = glue_subspace()
-    labels7b = ("f1", "f2", "f3", "f4", "g1", "g2", "g3")
-    labels7a = ("f1", "f2", "f3", "f4", "g1", "g2", "g4")
-    reps = []
-    for labels in (labels7b, labels7a):
-        basis = [generator_vector(lbl) for lbl in labels]
-        inter = intersect_row_spaces(list(K.rows), basis, 24)
-        if len(inter) != 1:
-            raise NotALine(f"kernel meets span{labels} in dimension {len(inter)}")
-        reps.append(inter[0])
+    meets = generator_meets(K.rows)
+    reps, basis_fg = [], []
+    for labels, meet in zip(RECOVERY_LABELS, meets):
+        if len(meet) != 1:
+            raise NotALine(f"kernel meets span{labels} in dimension {len(meet)}")
+        gens = [generator_vector(lbl) for lbl in labels]
+        vec = [sum(c * g[i] for c, g in zip(meet[0], gens)) for i in range(24)]
+        # the representative is the meet's echelon basis vector in E^24
+        lead = next(x for x in vec if x)
+        reps.append(tuple(x / lead for x in vec))
+        coords = dict(zip(labels, meet[0]))
+        zero = lead - lead
+        basis_fg.append(tuple(coords.get(lbl, zero) / lead for lbl in GENERATOR_LABELS))
     # independence modulo the glue
     combined = rank(list(glue.rows) + reps)
     if combined != K.dim:
         raise NotALine("representatives do not complete the glue to the kernel")
-    a_rec, b_rec = recover_parameters(K)
-    basis_fg = tuple(_fg_coordinates(v) for v in reps)
+    a_rec, b_rec = parameters_from_meets(meets)
     return LInvariantPlane(
-        basis_fg=basis_fg, a=a_rec, b=b_rec, kernel_dim=K.dim, glue_dim=glue.dim
+        basis_fg=tuple(basis_fg), a=a_rec, b=b_rec, kernel_dim=K.dim, glue_dim=glue.dim
     )
-
-
-def _fg_coordinates(vec):
-    basis = [generator_vector(lbl) for lbl in GENERATOR_LABELS]
-    bt = [list(col) for col in zip(*coerce_rows(basis))]
-    aug = [row + [x] for row, x in zip(bt, vec)]
-    red, pivots = rref(coerce_rows(aug))
-    if len(basis) in pivots:
-        raise InvalidData("vector leaves the generator span")
-    coords = [Q(0)] * len(basis)
-    for row, c in zip(red, pivots):
-        coords[c] = row[-1]
-    return tuple(coords)

@@ -144,9 +144,11 @@ def classicality_classify(alphas, weights, p: int, C) -> ClassicalityReport:
     if C <= 0:
         raise InvalidData("the bound C must be positive")
     alphas = tuple(Q(x) for x in alphas)
+    h = tuple(int(x) for x in weights)
+    if len(alphas) != 4 or len(h) != 4:
+        raise InvalidData("alphas and weights need four entries each")
     if any(x == 0 for x in alphas):
         raise InvalidData("zero eigenvalue")
-    h = tuple(int(x) for x in weights)
     if not (h[0] > h[1] > h[2] > h[3]) or h[0] + h[3] != h[1] + h[2]:
         raise InvalidData(f"bad weights {h}")
 

@@ -21,17 +21,8 @@ from functools import lru_cache
 from itertools import permutations
 
 from .errors import DegenerateIntersection, InvalidData, NotALine
-from .linalg import (
-    coerce_rows,
-    intersect_row_spaces,
-    inverse,
-    mat_mul,
-    nullspace,
-    rank,
-    row_space,
-    rref,
-)
-from .phimodule import PhiModuleData, standard_filtration
+from .linalg import coerce_rows, inverse, mat_mul, nullspace, row_space
+from .phimodule import PhiModuleData, standard_filtration, vanishing_factor
 from .scalars import Scalar, is_zero
 from .symplectic import Subspace, gsp4_basis, gsp4_coordinates
 from .weyl import S1, S2, W_ALL, W_ID, WeylElem, from_word
@@ -247,13 +238,81 @@ class KernelBasis:
         return len(self.rows)
 
 
-def kernel_basis(a: Scalar, b: Scalar, grid: EigenlineGrid | None = None) -> KernelBasis:
-    M = jbar_matrix(a, b, grid)
-    return KernelBasis(rows=tuple(nullspace(M, 24)), a=a, b=b)
+# The kernel of jbar_matrix over Q(a, b), in reduced row echelon form.  It
+# is committed rather than eliminated per point: the RREF is unique and
+# commutes with evaluation wherever the five nondegeneracy factors are
+# nonzero, so evaluating it gives the kernel at every nondegenerate point,
+# over Q and over Q(a, b) alike (the certificate in tests/test_kernel.py
+# proves this).  Row r has 1 in column _KERNEL_PIVOTS[r], 0 in the other
+# pivot columns, and in the free columns _KERNEL_FREE either an integer or
+# (den, c1, ca, cb, caa, cab, cbb) for
+# (c1 + ca*a + cb*b + caa*a^2 + cab*a*b + cbb*b^2) / den, where den indexes
+# the denominators (1, a, q, a*q), q = ab + a + b.
+_1, _A, _Q, _AQ = range(4)
+_KERNEL_PIVOTS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20)
+_KERNEL_FREE = (11, 13, 17, 19, 21, 22, 23)
+_KERNEL_FREE_BLOCK = (
+    ((_Q, 0, 2, 0, 0, 2, 0), (_A, 1, 0, 0, 0, 0, 0), (_Q, 0, 0, 2, 0, 0, 0), (_AQ, 0, -1, -1, 0, 1, 0), -1, (_Q, 0, 0, -2, 0, 0, 0), -2),
+    ((_Q, 0, 0, 2, 0, 0, 2), (_A, -1, 0, -2, 0, 0, 0), (_Q, 0, 2, 0, 0, 2, -2), (_AQ, 0, 1, 1, 0, 1, 2), 0, (_Q, 0, -1, 1, 0, -1, 2), -2),
+    ((_Q, 0, -1, -1, 0, -1, -1), (_A, 0, 0, 1, 0, 0, 0), (_Q, 0, -1, -1, 0, -1, 1), (_AQ, 0, 0, 0, 0, -1, -1), 0, (_Q, 0, 0, 0, 0, 0, -1), 1),
+    (0, 1, 2, 0, -1, -1, -2),
+    ((_Q, 0, 2, 2, 0, 2, 2), (_A, 0, -1, -2, 0, 0, 0), (_Q, 0, 0, 0, 0, 0, -2), (_AQ, 0, 0, 0, 0, 2, 2), 0, (_Q, 0, 0, 0, 0, 0, 2), -2),
+    ((_Q, 0, -1, -1, 0, -1, -1), (_A, 0, 0, 1, 0, 0, 0), (_Q, 0, -1, -1, 0, -1, 1), (_AQ, 0, 0, 0, 0, -1, -1), 0, (_Q, 0, 0, 0, 0, 0, -1), 1),
+    ((_Q, 0, 2, 0, 0, 2, 0), (_A, 1, 0, 0, 0, 0, 0), (_Q, 0, 0, 2, 0, 0, 0), (_AQ, 0, -1, -1, 0, 1, 0), -1, (_Q, 0, 0, -2, 0, 0, 0), -2),
+    ((_Q, 0, 0, 2, 0, 0, 0), (_A, -1, 0, 0, 0, 0, 0), (_Q, 0, 0, -2, 0, 0, 0), (_AQ, 0, 1, 1, 0, -1, 0), 0, (_Q, 0, -1, 1, 0, -1, 0), 0),
+    (-1, 0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 1, -1, -1, 0),
+    (2, 0, 0, -1, 0, 0, -2),
+    (0, 1, 2, 0, -1, -1, -2),
+    (0, 0, -1, 0, 0, 0, 0),
+    (0, 0, 0, 0, -1, 0, 0),
+    (0, 0, 2, 0, 0, -1, -2),
+    (0, 0, 0, 1, -1, -1, 0),
+    (0, 0, 0, 0, 0, 0, -1),
+)
 
 
-def jbar_rank(a: Scalar, b: Scalar, grid: EigenlineGrid | None = None) -> int:
-    return rank(jbar_matrix(a, b, grid))
+def _generic_kernel_at(a: Scalar, b: Scalar) -> tuple:
+    """Rows of the committed generic kernel at (a, b), which lie in one
+    field and make a and ab + a + b nonzero."""
+    zero = a - a
+    one = zero + 1
+    ab = a * b
+    q = ab + a + b
+    monomials = (one, a, b, a * a, ab, b * b)
+    inverses = (one, one / a, one / q, one / (a * q))
+    values = {}  # rows repeat entries, so each distinct entry is evaluated once
+    rows = []
+    for pivot, cells in zip(_KERNEL_PIVOTS, _KERNEL_FREE_BLOCK):
+        row = [zero] * 24
+        row[pivot] = one
+        for col, cell in zip(_KERNEL_FREE, cells):
+            if not cell:
+                continue
+            if cell not in values:
+                if isinstance(cell, int):
+                    values[cell] = zero + cell
+                else:
+                    num = zero
+                    for c, m in zip(cell[1:], monomials):
+                        if c:
+                            num = num + (m if c == 1 else c * m)
+                    values[cell] = num * inverses[cell[0]]
+            row[col] = values[cell]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def kernel_basis(a: Scalar, b: Scalar) -> KernelBasis:
+    """RREF basis of the kernel of jbar_matrix(a, b), by evaluating the
+    committed generic kernel."""
+    if vanishing_factor(a, b) is not None:
+        raise InvalidData("nondegeneracy-polynomial")
+    return KernelBasis(rows=_generic_kernel_at(*coerce_rows([(a, b)])[0]), a=a, b=b)
+
+
+def jbar_rank(a: Scalar, b: Scalar) -> int:
+    return 24 - kernel_basis(a, b).dim
 
 
 # ---------------------------------------------------------------------------
@@ -293,37 +352,56 @@ def glue_subspace() -> KernelBasis:
 # ---------------------------------------------------------------------------
 
 
-def _span_coordinates(vectors, basis):
-    """Coordinates of each vector in the given independent basis rows."""
-    bt = [list(col) for col in zip(*coerce_rows(basis))]
-    out = []
-    for v in vectors:
-        aug = [row + [x] for row, x in zip(bt, v)]
-        red, pivots = rref(coerce_rows(aug))
-        k = len(basis)
-        if k in pivots:
-            raise NotALine("vector leaves the generator span")
-        coords = [Q(0)] * k
-        for row, c in zip(red, pivots):
-            coords[c] = row[-1]
-        out.append(coords)
-    return out
+#: The two generator spans that meet the kernel in a line: the first line
+#: projects to (b+1) g2 - g3, the second to b g2 + a g4.
+RECOVERY_LABELS = (
+    ("f1", "f2", "f3", "f4", "g1", "g2", "g3"),
+    ("f1", "f2", "f3", "f4", "g1", "g2", "g4"),
+)
 
 
-def _projected_line(kernel_rows, labels, pair):
-    """Project (kernel ∩ span(labels)) onto two generator coordinates;
-    the result must be a line, returned as (u, v)."""
-    basis = [generator_vector(lbl) for lbl in labels]
-    inter = intersect_row_spaces(list(kernel_rows), basis, 24)
-    if not inter:
+def generator_meets(kernel_rows) -> tuple:
+    """For each label set in RECOVERY_LABELS, an RREF basis of the
+    coordinates c with sum_j c_j (generator j) in the span of kernel_rows.
+
+    With ann spanning the annihilator of the kernel, these are the
+    solutions of (ann . B^T) c = 0, B the independent generator vectors,
+    so kernel_rows may be any spanning set, echelon or not."""
+    ann = nullspace(list(kernel_rows), 24)
+    meets = []
+    for labels in RECOVERY_LABELS:
+        gens = [generator_vector(lbl) for lbl in labels]
+        system = [
+            [sum(y[i] * g[i] for i in range(24) if g[i]) for g in gens] for y in ann
+        ]
+        meets.append(tuple(nullspace(system, len(labels))))
+    return tuple(meets)
+
+
+def _projected_line(coords, labels, pair):
+    """Project the meet (generator coordinates) onto two generator
+    coordinates; the result must be a line, returned as (u, v)."""
+    if not coords:
         raise NotALine("kernel misses the generator span")
-    coords = _span_coordinates(inter, basis)
     i, j = (labels.index(pair[0]), labels.index(pair[1]))
-    proj = [[c[i], c[j]] for c in coords]
-    line = row_space(proj)
+    line = row_space([[c[i], c[j]] for c in coords])
     if len(line) != 1:
         raise NotALine(f"projection onto {pair} has dimension {len(line)}")
     return line[0]
+
+
+def parameters_from_meets(meets):
+    """Read (a, b) off the two meets that generator_meets returns."""
+    (labels_b, labels_a), (meet_b, meet_a) = RECOVERY_LABELS, meets
+    u, v = _projected_line(meet_b, labels_b, ("g2", "g3"))
+    if is_zero(v):
+        raise NotALine("degenerate projection: g3 coefficient vanishes")
+    b = -u / v - 1
+    u2, v2 = _projected_line(meet_a, labels_a, ("g2", "g4"))
+    if is_zero(u2):
+        raise NotALine("degenerate projection: g2 coefficient vanishes")
+    a = b * v2 / u2
+    return a, b
 
 
 def recover_parameters(K: KernelBasis):
@@ -333,15 +411,7 @@ def recover_parameters(K: KernelBasis):
     (b+1) g2 - g3, and span(f1..f4, g1, g2, g4) in a line projecting to
     b g2 + a g4.
     """
-    u, v = _projected_line(K.rows, ("f1", "f2", "f3", "f4", "g1", "g2", "g3"), ("g2", "g3"))
-    if is_zero(v):
-        raise NotALine("degenerate projection: g3 coefficient vanishes")
-    b = -u / v - 1
-    u2, v2 = _projected_line(K.rows, ("f1", "f2", "f3", "f4", "g1", "g2", "g4"), ("g2", "g4"))
-    if is_zero(u2):
-        raise NotALine("degenerate projection: g2 coefficient vanishes")
-    a = b * v2 / u2
-    return a, b
+    return parameters_from_meets(generator_meets(K.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,15 @@ def _nondeg_factor_values(a: Scalar, b: Scalar):
     return (a, b, b + 1, a + b, a * b + a + b)
 
 
+def vanishing_factor(a: Scalar, b: Scalar) -> str | None:
+    """Name of the first nondegeneracy factor that vanishes at (a, b), or
+    None when (a, b) is nondegenerate."""
+    for name, value in zip(NONDEG_FACTORS, _nondeg_factor_values(a, b)):
+        if is_zero(value):
+            return name
+    return None
+
+
 @dataclass(frozen=True)
 class PhiModuleData:
     p: int
@@ -124,12 +133,9 @@ def validate(d: PhiModuleData) -> ValidityReport:
         CheckResult("weight-sum", wsum, "" if wsum else f"h1+h4={h[0]+h[3]} != h2+h3={h[1]+h[2]}")
     )
 
-    nd_ok, nd_witness = True, ""
-    for name, value in zip(NONDEG_FACTORS, _nondeg_factor_values(d.a, d.b)):
-        if is_zero(value):
-            nd_ok, nd_witness = False, f"factor {name} vanishes"
-            break
-    checks.append(CheckResult("nondegeneracy-polynomial", nd_ok, nd_witness))
+    vanishing = vanishing_factor(d.a, d.b)
+    nd_witness = "" if vanishing is None else f"factor {vanishing} vanishes"
+    checks.append(CheckResult("nondegeneracy-polynomial", vanishing is None, nd_witness))
 
     return ValidityReport(checks=tuple(checks))
 
@@ -320,6 +326,8 @@ def phi_module_from_json(doc: dict) -> PhiModuleData:
         b = parse_scalar(str(doc.get("b", "b" if symbolic else "1")), symbolic)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidData(f"bad phi-module document: {exc}") from exc
+    if len(alphas) != 4 or len(weights) != 4:
+        raise InvalidData("bad phi-module document: alphas and weights need four entries each")
     return PhiModuleData(p=p, alphas=alphas, weights=weights, a=a, b=b)
 
 

@@ -21,14 +21,16 @@ from gsp4hodge.extledger import (
 from gsp4hodge.hecke import HeckeData, hecke_charpoly, ideal_generators
 from gsp4hodge.kernel import (
     GENERATOR_LABELS,
+    KernelBasis,
     glue_generators,
     glue_subspace,
+    jbar_matrix,
     jbar_rank,
     kernel_basis,
     matrix_suite,
     recover_parameters,
 )
-from gsp4hodge.linalg import mat_eq, mat_mul, mat_scale, rank
+from gsp4hodge.linalg import mat_eq, mat_mul, mat_scale, nullspace, rank
 from gsp4hodge.phimodule import PhiModuleData, newton_hodge_shortcut, weak_admissibility
 from gsp4hodge.scalars import RatFunc
 from gsp4hodge.symplectic import adjoint, lie_membership, s_involution
@@ -69,8 +71,10 @@ def _random_points(n, seed=_SEED):
 
 @pytest.fixture(scope="module")
 def sampled_kernels():
+    """Per point: the evaluated kernel and the jbar matrix, which criteria
+    2 and 3 eliminate as the cross-check."""
     pts = _random_points(100)
-    return [(a, b, kernel_basis(a, b)) for a, b in pts]
+    return [(a, b, kernel_basis(a, b), jbar_matrix(a, b)) for a, b in pts]
 
 
 def _report(number, ok, text):
@@ -132,8 +136,8 @@ def test_criterion_1_matrix_reproduction():
 def test_criterion_2_kernel_dimensions(sampled_kernels):
     t0 = time.monotonic()
     ok = jbar_rank(A, B) == 7 and kernel_basis(A, B).dim == 17
-    for a, b, K in sampled_kernels:
-        ok = ok and K.dim == 17 and jbar_rank(a, b) == 7
+    for a, b, K, M in sampled_kernels:
+        ok = ok and K.dim == 17 and jbar_rank(a, b) == 7 and rank(M) == 7
         if not ok:
             break
     elapsed = time.monotonic() - t0
@@ -143,8 +147,9 @@ def test_criterion_2_kernel_dimensions(sampled_kernels):
 
 def test_criterion_3_parameter_recovery(sampled_kernels):
     ok = recover_parameters(kernel_basis(A, B)) == (A, B)
-    for a, b, K in sampled_kernels:
-        ok = ok and recover_parameters(K) == (a, b)
+    for a, b, K, M in sampled_kernels:
+        eliminated = KernelBasis(rows=tuple(nullspace(M, 24)), a=a, b=b)
+        ok = ok and recover_parameters(K) == (a, b) and recover_parameters(eliminated) == (a, b)
         if not ok:
             break
     _report(3, ok, "parameter recovery is the identity at 100 random points and symbolically")
@@ -153,7 +158,7 @@ def test_criterion_3_parameter_recovery(sampled_kernels):
 def test_criterion_4_gluing_and_invariant_plane(sampled_kernels):
     glue = glue_subspace()
     ok = len(glue_generators()) == 16 and glue.dim == 15
-    for a, b, K in sampled_kernels:
+    for a, b, K, _ in sampled_kernels:
         contained = rank(list(K.rows) + list(glue.rows)) == K.dim
         ok = ok and contained and K.dim - glue.dim == 2
         if not ok:

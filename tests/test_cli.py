@@ -4,7 +4,16 @@ import sys
 
 import pytest
 
-from gsp4hodge.cli import EXIT_DEGENERATE, EXIT_INVALID, EXIT_OK, build_parser, dispatch, render, run_batch
+from gsp4hodge.cli import (
+    EXIT_DEGENERATE,
+    EXIT_INVALID,
+    EXIT_OK,
+    build_parser,
+    dispatch,
+    main,
+    render,
+    run_batch,
+)
 
 GOOD_DOC = {
     "p": 3,
@@ -232,3 +241,40 @@ class TestEndToEnd:
         out1 = subprocess.run(cmd, capture_output=True).stdout
         out2 = subprocess.run(cmd, capture_output=True).stdout
         assert out1 == out2
+
+
+class TestRejectedInputs:
+    """Inputs that once ended in a traceback: each exits 2 with one JSON
+    document on stdout."""
+
+    @staticmethod
+    def run(capsys, argv):
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert code == EXIT_INVALID
+        return json.loads(out)
+
+    def test_missing_input_file(self, capsys, tmp_path):
+        report = self.run(capsys, ["validate", "--input", str(tmp_path / "missing.json")])
+        assert report["status"] == "invalid" and "cannot read input" in report["error"]
+
+    @pytest.mark.parametrize("command", ("kernel", "recover", "socle"))
+    def test_list_where_object_expected(self, capsys, tmp_path, command):
+        doc = tmp_path / "doc.json"
+        doc.write_text("[1, 2]")
+        report = self.run(capsys, [command, "--input", str(doc)])
+        assert report["status"] == "invalid" and "JSON object" in report["payload"]["error"]
+
+    @pytest.mark.parametrize("command", ("validate", "classify"))
+    def test_three_weights(self, capsys, tmp_path, command):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(dict(GOOD_DOC, weights=[0, -2, -4], C="10")))
+        report = self.run(capsys, [command, "--input", str(doc)])
+        assert "four entries" in report["payload"]["error"]
+
+    def test_degree_cap(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("GSP4H_MAX_DEGREE", "5")
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"a": "a**30", "b": "3", "symbolic": True}))
+        report = self.run(capsys, ["kernel", "--input", str(doc)])
+        assert "GSP4H_MAX_DEGREE=5" in report["payload"]["error"]

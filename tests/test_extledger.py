@@ -233,6 +233,15 @@ class TestLInvariantPlane:
         plane = l_invariant_plane(A, B)
         assert plane.dim == 2 and plane.a == A and plane.b == B
 
+    def test_basis_normalization(self):
+        # each representative is the echelon basis vector of its meet in
+        # E^24, written in the generator coordinates f1..f4, g1..g4
+        plane = l_invariant_plane(Q(2), Q(3))
+        assert plane.basis_fg == (
+            tuple(Q(x, 13) for x in (5, 4, 11, -20, -18, 24, -6, 0)),
+            tuple(Q(x, 29) for x in (1, 20, -11, -10, -30, 18, 0, 12)),
+        )
+
     def test_basis_lives_on_expected_generators(self):
         plane = l_invariant_plane(Q(2), Q(3))
         k1, k2 = plane.basis_fg

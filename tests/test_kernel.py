@@ -6,6 +6,7 @@ import pytest
 from gsp4hodge.errors import DegenerateIntersection, InvalidData, NotALine
 from gsp4hodge.kernel import (
     GENERATOR_LABELS,
+    W_ORDER,
     KernelBasis,
     eigenline_grid,
     embed_block,
@@ -24,8 +25,9 @@ from gsp4hodge.kernel import (
     recover_parameters,
     unipotent_conjugator,
 )
-from gsp4hodge.linalg import mat_eq, mat_mul, rank, row_space
-from gsp4hodge.scalars import RatFunc
+from gsp4hodge.linalg import det, mat_eq, mat_mul, nullspace, rank, row_space
+from gsp4hodge.phimodule import NONDEG_FACTORS, PhiModuleData
+from gsp4hodge.scalars import Poly2, RatFunc, poly_divexact, poly_gcd
 from gsp4hodge.symplectic import Subspace, lie_membership
 from gsp4hodge.weyl import S1, W_ALL, W_ID, from_word
 
@@ -318,3 +320,139 @@ class TestRecovery:
         K = KernelBasis(rows=glue_subspace().rows, a=Q(2), b=Q(3))
         with pytest.raises(NotALine):
             recover_parameters(K)
+
+
+# ---------------------------------------------------------------------------
+# The committed generic kernel
+# ---------------------------------------------------------------------------
+
+FACTORS = tuple(f.num for f in (A, B, B + 1, A + B, A * B + A + B))
+TALL = 2**64
+
+
+def is_factor_product(p: Poly2) -> bool:
+    """Whether p is a nonzero constant times a product of the five
+    nondegeneracy factors (each is irreducible)."""
+    for f in FACTORS:
+        while not poly_gcd(p, f).is_const():
+            p = poly_divexact(p, f)
+    return p.is_const() and not p.is_zero()
+
+
+def seeded_points(n, tall, seed):
+    rng = random.Random(seed)
+    hi, den_hi = (TALL, TALL) if tall else (9, 5)
+    points = []
+    while len(points) < n:
+        a = Q(rng.randint(-hi, hi), rng.randint(1, den_hi))
+        b = Q(rng.randint(-hi, hi), rng.randint(1, den_hi))
+        if a * b * (b + 1) * (a + b) * (a * b + a + b) != 0:
+            points.append((a, b))
+    return points
+
+
+def shifted(c1, c2, c3):
+    return A + RatFunc.const(c1), B * RatFunc.const(c2) + RatFunc.const(c3)
+
+
+@pytest.fixture(scope="module")
+def generic():
+    """jbar_matrix by elimination and the committed kernel, over Q(a, b)."""
+    return jbar_matrix(A, B), kernel_basis(A, B).rows
+
+
+class TestCertificate:
+    """The committed kernel K is the RREF kernel of the jbar matrix J over
+    Q(a, b), and evaluating it is exact at every nondegenerate point
+    (a0, b0), over Q or Q(a, b):
+
+    1. the eigenline grid exists wherever the five factors are nonzero, so
+       jbar_matrix(a0, b0) is J evaluated at (a0, b0);
+    2. every denominator of J and K is a product of the five factors, so
+       both evaluate there;
+    3. J K^T = 0, so K(a0, b0) lies in the kernel, and K is in RREF with 17
+       pivots, so K(a0, b0) has rank 17;
+    4. a 7 x 7 minor of J is 4q^2/((a+b)(b+1)), q = ab + a + b, nonzero
+       there, so the rank is 7 and K(a0, b0) spans the kernel.
+
+    The RREF is unique, so K(a0, b0) = nullspace(jbar_matrix(a0, b0))."""
+
+    def test_grid_exists_off_the_factors(self):
+        # The line F_w^i ∩ F_H^{5-i} exists, with a nonzero leading
+        # coefficient, iff F_w^{i-1} and F_H^{5-i} span E^4.
+        d = PhiModuleData(p=3, alphas=(Q(1), Q(9), Q(81), Q(729)), weights=(0, -2, -4, -6), a=A, b=B)
+        hodge = d.basis_vectors()
+        for w in W_ORDER:
+            inv = w.inv().perm
+            for i in (1, 2, 3, 4):
+                coord = [[ONE if c == inv[k] - 1 else ZERO for c in range(4)] for k in range(i - 1)]
+                minor = det(coord + [list(v) for v in hodge[: 5 - i]])
+                assert minor.den.is_const() and is_factor_product(minor.num), (w, i)
+
+    def test_denominators_are_factor_products(self, generic):
+        J, K = generic
+        for x in [x for row in J for x in row] + [x for row in K for x in row]:
+            assert is_factor_product(x.den), x
+
+    def test_kernel_is_annihilated(self, generic):
+        J, K = generic
+        for row in J:
+            for k in K:
+                assert sum((x * y for x, y in zip(row, k) if x and y), ZERO) == 0
+
+    def test_rref_with_seventeen_pivots(self, generic):
+        _, K = generic
+        assert row_space(list(K)) == list(K)
+        assert len(K) == 17
+
+    def test_rank_seven_minor(self, generic):
+        J, _ = generic
+        minor = [[J[r][c] for c in (0, 1, 2, 3, 7, 9, 13)] for r in (0, 1, 2, 3, 4, 5, 7)]
+        q = A * B + A + B
+        assert det(minor) == RatFunc.const(4) * q * q / ((A + B) * (B + 1))
+
+
+class TestEvaluatedKernel:
+    @pytest.mark.parametrize("tall", (False, True))
+    def test_matches_elimination_over_q(self, tall):
+        for a, b in seeded_points(8, tall, seed=29):
+            rows = kernel_basis(a, b).rows
+            assert rows == tuple(nullspace(jbar_matrix(a, b), 24))
+            assert all(type(x) is Q for r in rows for x in r)
+
+    @pytest.mark.parametrize(
+        "consts", ((0, 1, 0), (Q(1, 2), 2, -1), (-3, Q(-1, 3), 2))
+    )
+    def test_matches_elimination_over_qab(self, consts):
+        a, b = shifted(*consts)
+        rows = kernel_basis(a, b).rows
+        assert rows == tuple(nullspace(jbar_matrix(a, b), 24))
+        assert all(type(x) is RatFunc for r in rows for x in r)
+
+    @pytest.mark.parametrize("factor", NONDEG_FACTORS)
+    def test_degenerate_points_raise(self, factor):
+        numeric = {"a": (Q(0), Q(2)), "b": (Q(2), Q(0)), "b+1": (Q(2), Q(-1)),
+                   "a+b": (Q(2), Q(-2)), "a*b+a+b": (Q(-1, 2), Q(1))}[factor]
+        symbolic = {"a": (ZERO, B), "b": (A, ZERO), "b+1": (A, -ONE),
+                    "a+b": (A, -A), "a*b+a+b": (-B / (B + 1), B)}[factor]
+        for a, b in (numeric, symbolic):
+            for fn in (kernel_basis, jbar_rank):
+                with pytest.raises(InvalidData, match="^nondegeneracy-polynomial$"):
+                    fn(a, b)
+
+
+class TestRecoveryFromAnyBasis:
+    @staticmethod
+    def row_sums(rows):
+        """A non-echelon basis of the same span."""
+        return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(rows, rows[1:])) + rows[-1:]
+
+    def test_numeric(self):
+        for a, b in seeded_points(4, False, seed=31) + seeded_points(4, True, seed=31):
+            K = KernelBasis(rows=self.row_sums(kernel_basis(a, b).rows), a=None, b=None)
+            assert recover_parameters(K) == (a, b)
+
+    def test_symbolic(self):
+        a, b = shifted(Q(1, 2), 2, -1)
+        K = KernelBasis(rows=self.row_sums(kernel_basis(a, b).rows), a=None, b=None)
+        assert recover_parameters(K) == (a, b)
