@@ -42,7 +42,6 @@ from .kernel import (
     KernelBasis,
     eigenline_grid,
     glue_subspace,
-    jbar_apply,
     jbar_matrix,
     jbar_rank,
     kernel_basis,
@@ -70,7 +69,6 @@ from .symplectic import (
     lie_membership,
     s_involution,
     similitude,
-    subspace_algebra,
 )
 from .weyl import (
     S0,

@@ -69,10 +69,6 @@ CITATIONS = {
 _STATUS_EXIT = {"ok": EXIT_OK, "invalid": EXIT_INVALID, "degenerate": EXIT_DEGENERATE}
 
 
-def _mat_strs(M):
-    return [[scalar_str(x) for x in row] for row in M]
-
-
 def _rows_strs(rows):
     return [[scalar_str(x) for x in row] for row in rows]
 
@@ -164,6 +160,8 @@ def _kernel_from_doc(doc) -> KernelBasis:
 def run_recover(doc, args):
     if "count" in doc or args.random:
         count = int(doc.get("count", args.random or 0))
+        if count < 0:
+            raise InvalidData(f"recover count must be nonnegative, got {count}")
         rng = random.Random(args.seed)
         results = []
         for _ in range(count):
@@ -211,7 +209,7 @@ def run_glue(doc, args):
 def run_matrices(doc, args):
     a, b = _ab_from_doc(doc, args.symbolic)
     suite = matrix_suite(a, b)
-    payload = {name: _mat_strs(M) for name, M in suite.items()}
+    payload = {name: _rows_strs(M) for name, M in suite.items()}
     payload["basis"] = "filtration basis (v1, v2, v3, v4)"
     return _report("matrices", "ok", payload)
 

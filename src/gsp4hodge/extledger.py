@@ -17,7 +17,9 @@ from itertools import combinations
 from .errors import InvalidData, InvalidIndexSet, LedgerInconsistent, NotALine
 from .kernel import (
     GENERATOR_LABELS,
+    LEVI_CENTERS,
     RECOVERY_LABELS,
+    TORUS_BASIS,
     generator_meets,
     generator_vector,
     glue_subspace,
@@ -27,7 +29,7 @@ from .kernel import (
 )
 from .linalg import rank, row_space
 from .scalars import Scalar
-from .weyl import WeylElem
+from .weyl import CocharTuple, Weight, WeylElem, L_map, L_map_inverse, weyl_act_weight
 
 
 @dataclass(frozen=True)
@@ -72,33 +74,25 @@ def _qpchar(val, log) -> AddChar:
     return AddChar(shape="qp_to_t", val=tuple(val), log=tuple(log))
 
 
-_T_BASIS = ((1, 0, 0, -1), (0, 1, -1, 0), (0, 0, 1, 1))
-_CENTER = (1, 1, 1, 1)
-_Z_LEVI = {
-    "P": ((1, 1, 0, 0), (0, 0, 1, 1)),
-    "Q": ((1, 0, 0, -1), (0, 1, 1, 2)),
-}
 _ZERO4 = (0, 0, 0, 0)
 _ZERO3 = (0, 0, 0)
+_EUCLID3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def hom_space(kind: str):
     """Explicit basis of the named character space."""
     if kind == "full_t":
-        return [_qpchar(t, _ZERO4) for t in _T_BASIS] + [_qpchar(_ZERO4, t) for t in _T_BASIS]
+        return [_qpchar(t, _ZERO4) for t in TORUS_BASIS] + [_qpchar(_ZERO4, t) for t in TORUS_BASIS]
     if kind == "sm_t":
-        return [_qpchar(t, _ZERO4) for t in _T_BASIS]
-    if kind == "gprime_t":
-        return hom_space("sm_t") + [_qpchar(_ZERO4, _CENTER)]
-    if kind in ("P_gprime_t", "Q_gprime_t"):
-        z1, z2 = _Z_LEVI[kind[0]]
-        return hom_space("sm_t") + [_qpchar(_ZERO4, z1), _qpchar(_ZERO4, z2)]
+        return [_qpchar(t, _ZERO4) for t in TORUS_BASIS]
+    if kind in ("gprime_t", "P_gprime_t", "Q_gprime_t"):
+        # log parts in the center of gsp4, or of the Siegel (P) or Klingen (Q) Levi
+        z_basis = LEVI_CENTERS[kind[0] if kind[0] in "PQ" else "G"]
+        return hom_space("sm_t") + [_qpchar(_ZERO4, z) for z in z_basis]
     if kind == "full_T":
-        euc = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        return [_tchar(e, _ZERO3) for e in euc] + [_tchar(_ZERO3, e) for e in euc]
+        return [_tchar(e, _ZERO3) for e in _EUCLID3] + [_tchar(_ZERO3, e) for e in _EUCLID3]
     if kind == "sm_T":
-        euc = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        return [_tchar(e, _ZERO3) for e in euc]
+        return [_tchar(e, _ZERO3) for e in _EUCLID3]
     if kind == "gprime_T":
         return hom_space("sm_T") + [_tchar(_ZERO3, (0, 0, 1))]
     if kind == "P_gprime_T":
@@ -115,42 +109,23 @@ def hom_space_dim(kind: str) -> int:
 
 
 def ell_map(psi: AddChar) -> AddChar:
-    """Coordinate form of the lattice map on additive characters."""
+    """The lattice map L_map, applied to the val and the log coordinates."""
     if psi.shape != "qp_to_t":
         raise InvalidData("ell_map expects a qp_to_t character")
-    v, l = psi.val, psi.log
-    return _tchar(
-        (v[0] - v[2], v[0] - v[1], v[3]),
-        (l[0] - l[2], l[0] - l[1], l[3]),
-    )
+    return _tchar(*(L_map(CocharTuple(half)).coords() for half in (psi.val, psi.log)))
 
 
 def ell_map_inverse(chi: AddChar) -> AddChar:
     if chi.shape != "T_to_E":
         raise InvalidData("ell_map_inverse expects a T_to_E character")
-
-    def back(c):
-        n1, n2, n3 = c
-        m1 = n1 + n2 + n3
-        return (m1, m1 - n2, m1 - n1, n3)
-
-    return _qpchar(back(chi.val), back(chi.log))
+    return _qpchar(*(L_map_inverse(Weight(*half)).m for half in (chi.val, chi.log)))
 
 
 def weyl_act_addchar(w: WeylElem, psi: AddChar) -> AddChar:
     if psi.shape == "qp_to_t":
         return _qpchar(w.act_tuple(psi.val), w.act_tuple(psi.log))
-    # T_to_E: same letter formulas as multiplicative characters, additively
-    v, l = list(psi.val), list(psi.log)
-    tokens = w.word
-    for i in range(len(tokens) - 2, -2, -2):
-        letter = tokens[i : i + 2]
-        for c in (v, l):
-            if letter == "s1":
-                c[0], c[1] = c[1], c[0]
-            else:
-                c[0], c[1], c[2] = c[0], -c[1], c[1] + c[2]
-    return _tchar(tuple(v), tuple(l))
+    # T_to_E: val and log each transform like a weight
+    return _tchar(*(weyl_act_weight(w, Weight(*half)).coords() for half in (psi.val, psi.log)))
 
 
 def span_equal(chars_a, chars_b) -> bool:
@@ -353,7 +328,7 @@ class LedgerReport:
         }
 
 
-def check_ledger(sample_ab=(Q(2), Q(3))) -> LedgerReport:
+def check_ledger() -> LedgerReport:
     """Assemble the named dimension table and verify every identity.
 
     Raises LedgerInconsistent when an identity fails; the report carries
@@ -493,8 +468,8 @@ def check_ledger(sample_ab=(Q(2), Q(3))) -> LedgerReport:
         "Levi-center model: 6 + 6 - 5",
     )
 
-    # exact kernel computations
-    a, b = sample_ab
+    # exact kernel computations at a sample nondegenerate point
+    a, b = Q(2), Q(3)
     K = kernel_basis(a, b)
     glue = glue_subspace()
     dims["L_invariant"] = K.dim - glue.dim

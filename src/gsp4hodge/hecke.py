@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import accumulate
 
 from .errors import InconsistentData, InvalidData
+from .phimodule import newton_above_hodge, refinement_weights
 from .scalars import is_prime, padic_val
-from .weyl import W_ALL, WeylElem, check_involution
+from .weyl import W_ALL, WeylElem
 
 GAP_SLOPE = 20170901
 GAP_OFFSET = 20260630
@@ -115,23 +117,12 @@ class ClassicalityReport:
 def partial_sum_set(p: int, alphas, weights) -> list[WeylElem]:
     """Weyl elements w with nonnegative partial sums of
     val(alpha_j) + h_{(w-check)^{-1}(j)} and full-sum equality."""
-    vals = [padic_val(Q(x), p) for x in alphas]
-    h = list(weights)
-    out = []
-    for w in W_ALL:
-        winv = check_involution(w).inv()
-        ok = True
-        for i in (1, 2, 3, 4):
-            s = sum(vals[:i]) + sum(h[winv(j) - 1] for j in range(1, i + 1))
-            if i == 4:
-                ok = ok and s == 0
-            else:
-                ok = ok and s >= 0
-            if not ok:
-                break
-        if ok:
-            out.append(w)
-    return out
+    t_newton = list(accumulate(padic_val(Q(x), p) for x in alphas))
+    return [
+        w
+        for w in W_ALL
+        if newton_above_hodge(t_newton, accumulate(-h for h in refinement_weights(w, weights)))
+    ]
 
 
 def classicality_classify(alphas, weights, p: int, C) -> ClassicalityReport:

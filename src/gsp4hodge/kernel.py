@@ -22,9 +22,9 @@ from itertools import permutations
 
 from .errors import DegenerateIntersection, InvalidData, NotALine
 from .linalg import coerce_rows, inverse, mat_mul, nullspace, row_space
-from .phimodule import PhiModuleData, standard_filtration, vanishing_factor
+from .phimodule import complete_flag, coordinate_subspace, filtration_basis, vanishing_factor
 from .scalars import Scalar, is_zero
-from .symplectic import Subspace, gsp4_basis, gsp4_coordinates
+from .symplectic import gsp4_basis, gsp4_coordinates
 from .weyl import S1, S2, W_ALL, W_ID, WeylElem, from_word
 
 #: Fixed block order for the 24-dimensional domain.
@@ -34,6 +34,21 @@ _BLOCK_INDEX = {w.perm: i for i, w in enumerate(W_ORDER)}
 #: Torus elements behind the distinguished generators.
 T1 = (Q(-1), Q(-1), Q(1), Q(1))
 T2 = (Q(-1), Q(0), Q(0), Q(1))
+
+#: Torus elements with block coordinates x, y and z.
+TORUS_BASIS = (
+    (Q(1), Q(0), Q(0), Q(-1)),
+    (Q(0), Q(1), Q(-1), Q(0)),
+    (Q(0), Q(0), Q(1), Q(1)),
+)
+
+#: Bases of the centers of gsp4 (G) and of the Siegel (P) and Klingen (Q)
+#: Levi subalgebras: diag(u,u,u,u), diag(u,u,v,v) and diag(u,v,v,2v-u).
+LEVI_CENTERS = {
+    "G": ((Q(1), Q(1), Q(1), Q(1)),),
+    "P": ((Q(1), Q(1), Q(0), Q(0)), (Q(0), Q(0), Q(1), Q(1))),
+    "Q": ((Q(1), Q(0), Q(0), Q(-1)), (Q(0), Q(1), Q(1), Q(2))),
+}
 
 GENERATOR_LABELS = ("f1", "f2", "f3", "f4", "g1", "g2", "g3", "g4")
 _GENERATOR_DEF = {
@@ -60,11 +75,6 @@ def torus_block_coords(t) -> tuple:
     return (t1, t2, t1 + t4)
 
 
-def torus_from_block_coords(c) -> tuple:
-    x, y, z = c
-    return (x, y, z - y, z - x)
-
-
 def embed_block(t, w: WeylElem):
     """The 24-vector carrying the torus element t in the block of w."""
     x, y, z = torus_block_coords(t)
@@ -79,11 +89,9 @@ def generator_vector(label: str):
     return embed_block(t, w)
 
 
-def _phi_module_for(a: Scalar, b: Scalar) -> PhiModuleData:
-    # Any valid (alpha, h) works: the grid only depends on (a, b).
-    return PhiModuleData(
-        p=3, alphas=(Q(1), Q(9), Q(81), Q(729)), weights=(0, -2, -4, -6), a=a, b=b
-    )
+def _require_nondegenerate(a: Scalar, b: Scalar) -> None:
+    if vanishing_factor(a, b) is not None:
+        raise InvalidData("nondegeneracy-polynomial")
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,9 @@ def _perm_inverse(perm) -> list:
 
 def eigenline_grid(a: Scalar, b: Scalar, include_full_s4: bool = False) -> EigenlineGrid:
     """Intersect the coordinate flags with the Hodge flag, line by line."""
-    hf = standard_filtration(_phi_module_for(a, b))
+    _require_nondegenerate(a, b)
+    # Hodge flag members of dimension 1, 2, 3 and 4
+    hodge = complete_flag(a, b).members + (coordinate_subspace((1, 2, 3, 4)),)
     perms = (
         list(permutations((1, 2, 3, 4)))
         if include_full_s4
@@ -126,13 +136,7 @@ def eigenline_grid(a: Scalar, b: Scalar, include_full_s4: bool = False) -> Eigen
         inv = _perm_inverse(perm)
         basis = []
         for i in (1, 2, 3, 4):
-            rows = []
-            for c in inv[:i]:
-                row = [Q(0)] * 4
-                row[c - 1] = Q(1)
-                rows.append(tuple(row))
-            Fw = Subspace.span(rows)
-            L = Fw.intersect(hf.member(5 - i))
+            L = coordinate_subspace(inv[:i]).intersect(hodge[4 - i])
             if L.dim != 1:
                 raise DegenerateIntersection(
                     perm, i, f"intersection has dimension {L.dim}"
@@ -155,74 +159,27 @@ def eigenline_grid(a: Scalar, b: Scalar, include_full_s4: bool = False) -> Eigen
 def nu_operator(grid: EigenlineGrid, w, t):
     """The unique operator acting as t_i on the i-th eigenline of w."""
     perm = _perm_of(w)
-    in_weyl = perm[0] + perm[3] == 5 and perm[1] + perm[2] == 5
-    if in_weyl:
-        t1, t2, t3, t4 = t
-        if t1 + t4 != t2 + t3:
-            raise InvalidData(f"diagonal {t} breaks the torus constraint")
+    if perm in _BLOCK_INDEX:
+        torus_block_coords(t)  # rejects t off the torus
     U = [list(col) for col in zip(*grid.lines[perm])]  # columns are the lines
     Uinv = inverse(U)
     D = [[t[i] if i == j else Q(0) for j in range(4)] for i in range(4)]
     return mat_mul(mat_mul(U, coerce_rows(D)), Uinv)
 
 
-def unipotent_conjugator(grid: EigenlineGrid, w):
-    """The matrix n with n e_{w^{-1}(i)} = (i-th line of w); unipotent in
-    the basis reordered by w^{-1} thanks to the line normalization."""
-    perm = _perm_of(w)
-    inv = _perm_inverse(perm)
-    cols = {}
-    for i in (1, 2, 3, 4):
-        cols[inv[i - 1] - 1] = grid.lines[perm][i - 1]
-    return [[cols[j][i] for j in range(4)] for i in range(4)]
-
-
-def nu_via_conjugation(grid: EigenlineGrid, w, t):
-    """Alternative route: conjugate a permuted diagonal by the unipotent
-    change of basis.  The diagonal carries t_i at position w^{-1}(i), the
-    slot whose eigenline receives eigenvalue t_i."""
-    perm = _perm_of(w)
-    inv = _perm_inverse(perm)
-    D = [[Q(0)] * 4 for _ in range(4)]
-    for i in (1, 2, 3, 4):
-        D[inv[i - 1] - 1][inv[i - 1] - 1] = t[i - 1]
-    n = unipotent_conjugator(grid, w)
-    return mat_mul(mat_mul(n, coerce_rows(D)), inverse(n))
-
-
 # ---------------------------------------------------------------------------
 # The summed tangent map
 # ---------------------------------------------------------------------------
 
-_TORUS_BASIS = (
-    (Q(1), Q(0), Q(0), Q(-1)),  # block coordinate x
-    (Q(0), Q(1), Q(-1), Q(0)),  # block coordinate y
-    (Q(0), Q(0), Q(1), Q(1)),   # block coordinate z
-)
-
-
-def jbar_matrix(a: Scalar, b: Scalar, grid: EigenlineGrid | None = None):
+def jbar_matrix(a: Scalar, b: Scalar):
     """The 11 x 24 matrix of the summed tangent map in the fixed bases."""
-    grid = grid or eigenline_grid(a, b)
+    grid = eigenline_grid(a, b)
     cols = []
     for w in W_ORDER:
-        for t in _TORUS_BASIS:
+        for t in TORUS_BASIS:
             M = nu_operator(grid, w, t)
             cols.append(gsp4_coordinates(M))
     return [list(col) for col in zip(*cols)]  # 11 rows, 24 columns
-
-
-def jbar_apply(a: Scalar, b: Scalar, vec, grid: EigenlineGrid | None = None):
-    """Image of a 24-vector as a 4x4 matrix (sum of the block operators)."""
-    grid = grid or eigenline_grid(a, b)
-    total = [[Q(0)] * 4 for _ in range(4)]
-    for w in W_ORDER:
-        base = 3 * block_index(w)
-        c = vec[base : base + 3]
-        t = torus_from_block_coords(c)
-        M = nu_operator(grid, w, t)
-        total = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, M)]
-    return total
 
 
 @dataclass(frozen=True)
@@ -306,8 +263,7 @@ def _generic_kernel_at(a: Scalar, b: Scalar) -> tuple:
 def kernel_basis(a: Scalar, b: Scalar) -> KernelBasis:
     """RREF basis of the kernel of jbar_matrix(a, b), by evaluating the
     committed generic kernel."""
-    if vanishing_factor(a, b) is not None:
-        raise InvalidData("nondegeneracy-polynomial")
+    _require_nondegenerate(a, b)
     return KernelBasis(rows=_generic_kernel_at(*coerce_rows([(a, b)])[0]), a=a, b=b)
 
 
@@ -319,17 +275,11 @@ def jbar_rank(a: Scalar, b: Scalar) -> int:
 # Parabolic gluing subspace (independent of a and b)
 # ---------------------------------------------------------------------------
 
-#: Levi-center generators: Siegel side diag(u,u,v,v), Klingen side
-#: diag(u,v,v,2v-u).
-_Z_SIEGEL = ((Q(1), Q(1), Q(0), Q(0)), (Q(0), Q(0), Q(1), Q(1)))
-_Z_KLINGEN = ((Q(1), Q(0), Q(0), Q(-1)), (Q(0), Q(1), Q(1), Q(2)))
-
-
 def glue_generators():
     """The 16 difference vectors (z)_w - (z)_{s_delta w}, one per unordered
     pair {w, s_delta w} per Levi-center basis element."""
     out = []
-    for s_delta, z_basis in ((S1, _Z_SIEGEL), (S2, _Z_KLINGEN)):
+    for s_delta, z_basis in ((S1, LEVI_CENTERS["P"]), (S2, LEVI_CENTERS["Q"])):
         for w in W_ORDER:
             other = s_delta * w
             if block_index(w) > block_index(other):
@@ -419,13 +369,11 @@ def recover_parameters(K: KernelBasis):
 # ---------------------------------------------------------------------------
 
 
-def matrix_suite(a: Scalar, b: Scalar, grid: EigenlineGrid | None = None) -> dict:
+def matrix_suite(a: Scalar, b: Scalar) -> dict:
     """Images of the eight distinguished generators, written in the
     filtration basis (v1, v2, v3, v4)."""
-    grid = grid or eigenline_grid(a, b)
-    d = _phi_module_for(a, b)
-    v1, v2, v3, v4 = d.basis_vectors()
-    B = [list(col) for col in zip(v1, v2, v3, v4)]  # columns are v_i
+    grid = eigenline_grid(a, b)
+    B = [list(col) for col in zip(*filtration_basis(a, b))]  # columns are v_i
     Binv = inverse(coerce_rows(B))
     out = {}
     for label in GENERATOR_LABELS:
@@ -442,11 +390,10 @@ def matrix_suite(a: Scalar, b: Scalar, grid: EigenlineGrid | None = None) -> dic
 
 def hodge_borel_basis(a: Scalar, b: Scalar):
     """Rows (11-dim coordinates) of the gsp4 subalgebra preserving the flag."""
-    hf = standard_filtration(_phi_module_for(a, b))
+    _require_nondegenerate(a, b)
     basis = gsp4_basis()
     equations = []
-    for dim in (1, 2, 3):
-        V = hf.member(dim)
+    for V in complete_flag(a, b).members:
         ann = nullspace([list(r) for r in V.rows], 4)
         for r in V.rows:
             for y in ann:
@@ -459,8 +406,8 @@ def hodge_borel_basis(a: Scalar, b: Scalar):
     return nullspace(equations, 11)
 
 
-def jbar_image_rows(a: Scalar, b: Scalar, grid: EigenlineGrid | None = None):
+def jbar_image_rows(a: Scalar, b: Scalar):
     """Canonical basis of the image of the tangent map, in E^11."""
-    M = jbar_matrix(a, b, grid)
+    M = jbar_matrix(a, b)
     cols = [list(col) for col in zip(*M)]
     return row_space(cols)

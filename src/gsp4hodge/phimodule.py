@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import InvalidData
 from .linalg import coerce_rows
 from .scalars import RatFunc, Scalar, is_prime, is_zero, padic_val, scalar_str
 from .symplectic import Flag, Subspace
-from .weyl import W_ALL, QpChar, WeylElem
+from .weyl import W_ALL, QpChar, WeylElem, check_involution
 
 #: Names for the five nondegeneracy factors, in fixed order.
 NONDEG_FACTORS = ("a", "b", "b+1", "a+b", "a*b+a+b")
@@ -54,15 +54,25 @@ class PhiModuleData:
         return isinstance(self.a, RatFunc)
 
     def basis_vectors(self):
-        """The filtration basis v1..v4 over the ambient scalar field."""
-        a, b = self.a, self.b
-        one = a - a + 1
-        zero = a - a
-        v1 = (a, -one, one, -one)
-        v2 = (b, b + one, -one, zero)
-        v3 = (one, one, zero, zero)
-        v4 = (one, zero, zero, zero)
-        return v1, v2, v3, v4
+        return filtration_basis(self.a, self.b)
+
+
+def filtration_basis(a: Scalar, b: Scalar) -> tuple:
+    """The filtration basis v1..v4 over the field of (a, b): F^i is
+    spanned by v1..vi."""
+    zero = a - a
+    one = zero + 1
+    return (a, -one, one, -one), (b, b + one, -one, zero), (one, one, zero, zero), (one, zero, zero, zero)
+
+
+def complete_flag(a: Scalar, b: Scalar) -> Flag:
+    """The standard-form flag F^1 < F^2 < F^3 at (a, b).  v1, v2, v3 are
+    independent for every (a, b), so the flag always exists."""
+    v1, v2, v3, _ = filtration_basis(a, b)
+    return Flag(
+        members=(Subspace.span([v1]), Subspace.span([v1, v2]), Subspace.span([v1, v2, v3])),
+        kind="complete",
+    )
 
 
 @dataclass(frozen=True)
@@ -172,18 +182,7 @@ def _require_structure(d: PhiModuleData, *, nondegenerate: bool) -> None:
 
 
 def _build_flag(d: PhiModuleData) -> HodgeFlag:
-    # v1, v2, v3 are independent for every (a, b), so the flag always exists.
-    v1, v2, v3, _ = d.basis_vectors()
-    flag = Flag(
-        members=(
-            Subspace.span([v1]),
-            Subspace.span([v1, v2]),
-            Subspace.span([v1, v2, v3]),
-        ),
-        kind="complete",
-    )
-    h = d.weights
-    return HodgeFlag(flag=flag, jumps=(-h[0], -h[1], -h[2], -h[3]))
+    return HodgeFlag(flag=complete_flag(d.a, d.b), jumps=tuple(-h for h in d.weights))
 
 
 def standard_filtration(d: PhiModuleData) -> HodgeFlag:
@@ -234,38 +233,46 @@ def _hodge_t_invariant(hf: HodgeFlag, V: Subspace) -> int:
     return total
 
 
-def weak_admissibility(d: PhiModuleData, hf: HodgeFlag | None = None) -> bool:
+def newton_above_hodge(t_newton, t_hodge) -> bool:
+    """The Newton-above-Hodge test along a sequence of subspaces ending in
+    the whole space: t_N >= t_H on each proper one, t_N = t_H on the whole."""
+    *proper, whole = [n - h for n, h in zip(t_newton, t_hodge)]
+    return whole == 0 and all(gap >= 0 for gap in proper)
+
+
+def refinement_weights(w: WeylElem, weights) -> tuple:
+    """The weights relabeled for the refinement w: h_{(w-check)^{-1}(j)}."""
+    wc_inv = check_involution(w).inv()
+    return tuple(weights[wc_inv(j) - 1] for j in (1, 2, 3, 4))
+
+
+def _valuations(p: int, alphas) -> list:
+    return [padic_val(Q(x), p) for x in alphas]
+
+
+def weak_admissibility(d: PhiModuleData) -> bool:
     """Newton-above-Hodge over every phi-stable eigenvector span, with
     equality on the whole space.  General position is not required."""
-    if hf is None:
-        _require_structure(d, nondegenerate=False)
-        hf = _build_flag(d)
-    vals = [padic_val(Q(x), d.p) for x in d.alphas]
-    for size in (1, 2, 3, 4):
-        for S in combinations((1, 2, 3, 4), size):
-            t_newton = sum(vals[i - 1] for i in S)
-            t_hodge = _hodge_t_invariant(hf, coordinate_subspace(S))
-            if size == 4:
-                if t_newton != t_hodge:
-                    return False
-            elif t_newton < t_hodge:
-                return False
-    return True
+    _require_structure(d, nondegenerate=False)
+    hf = _build_flag(d)
+    vals = _valuations(d.p, d.alphas)
+    subsets = [S for size in (1, 2, 3, 4) for S in combinations((1, 2, 3, 4), size)]
+    return newton_above_hodge(
+        [sum(vals[i - 1] for i in S) for S in subsets],
+        [_hodge_t_invariant(hf, coordinate_subspace(S)) for S in subsets],
+    )
 
 
 def newton_hodge_shortcut(p: int, alphas, weights) -> bool:
     """Polygon form of weak admissibility: sorted-valuation partial sums
     against the weight partial sums.  Agrees with the subset checker in
     general position."""
-    vals = sorted(padic_val(Q(x), p) for x in alphas)
-    h = list(weights)
-    for i in (1, 2, 3):
-        if sum(vals[:i]) + sum(h[:i]) < 0:
-            return False
-    return sum(vals) + sum(h) == 0
+    return newton_above_hodge(
+        accumulate(sorted(_valuations(p, alphas))), accumulate(-h for h in weights)
+    )
 
 
-def admissible_refinements(d: PhiModuleData, hf: HodgeFlag | None = None):
+def admissible_refinements(d: PhiModuleData):
     """Weyl elements w whose weight pairing is Newton-above-Hodge.
 
     The w-condition pairs the eigenvalue prefixes (in their given order)
@@ -274,30 +281,14 @@ def admissible_refinements(d: PhiModuleData, hf: HodgeFlag | None = None):
     dominate the valuation spread.  Hodge sums use the actual member
     subspaces, so degenerate (a, b) are handled faithfully.
     """
-    from .weyl import check_involution
-
-    if hf is None:
-        _require_structure(d, nondegenerate=False)
-        hf = _build_flag(d)
-    vals = [padic_val(Q(x), d.p) for x in d.alphas]
-    h = d.weights
+    _require_structure(d, nondegenerate=False)
+    flag = complete_flag(d.a, d.b)
+    t_newton = list(accumulate(_valuations(d.p, d.alphas)))
+    prefixes = [coordinate_subspace(range(1, i + 1)) for i in (1, 2, 3, 4)]
     out = []
     for w in W_ALL:
-        wc_inv = check_involution(w).inv()
-        relabeled = HodgeFlag(
-            flag=hf.flag, jumps=tuple(-h[wc_inv(k) - 1] for k in (1, 2, 3, 4))
-        )
-        ok = True
-        for i in (1, 2, 3, 4):
-            t_newton = sum(vals[:i])
-            t_hodge = _hodge_t_invariant(relabeled, coordinate_subspace(range(1, i + 1)))
-            if i == 4:
-                ok = ok and t_newton == t_hodge
-            else:
-                ok = ok and t_newton >= t_hodge
-            if not ok:
-                break
-        if ok:
+        relabeled = HodgeFlag(flag=flag, jumps=tuple(-h for h in refinement_weights(w, d.weights)))
+        if newton_above_hodge(t_newton, [_hodge_t_invariant(relabeled, V) for V in prefixes]):
             out.append(w)
     return out
 

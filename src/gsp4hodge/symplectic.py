@@ -189,23 +189,6 @@ class Subspace:
         return self.perp().contains_subspace(self)
 
 
-def subspace_algebra(op: str, *args):
-    """Dispatcher matching the documented operation names."""
-    if op == "span":
-        return Subspace.span(args[0])
-    if op == "intersect":
-        return args[0].intersect(args[1])
-    if op == "sum":
-        return args[0].add(args[1])
-    if op == "perp":
-        return args[0].perp()
-    if op == "contains":
-        if isinstance(args[1], Subspace):
-            return args[0].contains_subspace(args[1])
-        return args[0].contains(args[1])
-    raise InvalidData(f"unknown subspace operation {op!r}")
-
-
 FLAG_DIMS = {"complete": (1, 2, 3), "siegel": (2,), "klingen": (1, 3)}
 
 

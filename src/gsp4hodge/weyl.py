@@ -98,36 +98,41 @@ W_ALL = tuple(
 S0 = WeylElem((4, 3, 2, 1))
 
 
+def _act_word(word: str, x, s1, s2):
+    """Apply the letters of a word like "s1s2" to x, rightmost first;
+    s1(x) and s2(x) give the action of one letter."""
+    tokens = word.replace(" ", "")
+    if len(tokens) % 2:
+        raise ParseError(f"bad Weyl word {word!r}")
+    for i in range(len(tokens) - 2, -2, -2):
+        letter = tokens[i : i + 2]
+        if letter == "s1":
+            x = s1(x)
+        elif letter == "s2":
+            x = s2(x)
+        else:
+            raise ParseError(f"bad Weyl word {word!r}")
+    return x
+
+
 def from_word(word: str) -> WeylElem:
     """Parse words like "s1s2s1"; "e" or "" is the identity."""
     word = word.strip()
     if word in ("", "e", "id"):
         return W_ID
-    out = W_ID
-    tokens = word.replace(" ", "")
-    while tokens:
-        if tokens.startswith("s1"):
-            out = out * S1
-        elif tokens.startswith("s2"):
-            out = out * S2
-        else:
-            raise ParseError(f"bad Weyl word {word!r}")
-        tokens = tokens[2:]
-    return out
+    return _act_word(word, W_ID, S1.__mul__, S2.__mul__)
 
 
 def from_oneline(perm) -> WeylElem:
     return WeylElem(tuple(int(x) for x in perm))
 
 
+_SWAP_LETTERS = str.maketrans("12", "21")
+
+
 def check_involution(w: WeylElem) -> WeylElem:
     """The diagram automorphism exchanging s1 and s2."""
-    out = W_ID
-    tokens = w.word
-    while tokens:
-        out = out * (S2 if tokens.startswith("s1") else S1)
-        tokens = tokens[2:]
-    return out
+    return from_word(w.word.translate(_SWAP_LETTERS))
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +195,13 @@ BETA_CHECK = CocharTuple((0, 1, -1, 0))
 RHO = Weight(2, 1, Q(-3, 2))
 
 
+def _swap_12(c: tuple) -> tuple:
+    return (c[1], c[0], c[2])
+
+
 def weyl_act_weight(w: WeylElem, mu: Weight) -> Weight:
     """Action on the character lattice: s1 swaps n1, n2; s2 negates n2 into n3."""
-    n1, n2, n3 = mu.coords()
-    tokens = w.word
-    # Apply the rightmost letter first.
-    for i in range(len(tokens) - 2, -2, -2):
-        letter = tokens[i : i + 2]
-        if letter == "s1":
-            n1, n2 = n2, n1
-        else:
-            n1, n2, n3 = n1, -n2, n2 + n3
-    return Weight(n1, n2, n3)
+    return Weight(*_act_word(w.word, mu.coords(), _swap_12, lambda c: (c[0], -c[1], c[1] + c[2])))
 
 
 def weyl_act(w: WeylElem, x):
@@ -342,15 +342,9 @@ class TChar:
 
 
 def weyl_act_tchar(w: WeylElem, chi: TChar) -> TChar:
-    """(w chi)(t) = chi(w^{-1} t w) in the three torus coordinates."""
-    c1, c2, c3 = chi.chars
-    tokens = w.word
-    for i in range(len(tokens) - 2, -2, -2):
-        if tokens[i : i + 2] == "s1":
-            c1, c2 = c2, c1
-        else:
-            c1, c2, c3 = c1, c2.inv(), c2 * c3
-    return TChar((c1, c2, c3))
+    """(w chi)(t) = chi(w^{-1} t w) in the three torus coordinates: the
+    letter formulas of weyl_act_weight, written multiplicatively."""
+    return TChar(_act_word(w.word, chi.chars, _swap_12, lambda c: (c[0], c[1].inv(), c[1] * c[2])))
 
 
 def L_map_chars(chis: tuple[QpChar, QpChar, QpChar, QpChar]) -> TChar:

@@ -1,6 +1,9 @@
+import hashlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,9 +275,45 @@ class TestRejectedInputs:
         report = self.run(capsys, [command, "--input", str(doc)])
         assert "four entries" in report["payload"]["error"]
 
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        ((["recover", "--input", "-"], '{"count": -1}'), (["recover", "--random", "-5"], "")),
+        ids=("count", "random"),
+    )
+    def test_negative_count(self, capsys, monkeypatch, argv, stdin):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        report = self.run(capsys, argv)
+        assert report["status"] == "invalid" and "nonnegative" in report["payload"]["error"]
+
     def test_degree_cap(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GSP4H_MAX_DEGREE", "5")
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"a": "a**30", "b": "3", "symbolic": True}))
         report = self.run(capsys, ["kernel", "--input", str(doc)])
         assert "GSP4H_MAX_DEGREE=5" in report["payload"]["error"]
+
+
+CATALOG = Path(__file__).resolve().parent.parent / "perfbench" / "catalog.json"
+
+
+class TestCatalogReplay:
+    """The benchmark's recorded cli-mix entries, replayed in-process: each
+    one's argv, stdin and environment, from an empty working directory."""
+
+    def test_recorded_bytes(self, capsys, monkeypatch, tmp_path):
+        entries = json.loads(CATALOG.read_text(encoding="utf-8"))["entries"]
+        monkeypatch.chdir(tmp_path)
+        mismatched = []
+        for name, entry in entries.items():
+            with monkeypatch.context() as m:
+                for key, value in entry["env"].items():
+                    m.setenv(key, value)
+                m.setattr(sys, "stdin", io.StringIO(entry["stdin"] or ""))
+                code = main(list(entry["argv"]))
+            out = capsys.readouterr().out.encode("utf-8")
+            if code not in entry["expect"]:
+                mismatched.append(f"{name}: exit {code}")
+            elif "sha256" in entry and hashlib.sha256(out).hexdigest() != entry["sha256"]:
+                mismatched.append(f"{name}: stdout bytes")
+        assert entries
+        assert not mismatched

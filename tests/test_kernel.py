@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gsp4hodge.errors import DegenerateIntersection, InvalidData, NotALine
+from gsp4hodge.errors import InvalidData, NotALine
 from gsp4hodge.kernel import (
     GENERATOR_LABELS,
     W_ORDER,
@@ -14,21 +14,18 @@ from gsp4hodge.kernel import (
     glue_generators,
     glue_subspace,
     hodge_borel_basis,
-    jbar_apply,
     jbar_image_rows,
     jbar_matrix,
     jbar_rank,
     kernel_basis,
     matrix_suite,
     nu_operator,
-    nu_via_conjugation,
     recover_parameters,
-    unipotent_conjugator,
 )
-from gsp4hodge.linalg import det, mat_eq, mat_mul, nullspace, rank, row_space
+from gsp4hodge.linalg import coerce_rows, det, inverse, mat_eq, mat_mul, nullspace, rank, row_space
 from gsp4hodge.phimodule import NONDEG_FACTORS, PhiModuleData
 from gsp4hodge.scalars import Poly2, RatFunc, poly_divexact, poly_gcd
-from gsp4hodge.symplectic import Subspace, lie_membership
+from gsp4hodge.symplectic import Subspace, gsp4_coordinates, lie_membership
 from gsp4hodge.weyl import S1, W_ALL, W_ID, from_word
 
 A = RatFunc.var("a")
@@ -43,6 +40,28 @@ def rand_valid_ab(rng):
         b = Q(rng.randint(-9, 9), rng.randint(1, 4))
         if a * b * (b + 1) * (a + b) * (a * b + a + b) != 0:
             return a, b
+
+
+def unipotent_conjugator(grid, w):
+    """The matrix n with n e_{w^{-1}(i)} = (i-th line of w); unipotent in
+    the basis reordered by w^{-1} thanks to the line normalization."""
+    inv = w.inv().perm
+    cols = {}
+    for i in (1, 2, 3, 4):
+        cols[inv[i - 1] - 1] = grid.line(w, i)
+    return [[cols[j][i] for j in range(4)] for i in range(4)]
+
+
+def nu_via_conjugation(grid, w, t):
+    """A second route to nu_operator: conjugate a permuted diagonal by the
+    unipotent change of basis.  The diagonal carries t_i at position
+    w^{-1}(i), the slot whose eigenline receives eigenvalue t_i."""
+    inv = w.inv().perm
+    D = [[Q(0)] * 4 for _ in range(4)]
+    for i in (1, 2, 3, 4):
+        D[inv[i - 1] - 1][inv[i - 1] - 1] = t[i - 1]
+    n = unipotent_conjugator(grid, w)
+    return mat_mul(mat_mul(n, coerce_rows(D)), inverse(n))
 
 
 def expected_suite():
@@ -118,9 +137,16 @@ class TestEigenlineGrid:
 
     def test_degenerate_raises_with_witness(self):
         # b = -1 breaks general position for permutations outside the
-        # Weyl subgroup; inside it, a + b = 0 degenerates a line.
-        with pytest.raises((DegenerateIntersection, InvalidData)):
-            eigenline_grid(Q(1), Q(-1), include_full_s4=True)
+        # Weyl subgroup; every route through the Hodge flag rejects the
+        # point up front, naming the nondegeneracy polynomial.
+        routes = (
+            lambda a, b: eigenline_grid(a, b, include_full_s4=True),
+            matrix_suite,
+            hodge_borel_basis,
+        )
+        for route in routes:
+            with pytest.raises(InvalidData, match="^nondegeneracy-polynomial$"):
+                route(Q(1), Q(-1))
 
     def test_symbolic_grid(self):
         grid = eigenline_grid(A, B)
@@ -247,13 +273,14 @@ class TestJbar:
     def test_generator_images_match_suite(self):
         a, b = Q(2), Q(3)
         grid = eigenline_grid(a, b)
+        M = jbar_matrix(a, b)
+        from gsp4hodge.kernel import _GENERATOR_DEF
+
         for label in GENERATOR_LABELS:
             vec = generator_vector(label)
-            M = jbar_apply(a, b, list(vec), grid)
-            from gsp4hodge.kernel import _GENERATOR_DEF
-
+            image = [sum(x * y for x, y in zip(row, vec)) for row in M]
             t, w = _GENERATOR_DEF[label]
-            assert mat_eq(M, nu_operator(grid, w, t))
+            assert image == gsp4_coordinates(nu_operator(grid, w, t))
 
 
 class TestGlue:

@@ -24,7 +24,6 @@ from gsp4hodge.symplectic import (
     lie_membership,
     s_involution,
     similitude,
-    subspace_algebra,
     symplectic_form,
 )
 
@@ -220,8 +219,8 @@ class TestSubspaces:
 
     def test_dispatcher(self):
         U = Subspace.span([E[0]])
-        assert subspace_algebra("perp", U).dim == 3
-        assert subspace_algebra("contains", U, E[0])
+        assert U.perp().dim == 3
+        assert U.contains(E[0])
 
 
 class TestFlags:
