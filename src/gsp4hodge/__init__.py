@@ -39,7 +39,6 @@ from .hecke import (
 )
 from .kernel import (
     EigenlineGrid,
-    KernelBasis,
     eigenline_grid,
     glue_subspace,
     jbar_matrix,

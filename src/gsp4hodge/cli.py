@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction as Q
@@ -30,10 +31,8 @@ from .errors import (
 from .extledger import check_ledger, socle_diagram
 from .hecke import FrobeniusData, HeckeData, classicality_classify, hecke_charpoly, ideal_generators
 from .kernel import (
-    KernelBasis,
     glue_generators,
     glue_subspace,
-    jbar_rank,
     kernel_basis,
     matrix_suite,
     recover_parameters,
@@ -46,7 +45,7 @@ from .phimodule import (
     vanishing_factor,
 )
 from .scalars import parse_scalar, scalar_str
-from .symplectic import flag_anisotropy_check
+from .symplectic import Subspace, flag_anisotropy_check
 from .weyl import from_oneline, from_word
 
 EXIT_OK, EXIT_INVALID, EXIT_DEGENERATE = 0, 2, 3
@@ -73,6 +72,14 @@ def _rows_strs(rows):
     return [[scalar_str(x) for x in row] for row in rows]
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number as a float; NaN, Infinity and overflowing literals are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {text}")
+    return value
+
+
 def _load_document(path: str | None) -> dict:
     if path is None:
         return {}
@@ -85,9 +92,11 @@ def _load_document(path: str | None) -> dict:
         except OSError as exc:
             raise ParseError(f"cannot read input: {exc}") from exc
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ParseError(f"input is not JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("input nests too deeply") from exc
     if isinstance(doc, dict) and doc.get("schema", 1) != 1:
         raise ParseError(f"unsupported schema version {doc.get('schema')}")
     return doc
@@ -140,21 +149,21 @@ def run_kernel(doc, args):
     payload = {
         "a": scalar_str(a),
         "b": scalar_str(b),
-        "rank": jbar_rank(a, b),
+        "rank": K.ambient - K.dim,
         "dim": K.dim,
         "basis": _rows_strs(K.rows),
     }
     return _report("kernel", "ok", payload)
 
 
-def _kernel_from_doc(doc) -> KernelBasis:
+def _kernel_from_doc(doc) -> Subspace:
     symbolic = bool(doc.get("symbolic", False))
     rows = tuple(
         tuple(parse_scalar(str(x), symbolic) for x in row) for row in doc["kernel"]
     )
     if any(len(r) != 24 for r in rows):
         raise ParseError("kernel rows must have 24 entries")
-    return KernelBasis(rows=rows, a=None, b=None)
+    return Subspace.span(rows, ambient=24)
 
 
 def run_recover(doc, args):

@@ -23,7 +23,6 @@ from .kernel import (
     generator_meets,
     generator_vector,
     glue_subspace,
-    jbar_rank,
     kernel_basis,
     parameters_from_meets,
 )
@@ -328,12 +327,45 @@ class LedgerReport:
         }
 
 
+#: The ledger's entries in report order, each with where its value comes from.
+_LEDGER_TABLE = (
+    ("deformations", "stated"),
+    ("deformations_triangular", "stated"),
+    ("deformations_parabolic", "stated"),
+    ("deformations_kernel0", "stated"),
+    ("deformations_derham", "derived: kernel0 + smooth model"),
+    ("deformations_twisted_derham", "derived: kernel0 + twisted model"),
+    ("ext_selfext", "hom-space model"),
+    ("ext_selfext_lalg", "hom-space model"),
+    ("ext_PS1", "additivity"),
+    ("ext_pi1", "additivity"),
+    ("ext_parabolic", "additivity"),
+    ("ext_parabolic_gprime", "hom-space model"),
+    ("L_invariant", "kernel computation"),
+    ("deformations_U", "additivity"),
+    ("deformations_U_triangular", "stated"),
+    ("ext_U_gprime", "additivity"),
+    ("ext_U", "additivity"),
+)
+
+#: The hom-space models behind the ledger, with their expected dimensions.
+_EXPECTED_HOM_DIMS = {
+    "full_t": 6, "sm_t": 3, "gprime_t": 4, "P_gprime_t": 5, "Q_gprime_t": 5,
+    "full_T": 6, "sm_T": 3, "gprime_T": 4, "P_gprime_T": 5, "Q_gprime_T": 5,
+}
+
+
 def check_ledger() -> LedgerReport:
     """Assemble the named dimension table and verify every identity.
 
     Raises LedgerInconsistent when an identity fails; the report carries
     one line per entry and per check.
     """
+    hom = {kind: hom_space_dim(kind) for kind in _EXPECTED_HOM_DIMS}
+    n_constituents = len(all_constituents())
+    # exact kernel computations at a sample nondegenerate point
+    K = kernel_basis(Q(2), Q(3))
+    glue = glue_subspace()
     dims = {
         "deformations": 12,
         "deformations_triangular": 8,
@@ -341,80 +373,12 @@ def check_ledger() -> LedgerReport:
         "deformations_kernel0": 2,
         "deformations_derham": 5,
         "deformations_twisted_derham": 6,
-        "ext_selfext": hom_space_dim("gprime_T"),
-        "ext_selfext_lalg": hom_space_dim("sm_T"),
-        "ext_PS1": None,
-        "ext_pi1": None,
-        "ext_parabolic": None,
-        "ext_parabolic_gprime": hom_space_dim("P_gprime_T"),
-        "L_invariant": None,
-        "deformations_U": None,
         "deformations_U_triangular": 3,
-        "ext_U_gprime": None,
-        "ext_U": None,
+        "ext_selfext": hom["gprime_T"],
+        "ext_selfext_lalg": hom["sm_T"],
+        "ext_parabolic_gprime": hom["P_gprime_T"],
+        "L_invariant": K.dim - glue.dim,
     }
-    sources = {
-        "deformations": "stated",
-        "deformations_triangular": "stated",
-        "deformations_parabolic": "stated",
-        "deformations_kernel0": "stated",
-        "deformations_derham": "derived: kernel0 + smooth model",
-        "deformations_twisted_derham": "derived: kernel0 + twisted model",
-        "ext_selfext": "hom-space model",
-        "ext_selfext_lalg": "hom-space model",
-        "ext_PS1": "additivity",
-        "ext_pi1": "additivity",
-        "ext_parabolic": "additivity",
-        "ext_parabolic_gprime": "hom-space model",
-        "L_invariant": "kernel computation",
-        "deformations_U": "additivity",
-        "deformations_U_triangular": "stated",
-        "ext_U_gprime": "additivity",
-        "ext_U": "additivity",
-    }
-
-    checks = []
-
-    def check(name, lhs, rhs, detail):
-        passed = lhs == rhs
-        checks.append(LedgerCheck(name=name, passed=passed, detail=f"{detail}: {lhs} vs {rhs}"))
-        return passed
-
-    # hom-space dimensions backing the models
-    expected_hom = {
-        "full_t": 6,
-        "sm_t": 3,
-        "gprime_t": 4,
-        "P_gprime_t": 5,
-        "Q_gprime_t": 5,
-        "full_T": 6,
-        "sm_T": 3,
-        "gprime_T": 4,
-        "P_gprime_T": 5,
-        "Q_gprime_T": 5,
-    }
-    for kind, expect in expected_hom.items():
-        check(f"hom-dim-{kind}", hom_space_dim(kind), expect, f"dim of {kind}")
-
-    # constituent counts feeding the sequences
-    n_constituents = len(all_constituents())
-    check("constituent-count", n_constituents, 8, "labels C(I, s_i)")
-    for I in [frozenset(p) for p in combinations((1, 2, 3, 4), 2) if sum(p) != 5]:
-        check(
-            f"socle-count-P-{sorted(I)}",
-            len(socle_constituents("P", I)),
-            3,
-            "Siegel socle size",
-        )
-    for x in (1, 2, 3, 4):
-        check(
-            f"socle-count-Q-{x}",
-            len(socle_constituents("Q", {x})),
-            3,
-            "Klingen socle size",
-        )
-
-    # derived dimensions
     dims["ext_PS1"] = dims["ext_selfext"] + 2
     dims["ext_pi1"] = dims["ext_selfext"] + n_constituents
     dims["ext_parabolic"] = dims["ext_selfext"] + 3
@@ -422,71 +386,53 @@ def check_ledger() -> LedgerReport:
     dims["ext_U_gprime"] = dims["deformations_twisted_derham"] - dims["deformations_derham"]
     dims["ext_U"] = dims["ext_U_gprime"] + n_constituents
 
-    check("ext-PS1", dims["ext_PS1"], 6, "4 + 2x1")
-    check("ext-pi1", dims["ext_pi1"], 12, "4 + 8x1")
-    check("ext-parabolic", dims["ext_parabolic"], 7, "4 + 3x1")
-    check("deformations-U", dims["deformations_U"], 7, "12 - 5")
-    check(
-        "deformations-U-triangular",
-        dims["deformations_triangular"] - dims["deformations_derham"],
-        dims["deformations_U_triangular"],
-        "8 - 5",
+    pairs = [frozenset(p) for p in combinations((1, 2, 3, 4), 2) if sum(p) != 5]
+    identities = (
+        # hom-space dimensions backing the models
+        *((f"hom-dim-{kind}", hom[kind], n, f"dim of {kind}")
+          for kind, n in _EXPECTED_HOM_DIMS.items()),
+        # constituent counts feeding the sequences
+        ("constituent-count", n_constituents, 8, "labels C(I, s_i)"),
+        *((f"socle-count-P-{sorted(I)}", len(socle_constituents("P", I)), 3, "Siegel socle size")
+          for I in pairs),
+        *((f"socle-count-Q-{x}", len(socle_constituents("Q", {x})), 3, "Klingen socle size")
+          for x in (1, 2, 3, 4)),
+        # derived dimensions
+        ("ext-PS1", dims["ext_PS1"], 6, "4 + 2x1"),
+        ("ext-pi1", dims["ext_pi1"], 12, "4 + 8x1"),
+        ("ext-parabolic", dims["ext_parabolic"], 7, "4 + 3x1"),
+        ("deformations-U", dims["deformations_U"], 7, "12 - 5"),
+        ("deformations-U-triangular", dims["deformations_triangular"] - dims["deformations_derham"],
+         dims["deformations_U_triangular"], "8 - 5"),
+        ("ext-U-gprime", dims["ext_U_gprime"], 1, "6 - 5"),
+        ("ext-U", dims["ext_U"], 9, "1 + 8"),
+        # quotient identities against the character models
+        ("quotient-triangular", dims["deformations_triangular"] - dims["deformations_kernel0"],
+         hom["full_t"], "8 - 2 against Hom(Qp^x, t)"),
+        ("quotient-full", dims["deformations"] - dims["deformations_kernel0"], 10, "12 - 2"),
+        ("quotient-derham", dims["deformations_derham"] - dims["deformations_kernel0"],
+         hom["sm_t"], "5 - 2 against the smooth model"),
+        ("quotient-twisted", dims["deformations_twisted_derham"] - dims["deformations_kernel0"],
+         hom["gprime_t"], "6 - 2 against the twisted model"),
+        ("parabolic-inclusion-exclusion", dims["deformations_parabolic"] - dims["deformations_kernel0"],
+         2 * hom["full_t"] - hom["P_gprime_t"],
+         "9 - 2 against the two compatible triangulations glued over the "
+         "Levi-center model: 6 + 6 - 5"),
+        # the kernel and the glue at the sample point
+        ("kernel-dimension", K.dim, 17, "24 - 7"),
+        ("glue-dimension", glue.dim, 15, "16 generators, one relation"),
+        ("L-dimension", dims["L_invariant"], 2, "17 - 15"),
+        ("tangent-rank", K.ambient - K.dim,
+         dims["deformations"] - dims["deformations_kernel0"] - hom["sm_t"], "rank against 12 - 2 - 3"),
     )
-    check("ext-U-gprime", dims["ext_U_gprime"], 1, "6 - 5")
-    check("ext-U", dims["ext_U"], 9, "1 + 8")
-
-    # quotient identities against the character models
-    check(
-        "quotient-triangular",
-        dims["deformations_triangular"] - dims["deformations_kernel0"],
-        hom_space_dim("full_t"),
-        "8 - 2 against Hom(Qp^x, t)",
+    checks = tuple(
+        LedgerCheck(name=name, passed=lhs == rhs, detail=f"{detail}: {lhs} vs {rhs}")
+        for name, lhs, rhs, detail in identities
     )
-    check(
-        "quotient-full",
-        dims["deformations"] - dims["deformations_kernel0"],
-        10,
-        "12 - 2",
-    )
-    check(
-        "quotient-derham",
-        dims["deformations_derham"] - dims["deformations_kernel0"],
-        hom_space_dim("sm_t"),
-        "5 - 2 against the smooth model",
-    )
-    check(
-        "quotient-twisted",
-        dims["deformations_twisted_derham"] - dims["deformations_kernel0"],
-        hom_space_dim("gprime_t"),
-        "6 - 2 against the twisted model",
-    )
-    check(
-        "parabolic-inclusion-exclusion",
-        dims["deformations_parabolic"] - dims["deformations_kernel0"],
-        2 * hom_space_dim("full_t") - hom_space_dim("P_gprime_t"),
-        "9 - 2 against the two compatible triangulations glued over the "
-        "Levi-center model: 6 + 6 - 5",
-    )
-
-    # exact kernel computations at a sample nondegenerate point
-    a, b = Q(2), Q(3)
-    K = kernel_basis(a, b)
-    glue = glue_subspace()
-    dims["L_invariant"] = K.dim - glue.dim
-    check("kernel-dimension", K.dim, 17, "24 - 7")
-    check("glue-dimension", glue.dim, 15, "16 generators, one relation")
-    check("L-dimension", dims["L_invariant"], 2, "17 - 15")
-    check(
-        "tangent-rank",
-        jbar_rank(a, b),
-        dims["deformations"] - dims["deformations_kernel0"] - hom_space_dim("sm_t"),
-        "rank against 12 - 2 - 3",
-    )
-
     entries = tuple(
-        LedgerEntry(name=k, dim=int(v), source=sources[k]) for k, v in dims.items()
+        LedgerEntry(name=name, dim=dims[name], source=source) for name, source in _LEDGER_TABLE
     )
-    report = LedgerReport(entries=entries, checks=tuple(checks))
+    report = LedgerReport(entries=entries, checks=checks)
     if not report.ok:
         failed = [c.name for c in checks if not c.passed]
         exc = LedgerInconsistent(f"ledger identities failed: {', '.join(failed)}")

@@ -24,7 +24,7 @@ from .errors import DegenerateIntersection, InvalidData, NotALine
 from .linalg import coerce_rows, inverse, mat_mul, nullspace, row_space
 from .phimodule import complete_flag, coordinate_subspace, filtration_basis, vanishing_factor
 from .scalars import Scalar, is_zero
-from .symplectic import gsp4_basis, gsp4_coordinates
+from .symplectic import Subspace, gsp4_basis, gsp4_coordinates
 from .weyl import S1, S2, W_ALL, W_ID, WeylElem, from_word
 
 #: Fixed block order for the 24-dimensional domain.
@@ -101,10 +101,7 @@ class EigenlineGrid:
     Line vectors are normalized so the coefficient of e_{w^{-1}(i)} is 1,
     which pins down the unipotent change of basis."""
 
-    a: Scalar
-    b: Scalar
     lines: dict
-    full_s4: bool
 
     def line(self, w, i: int):
         return self.lines[_perm_of(w)][i - 1]
@@ -153,7 +150,7 @@ def eigenline_grid(a: Scalar, b: Scalar, include_full_s4: bool = False) -> Eigen
             vec = [x / lead for x in vec]
             basis.append(tuple(vec))
         lines[perm] = tuple(basis)
-    return EigenlineGrid(a=a, b=b, lines=lines, full_s4=include_full_s4)
+    return EigenlineGrid(lines=lines)
 
 
 def nu_operator(grid: EigenlineGrid, w, t):
@@ -180,19 +177,6 @@ def jbar_matrix(a: Scalar, b: Scalar):
             M = nu_operator(grid, w, t)
             cols.append(gsp4_coordinates(M))
     return [list(col) for col in zip(*cols)]  # 11 rows, 24 columns
-
-
-@dataclass(frozen=True)
-class KernelBasis:
-    """Echelon basis of the kernel inside E^24, tagged with its (a, b)."""
-
-    rows: tuple
-    a: Scalar
-    b: Scalar
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 # The kernel of jbar_matrix over Q(a, b), in reduced row echelon form.  It
@@ -260,11 +244,11 @@ def _generic_kernel_at(a: Scalar, b: Scalar) -> tuple:
     return tuple(rows)
 
 
-def kernel_basis(a: Scalar, b: Scalar) -> KernelBasis:
-    """RREF basis of the kernel of jbar_matrix(a, b), by evaluating the
+def kernel_basis(a: Scalar, b: Scalar) -> Subspace:
+    """The kernel of jbar_matrix(a, b) inside E^24, by evaluating the
     committed generic kernel."""
     _require_nondegenerate(a, b)
-    return KernelBasis(rows=_generic_kernel_at(*coerce_rows([(a, b)])[0]), a=a, b=b)
+    return Subspace(rows=_generic_kernel_at(*coerce_rows([(a, b)])[0]), ambient=24)
 
 
 def jbar_rank(a: Scalar, b: Scalar) -> int:
@@ -291,10 +275,9 @@ def glue_generators():
 
 
 @lru_cache(maxsize=1)
-def glue_subspace() -> KernelBasis:
-    """Canonical basis of the gluing subspace (dimension 15)."""
-    rows = row_space(glue_generators())
-    return KernelBasis(rows=tuple(rows), a=None, b=None)
+def glue_subspace() -> Subspace:
+    """The gluing subspace of E^24 (dimension 15)."""
+    return Subspace.span(glue_generators(), ambient=24)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +337,8 @@ def parameters_from_meets(meets):
     return a, b
 
 
-def recover_parameters(K: KernelBasis):
-    """Read (a, b) back from a kernel basis.
+def recover_parameters(K: Subspace):
+    """Read (a, b) back from the kernel.
 
     The kernel meets span(f1..f4, g1, g2, g3) in a line projecting to
     (b+1) g2 - g3, and span(f1..f4, g1, g2, g4) in a line projecting to

@@ -19,7 +19,6 @@ from fractions import Fraction as Q
 from itertools import accumulate, combinations
 
 from .errors import InvalidData
-from .linalg import coerce_rows
 from .scalars import RatFunc, Scalar, is_prime, is_zero, padic_val, scalar_str
 from .symplectic import Flag, Subspace
 from .weyl import W_ALL, QpChar, WeylElem, check_involution
@@ -158,16 +157,10 @@ class HodgeFlag:
     jumps: tuple  # (-h1, -h2, -h3, -h4), increasing
 
     def member(self, dim: int) -> Subspace:
-        if dim == 0:
-            return Subspace(rows=())
-        if dim == 4:
-            return Subspace.span(coerce_rows([[1 if i == j else 0 for j in range(4)] for i in range(4)]))
+        """The proper member F^dim, for dim 1, 2 or 3."""
+        if dim not in (1, 2, 3):
+            raise InvalidData(f"the Hodge flag has proper members of dimension 1-3, not {dim}")
         return self.flag.members[dim - 1]
-
-    def filtration_member(self, level) -> Subspace:
-        """Fil^level as a subspace: dimension drops as the level passes a jump."""
-        dim = sum(1 for j in self.jumps if level <= j)
-        return self.member(dim)
 
 
 def _require_structure(d: PhiModuleData, *, nondegenerate: bool) -> None:
@@ -200,15 +193,20 @@ def coordinate_subspace(indices) -> Subspace:
     return Subspace.span(rows)
 
 
+def _coordinate_meets(flag: Flag, S) -> tuple:
+    """dim(E_S ∩ F^j) for j = 0..4, E_S the span of e_i for i in S and
+    F^0 = 0, F^4 = E^4 the ends of the complete flag."""
+    ES = coordinate_subspace(S)
+    return (0,) + tuple(F.intersect(ES).dim for F in flag.members) + (len(S),)
+
+
 def general_position(hf: HodgeFlag) -> bool:
     """Whether every coordinate subspace meets the flag in expected dimension."""
     for size in (1, 2, 3):
         for S in combinations((1, 2, 3, 4), size):
-            ES = coordinate_subspace(S)
-            for i in (1, 2, 3):
-                expected = max(0, i + size - 4)
-                if hf.member(i).intersect(ES).dim != expected:
-                    return False
+            meets = _coordinate_meets(hf.flag, S)
+            if any(meets[i] != max(0, i + size - 4) for i in (1, 2, 3)):
+                return False
     return True
 
 
@@ -222,15 +220,10 @@ def siegel_plucker_minors(d: PhiModuleData):
     return out
 
 
-def _hodge_t_invariant(hf: HodgeFlag, V: Subspace) -> int:
-    """Sum of induced filtration jumps on V: the k-th jump label sits on
-    the graded piece member(5-k)/member(4-k)."""
-    total = 0
-    for k in (1, 2, 3, 4):
-        big = hf.member(5 - k)
-        small = hf.member(4 - k)
-        total += hf.jumps[k - 1] * (V.intersect(big).dim - V.intersect(small).dim)
-    return total
+def _hodge_t_invariant(jumps, meets) -> int:
+    """Sum of induced filtration jumps on V, from its meets dim(V ∩ F^j),
+    j = 0..4: the k-th jump label sits on the graded piece F^(5-k)/F^(4-k)."""
+    return sum(jumps[k - 1] * (meets[5 - k] - meets[4 - k]) for k in (1, 2, 3, 4))
 
 
 def newton_above_hodge(t_newton, t_hodge) -> bool:
@@ -259,7 +252,7 @@ def weak_admissibility(d: PhiModuleData) -> bool:
     subsets = [S for size in (1, 2, 3, 4) for S in combinations((1, 2, 3, 4), size)]
     return newton_above_hodge(
         [sum(vals[i - 1] for i in S) for S in subsets],
-        [_hodge_t_invariant(hf, coordinate_subspace(S)) for S in subsets],
+        [_hodge_t_invariant(hf.jumps, _coordinate_meets(hf.flag, S)) for S in subsets],
     )
 
 
@@ -284,11 +277,11 @@ def admissible_refinements(d: PhiModuleData):
     _require_structure(d, nondegenerate=False)
     flag = complete_flag(d.a, d.b)
     t_newton = list(accumulate(_valuations(d.p, d.alphas)))
-    prefixes = [coordinate_subspace(range(1, i + 1)) for i in (1, 2, 3, 4)]
+    prefix_meets = [_coordinate_meets(flag, range(1, i + 1)) for i in (1, 2, 3, 4)]
     out = []
     for w in W_ALL:
-        relabeled = HodgeFlag(flag=flag, jumps=tuple(-h for h in refinement_weights(w, d.weights)))
-        if newton_above_hodge(t_newton, [_hodge_t_invariant(relabeled, V) for V in prefixes]):
+        jumps = tuple(-h for h in refinement_weights(w, d.weights))
+        if newton_above_hodge(t_newton, [_hodge_t_invariant(jumps, m) for m in prefix_meets]):
             out.append(w)
     return out
 

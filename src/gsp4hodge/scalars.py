@@ -740,6 +740,9 @@ def scalar_str(x: Scalar) -> str:
     return str(Q(x))
 
 
+#: The largest exponent parse_scalar accepts.
+MAX_EXPONENT = 64
+
 _ALLOWED_NODES = (
     ast.Expression,
     ast.BinOp,
@@ -789,17 +792,24 @@ def _eval_node(node, symbolic: bool):
                 node.right.value, int
             ):
                 raise ParseError("exponents must be integer literals")
+            if node.right.value > MAX_EXPONENT:
+                raise ParseError(f"exponent {node.right.value} exceeds {MAX_EXPONENT}")
             return lhs ** node.right.value
     raise ParseError(f"unsupported syntax in scalar expression: {ast.dump(node)}")
 
 
 def parse_scalar(text: str, symbolic: bool = False) -> Scalar:
-    """Parse "3/4", "-2", "a*b + 1" or "(b + 1)/(a - 2)" style strings."""
+    """Parse "3/4", "-2", "a*b + 1" or "(b + 1)/(a - 2)" style strings.
+
+    Exponents are integer literals of at most MAX_EXPONENT, and an
+    expression too deep to evaluate recursively is a ParseError."""
     try:
         tree = ast.parse(text.strip(), mode="eval")
+        for node in ast.walk(tree):
+            if not isinstance(node, _ALLOWED_NODES):
+                raise ParseError(f"forbidden syntax in scalar expression {text!r}")
+        return _eval_node(tree, symbolic)
     except SyntaxError as exc:
         raise ParseError(f"bad scalar expression {text!r}: {exc}") from exc
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ParseError(f"forbidden syntax in scalar expression {text!r}")
-    return _eval_node(tree, symbolic)
+    except RecursionError as exc:
+        raise ParseError("scalar expression nests too deeply") from exc

@@ -109,12 +109,6 @@ def gsp4_basis():
     return [coerce_rows(M) for M in (H_a, H_b, H_c, X_a, X_ma, X_b, X_mb, X_ab, X_mab, X_aab, X_maab)]
 
 
-GSP4_BASIS_LABELS = (
-    "H_a", "H_b", "H_c",
-    "X_a", "X_-a", "X_b", "X_-b", "X_ab", "X_-ab", "X_aab", "X_-aab",
-)
-
-
 def gsp4_coordinates(A) -> list:
     """Coordinates of a gsp4 element in the fixed 11-dim basis.
 
@@ -146,7 +140,8 @@ def gsp4_coordinates(A) -> list:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Row span in canonical reduced-echelon form; equality is structural."""
+    """Row span inside E^ambient in canonical reduced-echelon form; equality
+    is structural.  The flags live in E^4, the kernel and the glue in E^24."""
 
     rows: tuple
     ambient: int = 4
@@ -184,9 +179,6 @@ class Subspace:
             return Subspace.span([tuple(identity(4)[i]) for i in range(4)])
         UJ = mat_mul(coerce_rows(self.rows), J)
         return Subspace(rows=tuple(nullspace(UJ, 4)), ambient=4)
-
-    def is_isotropic(self) -> bool:
-        return self.perp().contains_subspace(self)
 
 
 FLAG_DIMS = {"complete": (1, 2, 3), "siegel": (2,), "klingen": (1, 3)}

@@ -300,9 +300,6 @@ class QpChar:
     def is_smooth(self) -> bool:
         return self.zexp == 0
 
-    def is_trivial(self) -> bool:
-        return self.coef == 1 and self.pexp == 0 and self.zexp == 0
-
     def unit_str(self) -> str:
         if self.pexp.denominator == 1:
             return str(self.coef * Q(self.p) ** int(self.pexp))

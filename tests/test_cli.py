@@ -58,6 +58,24 @@ class TestDispatch:
         assert report["payload"]["dim"] == 17
         assert len(report["payload"]["basis"]) == 17
 
+    @pytest.mark.parametrize("command, doc", (("kernel", GOOD_DOC), ("ledger", {})), ids=("kernel", "ledger"))
+    def test_kernel_evaluated_once(self, monkeypatch, command, doc):
+        import gsp4hodge.cli
+        import gsp4hodge.extledger
+        import gsp4hodge.kernel
+
+        calls = []
+        real = gsp4hodge.kernel.kernel_basis
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        for module in (gsp4hodge.kernel, gsp4hodge.extledger, gsp4hodge.cli):
+            monkeypatch.setattr(module, "kernel_basis", counted)
+        _, code = call(command, doc)
+        assert code == EXIT_OK and len(calls) == 1
+
     def test_kernel_symbolic_flag(self):
         report, code = call("kernel", {}, ["kernel", "--symbolic"])
         assert code == EXIT_OK and report["payload"]["a"] == "a"
@@ -284,6 +302,46 @@ class TestRejectedInputs:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
         report = self.run(capsys, argv)
         assert report["status"] == "invalid" and "nonnegative" in report["payload"]["error"]
+
+    def test_long_operator_chain(self, capsys, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"a": "+".join(["1"] * 1000), "b": "3"}))
+        report = self.run(capsys, ["kernel", "--input", str(doc)])
+        assert report["payload"]["error"] == "scalar expression nests too deeply"
+
+    @pytest.mark.parametrize(
+        "command, text",
+        (
+            ("validate", '{"p": 1e400, "alphas": ["1", "9", "81", "729"], "weights": [0, -2, -4, -6]}'),
+            ("classify", '{"p": 3, "alphas": ["1", "9", "81", "729"], "weights": [0, -2, -4, 1e400], "C": "10"}'),
+            ("hecke", '{"l": 1e400, "c0": "1", "c1": "0", "c2": "0"}'),
+            ("recover", '{"count": 1e400}'),
+            ("recover", '{"count": Infinity}'),
+        ),
+        ids=("p", "weights", "l", "count", "infinity"),
+    )
+    def test_nonfinite_number(self, capsys, tmp_path, command, text):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        report = self.run(capsys, [command, "--input", str(doc)])
+        assert report["status"] == "invalid" and report["error"].startswith("non-finite number")
+
+    @pytest.mark.parametrize(
+        "doc",
+        ({"a": "3**10000000", "b": "3"}, {"a": "(a+b+1)**200", "b": "b", "symbolic": True}),
+        ids=("numeric", "symbolic"),
+    )
+    def test_exponent_bound(self, capsys, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        report = self.run(capsys, ["kernel", "--input", str(path)])
+        assert "exceeds 64" in report["payload"]["error"]
+
+    def test_deeply_nested_document(self, capsys, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text("[" * 100000 + "]" * 100000)
+        report = self.run(capsys, ["kernel", "--input", str(doc)])
+        assert report == {"status": "invalid", "error": "input nests too deeply"}
 
     def test_degree_cap(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GSP4H_MAX_DEGREE", "5")

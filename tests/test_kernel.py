@@ -7,9 +7,9 @@ from gsp4hodge.errors import InvalidData, NotALine
 from gsp4hodge.kernel import (
     GENERATOR_LABELS,
     W_ORDER,
-    KernelBasis,
     eigenline_grid,
     embed_block,
+    generator_meets,
     generator_vector,
     glue_generators,
     glue_subspace,
@@ -20,6 +20,7 @@ from gsp4hodge.kernel import (
     kernel_basis,
     matrix_suite,
     nu_operator,
+    parameters_from_meets,
     recover_parameters,
 )
 from gsp4hodge.linalg import coerce_rows, det, inverse, mat_eq, mat_mul, nullspace, rank, row_space
@@ -344,9 +345,8 @@ class TestRecovery:
 
     def test_corrupted_kernel_raises(self):
         # a kernel missing the informative directions: the glue alone
-        K = KernelBasis(rows=glue_subspace().rows, a=Q(2), b=Q(3))
         with pytest.raises(NotALine):
-            recover_parameters(K)
+            recover_parameters(glue_subspace())
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +469,8 @@ class TestEvaluatedKernel:
 
 
 class TestRecoveryFromAnyBasis:
+    """generator_meets accepts any spanning set of the kernel."""
+
     @staticmethod
     def row_sums(rows):
         """A non-echelon basis of the same span."""
@@ -476,10 +478,10 @@ class TestRecoveryFromAnyBasis:
 
     def test_numeric(self):
         for a, b in seeded_points(4, False, seed=31) + seeded_points(4, True, seed=31):
-            K = KernelBasis(rows=self.row_sums(kernel_basis(a, b).rows), a=None, b=None)
-            assert recover_parameters(K) == (a, b)
+            rows = self.row_sums(kernel_basis(a, b).rows)
+            assert parameters_from_meets(generator_meets(rows)) == (a, b)
 
     def test_symbolic(self):
         a, b = shifted(Q(1, 2), 2, -1)
-        K = KernelBasis(rows=self.row_sums(kernel_basis(a, b).rows), a=None, b=None)
-        assert recover_parameters(K) == (a, b)
+        rows = self.row_sums(kernel_basis(a, b).rows)
+        assert parameters_from_meets(generator_meets(rows)) == (a, b)

@@ -64,6 +64,9 @@ class TestStandardFiltration:
         a, b = Q(1), Q(1)
         assert hf.member(1) == Subspace.span([(a, Q(-1), Q(1), Q(-1))])
         assert hf.member(2).dim == 2 and hf.member(3).dim == 3
+        for dim in (0, 4):
+            with pytest.raises(InvalidData):
+                hf.member(dim)
         assert hf.jumps == (0, 2, 4, 6)
 
     def test_anisotropy(self):
@@ -101,6 +104,13 @@ class TestGeneralPosition:
 
         assert hf.member(2).intersect(coordinate_subspace((1, 3))).dim == 1
         assert hf.member(2).intersect(coordinate_subspace((3, 4))).dim == 0
+
+    def test_coordinate_meets(self):
+        from gsp4hodge.phimodule import _coordinate_meets, complete_flag
+
+        # dim(<e1, e3> ∩ F^j) for j = 0..4; at b = -1, v2 lies in <e1, e3>
+        assert _coordinate_meets(complete_flag(Q(1), Q(-1)), (1, 3)) == (0, 0, 1, 1, 2)
+        assert _coordinate_meets(complete_flag(Q(2), Q(3)), (1, 3)) == (0, 0, 0, 1, 2)
 
     def test_symbolic_generic(self):
         assert general_position(standard_filtration(SYMBOLIC))

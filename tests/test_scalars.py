@@ -13,6 +13,7 @@ from gsp4hodge.errors import (
     ZeroArgument,
 )
 from gsp4hodge.scalars import (
+    MAX_EXPONENT,
     Poly2,
     RatFunc,
     field_arith,
@@ -191,6 +192,11 @@ class TestSerialization:
             parse_scalar("a + c", symbolic=True)
         with pytest.raises(ParseError):
             parse_scalar("1.5")
+
+    def test_exponent_bound(self):
+        assert parse_scalar(f"2**{MAX_EXPONENT}") == 2**MAX_EXPONENT
+        with pytest.raises(ParseError, match="exceeds"):
+            parse_scalar(f"2**{MAX_EXPONENT + 1}")
 
 
 class TestDegreeCap:
