@@ -44,26 +44,14 @@ from .phimodule import (
     validate,
     vanishing_factor,
 )
-from .scalars import parse_scalar, scalar_str
+from .scalars import parse_integer, parse_scalar, scalar_str
 from .symplectic import Subspace, flag_anisotropy_check
 from .weyl import from_oneline, from_word
 
 EXIT_OK, EXIT_INVALID, EXIT_DEGENERATE = 0, 2, 3
 
-#: Stable anchor names for what each command exercises.
-CITATIONS = {
-    "validate": ["structural-invariants", "nondegeneracy-polynomial"],
-    "flag": ["standard-filtration", "flag-anisotropy"],
-    "kernel": ["tangent-map-kernel", "borel-rank"],
-    "recover": ["hodge-parameter-recovery", "tangent-map-kernel"],
-    "glue": ["parabolic-gluing"],
-    "matrices": ["generator-matrix-suite"],
-    "ledger": ["dimension-ledger"],
-    "socle": ["socle-layers", "constituent-combinatorics"],
-    "hecke": ["frobenius-charpoly", "hecke-ideal-generators"],
-    "classify": ["classicality-bounds", "refinement-partial-sums"],
-    "batch": ["batch-dispatch"],
-}
+#: The most points one recover sweep round-trips (about 6 ms each).
+MAX_RECOVER_COUNT = 10_000
 
 _STATUS_EXIT = {"ok": EXIT_OK, "invalid": EXIT_INVALID, "degenerate": EXIT_DEGENERATE}
 
@@ -116,7 +104,7 @@ def _report(command: str, status: str, payload) -> dict:
         "command": command,
         "status": status,
         "payload": payload,
-        "citations": CITATIONS[command],
+        "citations": COMMANDS[command][1],
     }
 
 
@@ -168,9 +156,11 @@ def _kernel_from_doc(doc) -> Subspace:
 
 def run_recover(doc, args):
     if "count" in doc or args.random:
-        count = int(doc.get("count", args.random or 0))
+        count = parse_integer(doc.get("count", args.random))
         if count < 0:
             raise InvalidData(f"recover count must be nonnegative, got {count}")
+        if count > MAX_RECOVER_COUNT:
+            raise InvalidData(f"recover count must be at most {MAX_RECOVER_COUNT}, got {count}")
         rng = random.Random(args.seed)
         results = []
         for _ in range(count):
@@ -250,7 +240,7 @@ def run_socle(doc, args):
 def run_hecke(doc, args):
     if "c0" in doc:
         d = HeckeData(
-            l=int(doc["l"]),
+            l=parse_integer(doc["l"]),
             c0=Q(parse_scalar(str(doc["c0"]))),
             c1=Q(parse_scalar(str(doc["c1"]))),
             c2=Q(parse_scalar(str(doc["c2"]))),
@@ -268,7 +258,7 @@ def run_hecke(doc, args):
             coeffs=tuple(Q(parse_scalar(str(x))) for x in doc["coeffs"]),
             sim=Q(parse_scalar(str(doc["sim"]))),
         )
-        d = ideal_generators(f, int(doc["l"]))
+        d = ideal_generators(f, parse_integer(doc["l"]))
         payload = {
             "c0": scalar_str(d.c0),
             "c1": scalar_str(d.c1),
@@ -282,24 +272,27 @@ def run_hecke(doc, args):
 def run_classify(doc, args):
     report = classicality_classify(
         alphas=[Q(parse_scalar(str(x))) for x in doc["alphas"]],
-        weights=[int(x) for x in doc["weights"]],
-        p=int(doc["p"]),
+        weights=[parse_integer(x) for x in doc["weights"]],
+        p=parse_integer(doc["p"]),
         C=Q(parse_scalar(str(doc["C"]))),
     )
     return _report("classify", "ok", report.as_dict())
 
 
-_HANDLERS = {
-    "validate": run_validate,
-    "flag": run_flag,
-    "kernel": run_kernel,
-    "recover": run_recover,
-    "glue": run_glue,
-    "matrices": run_matrices,
-    "ledger": run_ledger,
-    "socle": run_socle,
-    "hecke": run_hecke,
-    "classify": run_classify,
+#: Each command's handler and the stable anchor names for what it
+#: exercises.  batch has no handler here: it dispatches the other commands.
+COMMANDS = {
+    "validate": (run_validate, ["structural-invariants", "nondegeneracy-polynomial"]),
+    "flag": (run_flag, ["standard-filtration", "flag-anisotropy"]),
+    "kernel": (run_kernel, ["tangent-map-kernel", "borel-rank"]),
+    "recover": (run_recover, ["hodge-parameter-recovery", "tangent-map-kernel"]),
+    "glue": (run_glue, ["parabolic-gluing"]),
+    "matrices": (run_matrices, ["generator-matrix-suite"]),
+    "ledger": (run_ledger, ["dimension-ledger"]),
+    "socle": (run_socle, ["socle-layers", "constituent-combinatorics"]),
+    "hecke": (run_hecke, ["frobenius-charpoly", "hecke-ideal-generators"]),
+    "classify": (run_classify, ["classicality-bounds", "refinement-partial-sums"]),
+    "batch": (None, ["batch-dispatch"]),
 }
 
 
@@ -308,7 +301,7 @@ def dispatch(command: str, doc: dict, args) -> tuple[dict, int]:
     try:
         if not isinstance(doc, dict):
             raise ParseError(f"{command} needs a JSON object, not {type(doc).__name__}")
-        report = _HANDLERS[command](doc, args)
+        report = COMMANDS[command][0](doc, args)
     except (ParseError, InvalidData, InconsistentData, DegreeCapExceeded, KeyError, TypeError, ValueError) as exc:
         report = _report(command, "invalid", {"error": str(exc) or repr(exc)})
     except (DegenerateIntersection, NotALine) as exc:
@@ -327,7 +320,7 @@ def run_batch(doc, args) -> tuple[dict, int]:
             worst = max(worst, EXIT_INVALID)
             continue
         command = item["command"]
-        if command not in _HANDLERS:
+        if COMMANDS.get(command, (None,))[0] is None:
             results.append(_report("batch", "invalid", {"error": f"unknown command {command!r}"}))
             worst = max(worst, EXIT_INVALID)
             continue
@@ -366,13 +359,13 @@ def _text_lines(value, indent=""):
     if isinstance(value, dict):
         for key in sorted(value):
             sub = value[key]
-            if isinstance(sub, (dict, list)):
+            if isinstance(sub, (dict, list, tuple)):
                 out.append(f"{indent}{key}:")
                 out.extend(_text_lines(sub, indent + "  "))
             else:
                 out.append(f"{indent}{key}: {sub}")
-    elif isinstance(value, list):
-        simple = all(not isinstance(x, (dict, list)) for x in value)
+    elif isinstance(value, (list, tuple)):
+        simple = all(not isinstance(x, (dict, list, tuple)) for x in value)
         if simple:
             out.append(f"{indent}[" + ", ".join(str(x) for x in value) + "]")
         else:
@@ -399,21 +392,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations around symplectic Hodge parameters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name in COMMANDS:
         p = sub.add_parser(name, parents=[common])
         if name == "socle":
             p.add_argument("kind", nargs="?", choices=("PS1", "pi1", "pimin"))
             p.add_argument("--w", default=None, help="Weyl word like s1s2 or one-line [2,1,4,3]")
         if name == "recover":
             p.add_argument("--random", type=int, default=0, help="round-trip this many random points")
-    sub.add_parser("batch", parents=[common])
+    parser.set_defaults(random=0)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if not hasattr(args, "random"):
-        args.random = 0
     try:
         doc = _load_document(args.input)
         if args.command == "batch":

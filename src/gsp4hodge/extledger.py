@@ -10,7 +10,7 @@ one pair per coordinate p1, p2, p3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -315,16 +315,7 @@ class LedgerReport:
         raise KeyError(name)
 
     def as_dict(self):
-        return {
-            "ok": self.ok,
-            "entries": [
-                {"name": e.name, "dim": e.dim, "source": e.source} for e in self.entries
-            ],
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {"ok": self.ok, **asdict(self)}
 
 
 #: The ledger's entries in report order, each with where its value comes from.

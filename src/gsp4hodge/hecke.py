@@ -8,7 +8,7 @@ source construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction as Q
 from itertools import accumulate
 
@@ -103,15 +103,7 @@ class ClassicalityReport:
     very_classical: bool
 
     def as_dict(self):
-        return {
-            "bound_ok": self.bound_ok,
-            "bound_witness": self.bound_witness,
-            "alternate_reading_differs": self.alternate_reading_differs,
-            "gap_ok": self.gap_ok,
-            "gap_witness": self.gap_witness,
-            "admissible": list(self.admissible),
-            "very_classical": self.very_classical,
-        }
+        return {**asdict(self), "admissible": list(self.admissible)}
 
 
 def partial_sum_set(p: int, alphas, weights) -> list[WeylElem]:

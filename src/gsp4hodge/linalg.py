@@ -23,15 +23,8 @@ def coerce_rows(rows):
     return [[conv(x) for x in r] for r in rows]
 
 
-def zeros(n: int, m: int):
-    return [[Q(0)] * m for _ in range(n)]
-
-
 def identity(n: int):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Q(1)
-    return out
+    return [[Q(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(A, B):
@@ -119,7 +112,7 @@ def nullspace(rows, ncols: int | None = None):
     if not rows:
         if ncols is None:
             raise ValueError("ncols required for empty matrix")
-        return [tuple(identity(ncols)[i]) for i in range(ncols)]
+        return [tuple(row) for row in identity(ncols)]
     m = len(rows[0])
     red, pivots = rref(rows)
     free = [c for c in range(m) if c not in pivots]

@@ -14,7 +14,7 @@ with jumps at -h_1 > ... > -h_4 read bottom-up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction as Q
 from itertools import accumulate, combinations
 
@@ -93,13 +93,7 @@ class ValidityReport:
         return [c for c in self.checks if not c.passed]
 
     def as_dict(self):
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "witness": c.witness}
-                for c in self.checks
-            ],
-        }
+        return {"ok": self.ok, **asdict(self)}
 
 
 def validate(d: PhiModuleData) -> ValidityReport:
@@ -124,13 +118,12 @@ def validate(d: PhiModuleData) -> ValidityReport:
     generic, gen_witness = True, ""
     if nz:
         bad = {Q(1), Q(d.p), Q(1, d.p)}
+        # The set {1, p, 1/p} is closed under inversion, so alpha_j/alpha_i
+        # is in it exactly when alpha_i/alpha_j is.
         for i, j in combinations(range(4), 2):
-            for num, den, pair in ((alphas[i], alphas[j], (i + 1, j + 1)), (alphas[j], alphas[i], (j + 1, i + 1))):
-                ratio = num / den
-                if ratio in bad:
-                    generic, gen_witness = False, f"alpha{pair[0]}/alpha{pair[1]} = {ratio}"
-                    break
-            if not generic:
+            ratio = alphas[i] / alphas[j]
+            if ratio in bad:
+                generic, gen_witness = False, f"alpha{i + 1}/alpha{j + 1} = {ratio}"
                 break
     checks.append(CheckResult("genericity", generic, gen_witness))
 
@@ -299,12 +292,12 @@ def refinement_parameters(d: PhiModuleData, w: WeylElem):
 
 def phi_module_from_json(doc: dict) -> PhiModuleData:
     """Build PhiModuleData from its wire form (see External Interfaces)."""
-    from .scalars import parse_scalar
+    from .scalars import parse_integer, parse_scalar
 
     try:
-        p = int(doc["p"])
+        p = parse_integer(doc["p"])
         alphas = tuple(Q(parse_scalar(str(s))) for s in doc["alphas"])
-        weights = tuple(int(x) for x in doc["weights"])
+        weights = tuple(parse_integer(x) for x in doc["weights"])
         symbolic = bool(doc.get("symbolic", False))
         a = parse_scalar(str(doc.get("a", "a" if symbolic else "1")), symbolic)
         b = parse_scalar(str(doc.get("b", "b" if symbolic else "1")), symbolic)

@@ -17,6 +17,7 @@ from math import gcd as _int_gcd, lcm as _int_lcm
 from .errors import (
     DegreeCapExceeded,
     DivisionByZero,
+    InvalidData,
     ParseError,
     VariantMismatch,
     ZeroArgument,
@@ -42,7 +43,7 @@ class Poly2:
     kept, so two equal polynomials have identical term dictionaries.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Monomial, Q] | None = None):
         clean = {}
@@ -51,7 +52,6 @@ class Poly2:
             if coef:
                 clean[(int(mono[0]), int(mono[1]))] = coef
         self._terms = clean
-        self._hash = None
         cap = _degree_cap()
         if cap is not None and self.total_degree() > cap:
             raise DegreeCapExceeded(
@@ -73,10 +73,6 @@ class Poly2:
         raise ParseError(f"unknown symbol {name!r}, expected 'a' or 'b'")
 
     # -- basic structure ----------------------------------------------
-
-    @property
-    def terms(self) -> dict[Monomial, Q]:
-        return dict(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -108,11 +104,7 @@ class Poly2:
             return NotImplemented
         terms = dict(self._terms)
         for mono, coef in other._terms.items():
-            acc = terms.get(mono, Q(0)) + coef
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
+            terms[mono] = terms.get(mono, 0) + coef
         return Poly2(terms)
 
     __radd__ = __add__
@@ -137,11 +129,7 @@ class Poly2:
         for (da1, db1), c1 in self._terms.items():
             for (da2, db2), c2 in other._terms.items():
                 mono = (da1 + da2, db1 + db2)
-                acc = terms.get(mono, Q(0)) + c1 * c2
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
+                terms[mono] = terms.get(mono, 0) + c1 * c2
         return Poly2(terms)
 
     __rmul__ = __mul__
@@ -178,9 +166,7 @@ class Poly2:
         return bool(self._terms)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     # -- display ---------------------------------------------------------
 
@@ -259,17 +245,18 @@ def _uscale(f: UPolyZ, c: int) -> UPolyZ:
     return {d: k * c for d, k in f.items()} if c else {}
 
 
-def _ucontent(f: UPolyZ) -> int:
+def _int_content(values) -> int:
+    """Nonnegative gcd of the integers (0 when there are none or all are 0)."""
     c = 0
-    for k in f.values():
-        c = _int_gcd(c, abs(k))
+    for k in values:
+        c = _int_gcd(c, k)
         if c == 1:
             break
     return c
 
 
 def _uprimitive(f: UPolyZ) -> UPolyZ:
-    c = _ucontent(f)
+    c = _int_content(f.values())
     if c <= 1:
         return dict(f)
     return {d: k // c for d, k in f.items()}
@@ -323,16 +310,15 @@ def _udivexact(f: UPolyZ, g: UPolyZ) -> UPolyZ:
 BViewZ = dict[int, UPolyZ]  # b-degree -> coefficient in Z[a]
 
 
-def _zify(p: Poly2) -> dict[Monomial, int]:
-    """Primitive integer form of a nonzero rational polynomial."""
+def _zify(p: Poly2) -> tuple[dict[Monomial, int], Q]:
+    """Primitive integer form P of a nonzero rational polynomial p, and the
+    rational scale s with p = s * P."""
     denom = 1
     for c in p._terms.values():
         denom = _int_lcm(denom, c.denominator)
     ints = {m: int(c * denom) for m, c in p._terms.items()}
-    cont = 0
-    for v in ints.values():
-        cont = _int_gcd(cont, abs(v))
-    return {m: v // cont for m, v in ints.items()}
+    cont = _int_content(ints.values())
+    return {m: v // cont for m, v in ints.items()}, Q(cont, denom)
 
 
 def _bview(ints: dict[Monomial, int]) -> BViewZ:
@@ -387,16 +373,6 @@ def _bprimitive(v: BViewZ) -> BViewZ:
     return {d: _udivexact(u, cont) for d, u in _btrim(v).items()}
 
 
-def _bint_content(v: BViewZ) -> int:
-    c = 0
-    for u in v.values():
-        for k in u.values():
-            c = _int_gcd(c, abs(k))
-            if c == 1:
-                return 1
-    return c
-
-
 def _bprem(f: BViewZ, g: BViewZ) -> BViewZ:
     """Remainder of f by g in the variable b, up to a rational scalar.
 
@@ -410,7 +386,7 @@ def _bprem(f: BViewZ, g: BViewZ) -> BViewZ:
         lead = r[dr]
         shifted = {d + dr - dg: _umul(u, lead) for d, u in g.items()}
         r = _bsub(_bscale(r, lg), shifted)
-        c = _bint_content(r)
+        c = _int_content(k for u in r.values() for k in u.values())
         if c > 1:
             r = {d: {e: k // c for e, k in u.items()} for d, u in r.items()}
     return r
@@ -424,7 +400,7 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
         return _monic(p)
     if p.is_const() or q.is_const():
         return Poly2.const(1)
-    pv, qv = _bview(_zify(p)), _bview(_zify(q))
+    pv, qv = _bview(_zify(p)[0]), _bview(_zify(q)[0])
     cont = _ugcd(_bcontent(pv), _bcontent(qv))
     f, g = _bprimitive(pv), _bprimitive(qv)
     if _bdeg(f) < _bdeg(g):
@@ -453,7 +429,7 @@ def poly_divexact(p: Poly2, d: Poly2) -> Poly2:
         return p.scale(1 / d.const_value())
     # Divide the primitive integer parts (exact by Gauss's lemma), then
     # restore the rational scale factor.
-    pz, dz = _zify(p), _zify(d)
+    (pz, scale_p), (dz, scale_d) = _zify(p), _zify(d)
     pv, dv = _bview(pz), _bview(dz)
     dd = _bdeg(dv)
     lead = dv[dd]
@@ -467,12 +443,7 @@ def poly_divexact(p: Poly2, d: Poly2) -> Poly2:
         out[dr - dd] = qc
         shifted = {d0 + dr - dd: _umul(u, qc) for d0, u in dv.items()}
         r = _bsub(r, shifted)
-    quot = _bview_to_poly(out)
-    # p = scale_p * P, d = scale_d * D with P, D primitive; p/d = (scale_p/scale_d) * (P/D)
-    mono_p = max(pz, key=_grlex_key)
-    mono_d = max(dz, key=_grlex_key)
-    scale = (p._terms[mono_p] / pz[mono_p]) / (d._terms[mono_d] / dz[mono_d])
-    return quot.scale(scale)
+    return _bview_to_poly(out).scale(scale_p / scale_d)
 
 
 def _monic(p: Poly2) -> Poly2:
@@ -491,26 +462,28 @@ class RatFunc:
 
     Invariants: the denominator is nonzero with grlex leading coefficient 1,
     and gcd(num, den) = 1.  Equality and hashing act on the canonical pair.
+    Every construction maps zero to 0/1 and makes the denominator monic;
+    ``_coprime=True`` promises gcd(num, den) = 1 and skips only the gcd.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly2, den: Poly2 | None = None, _canonical=False):
+    def __init__(self, num: Poly2, den: Poly2 | None = None, _coprime=False):
         den = Poly2.const(1) if den is None else den
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
-        if not _canonical:
-            if num.is_zero():
-                num, den = Poly2(), Poly2.const(1)
-            else:
+        if num.is_zero():
+            num, den = Poly2(), Poly2.const(1)
+        else:
+            if not _coprime:
                 g = poly_gcd(num, den)
                 if not g.is_const() or g.const_value() != 1:
                     num = poly_divexact(num, g)
                     den = poly_divexact(den, g)
-                lead = den.leading_coeff()
-                if lead != 1:
-                    num = num.scale(1 / lead)
-                    den = den.scale(1 / lead)
+            lead = den.leading_coeff()
+            if lead != 1:
+                num = num.scale(1 / lead)
+                den = den.scale(1 / lead)
         self.num = num
         self.den = den
 
@@ -538,8 +511,8 @@ class RatFunc:
     # -- field operations -------------------------------------------------
     #
     # Operands are already reduced, so sums and products only need the
-    # classical cross-gcd reductions; the results below are canonical up
-    # to normalizing the denominator's leading coefficient.
+    # classical cross-gcd reductions; the results below are coprime pairs,
+    # which the constructor only makes monic.
 
     def __add__(self, other):
         other = _as_ratfunc(other)
@@ -562,12 +535,12 @@ class RatFunc:
             else:
                 num = poly_divexact(t, h)
                 den = poly_divexact(self.den, h) * d2g
-        return _canonical_ratfunc(num, den)
+        return RatFunc(num, den, _coprime=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _canonical=True)
+        return RatFunc(-self.num, self.den, _coprime=True)
 
     def __sub__(self, other):
         other = _as_ratfunc(other)
@@ -590,7 +563,7 @@ class RatFunc:
         d2 = other.den if g1.is_const() else poly_divexact(other.den, g1)
         n2 = other.num if g2.is_const() else poly_divexact(other.num, g2)
         d1 = self.den if g2.is_const() else poly_divexact(self.den, g2)
-        return _canonical_ratfunc(n1 * n2, d1 * d2)
+        return RatFunc(n1 * n2, d1 * d2, _coprime=True)
 
     __rmul__ = __mul__
 
@@ -600,7 +573,7 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
-        return self * _canonical_ratfunc(other.den, other.num)
+        return self * RatFunc(other.den, other.num, _coprime=True)
 
     def __rtruediv__(self, other):
         return _as_ratfunc(other) / self
@@ -608,7 +581,7 @@ class RatFunc:
     def __pow__(self, n: int):
         if n < 0:
             return RatFunc.const(1) / self ** (-n)
-        return _canonical_ratfunc(self.num**n, self.den**n)
+        return RatFunc(self.num**n, self.den**n, _coprime=True)
 
     def evaluate(self, a, b) -> Q:
         d = self.den.evaluate(a, b)
@@ -637,16 +610,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
-
-
-def _canonical_ratfunc(num: Poly2, den: Poly2) -> RatFunc:
-    """Build a RatFunc from an already-coprime pair, normalizing the lead."""
-    if num.is_zero():
-        return RatFunc(Poly2(), Poly2.const(1), _canonical=True)
-    lead = den.leading_coeff()
-    if lead != 1:
-        num, den = num.scale(1 / lead), den.scale(1 / lead)
-    return RatFunc(num, den, _canonical=True)
 
 
 def _as_ratfunc(x) -> "RatFunc":
@@ -717,14 +680,35 @@ def padic_val(x, p: int) -> int:
     return _int_val(abs(x.numerator), p) - _int_val(x.denominator, p)
 
 
+#: is_prime decides n below this bound.  Miller-Rabin with the twelve bases
+#: below is exact for n < 318,665,857,834,031,151,167,461, which is itself a
+#: strong pseudoprime to all twelve (Sorenson and Webster, Math. Comp. 86,
+#: 2017).
+PRIME_BOUND = 2**64
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test; InvalidData for n >= PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise InvalidData(f"cannot decide whether {n} is prime: it is not below 2**64")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for q in _MILLER_RABIN_BASES:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -740,7 +724,9 @@ def scalar_str(x: Scalar) -> str:
     return str(Q(x))
 
 
-#: The largest exponent parse_scalar accepts.
+#: The largest exponent parse_scalar accepts.  Integer literals, and bits of
+#: x times n for a power x**n, are at most MAX_EXPONENT**2; total degree of x
+#: times n is at most MAX_EXPONENT.
 MAX_EXPONENT = 64
 
 _ALLOWED_NODES = (
@@ -760,12 +746,28 @@ _ALLOWED_NODES = (
 )
 
 
+def _check_power_size(x: Scalar, n: int) -> None:
+    """Reject x**n, before computing it, when it would pass the MAX_EXPONENT bounds."""
+    if isinstance(x, RatFunc):
+        degree = max(x.num.total_degree(), x.den.total_degree())
+        if degree * n > MAX_EXPONENT:
+            raise ParseError(f"power of total degree {degree * n} exceeds {MAX_EXPONENT}")
+        coeffs = [*x.num._terms.values(), *x.den._terms.values()]
+    else:
+        coeffs = [x]
+    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs)
+    if bits * n > MAX_EXPONENT**2:
+        raise ParseError(f"power of {bits * n} bits exceeds {MAX_EXPONENT**2}")
+
+
 def _eval_node(node, symbolic: bool):
     if isinstance(node, ast.Expression):
         return _eval_node(node.body, symbolic)
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, int):
             raise ParseError(f"non-integer literal {node.value!r}")
+        if node.value.bit_length() > MAX_EXPONENT**2:
+            raise ParseError(f"integer literal of {node.value.bit_length()} bits exceeds {MAX_EXPONENT**2}")
         return RatFunc.const(node.value) if symbolic else Q(node.value)
     if isinstance(node, ast.Name):
         if not symbolic:
@@ -792,17 +794,19 @@ def _eval_node(node, symbolic: bool):
                 node.right.value, int
             ):
                 raise ParseError("exponents must be integer literals")
-            if node.right.value > MAX_EXPONENT:
-                raise ParseError(f"exponent {node.right.value} exceeds {MAX_EXPONENT}")
-            return lhs ** node.right.value
+            n = node.right.value
+            if n > MAX_EXPONENT:
+                raise ParseError(f"exponent {n} exceeds {MAX_EXPONENT}")
+            _check_power_size(lhs, n)
+            return lhs**n
     raise ParseError(f"unsupported syntax in scalar expression: {ast.dump(node)}")
 
 
 def parse_scalar(text: str, symbolic: bool = False) -> Scalar:
     """Parse "3/4", "-2", "a*b + 1" or "(b + 1)/(a - 2)" style strings.
 
-    Exponents are integer literals of at most MAX_EXPONENT, and an
-    expression too deep to evaluate recursively is a ParseError."""
+    Exponents, literals and powers are bounded as stated at MAX_EXPONENT,
+    and an expression too deep to evaluate recursively is a ParseError."""
     try:
         tree = ast.parse(text.strip(), mode="eval")
         for node in ast.walk(tree):
@@ -813,3 +817,14 @@ def parse_scalar(text: str, symbolic: bool = False) -> Scalar:
         raise ParseError(f"bad scalar expression {text!r}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("scalar expression nests too deeply") from exc
+
+
+def parse_integer(value) -> int:
+    """An integer field of an input document: a JSON integer or a decimal
+    string.  Floats and booleans are rejected, not truncated."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"expected an integer, got {value!r}")

@@ -14,7 +14,6 @@ from fractions import Fraction as Q
 from .errors import InvalidData, NotSymplectic
 from .linalg import (
     coerce_rows,
-    identity,
     intersect_row_spaces,
     mat_add,
     mat_eq,
@@ -175,8 +174,6 @@ class Subspace:
 
     def perp(self) -> "Subspace":
         """Annihilator under the J-form: {y : x J y^T = 0 for all x here}."""
-        if not self.rows:
-            return Subspace.span([tuple(identity(4)[i]) for i in range(4)])
         UJ = mat_mul(coerce_rows(self.rows), J)
         return Subspace(rows=tuple(nullspace(UJ, 4)), ambient=4)
 

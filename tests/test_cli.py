@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from gsp4hodge.cli import (
     EXIT_DEGENERATE,
     EXIT_INVALID,
     EXIT_OK,
+    MAX_RECOVER_COUNT,
     build_parser,
     dispatch,
     main,
@@ -25,12 +27,19 @@ GOOD_DOC = {
     "a": "2",
     "b": "3",
 }
+# Fails genericity (alpha1/alpha2 = 1/p) and nondegeneracy (b + 1 = 0).
+BAD_DOC = dict(GOOD_DOC, alphas=["1", "3", "9", "27"], b="-1")
+CLASSIFY_DOC = {"alphas": ["1", "9", "81", "729"], "weights": [0, -2, -4, -6], "p": 3, "C": "10"}
+BATCH_DOC = [
+    {"command": "validate", "doc": GOOD_DOC},
+    {"command": "validate", "doc": BAD_DOC},
+    {"command": "ledger"},
+    {"command": "classify", "doc": CLASSIFY_DOC},
+]
 
 
 def call(command, doc=None, argv=None):
     args = build_parser().parse_args(argv or [command])
-    if not hasattr(args, "random"):
-        args.random = 0
     return dispatch(command, doc or {}, args)
 
 
@@ -148,10 +157,15 @@ class TestDispatch:
         assert (report["payload"]["c0"], report["payload"]["c1"], report["payload"]["c2"]) == ("1", "0", "0")
 
     def test_classify(self):
-        doc = {"alphas": ["1", "9", "81", "729"], "weights": [0, -2, -4, -6], "p": 3, "C": "10"}
-        report, code = call("classify", doc)
+        report, code = call("classify", CLASSIFY_DOC)
         assert code == EXIT_OK
         assert report["payload"]["admissible"] == ["e"]
+
+    def test_large_prime_is_fast(self):
+        start = time.process_time()
+        report, code = call("validate", dict(GOOD_DOC, p=100000000000000003))
+        assert code == EXIT_OK and report["payload"]["ok"]
+        assert time.process_time() - start < 1.0
 
     def test_unknown_scalar_is_invalid(self):
         report, code = call("validate", dict(GOOD_DOC, a="q + 1"))
@@ -166,9 +180,7 @@ class TestDispatch:
 
 class TestBatch:
     def _args(self):
-        args = build_parser().parse_args(["batch"])
-        args.random = 0
-        return args
+        return build_parser().parse_args(["batch"])
 
     def test_empty_list(self):
         report, code = run_batch([], self._args())
@@ -212,6 +224,30 @@ class TestRendering:
         report, _ = call("validate", GOOD_DOC)
         text = render(report, "text")
         assert "command: validate" in text and "citations:" in text
+
+    @pytest.mark.parametrize(
+        "command, doc, fmt, code, digest",
+        (
+            ("validate", GOOD_DOC, "json", 0, "3342e9db11d20d7ae805122abbe8aa9249388130eb614ebc0330b522dfd10783"),
+            ("validate", GOOD_DOC, "text", 0, "835d48d9e48bdd2db79ff511c0cd3e2997c09abee409b93be2a6061c842a9ecc"),
+            ("validate", BAD_DOC, "json", 2, "56d5b79efc74cc2409ab80426ce78d09ea096dba33d6947d49d45b38150affb4"),
+            ("validate", BAD_DOC, "text", 2, "140af475a23940506ea3394ca647e8698e3b56abcc386902256bbdfbe3061f68"),
+            ("ledger", {}, "json", 0, "2d5902f9dfb5193d7ad5cf1332c8dd4bdac033191f20b7bddd57422af4cca1b0"),
+            ("ledger", {}, "text", 0, "9da2736268c11b93655a6d4d11fd510f554f9bc699af31a4faf37d073bcdb113"),
+            ("classify", CLASSIFY_DOC, "json", 0, "81011ec1b5ba0861c630090e3ac77a3258448f943b98602fe099e8ecb6fab8f5"),
+            ("classify", CLASSIFY_DOC, "text", 0, "98134b9efc4985a4b9cc430fed78b42b6d70419e765ada20f379626663bf297f"),
+            ("batch", BATCH_DOC, "json", 2, "5bef12356cd916321a82686a351f43e82af358617b8fc3b1cbb8e8fdd8ce4e89"),
+            ("batch", BATCH_DOC, "text", 2, "3d5ea4d81631578f6d994d1a87b95ff4eab008b32a01693b2bd7f96edb1a0570"),
+        ),
+        ids=(
+            "validate-ok-json", "validate-ok-text", "validate-invalid-json", "validate-invalid-text",
+            "ledger-json", "ledger-text", "classify-json", "classify-text", "batch-json", "batch-text",
+        ),
+    )
+    def test_rendered_report_bytes(self, capsys, monkeypatch, command, doc, fmt, code, digest):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+        assert main([command, "--input", "-", "--format", fmt]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
     def test_citations_nonempty(self):
         for command, doc in (
@@ -336,6 +372,66 @@ class TestRejectedInputs:
         path.write_text(json.dumps(doc))
         report = self.run(capsys, ["kernel", "--input", str(path)])
         assert "exceeds 64" in report["payload"]["error"]
+
+    @pytest.mark.parametrize(
+        "doc",
+        (
+            {"a": "(((3**64)**64)**64)**64", "b": "3"},
+            {"a": "((a+b+1)**64)**64", "b": "b", "symbolic": True},
+            {"a": "3" * 1300, "b": "3"},
+        ),
+        ids=("nested-numeric", "nested-symbolic", "literal"),
+    )
+    def test_size_bound(self, capsys, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        report = self.run(capsys, ["kernel", "--input", str(path)])
+        assert report["status"] == "invalid" and "exceeds" in report["payload"]["error"]
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        (
+            ("hecke", {"l": 2.5, "c0": "1", "c1": "0", "c2": "0"}),
+            ("validate", dict(GOOD_DOC, p=3.7)),
+            ("flag", dict(GOOD_DOC, weights=[0.9, -2, -4, -6])),
+            ("classify", dict(CLASSIFY_DOC, weights=[0, -2, -4, -6.5])),
+            ("recover", {"count": 2.9}),
+            ("recover", {"count": True}),
+        ),
+        ids=("l", "p", "weights-flag", "weights-classify", "count", "boolean"),
+    )
+    def test_non_integer_field(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        report = self.run(capsys, [command, "--input", str(path)])
+        assert report["status"] == "invalid" and "expected an integer" in report["payload"]["error"]
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        (
+            (["recover", "--input", "-"], json.dumps({"count": MAX_RECOVER_COUNT + 1})),
+            (["recover", "--random", str(MAX_RECOVER_COUNT + 1)], ""),
+        ),
+        ids=("count", "random"),
+    )
+    def test_count_maximum(self, capsys, monkeypatch, argv, stdin):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        report = self.run(capsys, argv)
+        assert report["status"] == "invalid" and "at most" in report["payload"]["error"]
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        (
+            ("validate", dict(GOOD_DOC, p=2**64 + 13)),
+            ("hecke", {"l": 2**64 + 13, "c0": "1", "c1": "0", "c2": "0"}),
+        ),
+        ids=("p", "l"),
+    )
+    def test_prime_bound(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        report = self.run(capsys, [command, "--input", str(path)])
+        assert report["status"] == "invalid" and "2**64" in report["payload"]["error"]
 
     def test_deeply_nested_document(self, capsys, tmp_path):
         doc = tmp_path / "doc.json"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -8,15 +9,18 @@ from hypothesis import strategies as st
 from gsp4hodge.errors import (
     DegreeCapExceeded,
     DivisionByZero,
+    InvalidData,
     ParseError,
     VariantMismatch,
     ZeroArgument,
 )
 from gsp4hodge.scalars import (
     MAX_EXPONENT,
+    PRIME_BOUND,
     Poly2,
     RatFunc,
     field_arith,
+    is_prime,
     is_zero,
     padic_val,
     parse_scalar,
@@ -108,6 +112,25 @@ class TestPadicVal:
                 assert padic_val(x * y, p) == padic_val(x, p) + padic_val(y, p)
 
 
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+        assert [n for n in range(10**4) if is_prime(n)] == [n for n in range(10**4) if trial(n)]
+
+    @pytest.mark.parametrize("n", (561, 3_215_031_751, 3_825_123_056_546_413_051))
+    def test_strong_pseudoprimes(self, n):
+        # A Carmichael number, and strong pseudoprimes to the bases 2..7 and 2..23.
+        assert not is_prime(n)
+
+    def test_bound(self):
+        assert is_prime(PRIME_BOUND - 59)  # the largest prime below 2**64
+        for n in (PRIME_BOUND, 318_665_857_834_031_151_167_461):
+            with pytest.raises(InvalidData, match="2\\*\\*64"):
+                is_prime(n)
+
+
 class TestFieldAxioms:
     def test_random_triples(self):
         # Associativity, distributivity and inverses on >= 1000 triples,
@@ -197,6 +220,24 @@ class TestSerialization:
         assert parse_scalar(f"2**{MAX_EXPONENT}") == 2**MAX_EXPONENT
         with pytest.raises(ParseError, match="exceeds"):
             parse_scalar(f"2**{MAX_EXPONENT + 1}")
+
+    def test_size_bound(self):
+        # Bits of the base times the exponent at most MAX_EXPONENT**2, total
+        # degree times the exponent at most MAX_EXPONENT, checked before the
+        # power is computed; literals at most MAX_EXPONENT**2 bits.
+        assert parse_scalar("(2**63)**64") == 2 ** (63 * 64)
+        assert parse_scalar("(a*b)**32", symbolic=True) == (A * B) ** 32
+        assert parse_scalar("2" * 1233) == int("2" * 1233)
+        for text, symbolic in (
+            ("(2**64)**64", False),
+            ("(((3**64)**64)**64)**64", False),
+            ("(((3**64)**64)**64)**64", True),
+            ("(a*b)**33", True),
+            ("((a+b+1)**8)**9", True),
+            ("2" * 1234, False),
+        ):
+            with pytest.raises(ParseError, match="exceeds"):
+                parse_scalar(text, symbolic)
 
 
 class TestDegreeCap:

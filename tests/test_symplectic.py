@@ -195,6 +195,10 @@ class TestSubspaces:
         got = Subspace.span([E[0]]).perp()
         assert got == Subspace.span([E[0], E[1], E[2]])
 
+    def test_perp_of_zero_and_whole(self):
+        zero, whole = Subspace.span([]), Subspace.span(E)
+        assert zero.perp() == whole and whole.perp() == zero
+
     def test_siegel_self_perp(self):
         U = Subspace.span([E[0], E[1]])
         assert U.perp() == U
