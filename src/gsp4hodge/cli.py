@@ -81,7 +81,9 @@ def _load_document(path: str | None) -> dict:
             raise ParseError(f"cannot read input: {exc}") from exc
     try:
         doc = json.loads(raw, parse_float=_finite_number, parse_constant=_finite_number)
-    except json.JSONDecodeError as exc:
+    except ParseError:
+        raise  # a non-finite number, rejected by _finite_number
+    except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
         raise ParseError(f"input is not JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("input nests too deeply") from exc
@@ -320,7 +322,7 @@ def run_batch(doc, args) -> tuple[dict, int]:
             worst = max(worst, EXIT_INVALID)
             continue
         command = item["command"]
-        if COMMANDS.get(command, (None,))[0] is None:
+        if not isinstance(command, str) or COMMANDS.get(command, (None,))[0] is None:
             results.append(_report("batch", "invalid", {"error": f"unknown command {command!r}"}))
             worst = max(worst, EXIT_INVALID)
             continue

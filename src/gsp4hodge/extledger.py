@@ -26,7 +26,7 @@ from .kernel import (
     kernel_basis,
     parameters_from_meets,
 )
-from .linalg import rank, row_space
+from .linalg import mat_mul, rank
 from .scalars import Scalar
 from .weyl import CocharTuple, Weight, WeylElem, L_map, L_map_inverse, weyl_act_weight
 
@@ -127,12 +127,6 @@ def weyl_act_addchar(w: WeylElem, psi: AddChar) -> AddChar:
     return _tchar(*(weyl_act_weight(w, Weight(*half)).coords() for half in (psi.val, psi.log)))
 
 
-def span_equal(chars_a, chars_b) -> bool:
-    ra = row_space([list(c.coords()) for c in chars_a])
-    rb = row_space([list(c.coords()) for c in chars_b])
-    return ra == rb
-
-
 # ---------------------------------------------------------------------------
 # Constituents
 # ---------------------------------------------------------------------------
@@ -194,10 +188,6 @@ def constituent_of(w: WeylElem, i: int) -> Constituent:
         raise InvalidIndexSet(f"reflection index {i} out of range")
     winv = w.inv()
     return Constituent.C(frozenset(winv(j) for j in range(1, i + 1)), i)
-
-
-def constituents_equal(w1: WeylElem, i1: int, w2: WeylElem, i2: int) -> bool:
-    return i1 == i2 and constituent_of(w1, i1) == constituent_of(w2, i2)
 
 
 def socle_constituents(X: str, I) -> list:
@@ -462,7 +452,7 @@ def l_invariant_plane(a: Scalar, b: Scalar) -> LInvariantPlane:
         if len(meet) != 1:
             raise NotALine(f"kernel meets span{labels} in dimension {len(meet)}")
         gens = [generator_vector(lbl) for lbl in labels]
-        vec = [sum(c * g[i] for c, g in zip(meet[0], gens)) for i in range(24)]
+        vec = mat_mul(meet, gens)[0]
         # the representative is the meet's echelon basis vector in E^24
         lead = next(x for x in vec if x)
         reps.append(tuple(x / lead for x in vec))

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .errors import DegenerateIntersection, InvalidData, NotALine
-from .linalg import coerce_rows, inverse, mat_mul, nullspace, row_space
+from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, nullspace, row_space
 from .phimodule import complete_flag, coordinate_subspace, filtration_basis, vanishing_factor
 from .scalars import Scalar, is_zero
 from .symplectic import Subspace, gsp4_basis, gsp4_coordinates
@@ -121,8 +121,7 @@ def _perm_inverse(perm) -> list:
 def eigenline_grid(a: Scalar, b: Scalar, include_full_s4: bool = False) -> EigenlineGrid:
     """Intersect the coordinate flags with the Hodge flag, line by line."""
     _require_nondegenerate(a, b)
-    # Hodge flag members of dimension 1, 2, 3 and 4
-    hodge = complete_flag(a, b).members + (coordinate_subspace((1, 2, 3, 4)),)
+    hodge = coerce_rows(filtration_basis(a, b))
     perms = (
         list(permutations((1, 2, 3, 4)))
         if include_full_s4
@@ -133,12 +132,14 @@ def eigenline_grid(a: Scalar, b: Scalar, include_full_s4: bool = False) -> Eigen
         inv = _perm_inverse(perm)
         basis = []
         for i in (1, 2, 3, 4):
-            L = coordinate_subspace(inv[:i]).intersect(hodge[4 - i])
-            if L.dim != 1:
+            # F_H^{5-i} = <v1..v_{5-i}> meets F_w^i = E_{inv[:i]}, annihilated by e_j, j in inv[i:]
+            gens = hodge[: 5 - i]
+            coords = meet_coordinates(gens, coordinate_subspace(inv[i:]).rows)
+            if len(coords) != 1:
                 raise DegenerateIntersection(
-                    perm, i, f"intersection has dimension {L.dim}"
+                    perm, i, f"intersection has dimension {len(coords)}"
                 )
-            vec = list(L.rows[0])
+            vec = mat_mul(coords, gens)[0]
             lead = vec[inv[i - 1] - 1]
             if is_zero(lead):
                 raise DegenerateIntersection(
@@ -297,18 +298,14 @@ def generator_meets(kernel_rows) -> tuple:
     """For each label set in RECOVERY_LABELS, an RREF basis of the
     coordinates c with sum_j c_j (generator j) in the span of kernel_rows.
 
-    With ann spanning the annihilator of the kernel, these are the
-    solutions of (ann . B^T) c = 0, B the independent generator vectors,
-    so kernel_rows may be any spanning set, echelon or not."""
+    With ann spanning the annihilator of the kernel, these are
+    meet_coordinates(B, ann), B the independent generator vectors, so
+    kernel_rows may be any spanning set, echelon or not."""
     ann = nullspace(list(kernel_rows), 24)
-    meets = []
-    for labels in RECOVERY_LABELS:
-        gens = [generator_vector(lbl) for lbl in labels]
-        system = [
-            [sum(y[i] * g[i] for i in range(24) if g[i]) for g in gens] for y in ann
-        ]
-        meets.append(tuple(nullspace(system, len(labels))))
-    return tuple(meets)
+    return tuple(
+        tuple(meet_coordinates([generator_vector(lbl) for lbl in labels], ann))
+        for labels in RECOVERY_LABELS
+    )
 
 
 def _projected_line(coords, labels, pair):
@@ -388,9 +385,3 @@ def hodge_borel_basis(a: Scalar, b: Scalar):
                 equations.append(eq)
     return nullspace(equations, 11)
 
-
-def jbar_image_rows(a: Scalar, b: Scalar):
-    """Canonical basis of the image of the tangent map, in E^11."""
-    M = jbar_matrix(a, b)
-    cols = [list(col) for col in zip(*M)]
-    return row_space(cols)

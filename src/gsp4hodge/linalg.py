@@ -126,13 +126,19 @@ def nullspace(rows, ncols: int | None = None):
     return row_space(basis)
 
 
+def meet_coordinates(gens, ann):
+    """RREF basis of the c with sum_j c_j gens[j] in the subspace W that the
+    rows of ann annihilate (W is everything when ann is empty): the null space
+    of ann . gens^T, of dimension dim(span(gens) ∩ W) when gens are independent."""
+    system = [[sum(x * z for x, z in zip(y, g) if x and z) for g in gens] for y in ann]
+    return nullspace(system, len(gens))
+
+
 def intersect_row_spaces(U, V, ncols: int):
     """Canonical basis of rowspace(U) ∩ rowspace(V) inside E^ncols."""
     if not U or not V:
         return []
-    annU = nullspace(U, ncols)
-    annV = nullspace(V, ncols)
-    return nullspace(list(annU) + list(annV), ncols)
+    return row_space(mat_mul(meet_coordinates(U, nullspace(V, ncols)), U))
 
 
 def inverse(A):

@@ -19,6 +19,7 @@ from fractions import Fraction as Q
 from itertools import accumulate, combinations
 
 from .errors import InvalidData
+from .linalg import meet_coordinates
 from .scalars import RatFunc, Scalar, is_prime, is_zero, padic_val, scalar_str
 from .symplectic import Flag, Subspace
 from .weyl import W_ALL, QpChar, WeylElem, check_involution
@@ -178,26 +179,29 @@ def standard_filtration(d: PhiModuleData) -> HodgeFlag:
 
 
 def coordinate_subspace(indices) -> Subspace:
-    rows = []
-    for i in indices:
-        row = [Q(0)] * 4
-        row[i - 1] = Q(1)
-        rows.append(tuple(row))
-    return Subspace.span(rows)
+    """E_S, the span of e_i for i in S, whose sorted unit rows are in RREF."""
+    units = [tuple(Q(int(j == i)) for j in (1, 2, 3, 4)) for i in sorted(set(indices))]
+    return Subspace(rows=tuple(units))
 
 
-def _coordinate_meets(flag: Flag, S) -> tuple:
-    """dim(E_S ∩ F^j) for j = 0..4, E_S the span of e_i for i in S and
-    F^0 = 0, F^4 = E^4 the ends of the complete flag."""
-    ES = coordinate_subspace(S)
-    return (0,) + tuple(F.intersect(ES).dim for F in flag.members) + (len(S),)
+def _filtration_prefixes(a: Scalar, b: Scalar) -> tuple:
+    """Spanning rows of F^1, F^2 and F^3: the prefixes of filtration_basis."""
+    return tuple(filtration_basis(a, b)[:j] for j in (1, 2, 3))
+
+
+def _coordinate_meets(members, S) -> tuple:
+    """dim(E_S ∩ F^j) for j = 0..4, E_S the span of e_i for i in S, from
+    independent spanning rows of F^1, F^2 and F^3; F^0 = 0 and F^4 = E^4
+    are the ends of the complete flag.  The unit rows off S annihilate E_S."""
+    ann = coordinate_subspace(set((1, 2, 3, 4)) - set(S)).rows
+    return (0,) + tuple(len(meet_coordinates(rows, ann)) for rows in members) + (len(S),)
 
 
 def general_position(hf: HodgeFlag) -> bool:
     """Whether every coordinate subspace meets the flag in expected dimension."""
     for size in (1, 2, 3):
         for S in combinations((1, 2, 3, 4), size):
-            meets = _coordinate_meets(hf.flag, S)
+            meets = _coordinate_meets([F.rows for F in hf.flag.members], S)
             if any(meets[i] != max(0, i + size - 4) for i in (1, 2, 3)):
                 return False
     return True
@@ -240,12 +244,13 @@ def weak_admissibility(d: PhiModuleData) -> bool:
     """Newton-above-Hodge over every phi-stable eigenvector span, with
     equality on the whole space.  General position is not required."""
     _require_structure(d, nondegenerate=False)
-    hf = _build_flag(d)
+    members = _filtration_prefixes(d.a, d.b)
+    jumps = tuple(-h for h in d.weights)
     vals = _valuations(d.p, d.alphas)
     subsets = [S for size in (1, 2, 3, 4) for S in combinations((1, 2, 3, 4), size)]
     return newton_above_hodge(
         [sum(vals[i - 1] for i in S) for S in subsets],
-        [_hodge_t_invariant(hf.jumps, _coordinate_meets(hf.flag, S)) for S in subsets],
+        [_hodge_t_invariant(jumps, _coordinate_meets(members, S)) for S in subsets],
     )
 
 
@@ -264,13 +269,13 @@ def admissible_refinements(d: PhiModuleData):
     The w-condition pairs the eigenvalue prefixes (in their given order)
     against the filtration with its jump labels permuted by the
     check-involution of w; only the identity survives once the weight gaps
-    dominate the valuation spread.  Hodge sums use the actual member
-    subspaces, so degenerate (a, b) are handled faithfully.
+    dominate the valuation spread.  Hodge sums count the actual meets
+    with the flag members, so degenerate (a, b) are handled faithfully.
     """
     _require_structure(d, nondegenerate=False)
-    flag = complete_flag(d.a, d.b)
+    members = _filtration_prefixes(d.a, d.b)
     t_newton = list(accumulate(_valuations(d.p, d.alphas)))
-    prefix_meets = [_coordinate_meets(flag, range(1, i + 1)) for i in (1, 2, 3, 4)]
+    prefix_meets = [_coordinate_meets(members, range(1, i + 1)) for i in (1, 2, 3, 4)]
     out = []
     for w in W_ALL:
         jumps = tuple(-h for h in refinement_weights(w, d.weights))

@@ -21,8 +21,8 @@ from .linalg import (
     mat_scale,
     mat_sub,
     nullspace,
+    rank,
     row_space,
-    rref,
     trace,
     transpose,
 )
@@ -147,9 +147,6 @@ class Subspace:
 
     @staticmethod
     def span(vectors, ambient: int = 4) -> "Subspace":
-        vectors = [v for v in vectors if any(not is_zero(x) for x in v)]
-        if not vectors:
-            return Subspace(rows=(), ambient=ambient)
         return Subspace(rows=tuple(row_space(vectors)), ambient=ambient)
 
     @property
@@ -157,10 +154,7 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, v) -> bool:
-        if all(is_zero(x) for x in v):
-            return True
-        red, pivots = rref(coerce_rows(list(self.rows) + [list(v)]))
-        return len(pivots) == self.dim
+        return rank([*self.rows, v]) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)

@@ -439,6 +439,20 @@ class TestRejectedInputs:
         report = self.run(capsys, ["kernel", "--input", str(doc)])
         assert report == {"status": "invalid", "error": "input nests too deeply"}
 
+    def test_integer_past_digit_limit(self, capsys, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(dict(GOOD_DOC, p=0)).replace('"p": 0', '"p": ' + "1" * 5000))
+        report = self.run(capsys, ["validate", "--input", str(doc)])
+        assert report["status"] == "invalid" and "limit (4300" in report["error"]
+
+    @pytest.mark.parametrize("command", ([], {"x": 1}), ids=("list", "object"))
+    def test_non_string_batch_command(self, capsys, tmp_path, command):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps([{"command": command}]))
+        report = self.run(capsys, ["batch", "--input", str(doc)])
+        (result,) = report["payload"]["results"]
+        assert report["status"] == "invalid" and "unknown command" in result["payload"]["error"]
+
     def test_degree_cap(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GSP4H_MAX_DEGREE", "5")
         doc = tmp_path / "doc.json"

@@ -14,7 +14,6 @@ from gsp4hodge.kernel import (
     glue_generators,
     glue_subspace,
     hodge_borel_basis,
-    jbar_image_rows,
     jbar_matrix,
     jbar_rank,
     kernel_basis,
@@ -23,8 +22,18 @@ from gsp4hodge.kernel import (
     parameters_from_meets,
     recover_parameters,
 )
-from gsp4hodge.linalg import coerce_rows, det, inverse, mat_eq, mat_mul, nullspace, rank, row_space
-from gsp4hodge.phimodule import NONDEG_FACTORS, PhiModuleData
+from gsp4hodge.linalg import (
+    coerce_rows,
+    det,
+    inverse,
+    mat_eq,
+    mat_mul,
+    nullspace,
+    rank,
+    row_space,
+    transpose,
+)
+from gsp4hodge.phimodule import NONDEG_FACTORS, PhiModuleData, coordinate_subspace, filtration_basis
 from gsp4hodge.scalars import Poly2, RatFunc, poly_divexact, poly_gcd
 from gsp4hodge.symplectic import Subspace, gsp4_coordinates, lie_membership
 from gsp4hodge.weyl import S1, W_ALL, W_ID, from_word
@@ -153,6 +162,23 @@ class TestEigenlineGrid:
         grid = eigenline_grid(A, B)
         assert len(grid.lines) == 8
 
+    @pytest.mark.parametrize("point", ("2,3", "-3/2,5/4", "tall", "symbolic"))
+    def test_lines_match_elimination(self, point):
+        # every line spans E_{w^{-1}{1..i}} ∩ F_H^{5-i}, eliminated by
+        # Subspace.intersect: all 24 permutations at the rational points,
+        # the 8 Weyl permutations at the symbolic one
+        points = {"2,3": (Q(2), Q(3)), "-3/2,5/4": (Q(-3, 2), Q(5, 4)), "symbolic": (A, B)}
+        a, b = points[point] if point in points else seeded_points(1, True, seed=37)[0]
+        full = point != "symbolic"
+        grid = eigenline_grid(a, b, include_full_s4=full)
+        hodge = filtration_basis(a, b)
+        assert len(grid.lines) == (24 if full else 8)
+        for perm, lines in grid.lines.items():
+            inv = [perm.index(j) + 1 for j in (1, 2, 3, 4)]
+            for i, line in enumerate(lines, 1):
+                expect = coordinate_subspace(inv[:i]).intersect(Subspace.span(hodge[: 5 - i]))
+                assert Subspace.span([line]) == expect, (perm, i)
+
 
 class TestNuOperator:
     def test_central_scalar(self):
@@ -266,10 +292,10 @@ class TestJbar:
 
     def test_image_is_hodge_borel(self):
         a, b = Q(2), Q(3)
-        image = jbar_image_rows(a, b)
+        image = transpose(jbar_matrix(a, b))  # the columns, as rows
         borel = hodge_borel_basis(a, b)
         assert len(borel) == 7
-        assert row_space(list(image)) == row_space(list(borel))
+        assert row_space(image) == row_space(list(borel))
 
     def test_generator_images_match_suite(self):
         a, b = Q(2), Q(3)

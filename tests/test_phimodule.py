@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
@@ -106,11 +107,33 @@ class TestGeneralPosition:
         assert hf.member(2).intersect(coordinate_subspace((3, 4))).dim == 0
 
     def test_coordinate_meets(self):
-        from gsp4hodge.phimodule import _coordinate_meets, complete_flag
+        from gsp4hodge.phimodule import _coordinate_meets, _filtration_prefixes
 
         # dim(<e1, e3> ∩ F^j) for j = 0..4; at b = -1, v2 lies in <e1, e3>
-        assert _coordinate_meets(complete_flag(Q(1), Q(-1)), (1, 3)) == (0, 0, 1, 1, 2)
-        assert _coordinate_meets(complete_flag(Q(2), Q(3)), (1, 3)) == (0, 0, 0, 1, 2)
+        assert _coordinate_meets(_filtration_prefixes(Q(1), Q(-1)), (1, 3)) == (0, 0, 1, 1, 2)
+        assert _coordinate_meets(_filtration_prefixes(Q(2), Q(3)), (1, 3)) == (0, 0, 0, 1, 2)
+
+    @pytest.mark.parametrize("a, b", ((Q(2), Q(3)), (Q(1), Q(-1)), (Q(0), Q(2)), (A, B)),
+                             ids=("2,3", "1,-1", "0,2", "symbolic"))
+    def test_coordinate_meets_match_elimination(self, a, b):
+        # both spanning sets, filtration prefixes and RREF flag members,
+        # against Subspace.intersect with E_S spanned by unit vectors
+        from gsp4hodge.phimodule import (
+            _coordinate_meets,
+            _filtration_prefixes,
+            complete_flag,
+            coordinate_subspace,
+        )
+
+        flag = complete_flag(a, b)
+        units = [tuple(Q(int(i == j)) for j in range(4)) for i in range(4)]
+        for size in (1, 2, 3, 4):
+            for S in combinations((1, 2, 3, 4), size):
+                ES = Subspace.span([units[i - 1] for i in S])
+                assert coordinate_subspace(S[::-1]) == ES
+                expect = (0,) + tuple(F.intersect(ES).dim for F in flag.members) + (size,)
+                assert _coordinate_meets(_filtration_prefixes(a, b), S) == expect, S
+                assert _coordinate_meets([F.rows for F in flag.members], S) == expect, S
 
     def test_symbolic_generic(self):
         assert general_position(standard_filtration(SYMBOLIC))
