@@ -44,7 +44,7 @@ from .phimodule import (
     validate,
     vanishing_factor,
 )
-from .scalars import parse_integer, parse_scalar, scalar_str
+from .scalars import parse_boolean, parse_integer, parse_list, parse_scalar, scalar_str
 from .symplectic import Subspace, flag_anisotropy_check
 from .weyl import from_oneline, from_word
 
@@ -93,7 +93,7 @@ def _load_document(path: str | None) -> dict:
 
 
 def _ab_from_doc(doc: dict, symbolic_flag: bool):
-    symbolic = bool(doc.get("symbolic", False)) or symbolic_flag
+    symbolic = parse_boolean(doc.get("symbolic", False)) or symbolic_flag
     a_text = str(doc.get("a", "a" if symbolic else None))
     b_text = str(doc.get("b", "b" if symbolic else None))
     if a_text == "None" or b_text == "None":
@@ -147,9 +147,10 @@ def run_kernel(doc, args):
 
 
 def _kernel_from_doc(doc) -> Subspace:
-    symbolic = bool(doc.get("symbolic", False))
+    symbolic = parse_boolean(doc.get("symbolic", False))
     rows = tuple(
-        tuple(parse_scalar(str(x), symbolic) for x in row) for row in doc["kernel"]
+        tuple(parse_scalar(str(x), symbolic) for x in parse_list(row))
+        for row in parse_list(doc["kernel"])
     )
     if any(len(r) != 24 for r in rows):
         raise ParseError("kernel rows must have 24 entries")
@@ -257,7 +258,7 @@ def run_hecke(doc, args):
         return _report("hecke", "ok", payload)
     if "coeffs" in doc:
         f = FrobeniusData(
-            coeffs=tuple(Q(parse_scalar(str(x))) for x in doc["coeffs"]),
+            coeffs=tuple(Q(parse_scalar(str(x))) for x in parse_list(doc["coeffs"])),
             sim=Q(parse_scalar(str(doc["sim"]))),
         )
         d = ideal_generators(f, parse_integer(doc["l"]))
@@ -273,8 +274,8 @@ def run_hecke(doc, args):
 
 def run_classify(doc, args):
     report = classicality_classify(
-        alphas=[Q(parse_scalar(str(x))) for x in doc["alphas"]],
-        weights=[parse_integer(x) for x in doc["weights"]],
+        alphas=[Q(parse_scalar(str(x))) for x in parse_list(doc["alphas"])],
+        weights=[parse_integer(x) for x in parse_list(doc["weights"])],
         p=parse_integer(doc["p"]),
         C=Q(parse_scalar(str(doc["C"]))),
     )

@@ -28,7 +28,7 @@ from .kernel import (
 )
 from .linalg import mat_mul, rank
 from .scalars import Scalar
-from .weyl import CocharTuple, Weight, WeylElem, L_map, L_map_inverse, weyl_act_weight
+from .weyl import CocharTuple, Weight, WeylElem, L_map, L_map_inverse
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,6 @@ def ell_map_inverse(chi: AddChar) -> AddChar:
     if chi.shape != "T_to_E":
         raise InvalidData("ell_map_inverse expects a T_to_E character")
     return _qpchar(*(L_map_inverse(Weight(*half)).m for half in (chi.val, chi.log)))
-
-
-def weyl_act_addchar(w: WeylElem, psi: AddChar) -> AddChar:
-    if psi.shape == "qp_to_t":
-        return _qpchar(w.act_tuple(psi.val), w.act_tuple(psi.log))
-    # T_to_E: val and log each transform like a weight
-    return _tchar(*(weyl_act_weight(w, Weight(*half)).coords() for half in (psi.val, psi.log)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import permutations
 
 from .errors import DegenerateIntersection, InvalidData, NotALine
 from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, nullspace, row_space
-from .phimodule import complete_flag, coordinate_subspace, filtration_basis, vanishing_factor
+from .phimodule import coordinate_subspace, filtration_basis, vanishing_factor
 from .scalars import Scalar, is_zero
-from .symplectic import Subspace, gsp4_basis, gsp4_coordinates
+from .symplectic import Subspace, gsp4_coordinates
 from .weyl import S1, S2, W_ALL, W_ID, WeylElem, from_word
 
 #: Fixed block order for the 24-dimensional domain.
@@ -96,40 +95,24 @@ def _require_nondegenerate(a: Scalar, b: Scalar) -> None:
 
 @dataclass(frozen=True)
 class EigenlineGrid:
-    """Lines F_w^i ∩ F_H^{5-i} for each permutation in the grid.
+    """Lines F_w^i ∩ F_H^{5-i} for each Weyl element w, keyed by w.perm.
 
     Line vectors are normalized so the coefficient of e_{w^{-1}(i)} is 1,
     which pins down the unipotent change of basis."""
 
     lines: dict
 
-    def line(self, w, i: int):
-        return self.lines[_perm_of(w)][i - 1]
+    def line(self, w: WeylElem, i: int):
+        return self.lines[w.perm][i - 1]
 
 
-def _perm_of(w) -> tuple:
-    return w.perm if isinstance(w, WeylElem) else tuple(w)
-
-
-def _perm_inverse(perm) -> list:
-    inv = [0] * 4
-    for i, img in enumerate(perm):
-        inv[img - 1] = i + 1
-    return inv
-
-
-def eigenline_grid(a: Scalar, b: Scalar, include_full_s4: bool = False) -> EigenlineGrid:
+def eigenline_grid(a: Scalar, b: Scalar) -> EigenlineGrid:
     """Intersect the coordinate flags with the Hodge flag, line by line."""
     _require_nondegenerate(a, b)
     hodge = coerce_rows(filtration_basis(a, b))
-    perms = (
-        list(permutations((1, 2, 3, 4)))
-        if include_full_s4
-        else [w.perm for w in W_ORDER]
-    )
     lines = {}
-    for perm in perms:
-        inv = _perm_inverse(perm)
+    for w in W_ORDER:
+        inv = w.inv().perm
         basis = []
         for i in (1, 2, 3, 4):
             # F_H^{5-i} = <v1..v_{5-i}> meets F_w^i = E_{inv[:i]}, annihilated by e_j, j in inv[i:]
@@ -137,29 +120,27 @@ def eigenline_grid(a: Scalar, b: Scalar, include_full_s4: bool = False) -> Eigen
             coords = meet_coordinates(gens, coordinate_subspace(inv[i:]).rows)
             if len(coords) != 1:
                 raise DegenerateIntersection(
-                    perm, i, f"intersection has dimension {len(coords)}"
+                    w.perm, i, f"intersection has dimension {len(coords)}"
                 )
             vec = mat_mul(coords, gens)[0]
             lead = vec[inv[i - 1] - 1]
             if is_zero(lead):
                 raise DegenerateIntersection(
-                    perm,
+                    w.perm,
                     i,
                     f"line lies inside the smaller coordinate flag member "
                     f"(vanishing e_{inv[i - 1]} coefficient)",
                 )
             vec = [x / lead for x in vec]
             basis.append(tuple(vec))
-        lines[perm] = tuple(basis)
+        lines[w.perm] = tuple(basis)
     return EigenlineGrid(lines=lines)
 
 
-def nu_operator(grid: EigenlineGrid, w, t):
+def nu_operator(grid: EigenlineGrid, w: WeylElem, t):
     """The unique operator acting as t_i on the i-th eigenline of w."""
-    perm = _perm_of(w)
-    if perm in _BLOCK_INDEX:
-        torus_block_coords(t)  # rejects t off the torus
-    U = [list(col) for col in zip(*grid.lines[perm])]  # columns are the lines
+    torus_block_coords(t)  # rejects t off the torus
+    U = [list(col) for col in zip(*grid.lines[w.perm])]  # columns are the lines
     Uinv = inverse(U)
     D = [[t[i] if i == j else Q(0) for j in range(4)] for i in range(4)]
     return mat_mul(mat_mul(U, coerce_rows(D)), Uinv)
@@ -361,27 +342,3 @@ def matrix_suite(a: Scalar, b: Scalar) -> dict:
         M = nu_operator(grid, w, t)
         out[label] = mat_mul(mat_mul(Binv, M), coerce_rows(B))
     return out
-
-
-# ---------------------------------------------------------------------------
-# The Borel subalgebra preserving the Hodge flag
-# ---------------------------------------------------------------------------
-
-
-def hodge_borel_basis(a: Scalar, b: Scalar):
-    """Rows (11-dim coordinates) of the gsp4 subalgebra preserving the flag."""
-    _require_nondegenerate(a, b)
-    basis = gsp4_basis()
-    equations = []
-    for V in complete_flag(a, b).members:
-        ann = nullspace([list(r) for r in V.rows], 4)
-        for r in V.rows:
-            for y in ann:
-                # condition: y . (M r^T) = 0, linear in the 11 coordinates
-                eq = []
-                for G in basis:
-                    Gr = [sum(G[i][j] * r[j] for j in range(4)) for i in range(4)]
-                    eq.append(sum(y[i] * Gr[i] for i in range(4)))
-                equations.append(eq)
-    return nullspace(equations, 11)
-

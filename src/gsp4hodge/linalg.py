@@ -43,10 +43,6 @@ def mat_add(A, B):
     return [[A[i][j] + B[i][j] for j in range(len(A[0]))] for i in range(len(A))]
 
 
-def mat_sub(A, B):
-    return [[A[i][j] - B[i][j] for j in range(len(A[0]))] for i in range(len(A))]
-
-
 def mat_scale(A, c):
     return [[c * x for x in row] for row in A]
 
@@ -106,12 +102,11 @@ def rank(rows) -> int:
     return len(rref(coerce_rows(rows))[1])
 
 
-def nullspace(rows, ncols: int | None = None):
-    """RREF basis of the right null space {x : A x = 0}, as row tuples."""
+def nullspace(rows, ncols: int):
+    """RREF basis of the right null space {x : A x = 0} of a matrix with
+    ncols columns, as row tuples."""
     rows = coerce_rows(rows)
     if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for empty matrix")
         return [tuple(row) for row in identity(ncols)]
     m = len(rows[0])
     red, pivots = rref(rows)
@@ -148,25 +143,3 @@ def inverse(A):
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red[:n]]
-
-
-def det(A):
-    """Determinant via Gaussian elimination with exact division."""
-    n = len(A)
-    M = [list(r) for r in coerce_rows(A)]
-    d = M[0][0] - M[0][0] + 1  # one of the ambient field
-    sign = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if M[i][c]), None)
-        if pr is None:
-            return d * 0
-        if pr != c:
-            M[c], M[pr] = M[pr], M[c]
-            sign = -sign
-        piv = M[c][c]
-        d = d * piv
-        for i in range(c + 1, n):
-            if M[i][c]:
-                f = M[i][c] / piv
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return d * sign

@@ -20,7 +20,7 @@ from itertools import accumulate, combinations
 
 from .errors import InvalidData
 from .linalg import meet_coordinates
-from .scalars import RatFunc, Scalar, is_prime, is_zero, padic_val, scalar_str
+from .scalars import RatFunc, Scalar, is_prime, is_zero, padic_val
 from .symplectic import Flag, Subspace
 from .weyl import W_ALL, QpChar, WeylElem, check_involution
 
@@ -52,9 +52,6 @@ class PhiModuleData:
     @property
     def symbolic(self) -> bool:
         return isinstance(self.a, RatFunc)
-
-    def basis_vectors(self):
-        return filtration_basis(self.a, self.b)
 
 
 def filtration_basis(a: Scalar, b: Scalar) -> tuple:
@@ -207,16 +204,6 @@ def general_position(hf: HodgeFlag) -> bool:
     return True
 
 
-def siegel_plucker_minors(d: PhiModuleData):
-    """2x2 minors of the F^2 basis matrix in column-pair order
-    (12, 13, 14, 23, 24, 34)."""
-    v1, v2, _, _ = d.basis_vectors()
-    out = []
-    for i, j in combinations(range(4), 2):
-        out.append(v1[i] * v2[j] - v1[j] * v2[i])
-    return out
-
-
 def _hodge_t_invariant(jumps, meets) -> int:
     """Sum of induced filtration jumps on V, from its meets dim(V ∩ F^j),
     j = 0..4: the k-th jump label sits on the graded piece F^(5-k)/F^(4-k)."""
@@ -254,15 +241,6 @@ def weak_admissibility(d: PhiModuleData) -> bool:
     )
 
 
-def newton_hodge_shortcut(p: int, alphas, weights) -> bool:
-    """Polygon form of weak admissibility: sorted-valuation partial sums
-    against the weight partial sums.  Agrees with the subset checker in
-    general position."""
-    return newton_above_hodge(
-        accumulate(sorted(_valuations(p, alphas))), accumulate(-h for h in weights)
-    )
-
-
 def admissible_refinements(d: PhiModuleData):
     """Weyl elements w whose weight pairing is Newton-above-Hodge.
 
@@ -297,13 +275,13 @@ def refinement_parameters(d: PhiModuleData, w: WeylElem):
 
 def phi_module_from_json(doc: dict) -> PhiModuleData:
     """Build PhiModuleData from its wire form (see External Interfaces)."""
-    from .scalars import parse_integer, parse_scalar
+    from .scalars import parse_boolean, parse_integer, parse_list, parse_scalar
 
     try:
         p = parse_integer(doc["p"])
-        alphas = tuple(Q(parse_scalar(str(s))) for s in doc["alphas"])
-        weights = tuple(parse_integer(x) for x in doc["weights"])
-        symbolic = bool(doc.get("symbolic", False))
+        alphas = tuple(Q(parse_scalar(str(s))) for s in parse_list(doc["alphas"]))
+        weights = tuple(parse_integer(x) for x in parse_list(doc["weights"]))
+        symbolic = parse_boolean(doc.get("symbolic", False))
         a = parse_scalar(str(doc.get("a", "a" if symbolic else "1")), symbolic)
         b = parse_scalar(str(doc.get("b", "b" if symbolic else "1")), symbolic)
     except (KeyError, TypeError, ValueError) as exc:
@@ -311,14 +289,3 @@ def phi_module_from_json(doc: dict) -> PhiModuleData:
     if len(alphas) != 4 or len(weights) != 4:
         raise InvalidData("bad phi-module document: alphas and weights need four entries each")
     return PhiModuleData(p=p, alphas=alphas, weights=weights, a=a, b=b)
-
-
-def phi_module_to_json(d: PhiModuleData) -> dict:
-    return {
-        "p": d.p,
-        "alphas": [scalar_str(Q(x)) for x in d.alphas],
-        "weights": [int(x) for x in d.weights],
-        "a": scalar_str(d.a),
-        "b": scalar_str(d.b),
-        "symbolic": d.symbolic,
-    }

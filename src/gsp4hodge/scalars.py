@@ -828,3 +828,19 @@ def parse_integer(value) -> int:
         except ValueError:
             pass
     raise ParseError(f"expected an integer, got {value!r}")
+
+
+def parse_boolean(value) -> bool:
+    """A boolean field of an input document: JSON true or false only, so
+    that a string such as "false" is rejected, not read as true."""
+    if isinstance(value, bool):
+        return value
+    raise ParseError(f"expected true or false, got {value!r}")
+
+
+def parse_list(value) -> list:
+    """A list field of an input document: a JSON list only, so that a
+    string is rejected, not read one character at a time."""
+    if isinstance(value, list):
+        return value
+    raise ParseError(f"expected a list, got {value!r}")

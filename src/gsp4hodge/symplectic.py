@@ -19,7 +19,6 @@ from .linalg import (
     mat_eq,
     mat_mul,
     mat_scale,
-    mat_sub,
     nullspace,
     rank,
     row_space,
@@ -35,13 +34,6 @@ J = [
     [Q(0), Q(-1), Q(0), Q(0)],
     [Q(-1), Q(0), Q(0), Q(0)],
 ]
-
-
-def symplectic_form(x, y) -> Scalar:
-    """r(x, y) = x J y^T for row vectors x, y."""
-    return (
-        x[0] * y[3] + x[1] * y[2] - x[2] * y[1] - x[3] * y[0]
-    )
 
 
 def similitude(M) -> Scalar:
@@ -84,28 +76,6 @@ def s_involution(A):
 # then X_a, X_{-a}, X_b, X_{-b}, X_{ab}, X_{-ab}, X_{aab}, X_{-aab}
 # (short root a, long root b).
 # ---------------------------------------------------------------------------
-
-
-def _E(i, j):
-    M = [[Q(0)] * 4 for _ in range(4)]
-    M[i][j] = Q(1)
-    return M
-
-
-def gsp4_basis():
-    """The fixed ordered 11-element basis of gsp4."""
-    H_a = [[Q(1), 0, 0, 0], [0, Q(0), 0, 0], [0, 0, Q(0), 0], [0, 0, 0, Q(-1)]]
-    H_b = [[Q(0), 0, 0, 0], [0, Q(1), 0, 0], [0, 0, Q(-1), 0], [0, 0, 0, Q(0)]]
-    H_c = [[Q(0), 0, 0, 0], [0, Q(0), 0, 0], [0, 0, Q(1), 0], [0, 0, 0, Q(1)]]
-    X_a = mat_sub(_E(0, 1), _E(2, 3))
-    X_ma = mat_sub(_E(1, 0), _E(3, 2))
-    X_b = _E(1, 2)
-    X_mb = _E(2, 1)
-    X_ab = mat_add(_E(0, 2), _E(1, 3))
-    X_mab = mat_add(_E(2, 0), _E(3, 1))
-    X_aab = _E(0, 3)
-    X_maab = _E(3, 0)
-    return [coerce_rows(M) for M in (H_a, H_b, H_c, X_a, X_ma, X_b, X_mb, X_ab, X_mab, X_aab, X_maab)]
 
 
 def gsp4_coordinates(A) -> list:
@@ -162,9 +132,6 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         rows = intersect_row_spaces(list(self.rows), list(other.rows), self.ambient)
         return Subspace(rows=tuple(rows), ambient=self.ambient)
-
-    def add(self, other: "Subspace") -> "Subspace":
-        return Subspace.span(list(self.rows) + list(other.rows), self.ambient)
 
     def perp(self) -> "Subspace":
         """Annihilator under the J-form: {y : x J y^T = 0 for all x here}."""

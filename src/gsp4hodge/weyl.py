@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import permutations
 
 from .errors import ConstraintViolated, InvalidData, ParseError
 from .scalars import padic_val
@@ -88,12 +87,7 @@ def _build_words() -> dict:
 _WORDS = _build_words()
 
 #: All eight elements, shortest words first, s1 before s2 at equal length.
-W_ALL = tuple(
-    sorted(
-        (WeylElem(p) for p in permutations((1, 2, 3, 4)) if p[0] + p[3] == 5 and p[1] + p[2] == 5),
-        key=lambda w: (w.length(), w.word),
-    )
-)
+W_ALL = tuple(sorted((WeylElem(p) for p in _WORDS), key=lambda w: (w.length(), w.word)))
 
 S0 = WeylElem((4, 3, 2, 1))
 
@@ -219,10 +213,6 @@ def pairing(mu: Weight, c: CocharTuple) -> Q:
     """Canonical character/cocharacter pairing."""
     m1, m2, _, m4 = c.m
     return mu.n1 * m1 + mu.n2 * m2 + mu.n3 * (m1 + m4)
-
-
-def dominant(mu: Weight) -> bool:
-    return mu.dominant()
 
 
 def L_map(c: CocharTuple) -> Weight:
@@ -382,17 +372,3 @@ def build_char(kind: str, p: int, alphas=None, weights=None, w: WeylElem | None 
         half_twist = TChar((QpChar(p), QpChar(p), QpChar.norm_power(p, Q(3, 2))))
         return phi * eta * half_twist
     raise InvalidData(f"unknown character kind {kind!r}")
-
-
-def is_generic_smooth(chi: TChar) -> bool:
-    """Genericity of a smooth T-character: the four test characters avoid
-    1 and |.|^{+-1}."""
-    if not chi.is_smooth():
-        raise InvalidData("genericity test needs a smooth character")
-    c1, c2, _ = chi.chars
-    p = chi.p
-    bad = (QpChar(p), QpChar.norm_power(p, 1), QpChar.norm_power(p, -1))
-    for test in (c1, c2, c1 * c2, c1 / c2):
-        if test in bad:
-            return False
-    return True

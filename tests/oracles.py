@@ -1,0 +1,170 @@
+"""Second routes that the tests compare the library against.
+
+Each function here computes, by a different route, something the library
+computes or certifies, or a fact only the tests check; nothing under
+``src/`` calls them.  Test modules import them as ``from oracles import ...``
+(pytest's default import mode puts ``tests/`` on ``sys.path``).
+"""
+
+from fractions import Fraction as Q
+from itertools import accumulate, combinations
+
+from gsp4hodge.errors import InvalidData
+from gsp4hodge.extledger import AddChar, _qpchar, _tchar
+from gsp4hodge.kernel import _require_nondegenerate
+from gsp4hodge.linalg import coerce_rows, mat_add, nullspace
+from gsp4hodge.phimodule import (
+    PhiModuleData,
+    _valuations,
+    complete_flag,
+    filtration_basis,
+    newton_above_hodge,
+)
+from gsp4hodge.scalars import Scalar, scalar_str
+from gsp4hodge.weyl import QpChar, TChar, Weight, WeylElem, weyl_act_weight
+
+# ---------------------------------------------------------------------------
+# Linear algebra
+# ---------------------------------------------------------------------------
+
+
+def det(A):
+    """Determinant via Gaussian elimination with exact division."""
+    n = len(A)
+    M = [list(r) for r in coerce_rows(A)]
+    d = M[0][0] - M[0][0] + 1  # one of the ambient field
+    sign = 1
+    for c in range(n):
+        pr = next((i for i in range(c, n) if M[i][c]), None)
+        if pr is None:
+            return d * 0
+        if pr != c:
+            M[c], M[pr] = M[pr], M[c]
+            sign = -sign
+        piv = M[c][c]
+        d = d * piv
+        for i in range(c + 1, n):
+            if M[i][c]:
+                f = M[i][c] / piv
+                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
+    return d * sign
+
+
+def mat_sub(A, B):
+    return [[A[i][j] - B[i][j] for j in range(len(A[0]))] for i in range(len(A))]
+
+
+# ---------------------------------------------------------------------------
+# The symplectic space and gsp4
+# ---------------------------------------------------------------------------
+
+
+def symplectic_form(x, y) -> Scalar:
+    """r(x, y) = x J y^T for row vectors x, y."""
+    return (
+        x[0] * y[3] + x[1] * y[2] - x[2] * y[1] - x[3] * y[0]
+    )
+
+
+# The basis of gsp4 that symplectic.gsp4_coordinates reads coordinates in.
+
+
+def _E(i, j):
+    M = [[Q(0)] * 4 for _ in range(4)]
+    M[i][j] = Q(1)
+    return M
+
+
+def gsp4_basis():
+    """The fixed ordered 11-element basis of gsp4."""
+    H_a = [[Q(1), 0, 0, 0], [0, Q(0), 0, 0], [0, 0, Q(0), 0], [0, 0, 0, Q(-1)]]
+    H_b = [[Q(0), 0, 0, 0], [0, Q(1), 0, 0], [0, 0, Q(-1), 0], [0, 0, 0, Q(0)]]
+    H_c = [[Q(0), 0, 0, 0], [0, Q(0), 0, 0], [0, 0, Q(1), 0], [0, 0, 0, Q(1)]]
+    X_a = mat_sub(_E(0, 1), _E(2, 3))
+    X_ma = mat_sub(_E(1, 0), _E(3, 2))
+    X_b = _E(1, 2)
+    X_mb = _E(2, 1)
+    X_ab = mat_add(_E(0, 2), _E(1, 3))
+    X_mab = mat_add(_E(2, 0), _E(3, 1))
+    X_aab = _E(0, 3)
+    X_maab = _E(3, 0)
+    return [coerce_rows(M) for M in (H_a, H_b, H_c, X_a, X_ma, X_b, X_mb, X_ab, X_mab, X_aab, X_maab)]
+
+
+def hodge_borel_basis(a: Scalar, b: Scalar):
+    """Rows (11-dim coordinates) of the gsp4 subalgebra preserving the flag."""
+    _require_nondegenerate(a, b)
+    basis = gsp4_basis()
+    equations = []
+    for V in complete_flag(a, b).members:
+        ann = nullspace([list(r) for r in V.rows], 4)
+        for r in V.rows:
+            for y in ann:
+                # condition: y . (M r^T) = 0, linear in the 11 coordinates
+                eq = []
+                for G in basis:
+                    Gr = [sum(G[i][j] * r[j] for j in range(4)) for i in range(4)]
+                    eq.append(sum(y[i] * Gr[i] for i in range(4)))
+                equations.append(eq)
+    return nullspace(equations, 11)
+
+
+# ---------------------------------------------------------------------------
+# Phi-modules
+# ---------------------------------------------------------------------------
+
+
+def newton_hodge_shortcut(p: int, alphas, weights) -> bool:
+    """Polygon form of weak admissibility: sorted-valuation partial sums
+    against the weight partial sums.  Agrees with the subset checker in
+    general position."""
+    return newton_above_hodge(
+        accumulate(sorted(_valuations(p, alphas))), accumulate(-h for h in weights)
+    )
+
+
+def siegel_plucker_minors(d: PhiModuleData):
+    """2x2 minors of the F^2 basis matrix in column-pair order
+    (12, 13, 14, 23, 24, 34)."""
+    v1, v2, _, _ = filtration_basis(d.a, d.b)
+    out = []
+    for i, j in combinations(range(4), 2):
+        out.append(v1[i] * v2[j] - v1[j] * v2[i])
+    return out
+
+
+def phi_module_to_json(d: PhiModuleData) -> dict:
+    return {
+        "p": d.p,
+        "alphas": [scalar_str(Q(x)) for x in d.alphas],
+        "weights": [int(x) for x in d.weights],
+        "a": scalar_str(d.a),
+        "b": scalar_str(d.b),
+        "symbolic": d.symbolic,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Characters
+# ---------------------------------------------------------------------------
+
+
+def is_generic_smooth(chi: TChar) -> bool:
+    """Genericity of a smooth T-character: the four test characters avoid
+    1 and |.|^{+-1}."""
+    if not chi.is_smooth():
+        raise InvalidData("genericity test needs a smooth character")
+    c1, c2, _ = chi.chars
+    p = chi.p
+    bad = (QpChar(p), QpChar.norm_power(p, 1), QpChar.norm_power(p, -1))
+    for test in (c1, c2, c1 * c2, c1 / c2):
+        if test in bad:
+            return False
+    return True
+
+
+def weyl_act_addchar(w: WeylElem, psi: AddChar) -> AddChar:
+    if psi.shape == "qp_to_t":
+        return _qpchar(w.act_tuple(psi.val), w.act_tuple(psi.log))
+    # T_to_E: val and log each transform like a weight
+    return _tchar(*(weyl_act_weight(w, Weight(*half)).coords() for half in (psi.val, psi.log)))

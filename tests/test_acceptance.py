@@ -30,7 +30,7 @@ from gsp4hodge.kernel import (
     recover_parameters,
 )
 from gsp4hodge.linalg import mat_eq, mat_mul, mat_scale, nullspace, rank
-from gsp4hodge.phimodule import PhiModuleData, newton_hodge_shortcut, weak_admissibility
+from gsp4hodge.phimodule import PhiModuleData, weak_admissibility
 from gsp4hodge.scalars import RatFunc
 from gsp4hodge.symplectic import Subspace, adjoint, lie_membership, s_involution
 from gsp4hodge.weyl import (
@@ -50,6 +50,7 @@ from gsp4hodge.weyl import (
     pairing,
     weyl_act,
 )
+from oracles import newton_hodge_shortcut
 
 A = RatFunc.var("a")
 B = RatFunc.var("b")

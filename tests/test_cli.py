@@ -1,17 +1,22 @@
+import contextlib
 import hashlib
 import io
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsp4hodge.cli import (
     EXIT_DEGENERATE,
     EXIT_INVALID,
     EXIT_OK,
+    COMMANDS,
     MAX_RECOVER_COUNT,
     build_parser,
     dispatch,
@@ -19,6 +24,7 @@ from gsp4hodge.cli import (
     render,
     run_batch,
 )
+from gsp4hodge.kernel import kernel_basis
 
 GOOD_DOC = {
     "p": 3,
@@ -453,12 +459,171 @@ class TestRejectedInputs:
         (result,) = report["payload"]["results"]
         assert report["status"] == "invalid" and "unknown command" in result["payload"]["error"]
 
+    @pytest.mark.parametrize("value", ("no", "false", 1))
+    @pytest.mark.parametrize(
+        "command, doc",
+        (
+            ("kernel", {"a": "a", "b": "3"}),
+            ("recover", {"kernel": [["0"] * 24]}),
+            ("validate", GOOD_DOC),
+        ),
+        ids=("parameters", "kernel", "phi-module"),
+    )
+    def test_non_boolean_symbolic(self, capsys, tmp_path, command, doc, value):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(dict(doc, symbolic=value)))
+        report = self.run(capsys, [command, "--input", str(path)])
+        assert report["status"] == "invalid" and "expected true or false" in report["payload"]["error"]
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        (
+            ("validate", dict(GOOD_DOC, alphas="1248")),
+            ("classify", dict(CLASSIFY_DOC, weights="0000")),
+            ("hecke", {"l": 5, "coeffs": "1234", "sim": "1"}),
+            ("recover", {"kernel": "0" * 24}),
+            ("recover", {"kernel": ["0" * 24]}),
+        ),
+        ids=("alphas", "weights", "coeffs", "kernel", "kernel-row"),
+    )
+    def test_non_list_field(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        report = self.run(capsys, [command, "--input", str(path)])
+        assert report["status"] == "invalid" and "expected a list" in report["payload"]["error"]
+
     def test_degree_cap(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GSP4H_MAX_DEGREE", "5")
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"a": "a**30", "b": "3", "symbolic": True}))
         report = self.run(capsys, ["kernel", "--input", str(doc)])
         assert "GSP4H_MAX_DEGREE=5" in report["payload"]["error"]
+
+
+# Documents over the fields the commands read: a command's fields with
+# values that reach its deep paths, up to two fields (of any command) with
+# wild values, and stray keys, or any JSON value at all.  Keys come from an
+# alphabet that cannot spell a field name, and no count in
+# 4..MAX_RECOVER_COUNT is drawn, so no example runs a long sweep.
+_KEYS = st.text(alphabet="xyz_", max_size=4)
+_NUMBER_TEXT = st.sampled_from(["1", "-1", "2", "3", "5", "3/4", "-3/2"])
+_SCALAR_TEXT = _NUMBER_TEXT | st.sampled_from(
+    ["0", "1/0", "a", "b", "a+b", "a*b+1", "q", "", "(", "2**70", "9" * 1300]
+)
+_LEAF = st.none() | st.booleans() | st.integers() | st.floats() | _SCALAR_TEXT | st.text(max_size=6)
+_ANY_JSON = st.recursive(
+    _LEAF, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4), max_leaves=12
+)
+
+
+def _lists_of(elem):
+    """Lists of 4 or 24 entries, which pass the length checks, or of any short length."""
+    return st.one_of(
+        st.lists(elem, min_size=4, max_size=4),
+        st.lists(elem, min_size=24, max_size=24),
+        st.lists(elem, max_size=5),
+    )
+
+
+_KERNEL_2_3 = [[str(x) for x in row] for row in kernel_basis(Q(2), Q(3)).rows]
+_SAFE_COUNT = st.integers(-2, 3) | st.integers(MAX_RECOVER_COUNT + 1, 10**30)
+_GOOD = {
+    "p": st.sampled_from([3, 2, 4, 2**64 + 13]),
+    "alphas": st.sampled_from([GOOD_DOC["alphas"], BAD_DOC["alphas"]]) | _lists_of(_SCALAR_TEXT),
+    "weights": st.just(GOOD_DOC["weights"]) | _lists_of(st.integers(-8, 8)),
+    "a": _NUMBER_TEXT | _SCALAR_TEXT,
+    "b": _NUMBER_TEXT | _SCALAR_TEXT,
+    "symbolic": st.booleans(),
+    "kernel": st.sampled_from([_KERNEL_2_3, _KERNEL_2_3[:2]]) | st.lists(_lists_of(_SCALAR_TEXT), max_size=2),
+    "count": _SAFE_COUNT,
+    "kind": st.sampled_from(["PS1", "pi1", "pimin"]),
+    "w": st.sampled_from(["s1s2", "e", "s3", "[2,1,4,3]", "[1,2"]),
+    "l": st.sampled_from([5, 7, 4, 2**64 + 13]),
+    "c0": _SCALAR_TEXT,
+    "c1": _SCALAR_TEXT,
+    "c2": _SCALAR_TEXT,
+    "coeffs": _lists_of(_SCALAR_TEXT),
+    "sim": _SCALAR_TEXT,
+    "C": _SCALAR_TEXT,
+    "schema": st.just(1),
+}
+_WILD = st.one_of(_LEAF, _lists_of(_LEAF), _ANY_JSON)
+_WILD_FOR = dict.fromkeys(_GOOD, _WILD)
+_WILD_FOR["count"] = st.one_of(
+    _SAFE_COUNT, st.none(), st.booleans(), st.floats(), st.sampled_from(["x", "1.5", "-1", ""]), st.lists(_LEAF)
+)
+_PHI_MODULE = ("p", "alphas", "weights", "a", "b")
+#: The fields each command reads, one tuple per kind of document it takes.
+_READS = {
+    "validate": (_PHI_MODULE,),
+    "flag": (_PHI_MODULE,),
+    "kernel": (("a", "b", "symbolic"),),
+    "recover": (("count",), ("kernel",), ("a", "b")),
+    "glue": ((),),
+    "matrices": (("a", "b"),),
+    "ledger": ((),),
+    "socle": (("kind", "w"),),
+    "hecke": (("l", "c0", "c1", "c2"), ("l", "coeffs", "sim")),
+    "classify": (("alphas", "weights", "p", "C"),),
+}
+_WILD_FIELDS = st.lists(st.sampled_from(sorted(_GOOD)), max_size=2, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({n: _WILD_FOR[n] for n in names})
+)
+
+
+def _document(command):
+    """A document of one kind the command takes, with up to two wild fields
+    and stray keys, and at times one of its fields dropped."""
+
+    def of_kind(names):
+        dropped = st.sets(st.sampled_from(names), max_size=1) if names else st.just(set())
+        return st.builds(
+            lambda stray, good, wild, drop: {k: v for k, v in {**stray, **good, **wild}.items() if k not in drop},
+            st.dictionaries(_KEYS, _ANY_JSON, max_size=2),
+            st.fixed_dictionaries({n: _GOOD[n] for n in names}),
+            _WILD_FIELDS,
+            dropped,
+        )
+
+    return st.sampled_from(_READS[command]).flatmap(of_kind)
+
+
+_BATCH_ITEM = st.sampled_from(sorted(_READS)).flatmap(
+    lambda c: st.fixed_dictionaries({"command": st.just(c), "doc": _document(c)})
+)
+
+
+def _documents(command):
+    if command == "batch":
+        return st.one_of(st.lists(_BATCH_ITEM | _ANY_JSON, max_size=3), _ANY_JSON)
+    return st.one_of(_document(command), _document(command), _ANY_JSON)
+
+
+def _main_on(argv, stdin):
+    """Run main in process on stdin text; returns (exit code, stdout)."""
+    out, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_exit_contract(command):
+    """Any JSON document: main returns 0, 2 or 3, raises nothing, and
+    writes one JSON document."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(doc=_documents(command))
+    def check(doc):
+        code, out = _main_on([command, "--input", "-", "--format", "json"], json.dumps(doc))
+        assert code in (EXIT_OK, EXIT_INVALID, EXIT_DEGENERATE)
+        json.loads(out)
+
+    check()
 
 
 CATALOG = Path(__file__).resolve().parent.parent / "perfbench" / "catalog.json"

@@ -19,11 +19,11 @@ from gsp4hodge.extledger import (
     l_invariant_plane,
     socle_constituents,
     socle_diagram,
-    weyl_act_addchar,
 )
 from gsp4hodge.linalg import row_space
 from gsp4hodge.scalars import RatFunc
 from gsp4hodge.weyl import S1, S2, W_ALL, W_ID, check_involution, from_word
+from oracles import weyl_act_addchar
 
 
 def span_of(chars):

@@ -13,7 +13,6 @@ from gsp4hodge.kernel import (
     generator_vector,
     glue_generators,
     glue_subspace,
-    hodge_borel_basis,
     jbar_matrix,
     jbar_rank,
     kernel_basis,
@@ -24,7 +23,6 @@ from gsp4hodge.kernel import (
 )
 from gsp4hodge.linalg import (
     coerce_rows,
-    det,
     inverse,
     mat_eq,
     mat_mul,
@@ -33,10 +31,11 @@ from gsp4hodge.linalg import (
     row_space,
     transpose,
 )
-from gsp4hodge.phimodule import NONDEG_FACTORS, PhiModuleData, coordinate_subspace, filtration_basis
+from gsp4hodge.phimodule import NONDEG_FACTORS, coordinate_subspace, filtration_basis
 from gsp4hodge.scalars import Poly2, RatFunc, poly_divexact, poly_gcd
 from gsp4hodge.symplectic import Subspace, gsp4_coordinates, lie_membership
 from gsp4hodge.weyl import S1, W_ALL, W_ID, from_word
+from oracles import det, hodge_borel_basis
 
 A = RatFunc.var("a")
 B = RatFunc.var("b")
@@ -139,22 +138,10 @@ class TestEigenlineGrid:
             vecs = [grid.line(w, i) for i in (1, 2, 3, 4)]
             assert rank(vecs) == 4
 
-    def test_full_s4_grid(self):
-        grid = eigenline_grid(Q(2), Q(3), include_full_s4=True)
-        assert len(grid.lines) == 24
-        for perm, vecs in grid.lines.items():
-            assert rank(list(vecs)) == 4
-
     def test_degenerate_raises_with_witness(self):
-        # b = -1 breaks general position for permutations outside the
-        # Weyl subgroup; every route through the Hodge flag rejects the
-        # point up front, naming the nondegeneracy polynomial.
-        routes = (
-            lambda a, b: eigenline_grid(a, b, include_full_s4=True),
-            matrix_suite,
-            hodge_borel_basis,
-        )
-        for route in routes:
+        # b = -1 is a degenerate point; every route through the eigenline
+        # grid rejects it up front, naming the nondegeneracy polynomial.
+        for route in (eigenline_grid, matrix_suite):
             with pytest.raises(InvalidData, match="^nondegeneracy-polynomial$"):
                 route(Q(1), Q(-1))
 
@@ -165,19 +152,17 @@ class TestEigenlineGrid:
     @pytest.mark.parametrize("point", ("2,3", "-3/2,5/4", "tall", "symbolic"))
     def test_lines_match_elimination(self, point):
         # every line spans E_{w^{-1}{1..i}} ∩ F_H^{5-i}, eliminated by
-        # Subspace.intersect: all 24 permutations at the rational points,
-        # the 8 Weyl permutations at the symbolic one
+        # Subspace.intersect, for each of the 8 Weyl elements
         points = {"2,3": (Q(2), Q(3)), "-3/2,5/4": (Q(-3, 2), Q(5, 4)), "symbolic": (A, B)}
         a, b = points[point] if point in points else seeded_points(1, True, seed=37)[0]
-        full = point != "symbolic"
-        grid = eigenline_grid(a, b, include_full_s4=full)
+        grid = eigenline_grid(a, b)
         hodge = filtration_basis(a, b)
-        assert len(grid.lines) == (24 if full else 8)
-        for perm, lines in grid.lines.items():
-            inv = [perm.index(j) + 1 for j in (1, 2, 3, 4)]
-            for i, line in enumerate(lines, 1):
+        assert len(grid.lines) == 8
+        for w in W_ALL:
+            inv = w.inv().perm
+            for i in (1, 2, 3, 4):
                 expect = coordinate_subspace(inv[:i]).intersect(Subspace.span(hodge[: 5 - i]))
-                assert Subspace.span([line]) == expect, (perm, i)
+                assert Subspace.span([grid.line(w, i)]) == expect, (w, i)
 
 
 class TestNuOperator:
@@ -215,12 +200,6 @@ class TestNuOperator:
         grid = eigenline_grid(Q(2), Q(3))
         with pytest.raises(InvalidData):
             nu_operator(grid, W_ID, (Q(1), Q(0), Q(0), Q(0)))
-
-    def test_s4_relaxed_constraint(self):
-        grid = eigenline_grid(Q(2), Q(3), include_full_s4=True)
-        M = nu_operator(grid, (2, 3, 1, 4), (Q(1), Q(0), Q(0), Q(0)))
-        ok, _ = lie_membership(M)
-        assert not ok  # lands only in gl4 off the Weyl subgroup
 
     def test_conjugation_route_agrees(self):
         grid = eigenline_grid(Q(2), Q(3))
@@ -433,8 +412,7 @@ class TestCertificate:
     def test_grid_exists_off_the_factors(self):
         # The line F_w^i ∩ F_H^{5-i} exists, with a nonzero leading
         # coefficient, iff F_w^{i-1} and F_H^{5-i} span E^4.
-        d = PhiModuleData(p=3, alphas=(Q(1), Q(9), Q(81), Q(729)), weights=(0, -2, -4, -6), a=A, b=B)
-        hodge = d.basis_vectors()
+        hodge = filtration_basis(A, B)
         for w in W_ORDER:
             inv = w.inv().perm
             for i in (1, 2, 3, 4):

@@ -9,11 +9,8 @@ from gsp4hodge.phimodule import (
     PhiModuleData,
     admissible_refinements,
     general_position,
-    newton_hodge_shortcut,
     phi_module_from_json,
-    phi_module_to_json,
     refinement_parameters,
-    siegel_plucker_minors,
     standard_filtration,
     validate,
     weak_admissibility,
@@ -21,6 +18,7 @@ from gsp4hodge.phimodule import (
 from gsp4hodge.scalars import RatFunc
 from gsp4hodge.symplectic import Subspace, flag_anisotropy_check
 from gsp4hodge.weyl import S1, W_ALL, W_ID
+from oracles import newton_hodge_shortcut, phi_module_to_json, siegel_plucker_minors
 
 GOOD = PhiModuleData(p=3, alphas=(Q(1), Q(9), Q(81), Q(729)), weights=(0, -2, -4, -6), a=Q(1), b=Q(1))
 A = RatFunc.var("a")

@@ -25,7 +25,6 @@ from gsp4hodge.weyl import (
     dot_action,
     from_oneline,
     from_word,
-    is_generic_smooth,
     L_map,
     L_map_chars,
     L_map_inverse,
@@ -33,6 +32,7 @@ from gsp4hodge.weyl import (
     weyl_act,
     weyl_act_tchar,
 )
+from oracles import is_generic_smooth
 
 
 class TestGroupStructure:
