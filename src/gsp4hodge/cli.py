@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction as Q
@@ -44,7 +45,7 @@ from .phimodule import (
     validate,
     vanishing_factor,
 )
-from .scalars import parse_boolean, parse_integer, parse_list, parse_scalar, scalar_str
+from .scalars import parse_boolean, parse_integer, parse_list, parse_scalar, required_field, scalar_str
 from .symplectic import Subspace, flag_anisotropy_check
 from .weyl import from_oneline, from_word
 
@@ -92,8 +93,13 @@ def _load_document(path: str | None) -> dict:
     return doc
 
 
-def _ab_from_doc(doc: dict, symbolic_flag: bool):
-    symbolic = parse_boolean(doc.get("symbolic", False)) or symbolic_flag
+def _is_symbolic(doc: dict, args) -> bool:
+    """Whether a document's scalars live in Q(a,b): its symbolic field or --symbolic."""
+    return parse_boolean(doc.get("symbolic", False)) or args.symbolic
+
+
+def _ab_from_doc(doc: dict, args):
+    symbolic = _is_symbolic(doc, args)
     a_text = str(doc.get("a", "a" if symbolic else None))
     b_text = str(doc.get("b", "b" if symbolic else None))
     if a_text == "None" or b_text == "None":
@@ -134,7 +140,7 @@ def run_flag(doc, args):
 
 
 def run_kernel(doc, args):
-    a, b = _ab_from_doc(doc, args.symbolic)
+    a, b = _ab_from_doc(doc, args)
     K = kernel_basis(a, b)
     payload = {
         "a": scalar_str(a),
@@ -146,8 +152,8 @@ def run_kernel(doc, args):
     return _report("kernel", "ok", payload)
 
 
-def _kernel_from_doc(doc) -> Subspace:
-    symbolic = parse_boolean(doc.get("symbolic", False))
+def _kernel_from_doc(doc, args) -> Subspace:
+    symbolic = _is_symbolic(doc, args)
     rows = tuple(
         tuple(parse_scalar(str(x), symbolic) for x in parse_list(row))
         for row in parse_list(doc["kernel"])
@@ -181,12 +187,12 @@ def run_recover(doc, args):
         return _report("recover", "ok" if all_ok else "degenerate", payload)
 
     if "kernel" in doc:
-        K = _kernel_from_doc(doc)
+        K = _kernel_from_doc(doc, args)
         a, b = recover_parameters(K)
         payload = {"a": scalar_str(a), "b": scalar_str(b), "source": "kernel-basis"}
         return _report("recover", "ok", payload)
 
-    a, b = _ab_from_doc(doc, args.symbolic)
+    a, b = _ab_from_doc(doc, args)
     got_a, got_b = recover_parameters(kernel_basis(a, b))
     round_trip = (got_a, got_b) == (a, b)
     payload = {
@@ -209,7 +215,7 @@ def run_glue(doc, args):
 
 
 def run_matrices(doc, args):
-    a, b = _ab_from_doc(doc, args.symbolic)
+    a, b = _ab_from_doc(doc, args)
     suite = matrix_suite(a, b)
     payload = {name: _rows_strs(M) for name, M in suite.items()}
     payload["basis"] = "filtration basis (v1, v2, v3, v4)"
@@ -243,10 +249,10 @@ def run_socle(doc, args):
 def run_hecke(doc, args):
     if "c0" in doc:
         d = HeckeData(
-            l=parse_integer(doc["l"]),
+            l=parse_integer(required_field(doc, "l")),
             c0=Q(parse_scalar(str(doc["c0"]))),
-            c1=Q(parse_scalar(str(doc["c1"]))),
-            c2=Q(parse_scalar(str(doc["c2"]))),
+            c1=Q(parse_scalar(str(required_field(doc, "c1")))),
+            c2=Q(parse_scalar(str(required_field(doc, "c2")))),
         )
         f = hecke_charpoly(d)
         back = ideal_generators(f, d.l)
@@ -259,9 +265,9 @@ def run_hecke(doc, args):
     if "coeffs" in doc:
         f = FrobeniusData(
             coeffs=tuple(Q(parse_scalar(str(x))) for x in parse_list(doc["coeffs"])),
-            sim=Q(parse_scalar(str(doc["sim"]))),
+            sim=Q(parse_scalar(str(required_field(doc, "sim")))),
         )
-        d = ideal_generators(f, parse_integer(doc["l"]))
+        d = ideal_generators(f, parse_integer(required_field(doc, "l")))
         payload = {
             "c0": scalar_str(d.c0),
             "c1": scalar_str(d.c1),
@@ -274,10 +280,10 @@ def run_hecke(doc, args):
 
 def run_classify(doc, args):
     report = classicality_classify(
-        alphas=[Q(parse_scalar(str(x))) for x in parse_list(doc["alphas"])],
-        weights=[parse_integer(x) for x in parse_list(doc["weights"])],
-        p=parse_integer(doc["p"]),
-        C=Q(parse_scalar(str(doc["C"]))),
+        alphas=[Q(parse_scalar(str(x))) for x in parse_list(required_field(doc, "alphas"))],
+        weights=[parse_integer(x) for x in parse_list(required_field(doc, "weights"))],
+        p=parse_integer(required_field(doc, "p")),
+        C=Q(parse_scalar(str(required_field(doc, "C")))),
     )
     return _report("classify", "ok", report.as_dict())
 
@@ -305,7 +311,7 @@ def dispatch(command: str, doc: dict, args) -> tuple[dict, int]:
         if not isinstance(doc, dict):
             raise ParseError(f"{command} needs a JSON object, not {type(doc).__name__}")
         report = COMMANDS[command][0](doc, args)
-    except (ParseError, InvalidData, InconsistentData, DegreeCapExceeded, KeyError, TypeError, ValueError) as exc:
+    except (ParseError, InvalidData, InconsistentData, DegreeCapExceeded, TypeError, ValueError) as exc:
         report = _report(command, "invalid", {"error": str(exc) or repr(exc)})
     except (DegenerateIntersection, NotALine) as exc:
         report = _report(command, "degenerate", {"error": str(exc)})
@@ -414,11 +420,20 @@ def main(argv=None) -> int:
             report, code = run_batch(doc, args)
         else:
             report, code = dispatch(args.command, doc, args)
-        print(render(report, args.format))
-        return code
+        text = render(report, args.format)
     except ParseError as exc:
-        print(json.dumps({"status": "invalid", "error": str(exc)}, sort_keys=True))
-        return EXIT_INVALID
+        text = json.dumps({"status": "invalid", "error": str(exc)}, sort_keys=True)
+        code = EXIT_INVALID
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull so the
+        # flush at exit does not raise again (see the SIGPIPE note in the
+        # signal module's documentation).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -275,16 +275,16 @@ def refinement_parameters(d: PhiModuleData, w: WeylElem):
 
 def phi_module_from_json(doc: dict) -> PhiModuleData:
     """Build PhiModuleData from its wire form (see External Interfaces)."""
-    from .scalars import parse_boolean, parse_integer, parse_list, parse_scalar
+    from .scalars import parse_boolean, parse_integer, parse_list, parse_scalar, required_field
 
     try:
-        p = parse_integer(doc["p"])
-        alphas = tuple(Q(parse_scalar(str(s))) for s in parse_list(doc["alphas"]))
-        weights = tuple(parse_integer(x) for x in parse_list(doc["weights"]))
+        p = parse_integer(required_field(doc, "p"))
+        alphas = tuple(Q(parse_scalar(str(s))) for s in parse_list(required_field(doc, "alphas")))
+        weights = tuple(parse_integer(x) for x in parse_list(required_field(doc, "weights")))
         symbolic = parse_boolean(doc.get("symbolic", False))
         a = parse_scalar(str(doc.get("a", "a" if symbolic else "1")), symbolic)
         b = parse_scalar(str(doc.get("b", "b" if symbolic else "1")), symbolic)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidData(f"bad phi-module document: {exc}") from exc
     if len(alphas) != 4 or len(weights) != 4:
         raise InvalidData("bad phi-module document: alphas and weights need four entries each")

@@ -209,187 +209,146 @@ def _as_poly(x) -> "Poly2":
 
 
 # ---------------------------------------------------------------------------
-# Polynomial gcd.  Rational inputs are scaled to primitive integer
-# polynomials (Gauss's lemma), then a primitive pseudo-remainder sequence
-# in b over Z[a] runs with integer content stripped at every step, which
-# keeps coefficient growth tame.
+# Polynomial gcd.  A rational polynomial is scaled to a primitive integer
+# one (Gauss's lemma) and viewed in b over Z[a].  A polynomial over Z in a,
+# or over Z[a] in b, is a dict {degree: coefficient} with no zero
+# coefficients, whose coefficients are ints or, one level up, such dicts.
+# Each routine below serves both levels, branching on ``type(x) is int`` at
+# the leaf.  The gcd is a primitive pseudo-remainder sequence (Knuth, TAOCP
+# vol. 2, 4.6.1, Algorithm E) with integer content stripped at every step,
+# which keeps coefficient growth tame.
 # ---------------------------------------------------------------------------
 
-UPolyZ = dict[int, int]  # univariate over Z in the variable a
+_ONE = {0: 1}  # the unit of Z[a]
 
 
-def _udeg(u: UPolyZ) -> int:
-    return max(u, default=-1)
-
-
-def _utrim(u: UPolyZ) -> UPolyZ:
-    return {d: c for d, c in u.items() if c}
-
-
-def _umul(f: UPolyZ, g: UPolyZ) -> UPolyZ:
-    out: UPolyZ = {}
-    for d1, c1 in f.items():
-        for d2, c2 in g.items():
-            out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
-    return _utrim(out)
-
-
-def _usub(f: UPolyZ, g: UPolyZ) -> UPolyZ:
+def _add(f, g, sign=1):
+    """f + sign * g."""
     out = dict(f)
     for d, c in g.items():
-        out[d] = out.get(d, 0) - c
-    return _utrim(out)
+        if d in out:
+            c = out[d] + sign * c if type(c) is int else _add(out[d], c, sign)
+        elif sign < 0:
+            c = -c if type(c) is int else _idiv(c, -1)
+        if c:
+            out[d] = c
+        else:
+            del out[d]
+    return out
 
 
-def _uscale(f: UPolyZ, c: int) -> UPolyZ:
-    return {d: k * c for d, k in f.items()} if c else {}
+def _mul(f, g):
+    out = {}
+    for d1, c1 in f.items():
+        for d2, c2 in g.items():
+            d = d1 + d2
+            if type(c1) is int:
+                out[d] = out.get(d, 0) + c1 * c2
+            else:
+                c = _mul(c1, c2)
+                out[d] = _add(out[d], c) if d in out else c
+    return {d: c for d, c in out.items() if c}
 
 
-def _int_content(values) -> int:
-    """Nonnegative gcd of the integers (0 when there are none or all are 0)."""
+def _icontent(f) -> int:
+    """Nonnegative gcd of the integers in f (0 for the zero polynomial)."""
     c = 0
-    for k in values:
-        c = _int_gcd(c, k)
+    for x in f.values():
+        c = _int_gcd(c, x if type(x) is int else _icontent(x))
         if c == 1:
             break
     return c
 
 
-def _uprimitive(f: UPolyZ) -> UPolyZ:
-    c = _int_content(f.values())
-    if c <= 1:
-        return dict(f)
-    return {d: k // c for d, k in f.items()}
+def _idiv(f, k: int):
+    """f with every integer divided by k, which must divide them all."""
+    return {d: x // k if type(x) is int else _idiv(x, k) for d, x in f.items()}
 
 
-def _uprem(f: UPolyZ, g: UPolyZ) -> UPolyZ:
-    """Remainder of f by g up to a rational scalar (gcd use only).
-
-    Content is stripped every step, so coefficients stay near input size.
-    """
-    dg, lg = _udeg(g), g[_udeg(g)]
-    r = dict(f)
-    while r and _udeg(r) >= dg:
-        dr, lr = _udeg(r), r[_udeg(r)]
-        c = _int_gcd(lg, lr)
-        mr, mg = lg // c, lr // c
-        r = _usub(_uscale(r, mr), {d + dr - dg: k * mg for d, k in g.items()})
-        r = _uprimitive(r)
-    return r
-
-
-def _ugcd(f: UPolyZ, g: UPolyZ) -> UPolyZ:
-    """Primitive gcd in Z[a] with positive leading coefficient."""
-    f, g = _uprimitive(_utrim(f)), _uprimitive(_utrim(g))
-    if _udeg(f) < _udeg(g):
-        f, g = g, f
-    while g:
-        f, g = g, _uprimitive(_uprem(f, g))
-    if f and f[_udeg(f)] < 0:
-        f = _uscale(f, -1)
-    return f
-
-
-def _udivexact(f: UPolyZ, g: UPolyZ) -> UPolyZ:
-    """Exact division in Z[a] (the quotient must have integer coefficients)."""
-    if not g:
-        raise DivisionByZero("univariate division by zero")
-    q: UPolyZ = {}
-    r = dict(f)
-    dg, lg = _udeg(g), g[_udeg(g)]
-    while r:
-        dr = _udeg(r)
-        if dr < dg or r[dr] % lg:
-            raise ValueError("inexact univariate division")
-        c = r[dr] // lg
-        q[dr - dg] = c
-        r = _usub(r, {d + dr - dg: k * c for d, k in g.items()})
+def _divexact(f, g):
+    """Exact quotient f / g of ints or polynomials; ValueError if inexact."""
+    if type(f) is int:
+        q, r = divmod(f, g)
+        if r:
+            raise ValueError("inexact polynomial division")
+        return q
+    dg = max(g)
+    lg = g[dg]
+    q = {}
+    while f:
+        df = max(f)
+        if df < dg:
+            raise ValueError("inexact polynomial division")
+        c = q[df - dg] = _divexact(f[df], lg)
+        f = _add(f, _mul(g, {df - dg: c}), -1)
     return q
 
 
-BViewZ = dict[int, UPolyZ]  # b-degree -> coefficient in Z[a]
-
-
-def _zify(p: Poly2) -> tuple[dict[Monomial, int], Q]:
-    """Primitive integer form P of a nonzero rational polynomial p, and the
-    rational scale s with p = s * P."""
-    denom = 1
-    for c in p._terms.values():
-        denom = _int_lcm(denom, c.denominator)
-    ints = {m: int(c * denom) for m, c in p._terms.items()}
-    cont = _int_content(ints.values())
-    return {m: v // cont for m, v in ints.items()}, Q(cont, denom)
-
-
-def _bview(ints: dict[Monomial, int]) -> BViewZ:
-    out: BViewZ = {}
-    for (da, db), c in ints.items():
-        out.setdefault(db, {})[da] = c
-    return out
-
-
-def _bview_to_poly(v: BViewZ) -> Poly2:
-    terms: dict[Monomial, Q] = {}
-    for db, u in v.items():
-        for da, c in u.items():
-            terms[(da, db)] = Q(c)
-    return Poly2(terms)
-
-
-def _bdeg(v: BViewZ) -> int:
-    return max((d for d, u in v.items() if u), default=-1)
-
-
-def _btrim(v: BViewZ) -> BViewZ:
-    return {d: u for d, u in ((d, _utrim(u)) for d, u in v.items()) if u}
-
-
-def _bscale(v: BViewZ, u: UPolyZ) -> BViewZ:
-    return _btrim({d: _umul(cu, u) for d, cu in v.items()})
-
-
-def _bsub(v: BViewZ, w: BViewZ) -> BViewZ:
-    out = {d: dict(u) for d, u in v.items()}
-    for d, u in w.items():
-        out[d] = _usub(out.get(d, {}), u)
-    return _btrim(out)
-
-
-def _bcontent(v: BViewZ) -> UPolyZ:
-    g: UPolyZ = {}
-    for _, u in sorted(v.items()):
-        g = _ugcd(g, u)
-        if _udeg(g) == 0:
-            break
-    return g
-
-
-def _bprimitive(v: BViewZ) -> BViewZ:
-    cont = _bcontent(v)
-    if not cont:
-        return {}
-    if _udeg(cont) == 0 and cont.get(0) == 1:
-        return _btrim(v)
-    return {d: _udivexact(u, cont) for d, u in _btrim(v).items()}
-
-
-def _bprem(f: BViewZ, g: BViewZ) -> BViewZ:
-    """Remainder of f by g in the variable b, up to a rational scalar.
-
-    Integer content is stripped every step (gcd use only).
-    """
-    dg = _bdeg(g)
+def _prem(f, g):
+    """Remainder of f by g up to a scalar factor, integer content stripped
+    every step (gcd use only)."""
+    dg = max(g)
     lg = g[dg]
-    r = {d: dict(u) for d, u in f.items()}
-    while r and _bdeg(r) >= dg:
-        dr = _bdeg(r)
-        lead = r[dr]
-        shifted = {d + dr - dg: _umul(u, lead) for d, u in g.items()}
-        r = _bsub(_bscale(r, lg), shifted)
-        c = _int_content(k for u in r.values() for k in u.values())
+    while f and max(f) >= dg:
+        df = max(f)
+        mf, mg = lg, f[df]
+        if type(lg) is int:
+            c = _int_gcd(mf, mg)
+            mf, mg = mf // c, mg // c
+        f = _add(_mul(f, {0: mf}), _mul(g, {df - dg: mg}), -1)
+        c = _icontent(f)
         if c > 1:
-            r = {d: {e: k // c for e, k in u.items()} for d, u in r.items()}
-    return r
+            f = _idiv(f, c)
+    return f
+
+
+def _primitive(f):
+    """Content of the nonzero f (the gcd of its coefficients) and its
+    primitive part f / content."""
+    c = 0
+    for x in f.values():
+        c = _gcd(c, x)
+        if c == 1 or c == _ONE:
+            return c, f
+    return c, {d: _divexact(x, c) for d, x in f.items()}
+
+
+def _gcd(f, g):
+    """Gcd of f and the nonzero g with a positive leading integer; f may be
+    0, the zero of either level."""
+    if type(g) is int:
+        return _int_gcd(f, g)
+    if f:
+        (cf, f), (cg, g) = _primitive(f), _primitive(g)
+        if max(f) < max(g):
+            f, g = g, f
+        # A nonzero remainder of degree 0 makes the next g a unit, so only
+        # the content survives.
+        while max(g) > 0:
+            r = _prem(f, g)
+            if not r:
+                break
+            f, g = g, _primitive(r)[1]
+        g = _mul(g, {0: _gcd(cf, cg)})
+    lead = g
+    while type(lead) is not int:
+        lead = lead[max(lead)]
+    return _idiv(g, -1) if lead < 0 else g
+
+
+def _zview(p: Poly2):
+    """The nonzero p as s * P, P primitive over Z: P's view in b over Z[a],
+    and the rational scale s."""
+    denom = _int_lcm(*(c.denominator for c in p._terms.values()))
+    view: dict = {}
+    for (da, db), c in p._terms.items():
+        view.setdefault(db, {})[da] = c.numerator * (denom // c.denominator)
+    cont = _icontent(view)
+    return _idiv(view, cont) if cont > 1 else view, Q(cont, denom)
+
+
+def _from_zview(view, scale=1) -> Poly2:
+    return Poly2({(da, db): c * scale for db, u in view.items() for da, c in u.items()})
 
 
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
@@ -400,23 +359,7 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
         return _monic(p)
     if p.is_const() or q.is_const():
         return Poly2.const(1)
-    pv, qv = _bview(_zify(p)[0]), _bview(_zify(q)[0])
-    cont = _ugcd(_bcontent(pv), _bcontent(qv))
-    f, g = _bprimitive(pv), _bprimitive(qv)
-    if _bdeg(f) < _bdeg(g):
-        f, g = g, f
-    # Primitive PRS in b.  A nonzero remainder of b-degree 0 means the
-    # b-primitive parts are coprime, so only the content survives.
-    while True:
-        if _bdeg(g) <= 0:
-            prim: BViewZ = {0: {0: 1}}
-            break
-        r = _bprem(f, g)
-        if not r:
-            prim = g
-            break
-        f, g = g, _bprimitive(r)
-    return _monic(_bview_to_poly(prim) * _bview_to_poly({0: cont}))
+    return _monic(_from_zview(_gcd(_zview(p)[0], _zview(q)[0])))
 
 
 def poly_divexact(p: Poly2, d: Poly2) -> Poly2:
@@ -429,21 +372,8 @@ def poly_divexact(p: Poly2, d: Poly2) -> Poly2:
         return p.scale(1 / d.const_value())
     # Divide the primitive integer parts (exact by Gauss's lemma), then
     # restore the rational scale factor.
-    (pz, scale_p), (dz, scale_d) = _zify(p), _zify(d)
-    pv, dv = _bview(pz), _bview(dz)
-    dd = _bdeg(dv)
-    lead = dv[dd]
-    out: BViewZ = {}
-    r = pv
-    while r:
-        dr = _bdeg(r)
-        if dr < dd:
-            raise ValueError("inexact polynomial division")
-        qc = _udivexact(r[dr], lead)
-        out[dr - dd] = qc
-        shifted = {d0 + dr - dd: _umul(u, qc) for d0, u in dv.items()}
-        r = _bsub(r, shifted)
-    return _bview_to_poly(out).scale(scale_p / scale_d)
+    (pv, scale_p), (dv, scale_d) = _zview(p), _zview(d)
+    return _from_zview(_divexact(pv, dv), scale_p / scale_d)
 
 
 def _monic(p: Poly2) -> Poly2:
@@ -844,3 +774,11 @@ def parse_list(value) -> list:
     if isinstance(value, list):
         return value
     raise ParseError(f"expected a list, got {value!r}")
+
+
+def required_field(doc: dict, name: str):
+    """A required field of an input document; a ParseError names it when
+    it is missing."""
+    if name not in doc:
+        raise ParseError(f"missing field {name!r}")
+    return doc[name]

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -111,6 +112,13 @@ class TestDispatch:
         report, code = call("recover", doc)
         assert code == EXIT_OK
         assert (report["payload"]["a"], report["payload"]["b"]) == ("2", "3")
+
+    def test_recover_symbolic_flag_reads_kernel(self):
+        kernel_report, _ = call("kernel", {}, ["kernel", "--symbolic"])
+        doc = {"kernel": kernel_report["payload"]["basis"]}
+        report, code = call("recover", doc, ["recover", "--symbolic"])
+        assert code == EXIT_OK
+        assert (report["payload"]["a"], report["payload"]["b"]) == ("a", "b")
 
     def test_recover_sweep(self):
         report, code = call("recover", {"count": 5}, ["recover", "--seed", "7"])
@@ -296,6 +304,21 @@ class TestEndToEnd:
             text=True,
         )
         assert out.returncode == 2
+
+    def test_closed_pipe(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "gsp4hodge.cli", "glue"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert out.returncode in (EXIT_OK, EXIT_INVALID, EXIT_DEGENERATE)
+        assert "Traceback" not in out.stderr
 
     def test_byte_identical_runs(self, tmp_path):
         doc = tmp_path / "doc.json"
@@ -491,6 +514,24 @@ class TestRejectedInputs:
         path.write_text(json.dumps(doc))
         report = self.run(capsys, [command, "--input", str(path)])
         assert report["status"] == "invalid" and "expected a list" in report["payload"]["error"]
+
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            *(pytest.param("hecke", {"l": 2, "c0": "1", "c1": "0", "c2": "0"}, f, id=f"hecke-{f}") for f in ("l", "c1", "c2")),
+            *(
+                pytest.param("hecke", {"l": 2, "coeffs": ["0", "10", "0", "64"], "sim": "8"}, f, id=f"hecke-coeffs-{f}")
+                for f in ("l", "sim")
+            ),
+            *(pytest.param("classify", CLASSIFY_DOC, f, id=f"classify-{f}") for f in ("alphas", "weights", "p", "C")),
+            *(pytest.param("validate", GOOD_DOC, f, id=f"validate-{f}") for f in ("p", "alphas", "weights")),
+        ],
+    )
+    def test_missing_field(self, capsys, tmp_path, command, doc, field):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({k: v for k, v in doc.items() if k != field}))
+        report = self.run(capsys, [command, "--input", str(path)])
+        assert report["status"] == "invalid" and f"missing field {field!r}" in report["payload"]["error"]
 
     def test_degree_cap(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GSP4H_MAX_DEGREE", "5")

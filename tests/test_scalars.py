@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from math import isqrt
 
@@ -50,6 +51,22 @@ def rand_ratfunc(rng):
     while den.is_zero():
         den = rand_poly(rng)
     return RatFunc(num, den)
+
+
+#: Irreducible, pairwise non-associate polynomials over Q.
+_IRREDUCIBLES = tuple(
+    parse_scalar(t, symbolic=True).num
+    for t in ("a", "a+1", "2*a-3", "a**2+1", "b", "b+1", "b**2-2", "a+b", "a-3*b+2", "a*b+1", "a*b+a+b", "a**2+b**2+1")
+)
+_NONZERO_Q = st.builds(Q, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+
+
+def _product(counts):
+    """The product of the pool's irreducibles, each to its multiplicity."""
+    out = Poly2.const(1)
+    for i, k in counts.items():
+        out = out * _IRREDUCIBLES[i] ** k
+    return out
 
 
 class TestFieldArith:
@@ -187,6 +204,33 @@ class TestCanonicalForm:
             q1 = poly_divexact(u * w, g)
             q2 = poly_divexact(v * w, g)
             assert poly_gcd(q1, q2).is_const()
+
+    @given(
+        st.lists(st.integers(0, len(_IRREDUCIBLES) - 1), max_size=3),
+        st.lists(st.integers(0, len(_IRREDUCIBLES) - 1), max_size=3),
+        st.lists(st.integers(0, len(_IRREDUCIBLES) - 1), max_size=3),
+        _NONZERO_Q,
+        _NONZERO_Q,
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    def test_gcd_unique_factorization(self, common, only_p, only_q, sp, sq):
+        # Products of pairwise non-associate irreducibles: the monic gcd is
+        # the product of the factors the two multisets share.
+        fp, fq = Counter(common + only_p), Counter(common + only_q)
+        p, q = _product(fp).scale(sp), _product(fq).scale(sq)
+        assert poly_gcd(p, q) == _monic_copy(_product(fp & fq))
+
+    @given(st.lists(st.integers(0, len(_IRREDUCIBLES) - 1), max_size=4), _NONZERO_Q)
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    def test_divexact_unique_factorization(self, factors, scale):
+        counts = Counter(factors)
+        p = _product(counts).scale(scale)
+        for i, f in enumerate(_IRREDUCIBLES):
+            if counts[i]:
+                assert poly_divexact(p, f) == _product(counts - Counter([i])).scale(scale)
+            else:
+                with pytest.raises(ValueError):
+                    poly_divexact(p, f)
 
 
 def _monic_copy(p):
