@@ -58,6 +58,7 @@ _IRREDUCIBLES = tuple(
     parse_scalar(t, symbolic=True).num
     for t in ("a", "a+1", "2*a-3", "a**2+1", "b", "b+1", "b**2-2", "a+b", "a-3*b+2", "a*b+1", "a*b+a+b", "a**2+b**2+1")
 )
+_FACTORS = st.lists(st.integers(0, len(_IRREDUCIBLES) - 1), max_size=3)
 _NONZERO_Q = st.builds(Q, st.integers(-12, 12).filter(bool), st.integers(1, 12))
 
 
@@ -205,13 +206,7 @@ class TestCanonicalForm:
             q2 = poly_divexact(v * w, g)
             assert poly_gcd(q1, q2).is_const()
 
-    @given(
-        st.lists(st.integers(0, len(_IRREDUCIBLES) - 1), max_size=3),
-        st.lists(st.integers(0, len(_IRREDUCIBLES) - 1), max_size=3),
-        st.lists(st.integers(0, len(_IRREDUCIBLES) - 1), max_size=3),
-        _NONZERO_Q,
-        _NONZERO_Q,
-    )
+    @given(_FACTORS, _FACTORS, _FACTORS, _NONZERO_Q, _NONZERO_Q)
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     def test_gcd_unique_factorization(self, common, only_p, only_q, sp, sq):
         # Products of pairwise non-associate irreducibles: the monic gcd is
@@ -220,7 +215,7 @@ class TestCanonicalForm:
         p, q = _product(fp).scale(sp), _product(fq).scale(sq)
         assert poly_gcd(p, q) == _monic_copy(_product(fp & fq))
 
-    @given(st.lists(st.integers(0, len(_IRREDUCIBLES) - 1), max_size=4), _NONZERO_Q)
+    @given(_FACTORS, _NONZERO_Q)
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     def test_divexact_unique_factorization(self, factors, scale):
         counts = Counter(factors)
