@@ -69,6 +69,18 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _parse_json(raw: str, what: str):
+    """JSON text as a value; anything unreadable is a ParseError naming what."""
+    try:
+        return json.loads(raw, parse_float=_finite_number, parse_constant=_finite_number)
+    except ParseError:
+        raise  # a non-finite number, rejected by _finite_number
+    except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
+        raise ParseError(f"{what} is not JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{what} nests too deeply") from exc
+
+
 def _load_document(path: str | None) -> dict:
     if path is None:
         return {}
@@ -80,14 +92,7 @@ def _load_document(path: str | None) -> dict:
                 raw = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read input: {exc}") from exc
-    try:
-        doc = json.loads(raw, parse_float=_finite_number, parse_constant=_finite_number)
-    except ParseError:
-        raise  # a non-finite number, rejected by _finite_number
-    except ValueError as exc:  # malformed JSON, or an integer past Python's digit limit
-        raise ParseError(f"input is not JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError("input nests too deeply") from exc
+    doc = _parse_json(raw, "input")
     if isinstance(doc, dict) and doc.get("schema", 1) != 1:
         raise ParseError(f"unsupported schema version {doc.get('schema')}")
     return doc
@@ -238,7 +243,11 @@ def run_socle(doc, args):
     w_text = doc.get("w", getattr(args, "w", None))
     if w_text:
         w_text = str(w_text)
-        w = from_oneline(json.loads(w_text)) if w_text.startswith("[") else from_word(w_text)
+        if w_text.startswith("["):
+            perm = _parse_json(w_text, "one-line Weyl element")  # a list: the text starts with "["
+            w = from_oneline([parse_integer(x) for x in perm])
+        else:
+            w = from_word(w_text)
     diagram = socle_diagram(kind, w)
     payload = {"kind": diagram.kind, "layers": diagram.layer_labels()}
     report = _report("socle", "ok", payload)
@@ -311,7 +320,7 @@ def dispatch(command: str, doc: dict, args) -> tuple[dict, int]:
         if not isinstance(doc, dict):
             raise ParseError(f"{command} needs a JSON object, not {type(doc).__name__}")
         report = COMMANDS[command][0](doc, args)
-    except (ParseError, InvalidData, InconsistentData, DegreeCapExceeded, TypeError, ValueError) as exc:
+    except (ParseError, InvalidData, InconsistentData, DegreeCapExceeded) as exc:
         report = _report(command, "invalid", {"error": str(exc) or repr(exc)})
     except (DegenerateIntersection, NotALine) as exc:
         report = _report(command, "degenerate", {"error": str(exc)})

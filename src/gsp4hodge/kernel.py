@@ -276,7 +276,7 @@ RECOVERY_LABELS = (
 
 
 def generator_meets(kernel_rows) -> tuple:
-    """For each label set in RECOVERY_LABELS, an RREF basis of the
+    """For each label set in RECOVERY_LABELS, a basis of the
     coordinates c with sum_j c_j (generator j) in the span of kernel_rows.
 
     With ann spanning the annihilator of the kernel, these are

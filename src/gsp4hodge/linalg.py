@@ -103,8 +103,9 @@ def rank(rows) -> int:
 
 
 def nullspace(rows, ncols: int):
-    """RREF basis of the right null space {x : A x = 0} of a matrix with
-    ncols columns, as row tuples."""
+    """A basis of the right null space {x : A x = 0} of a matrix with ncols
+    columns, as row tuples: one vector per free column of the RREF, 1 there
+    and the negated pivot-row entries in the pivot columns; not canonical."""
     rows = coerce_rows(rows)
     if not rows:
         return [tuple(row) for row in identity(ncols)]
@@ -113,16 +114,17 @@ def nullspace(rows, ncols: int):
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Q(0)] * m
-        v[fc] = Q(1)
+        zero = red[0][fc] * 0  # 0 and 1 in the field of the rows
+        v = [zero] * m
+        v[fc] = zero + 1
         for row, pc in zip(red, pivots):
             v[pc] = -row[fc]
         basis.append(tuple(v))
-    return row_space(basis)
+    return basis
 
 
 def meet_coordinates(gens, ann):
-    """RREF basis of the c with sum_j c_j gens[j] in the subspace W that the
+    """A basis of the c with sum_j c_j gens[j] in the subspace W that the
     rows of ann annihilate (W is everything when ann is empty): the null space
     of ann . gens^T, of dimension dim(span(gens) ∩ W) when gens are independent."""
     system = [[sum(x * z for x, z in zip(y, g) if x and z) for g in gens] for y in ann]

@@ -114,7 +114,7 @@ def validate(d: PhiModuleData) -> ValidityReport:
     )
 
     generic, gen_witness = True, ""
-    if nz:
+    if nz and d.p:  # p = 0 fails p-prime and has no 1/p
         bad = {Q(1), Q(d.p), Q(1, d.p)}
         # The set {1, p, 1/p} is closed under inversion, so alpha_j/alpha_i
         # is in it exactly when alpha_i/alpha_j is.

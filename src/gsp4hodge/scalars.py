@@ -694,7 +694,7 @@ def _eval_node(node, symbolic: bool):
     if isinstance(node, ast.Expression):
         return _eval_node(node.body, symbolic)
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, int):
+        if type(node.value) is not int:  # bool is an int subclass: True is not 1 here
             raise ParseError(f"non-integer literal {node.value!r}")
         if node.value.bit_length() > MAX_EXPONENT**2:
             raise ParseError(f"integer literal of {node.value.bit_length()} bits exceeds {MAX_EXPONENT**2}")

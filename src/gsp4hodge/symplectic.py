@@ -136,7 +136,7 @@ class Subspace:
     def perp(self) -> "Subspace":
         """Annihilator under the J-form: {y : x J y^T = 0 for all x here}."""
         UJ = mat_mul(coerce_rows(self.rows), J)
-        return Subspace(rows=tuple(nullspace(UJ, 4)), ambient=4)
+        return Subspace.span(nullspace(UJ, 4))
 
 
 FLAG_DIMS = {"complete": (1, 2, 3), "siegel": (2,), "klingen": (1, 3)}

@@ -533,6 +533,47 @@ class TestRejectedInputs:
         report = self.run(capsys, [command, "--input", str(path)])
         assert report["status"] == "invalid" and f"missing field {field!r}" in report["payload"]["error"]
 
+    @pytest.mark.parametrize(
+        "w, error",
+        (
+            ("[1e400]", "non-finite number"),
+            ("[1.5,2,3,4]", "expected an integer"),
+            ("[true,3,2,4]", "expected an integer"),
+            ("[1,2", "one-line Weyl element is not JSON"),
+        ),
+        ids=("infinite", "float", "boolean", "malformed"),
+    )
+    @pytest.mark.parametrize("source", ("flag", "document"))
+    def test_one_line_weyl_element(self, capsys, monkeypatch, w, error, source):
+        if source == "flag":
+            argv = ["socle", "PS1", "--w", w]
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"kind": "PS1", "w": w})))
+            argv = ["socle", "--input", "-"]
+        report = self.run(capsys, argv)
+        assert report["status"] == "invalid" and report["payload"]["error"].startswith(error)
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        (
+            ("kernel", {"a": True, "b": 3}),
+            ("validate", dict(GOOD_DOC, alphas=[True, "9", "81", "729"])),
+        ),
+        ids=("a", "alpha"),
+    )
+    def test_boolean_scalar(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        report = self.run(capsys, [command, "--input", str(path)])
+        assert report["status"] == "invalid" and "non-integer literal True" in report["payload"]["error"]
+
+    @pytest.mark.parametrize("command", ("validate", "flag"))
+    def test_zero_prime(self, capsys, tmp_path, command):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(dict(GOOD_DOC, p=0)))
+        report = self.run(capsys, [command, "--input", str(path)])
+        assert report["status"] == "invalid"
+
     def test_degree_cap(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GSP4H_MAX_DEGREE", "5")
         doc = tmp_path / "doc.json"
@@ -566,6 +607,10 @@ def _lists_of(elem):
     )
 
 
+#: One-line Weyl element texts such as "[2, 1, 4, 3]", "[Infinity, 1.5]" or
+#: "[true, null]": JSON lists of permutation entries, leaves and non-finite floats.
+_NON_FINITE = st.sampled_from([float("inf"), float("-inf"), float("nan")])
+_ONE_LINE_TEXT = _lists_of(_NON_FINITE | st.integers(1, 4) | _LEAF).map(json.dumps)
 _KERNEL_2_3 = [[str(x) for x in row] for row in kernel_basis(Q(2), Q(3)).rows]
 _SAFE_COUNT = st.integers(-2, 3) | st.integers(MAX_RECOVER_COUNT + 1, 10**30)
 _GOOD = {
@@ -578,7 +623,7 @@ _GOOD = {
     "kernel": st.sampled_from([_KERNEL_2_3, _KERNEL_2_3[:2]]) | st.lists(_lists_of(_SCALAR_TEXT), max_size=2),
     "count": _SAFE_COUNT,
     "kind": st.sampled_from(["PS1", "pi1", "pimin"]),
-    "w": st.sampled_from(["s1s2", "e", "s3", "[2,1,4,3]", "[1,2"]),
+    "w": st.sampled_from(["s1s2", "e", "s3", "[2,1,4,3]", "[1,2"]) | _ONE_LINE_TEXT,
     "l": st.sampled_from([5, 7, 4, 2**64 + 13]),
     "c0": _SCALAR_TEXT,
     "c1": _SCALAR_TEXT,

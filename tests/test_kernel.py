@@ -353,6 +353,21 @@ class TestRecovery:
         with pytest.raises(NotALine):
             recover_parameters(glue_subspace())
 
+    def test_five_eliminations(self, monkeypatch):
+        # one rref for the annihilator, one per meet, one per projected line
+        import gsp4hodge.linalg
+
+        calls = []
+        real = gsp4hodge.linalg.rref
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        K = kernel_basis(Q(2), Q(3))
+        monkeypatch.setattr(gsp4hodge.linalg, "rref", counted)
+        assert recover_parameters(K) == (Q(2), Q(3)) and len(calls) == 5
+
 
 # ---------------------------------------------------------------------------
 # The committed generic kernel
@@ -407,7 +422,7 @@ class TestCertificate:
     4. a 7 x 7 minor of J is 4q^2/((a+b)(b+1)), q = ab + a + b, nonzero
        there, so the rank is 7 and K(a0, b0) spans the kernel.
 
-    The RREF is unique, so K(a0, b0) = nullspace(jbar_matrix(a0, b0))."""
+    The RREF is unique, so K(a0, b0) = row_space(nullspace(jbar_matrix(a0, b0)))."""
 
     def test_grid_exists_off_the_factors(self):
         # The line F_w^i ∩ F_H^{5-i} exists, with a nonzero leading
@@ -448,7 +463,7 @@ class TestEvaluatedKernel:
     def test_matches_elimination_over_q(self, tall):
         for a, b in seeded_points(8, tall, seed=29):
             rows = kernel_basis(a, b).rows
-            assert rows == tuple(nullspace(jbar_matrix(a, b), 24))
+            assert rows == tuple(row_space(nullspace(jbar_matrix(a, b), 24)))
             assert all(type(x) is Q for r in rows for x in r)
 
     @pytest.mark.parametrize(
@@ -457,7 +472,7 @@ class TestEvaluatedKernel:
     def test_matches_elimination_over_qab(self, consts):
         a, b = shifted(*consts)
         rows = kernel_basis(a, b).rows
-        assert rows == tuple(nullspace(jbar_matrix(a, b), 24))
+        assert rows == tuple(row_space(nullspace(jbar_matrix(a, b), 24)))
         assert all(type(x) is RatFunc for r in rows for x in r)
 
     @pytest.mark.parametrize("factor", NONDEG_FACTORS)
@@ -470,6 +485,32 @@ class TestEvaluatedKernel:
             for fn in (kernel_basis, jbar_rank):
                 with pytest.raises(InvalidData, match="^nondegeneracy-polynomial$"):
                     fn(a, b)
+
+
+class TestNullspace:
+    """nullspace returns a basis read off the RREF, built in the field of
+    the rows."""
+
+    @staticmethod
+    def check(rows, field):
+        ncols = len(rows[0])
+        basis = nullspace(rows, ncols)
+        assert len(basis) == ncols - rank(rows)
+        assert rank(basis) == len(basis)
+        assert all(type(x) is field for v in basis for x in v)
+        products = mat_mul(coerce_rows(rows), transpose(basis))
+        assert not any(x for row in products for x in row)
+
+    def test_over_q(self):
+        self.check([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 0, 0]], Q)
+        for a, b in seeded_points(2, False, seed=41) + seeded_points(2, True, seed=41):
+            self.check(jbar_matrix(a, b), Q)
+
+    def test_over_qab(self, generic):
+        J, _ = generic
+        self.check(J, RatFunc)
+        self.check([[A, 1, 0], [2 * A, 2, 0]], RatFunc)
+        self.check([[ZERO, ZERO, ZERO]], RatFunc)
 
 
 class TestRecoveryFromAnyBasis:
