@@ -15,12 +15,9 @@ from .scalars import RatFunc
 def coerce_rows(rows):
     """Coerce every entry to one field: RatFunc if any entry is one, else Q."""
     rows = [list(r) for r in rows]
-    symbolic = any(isinstance(x, RatFunc) for r in rows for x in r)
-    if symbolic:
-        conv = lambda x: x if isinstance(x, RatFunc) else RatFunc.const(x)
-    else:
-        conv = Q
-    return [[conv(x) for x in r] for r in rows]
+    field = RatFunc if any(isinstance(x, RatFunc) for r in rows for x in r) else Q
+    conv = RatFunc.const if field is RatFunc else Q
+    return [[x if type(x) is field else conv(x) for x in r] for r in rows]
 
 
 def identity(n: int):
@@ -28,14 +25,15 @@ def identity(n: int):
 
 
 def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[None] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + A[i][t] * B[t][j]
-            out[i][j] = acc
+    """A . B, adding only the products of two nonzero entries."""
+    cols = list(zip(*B))
+    out = []
+    for row in A:
+        support = [(t, x) for t, x in enumerate(row) if x]
+        out.append([])
+        for col in cols:
+            terms = [x * col[t] for t, x in support if col[t]]
+            out[-1].append(sum(terms[1:], terms[0]) if terms else row[0] * col[0])
     return out
 
 
@@ -84,7 +82,7 @@ def rref(rows):
         for i in range(n):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == n:
@@ -127,7 +125,8 @@ def meet_coordinates(gens, ann):
     """A basis of the c with sum_j c_j gens[j] in the subspace W that the
     rows of ann annihilate (W is everything when ann is empty): the null space
     of ann . gens^T, of dimension dim(span(gens) ∩ W) when gens are independent."""
-    system = [[sum(x * z for x, z in zip(y, g) if x and z) for g in gens] for y in ann]
+    supports = [[(k, z) for k, z in enumerate(g) if z] for g in gens]
+    system = [[sum(y[k] * z for k, z in s if y[k]) for s in supports] for y in ann]
     return nullspace(system, len(gens))
 
 
@@ -140,7 +139,8 @@ def intersect_row_spaces(U, V, ncols: int):
 
 def inverse(A):
     n = len(A)
-    aug = [list(A[i]) + identity(n)[i] for i in range(n)]
+    eye = identity(n)
+    aug = [list(A[i]) + eye[i] for i in range(n)]
     red, pivots = rref(coerce_rows(aug))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

@@ -52,11 +52,6 @@ class Poly2:
             if coef:
                 clean[(int(mono[0]), int(mono[1]))] = coef
         self._terms = clean
-        cap = _degree_cap()
-        if cap is not None and self.total_degree() > cap:
-            raise DegreeCapExceeded(
-                f"polynomial degree {self.total_degree()} exceeds GSP4H_MAX_DEGREE={cap}"
-            )
 
     # -- constructors -------------------------------------------------
 
@@ -130,7 +125,14 @@ class Poly2:
             for (da2, db2), c2 in other._terms.items():
                 mono = (da1 + da2, db1 + db2)
                 terms[mono] = terms.get(mono, 0) + c1 * c2
-        return Poly2(terms)
+        product = Poly2(terms)
+        # Only a product outgrows its inputs' degree, so the cap is checked here.
+        cap = _degree_cap()
+        if cap is not None and product.total_degree() > cap:
+            raise DegreeCapExceeded(
+                f"polynomial degree {product.total_degree()} exceeds GSP4H_MAX_DEGREE={cap}"
+            )
+        return product
 
     __rmul__ = __mul__
 

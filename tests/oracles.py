@@ -50,6 +50,54 @@ def det(A):
     return d * sign
 
 
+# The dense forms of three linalg routines, which touch every cell whether
+# or not it is zero; the library skips zero cells and must agree with them.
+
+
+def dense_rref(rows):
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    n, m = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(m):
+        pr = next((i for i in range(r, n) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        if piv != 1:
+            rows[r] = [x / piv for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return rows, pivots
+
+
+def dense_mat_mul(A, B):
+    n, k, m = len(A), len(B), len(B[0])
+    out = [[None] * m for _ in range(n)]
+    for i in range(n):
+        for j in range(m):
+            acc = A[i][0] * B[0][j]
+            for t in range(1, k):
+                acc = acc + A[i][t] * B[t][j]
+            out[i][j] = acc
+    return out
+
+
+def dense_meet_coordinates(gens, ann):
+    system = [[sum(x * z for x, z in zip(y, g) if x and z) for g in gens] for y in ann]
+    return nullspace(system, len(gens))
+
+
 def mat_sub(A, B):
     return [[A[i][j] - B[i][j] for j in range(len(A[0]))] for i in range(len(A))]
 

@@ -368,6 +368,23 @@ class TestRecovery:
         monkeypatch.setattr(gsp4hodge.linalg, "rref", counted)
         assert recover_parameters(K) == (Q(2), Q(3)) and len(calls) == 5
 
+    def test_one_kernel_evaluation(self, monkeypatch):
+        # a numeric op evaluates the committed kernel once: jbar_rank reads
+        # its row count off the table
+        import gsp4hodge.kernel
+
+        calls = []
+        real = gsp4hodge.kernel._generic_kernel_at
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(gsp4hodge.kernel, "_generic_kernel_at", counted)
+        K = kernel_basis(Q(2), Q(3))
+        assert jbar_rank(Q(2), Q(3)) == 7
+        assert recover_parameters(K) == (Q(2), Q(3)) and len(calls) == 1
+
 
 # ---------------------------------------------------------------------------
 # The committed generic kernel

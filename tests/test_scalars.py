@@ -286,3 +286,12 @@ class TestDegreeCap:
             (A + B) ** 4  # degree 4 > cap
         monkeypatch.delenv("GSP4H_MAX_DEGREE")
         (A + B) ** 4
+
+    @pytest.mark.parametrize(
+        "p, q", ((A * A + B, A * B), (Poly2.var("a") ** 2, Poly2.var("a") + Poly2.var("b") ** 2))
+    )
+    def test_product_over_cap(self, monkeypatch, p, q):
+        # two factors of degree 2 under the cap multiply to degree 4 over it
+        monkeypatch.setenv("GSP4H_MAX_DEGREE", "3")
+        with pytest.raises(DegreeCapExceeded, match="degree 4 exceeds"):
+            p * q
