@@ -7,7 +7,9 @@ for stdin), dispatches to the library, and emits a deterministic report:
      "payload": {...}, "citations": [...]}
 
 as JSON (default), plain text, or DOT where a graph makes sense.  Exit
-codes: 0 ok, 2 invalid input, 3 degenerate parameters.
+codes: 0 ok, 2 invalid input, 3 degenerate parameters.  Bad arguments and
+an input that cannot be read or decoded print the same report as JSON,
+with status invalid.
 """
 
 from __future__ import annotations
@@ -112,12 +114,13 @@ def _ab_from_doc(doc: dict, args):
     return parse_scalar(a_text, symbolic), parse_scalar(b_text, symbolic)
 
 
-def _report(command: str, status: str, payload) -> dict:
+def _report(command: str | None, status: str, payload) -> dict:
+    """A report; command is None only for argv that names no command."""
     return {
         "command": command,
         "status": status,
         "payload": payload,
-        "citations": COMMANDS[command][1],
+        "citations": COMMANDS[command][1] if command else [],
     }
 
 
@@ -399,13 +402,21 @@ def _text_lines(value, indent=""):
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ParseError, so that main
+    reports them like any other invalid input."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text", "dot"), default="json")
     common.add_argument("--input", default=None, help="JSON document path or - for stdin")
     common.add_argument("--symbolic", action="store_true", help="work over Q(a,b)")
     common.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="gsp4hodge",
         description="Exact computations around symplectic Hodge parameters.",
     )
@@ -422,17 +433,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the command a report on bad argv names: the first argument, if it is one
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
+        args = build_parser().parse_args(argv)
+        command = args.command
         doc = _load_document(args.input)
-        if args.command == "batch":
+        if command == "batch":
             report, code = run_batch(doc, args)
         else:
-            report, code = dispatch(args.command, doc, args)
+            report, code = dispatch(command, doc, args)
         text = render(report, args.format)
     except ParseError as exc:
-        text = json.dumps({"status": "invalid", "error": str(exc)}, sort_keys=True)
-        code = EXIT_INVALID
+        # bad argv, an unreadable document, or a format the report lacks
+        report = _report(command, "invalid", {"error": str(exc)})
+        text, code = render(report, "json"), EXIT_INVALID
     try:
         print(text, flush=True)
     except BrokenPipeError:

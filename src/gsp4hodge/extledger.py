@@ -24,7 +24,7 @@ from .kernel import (
     generator_vector,
     glue_subspace,
     kernel_basis,
-    parameters_from_meets,
+    recover_parameters,
 )
 from .linalg import mat_mul, rank
 from .scalars import Scalar
@@ -456,7 +456,7 @@ def l_invariant_plane(a: Scalar, b: Scalar) -> LInvariantPlane:
     combined = rank(list(glue.rows) + reps)
     if combined != K.dim:
         raise NotALine("representatives do not complete the glue to the kernel")
-    a_rec, b_rec = parameters_from_meets(meets)
+    a_rec, b_rec = recover_parameters(K)
     return LInvariantPlane(
         basis_fg=tuple(basis_fg), a=a_rec, b=b_rec, kernel_dim=K.dim, glue_dim=glue.dim
     )

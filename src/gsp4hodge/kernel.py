@@ -1,6 +1,8 @@
 """Eigenline grids, the diagonalizable operators attached to refinements,
 the summed tangent map on the 24-dimensional block space, its kernel, the
-parabolic gluing subspace, and recovery of the Hodge parameters (a, b).
+parabolic gluing subspace, and recovery of the Hodge parameters (a, b),
+read off two cells of the committed kernel table and checked against the
+whole table.
 
 Block conventions.  The domain is one copy of the 3-dimensional diagonal
 torus algebra per Weyl element, in the fixed order W_ORDER; a torus element
@@ -20,7 +22,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 from .errors import DegenerateIntersection, InvalidData, NotALine
-from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, nullspace, row_space
+from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, nullspace, rref
 from .phimodule import coordinate_subspace, filtration_basis, vanishing_factor
 from .scalars import Scalar, is_zero
 from .symplectic import Subspace, gsp4_coordinates
@@ -170,7 +172,8 @@ def jbar_matrix(a: Scalar, b: Scalar):
 # pivot columns, and in the free columns _KERNEL_FREE either an integer or
 # (den, c1, ca, cb, caa, cab, cbb) for
 # (c1 + ca*a + cb*b + caa*a^2 + cab*a*b + cbb*b^2) / den, where den indexes
-# the denominators (1, a, q, a*q), q = ab + a + b.
+# the denominators (1, a, q, a*q), q = ab + a + b.  Row 0 column 13 is 1/a
+# and row 1 column 13 is -(1 + 2b)/a: recover_parameters reads a and b there.
 _1, _A, _Q, _AQ = range(4)
 _KERNEL_PIVOTS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20)
 _KERNEL_FREE = (11, 13, 17, 19, 21, 22, 23)
@@ -271,7 +274,8 @@ def glue_subspace() -> Subspace:
 
 
 #: The two generator spans that meet the kernel in a line: the first line
-#: projects to (b+1) g2 - g3, the second to b g2 + a g4.
+#: projects to (b+1) g2 - g3, the second to b g2 + a g4.  The invariant
+#: plane takes its representatives from these meets.
 RECOVERY_LABELS = (
     ("f1", "f2", "f3", "f4", "g1", "g2", "g3"),
     ("f1", "f2", "f3", "f4", "g1", "g2", "g4"),
@@ -292,40 +296,41 @@ def generator_meets(kernel_rows) -> tuple:
     )
 
 
-def _projected_line(coords, labels, pair):
-    """Project the meet (generator coordinates) onto two generator
-    coordinates; the result must be a line, returned as (u, v)."""
-    if not coords:
-        raise NotALine("kernel misses the generator span")
-    i, j = (labels.index(pair[0]), labels.index(pair[1]))
-    line = row_space([[c[i], c[j]] for c in coords])
-    if len(line) != 1:
-        raise NotALine(f"projection onto {pair} has dimension {len(line)}")
-    return line[0]
-
-
-def parameters_from_meets(meets):
-    """Read (a, b) off the two meets that generator_meets returns."""
-    (labels_b, labels_a), (meet_b, meet_a) = RECOVERY_LABELS, meets
-    u, v = _projected_line(meet_b, labels_b, ("g2", "g3"))
-    if is_zero(v):
-        raise NotALine("degenerate projection: g3 coefficient vanishes")
-    b = -u / v - 1
-    u2, v2 = _projected_line(meet_a, labels_a, ("g2", "g4"))
-    if is_zero(u2):
-        raise NotALine("degenerate projection: g2 coefficient vanishes")
-    a = b * v2 / u2
-    return a, b
-
-
 def recover_parameters(K: Subspace):
-    """Read (a, b) back from the kernel.
+    """Read (a, b) back from the kernel, then check the whole kernel.
 
-    The kernel meets span(f1..f4, g1, g2, g3) in a line projecting to
-    (b+1) g2 - g3, and span(f1..f4, g1, g2, g4) in a line projecting to
-    b g2 + a g4.
+    K's rows are used as they are when they already have the committed
+    table's pivots (1 at _KERNEL_PIVOTS[r] in row r, 0 in the other pivot
+    columns); any other spanning set, redundant or not echelon, is brought
+    to that form by one rref.  In the table, row 0 column 13 is 1/a and row
+    1 column 13 is -(1 + 2b)/a, so a and b are read off those two cells.
+    The rows must then equal the table evaluated at (a, b), cell by cell.
+    By the certificate in tests/test_kernel.py every kernel at a
+    nondegenerate point passes, and every other input raises NotALine with
+    a witness: the pivots, a zero cell, the vanishing factor, or the first
+    mismatching (row, column).
     """
-    return parameters_from_meets(generator_meets(K.rows))
+    rows = K.rows
+    if len(rows) != len(_KERNEL_PIVOTS) or any(
+        row[p] != (1 if p == pivot else 0) for row, pivot in zip(rows, _KERNEL_PIVOTS) for p in _KERNEL_PIVOTS
+    ):
+        rows, pivots = rref(coerce_rows(rows))
+        if tuple(pivots) != _KERNEL_PIVOTS:
+            raise NotALine(f"kernel has pivot columns {pivots}, not those of the committed table")
+        rows = rows[: len(pivots)]
+    inv_a, cell = coerce_rows([(rows[0][13], rows[1][13])])[0]
+    if not inv_a:
+        raise NotALine("kernel cell (0, 13), which is 1/a, vanishes")
+    a = 1 / inv_a
+    b = -(a * cell + 1) / 2
+    factor = vanishing_factor(a, b)
+    if factor is not None:
+        raise NotALine(f"kernel reads off a degenerate point: factor {factor} vanishes")
+    for r, (row, want) in enumerate(zip(rows, _generic_kernel_at(a, b))):
+        if tuple(row) != want:
+            c = next((c for c, (x, y) in enumerate(zip(row, want)) if x != y), len(want))
+            raise NotALine(f"kernel differs from the committed table at cell ({r}, {c})")
+    return a, b
 
 
 # ---------------------------------------------------------------------------

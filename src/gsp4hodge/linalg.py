@@ -78,7 +78,7 @@ def rref(rows):
         rows[r], rows[pr] = rows[pr], rows[r]
         piv = rows[r][c]
         if piv != 1:
-            rows[r] = [x / piv for x in rows[r]]
+            rows[r] = [x / piv if x else x for x in rows[r]]
         for i in range(n):
             if i != r and rows[i][c]:
                 f = rows[i][c]
@@ -116,7 +116,8 @@ def nullspace(rows, ncols: int):
         v = [zero] * m
         v[fc] = zero + 1
         for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
+            if row[fc]:
+                v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
 

@@ -9,10 +9,10 @@ computes or certifies, or a fact only the tests check; nothing under
 from fractions import Fraction as Q
 from itertools import accumulate, combinations
 
-from gsp4hodge.errors import InvalidData
+from gsp4hodge.errors import InvalidData, NotALine
 from gsp4hodge.extledger import AddChar, _qpchar, _tchar
-from gsp4hodge.kernel import _require_nondegenerate
-from gsp4hodge.linalg import coerce_rows, mat_add, nullspace
+from gsp4hodge.kernel import RECOVERY_LABELS, _require_nondegenerate
+from gsp4hodge.linalg import coerce_rows, mat_add, nullspace, row_space
 from gsp4hodge.phimodule import (
     PhiModuleData,
     _valuations,
@@ -20,7 +20,7 @@ from gsp4hodge.phimodule import (
     filtration_basis,
     newton_above_hodge,
 )
-from gsp4hodge.scalars import Scalar, scalar_str
+from gsp4hodge.scalars import Scalar, is_zero, scalar_str
 from gsp4hodge.weyl import QpChar, TChar, Weight, WeylElem, weyl_act_weight
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,42 @@ def hodge_borel_basis(a: Scalar, b: Scalar):
                     eq.append(sum(y[i] * Gr[i] for i in range(4)))
                 equations.append(eq)
     return nullspace(equations, 11)
+
+
+# ---------------------------------------------------------------------------
+# Hodge-parameter recovery through the projection lines
+# ---------------------------------------------------------------------------
+
+# The paper's route from the kernel back to (a, b): meet the kernel with two
+# generator spans (kernel.generator_meets) and read the two projected lines.
+# The library reads a and b off two cells of the committed table instead;
+# TestCertificate proves this route over Q(a, b).
+
+
+def _projected_line(coords, labels, pair):
+    """Project the meet (generator coordinates) onto two generator
+    coordinates; the result must be a line, returned as (u, v)."""
+    if not coords:
+        raise NotALine("kernel misses the generator span")
+    i, j = (labels.index(pair[0]), labels.index(pair[1]))
+    line = row_space([[c[i], c[j]] for c in coords])
+    if len(line) != 1:
+        raise NotALine(f"projection onto {pair} has dimension {len(line)}")
+    return line[0]
+
+
+def parameters_from_meets(meets):
+    """Read (a, b) off the two meets that generator_meets returns."""
+    (labels_b, labels_a), (meet_b, meet_a) = RECOVERY_LABELS, meets
+    u, v = _projected_line(meet_b, labels_b, ("g2", "g3"))
+    if is_zero(v):
+        raise NotALine("degenerate projection: g3 coefficient vanishes")
+    b = -u / v - 1
+    u2, v2 = _projected_line(meet_a, labels_a, ("g2", "g4"))
+    if is_zero(u2):
+        raise NotALine("degenerate projection: g2 coefficient vanishes")
+    a = b * v2 / u2
+    return a, b
 
 
 # ---------------------------------------------------------------------------

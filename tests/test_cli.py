@@ -338,11 +338,33 @@ class TestRejectedInputs:
         code = main(argv)
         out = capsys.readouterr().out
         assert code == EXIT_INVALID
-        return json.loads(out)
+        report = json.loads(out)
+        assert sorted(report) == ["citations", "command", "payload", "status"]
+        return report
 
     def test_missing_input_file(self, capsys, tmp_path):
         report = self.run(capsys, ["validate", "--input", str(tmp_path / "missing.json")])
-        assert report["status"] == "invalid" and "cannot read input" in report["error"]
+        assert report["command"] == "validate" and report["citations"] == COMMANDS["validate"][1]
+        assert report["status"] == "invalid" and "cannot read input" in report["payload"]["error"]
+
+    @pytest.mark.parametrize(
+        "argv, command, error",
+        (
+            (["recover", "--random", "abc"], "recover", "argument --random: invalid int value"),
+            (["bogus"], None, "argument command: invalid choice: 'bogus'"),
+            (["socle", "pimin", "--format", "xml"], "socle", "argument --format: invalid choice: 'xml'"),
+            (["--seed", "x"], None, "argument command: invalid choice: 'x'"),
+            (["recover", "--seed", "x"], "recover", "argument --seed: invalid int value"),
+            (["socle", "bogus"], "socle", "argument kind: invalid choice: 'bogus'"),
+            (["glue", "extra"], "glue", "unrecognized arguments: extra"),
+            ([], None, "the following arguments are required: command"),
+        ),
+        ids=("random", "unknown-command", "format", "top-level-seed", "seed", "socle-kind", "extra", "empty"),
+    )
+    def test_argv_error(self, capsys, argv, command, error):
+        report = self.run(capsys, argv)
+        assert report["command"] == command and report["status"] == "invalid"
+        assert report["payload"]["error"].startswith(error)
 
     @pytest.mark.parametrize("command", ("kernel", "recover", "socle"))
     def test_list_where_object_expected(self, capsys, tmp_path, command):
@@ -389,7 +411,7 @@ class TestRejectedInputs:
         doc = tmp_path / "doc.json"
         doc.write_text(text)
         report = self.run(capsys, [command, "--input", str(doc)])
-        assert report["status"] == "invalid" and report["error"].startswith("non-finite number")
+        assert report["status"] == "invalid" and report["payload"]["error"].startswith("non-finite number")
 
     @pytest.mark.parametrize(
         "doc",
@@ -466,13 +488,13 @@ class TestRejectedInputs:
         doc = tmp_path / "doc.json"
         doc.write_text("[" * 100000 + "]" * 100000)
         report = self.run(capsys, ["kernel", "--input", str(doc)])
-        assert report == {"status": "invalid", "error": "input nests too deeply"}
+        assert report["status"] == "invalid" and report["payload"] == {"error": "input nests too deeply"}
 
     def test_integer_past_digit_limit(self, capsys, tmp_path):
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps(dict(GOOD_DOC, p=0)).replace('"p": 0', '"p": ' + "1" * 5000))
         report = self.run(capsys, ["validate", "--input", str(doc)])
-        assert report["status"] == "invalid" and "limit (4300" in report["error"]
+        assert report["status"] == "invalid" and "limit (4300" in report["payload"]["error"]
 
     @pytest.mark.parametrize("command", ([], {"x": 1}), ids=("list", "object"))
     def test_non_string_batch_command(self, capsys, tmp_path, command):
@@ -685,6 +707,29 @@ def _documents(command):
     return st.one_of(_document(command), _document(command), _ANY_JSON)
 
 
+#: Flags with good and bad values, and stray words, that follow the
+#: command's own "--input - --format json".  No --random value starts a
+#: long sweep, and no --format value asks for text or dot, which are not JSON.
+_FLAG = st.one_of(
+    st.tuples(st.just("--random"), st.sampled_from(["abc", "-1", "0", "2", "", "1.5", str(MAX_RECOVER_COUNT + 1)])),
+    st.tuples(st.just("--seed"), st.sampled_from(["x", "7", "-3", ""])),
+    st.tuples(st.just("--format"), st.sampled_from(["json", "xml", ""])),
+    st.tuples(st.just("--w"), st.sampled_from(["s1s2", "[2,1,4,3]", "[1,2"])),
+    st.tuples(st.just("--input"), st.just("no-such-input.json")),
+    st.sampled_from([("--symbolic",), ("--bogus",), ("bogus",), ("PS1",), ("pimin",)]),
+)
+
+
+def _argv(command):
+    """argv for main: mostly the command, at times a word that is none,
+    then the document on stdin as JSON, then one or two drawn flags."""
+    return st.builds(
+        lambda head, flags: [head, "--input", "-", "--format", "json", *(x for f in flags for x in f)],
+        st.sampled_from((command,) * 5 + ("bogus", "--seed")),
+        st.lists(_FLAG, min_size=1, max_size=2),
+    )
+
+
 def _main_on(argv, stdin):
     """Run main in process on stdin text; returns (exit code, stdout)."""
     out, saved = io.StringIO(), sys.stdin
@@ -698,18 +743,20 @@ def _main_on(argv, stdin):
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_exit_contract(command):
-    """Any JSON document: main returns 0, 2 or 3, raises nothing, and
-    writes one JSON document."""
+def test_exit_contract(command, monkeypatch, tmp_path):
+    """Any JSON document, under the plain argv and under drawn argv: main
+    returns 0, 2 or 3, raises nothing, and writes one report as JSON."""
+    monkeypatch.chdir(tmp_path)  # where no-such-input.json does not exist
+    for argvs in (st.just([command, "--input", "-", "--format", "json"]), _argv(command)):
 
-    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-    @given(doc=_documents(command))
-    def check(doc):
-        code, out = _main_on([command, "--input", "-", "--format", "json"], json.dumps(doc))
-        assert code in (EXIT_OK, EXIT_INVALID, EXIT_DEGENERATE)
-        json.loads(out)
+        @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+        @given(argv=argvs, doc=_documents(command))
+        def check(argv, doc):
+            code, out = _main_on(argv, json.dumps(doc))
+            assert code in (EXIT_OK, EXIT_INVALID, EXIT_DEGENERATE)
+            assert sorted(json.loads(out)) == ["citations", "command", "payload", "status"]
 
-    check()
+        check()
 
 
 CATALOG = Path(__file__).resolve().parent.parent / "perfbench" / "catalog.json"

@@ -6,6 +6,7 @@ import pytest
 from gsp4hodge.errors import InvalidData, NotALine
 from gsp4hodge.kernel import (
     GENERATOR_LABELS,
+    RECOVERY_LABELS,
     W_ORDER,
     eigenline_grid,
     embed_block,
@@ -18,8 +19,8 @@ from gsp4hodge.kernel import (
     kernel_basis,
     matrix_suite,
     nu_operator,
-    parameters_from_meets,
     recover_parameters,
+    _generic_kernel_at,
 )
 from gsp4hodge.linalg import (
     coerce_rows,
@@ -35,7 +36,7 @@ from gsp4hodge.phimodule import NONDEG_FACTORS, coordinate_subspace, filtration_
 from gsp4hodge.scalars import Poly2, RatFunc, poly_divexact, poly_gcd
 from gsp4hodge.symplectic import Subspace, gsp4_coordinates, lie_membership
 from gsp4hodge.weyl import S1, W_ALL, W_ID, from_word
-from oracles import det, hodge_borel_basis
+from oracles import _projected_line, det, hodge_borel_basis, parameters_from_meets
 
 A = RatFunc.var("a")
 B = RatFunc.var("b")
@@ -350,11 +351,41 @@ class TestRecovery:
 
     def test_corrupted_kernel_raises(self):
         # a kernel missing the informative directions: the glue alone
-        with pytest.raises(NotALine):
+        with pytest.raises(NotALine, match="pivot columns"):
             recover_parameters(glue_subspace())
 
-    def test_five_eliminations(self, monkeypatch):
-        # one rref for the annihilator, one per meet, one per projected line
+    def test_perturbed_cell_is_named(self):
+        # a free cell away from the two read-off cells of column 13
+        rows = [list(r) for r in kernel_basis(Q(2), Q(3)).rows]
+        rows[3][19] += 1
+        K = Subspace(rows=tuple(map(tuple, rows)), ambient=24)
+        with pytest.raises(NotALine, match=r"cell \(3, 19\)$"):
+            recover_parameters(K)
+
+    def test_zero_read_off_cell(self):
+        # cell (0, 13) is 1/a, so a zero there reads off no point
+        rows = [list(r) for r in kernel_basis(Q(2), Q(3)).rows]
+        rows[0][13] = Q(0)
+        K = Subspace(rows=tuple(map(tuple, rows)), ambient=24)
+        with pytest.raises(NotALine, match=r"cell \(0, 13\), which is 1/a, vanishes"):
+            recover_parameters(K)
+
+    def test_degenerate_table_names_factor(self):
+        # the table evaluates at (2, -1), where a and ab + a + b are nonzero,
+        # but the point read off it is degenerate
+        K = Subspace(rows=_generic_kernel_at(Q(2), Q(-1)), ambient=24)
+        with pytest.raises(NotALine, match="factor b\\+1 vanishes"):
+            recover_parameters(K)
+
+    def test_duplicated_row_recovers(self):
+        rows = kernel_basis(Q(-3, 2), Q(5, 4)).rows
+        K = Subspace(rows=rows[:5] + rows[4:], ambient=24)
+        assert recover_parameters(K) == (Q(-3, 2), Q(5, 4))
+
+    @staticmethod
+    def count_rrefs(monkeypatch, K):
+        """recover_parameters(K) and the number of rref calls it made."""
+        import gsp4hodge.kernel
         import gsp4hodge.linalg
 
         calls = []
@@ -364,13 +395,23 @@ class TestRecovery:
             calls.append(len(rows))
             return real(rows)
 
-        K = kernel_basis(Q(2), Q(3))
-        monkeypatch.setattr(gsp4hodge.linalg, "rref", counted)
-        assert recover_parameters(K) == (Q(2), Q(3)) and len(calls) == 5
+        for module in (gsp4hodge.kernel, gsp4hodge.linalg):
+            monkeypatch.setattr(module, "rref", counted)
+        return recover_parameters(K), len(calls)
 
-    def test_one_kernel_evaluation(self, monkeypatch):
-        # a numeric op evaluates the committed kernel once: jbar_rank reads
-        # its row count off the table
+    def test_table_rows_take_no_elimination(self, monkeypatch):
+        # rows with the table's pivots are read as they are
+        assert self.count_rrefs(monkeypatch, kernel_basis(Q(2), Q(3))) == ((Q(2), Q(3)), 0)
+
+    def test_non_echelon_basis_takes_one_elimination(self, monkeypatch):
+        rows = TestRecoveryFromAnyBasis.row_sums(kernel_basis(Q(2), Q(3)).rows)
+        K = Subspace(rows=rows, ambient=24)
+        assert self.count_rrefs(monkeypatch, K) == ((Q(2), Q(3)), 1)
+
+    def test_two_kernel_evaluations(self, monkeypatch):
+        # a numeric op evaluates the committed kernel twice: once to build
+        # the kernel, and once in recovery to check the untrusted input
+        # against the table; jbar_rank reads its row count off the table
         import gsp4hodge.kernel
 
         calls = []
@@ -383,7 +424,7 @@ class TestRecovery:
         monkeypatch.setattr(gsp4hodge.kernel, "_generic_kernel_at", counted)
         K = kernel_basis(Q(2), Q(3))
         assert jbar_rank(Q(2), Q(3)) == 7
-        assert recover_parameters(K) == (Q(2), Q(3)) and len(calls) == 1
+        assert recover_parameters(K) == (Q(2), Q(3)) and len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +515,35 @@ class TestCertificate:
         q = A * B + A + B
         assert det(minor) == RatFunc.const(4) * q * q / ((A + B) * (B + 1))
 
+    def test_read_off_cells(self, generic):
+        # recover_parameters reads a and b off these two cells
+        _, K = generic
+        assert K[0][13] == ONE / A
+        assert K[1][13] == -(ONE + 2 * B) / A
+
+    def test_projection_route(self, generic, monkeypatch):
+        """The paper's route from the kernel to (a, b), over Q(a, b): it
+        divides only by factor products, among them every pivot of the two
+        7 x 7 meet systems and the divisors v and u2 of the projected
+        lines, so it commutes with evaluation at every nondegenerate point,
+        where it returns (a, b)."""
+        _, K = generic
+        divisors = []
+        real = RatFunc.__truediv__
+
+        def recorded(x, y):
+            divisors.append(y)
+            return real(x, y)
+
+        monkeypatch.setattr(RatFunc, "__truediv__", recorded)
+        meets = generator_meets(K)  # K is in RREF: only the meet systems divide
+        assert [len(m) for m in meets] == [1, 1] and divisors
+        assert parameters_from_meets(meets) == (A, B)
+        _, v = _projected_line(meets[0], RECOVERY_LABELS[0], ("g2", "g3"))
+        u2, _ = _projected_line(meets[1], RECOVERY_LABELS[1], ("g2", "g4"))
+        for x in divisors + [v, u2]:
+            assert is_factor_product(x.num) and is_factor_product(x.den), x
+
 
 class TestEvaluatedKernel:
     @pytest.mark.parametrize("tall", (False, True))
@@ -531,19 +601,23 @@ class TestNullspace:
 
 
 class TestRecoveryFromAnyBasis:
-    """generator_meets accepts any spanning set of the kernel."""
+    """recover_parameters and the projection-line route both accept any
+    spanning set of the kernel."""
 
     @staticmethod
     def row_sums(rows):
         """A non-echelon basis of the same span."""
         return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(rows, rows[1:])) + rows[-1:]
 
+    @classmethod
+    def check(cls, a, b):
+        rows = cls.row_sums(kernel_basis(a, b).rows)
+        assert recover_parameters(Subspace(rows=rows, ambient=24)) == (a, b)
+        assert parameters_from_meets(generator_meets(rows)) == (a, b)
+
     def test_numeric(self):
         for a, b in seeded_points(4, False, seed=31) + seeded_points(4, True, seed=31):
-            rows = self.row_sums(kernel_basis(a, b).rows)
-            assert parameters_from_meets(generator_meets(rows)) == (a, b)
+            self.check(a, b)
 
     def test_symbolic(self):
-        a, b = shifted(Q(1, 2), 2, -1)
-        rows = self.row_sums(kernel_basis(a, b).rows)
-        assert parameters_from_meets(generator_meets(rows)) == (a, b)
+        self.check(*shifted(Q(1, 2), 2, -1))
