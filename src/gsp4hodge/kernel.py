@@ -98,8 +98,9 @@ def generator_vector(label: str):
 
 
 def _require_nondegenerate(a: Scalar, b: Scalar) -> None:
-    if vanishing_factor(a, b) is not None:
-        raise InvalidData("nondegeneracy-polynomial")
+    factor = vanishing_factor(a, b)
+    if factor is not None:
+        raise InvalidData(f"nondegeneracy-polynomial: factor {factor} vanishes")
 
 
 @dataclass(frozen=True)

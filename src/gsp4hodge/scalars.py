@@ -39,25 +39,29 @@ def _grlex_key(m: Monomial) -> tuple[int, int]:
 class Poly2:
     """Bivariate polynomial in a, b with rational coefficients.
 
-    Immutable; terms are stored sparsely and zero coefficients are never
-    kept, so two equal polynomials have identical term dictionaries.
+    Immutable, stored as ``scale * view``: ``view`` is a primitive integer
+    polynomial in the form of the section below, with a positive leading
+    integer, and ``scale`` is a Fraction; zero is ``0 * {}``.  By Gauss's
+    lemma this form is unique, so equal polynomials have equal fields.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_scale", "_view")
 
     def __init__(self, terms: dict[Monomial, Q] | None = None):
-        clean = {}
-        for mono, coef in (terms or {}).items():
-            coef = Q(coef)
-            if coef:
-                clean[(int(mono[0]), int(mono[1]))] = coef
-        self._terms = clean
+        coeffs = [(mono, Q(c)) for mono, c in (terms or {}).items()]
+        denom = _int_lcm(*(c.denominator for _, c in coeffs))
+        view: dict = {}
+        for (da, db), c in coeffs:
+            if c:
+                view.setdefault(int(db), {})[int(da)] = c.numerator * (denom // c.denominator)
+        self._view, self._scale = _strip(view, Q(1, denom))
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def const(c) -> "Poly2":
-        return Poly2({(0, 0): Q(c)})
+        c = Q(c)
+        return _poly(_UNIT if c else {}, c)
 
     @staticmethod
     def var(name: str) -> "Poly2":
@@ -69,27 +73,31 @@ class Poly2:
 
     # -- basic structure ----------------------------------------------
 
+    def _terms(self) -> dict[Monomial, Q]:
+        """The nonzero coefficients, keyed by monomial."""
+        s = self._scale
+        return {(da, db): s * c for db, u in self._view.items() for da, c in u.items()}
+
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._view
 
     def is_const(self) -> bool:
-        return not self._terms or set(self._terms) == {(0, 0)}
+        return not self._view or self._view == _UNIT
 
     def const_value(self) -> Q:
         if not self.is_const():
             raise ValueError("not a constant polynomial")
-        return self._terms.get((0, 0), Q(0))
+        return self._scale
 
     def total_degree(self) -> int:
-        return max((da + db for da, db in self._terms), default=0)
-
-    def leading_monomial(self) -> Monomial:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self._terms, key=_grlex_key)
+        return max((da + db for db, u in self._view.items() for da in u), default=0)
 
     def leading_coeff(self) -> Q:
-        return self._terms[self.leading_monomial()]
+        """The coefficient of the grlex-leading monomial."""
+        if not self._view:
+            raise ValueError("zero polynomial has no leading coefficient")
+        da, db = max(((da, db) for db, u in self._view.items() for da in u), key=_grlex_key)
+        return self._scale * self._view[db][da]
 
     # -- arithmetic ----------------------------------------------------
 
@@ -97,15 +105,19 @@ class Poly2:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self._terms)
-        for mono, coef in other._terms.items():
-            terms[mono] = terms.get(mono, 0) + coef
-        return Poly2(terms)
+        if not other._view:
+            return self
+        if not self._view:
+            return other
+        # s*f + t*g = (s/d) * (d*f + n*g), where t/s = n/d
+        r = other._scale / self._scale
+        f = self._view if r.denominator == 1 else _mul(self._view, {0: {0: r.denominator}})
+        return _poly(*_strip(_add(f, other._view, r.numerator), self._scale / r.denominator))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly2({m: -c for m, c in self._terms.items()})
+        return _poly(self._view, -self._scale)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -120,12 +132,8 @@ class Poly2:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Monomial, Q] = {}
-        for (da1, db1), c1 in self._terms.items():
-            for (da2, db2), c2 in other._terms.items():
-                mono = (da1 + da2, db1 + db2)
-                terms[mono] = terms.get(mono, 0) + c1 * c2
-        product = Poly2(terms)
+        # A product of views is a view (Gauss's lemma).
+        product = _poly(_mul(self._view, other._view), self._scale * other._scale)
         # Only a product outgrows its inputs' degree, so the cap is checked here.
         cap = _degree_cap()
         if cap is not None and product.total_degree() > cap:
@@ -150,11 +158,11 @@ class Poly2:
 
     def scale(self, c: Q) -> "Poly2":
         c = Q(c)
-        return Poly2({m: coef * c for m, coef in self._terms.items()})
+        return _poly(self._view if c else {}, self._scale * c)
 
     def evaluate(self, a, b) -> Q:
         a, b = Q(a), Q(b)
-        return sum((c * a**da * b**db for (da, db), c in self._terms.items()), Q(0))
+        return sum((c * a**da * b**db for (da, db), c in self._terms().items()), Q(0))
 
     # -- comparisons ----------------------------------------------------
 
@@ -162,41 +170,29 @@ class Poly2:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._scale == other._scale and self._view == other._view
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._view)
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(self._terms().items()))
 
     # -- display ---------------------------------------------------------
 
     def __str__(self):
-        if not self._terms:
+        terms = self._terms()
+        if not terms:
             return "0"
         parts = []
-        for mono in sorted(self._terms, key=_grlex_key, reverse=True):
-            coef = self._terms[mono]
-            factors = []
-            for sym, exp in zip("ab", mono):
-                if exp == 1:
-                    factors.append(sym)
-                elif exp > 1:
-                    factors.append(f"{sym}**{exp}")
-            if not factors:
-                body = str(abs(coef))
-            elif abs(coef) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(coef))] + factors)
-            sign = "-" if coef < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        for mono in sorted(terms, key=_grlex_key, reverse=True):
+            coef = terms[mono]
+            factors = [sym if exp == 1 else f"{sym}**{exp}" for sym, exp in zip("ab", mono) if exp]
+            if abs(coef) != 1 or not factors:
+                factors.insert(0, str(abs(coef)))
+            parts.append(("-" if coef < 0 else "+") + " " + "*".join(factors))
+        text = " ".join(parts)  # "+ a - 2*b": the leading sign drops its space, or its "+"
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self):
         return f"Poly2({self})"
@@ -210,28 +206,37 @@ def _as_poly(x) -> "Poly2":
     return NotImplemented
 
 
+def _poly(view, scale: Q) -> Poly2:
+    """The Poly2 scale * view of a canonical pair, built without __init__."""
+    p = object.__new__(Poly2)
+    p._view, p._scale = view, scale
+    return p
+
+
 # ---------------------------------------------------------------------------
-# Polynomial gcd.  A rational polynomial is scaled to a primitive integer
-# one (Gauss's lemma) and viewed in b over Z[a].  A polynomial over Z in a,
-# or over Z[a] in b, is a dict {degree: coefficient} with no zero
-# coefficients, whose coefficients are ints or, one level up, such dicts.
-# Each routine below serves both levels, branching on ``type(x) is int`` at
-# the leaf.  The gcd is a primitive pseudo-remainder sequence (Knuth, TAOCP
-# vol. 2, 4.6.1, Algorithm E) with integer content stripped at every step,
-# which keeps coefficient growth tame.
+# Integer polynomials.  A Poly2 keeps its coefficients as one rational scale
+# times a primitive integer polynomial viewed in b over Z[a].  A polynomial
+# over Z in a, or over Z[a] in b, is a dict {degree: coefficient} with no
+# zero coefficients, whose coefficients are ints or, one level up, such
+# dicts.  Each routine below serves both levels, branching on
+# ``type(x) is int`` at the leaf.  Sums, products and exact quotients of
+# Poly2s work on these dicts directly.  The gcd is a primitive
+# pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1, Algorithm E) with
+# integer content stripped at every step, which keeps coefficient growth tame.
 # ---------------------------------------------------------------------------
 
 _ONE = {0: 1}  # the unit of Z[a]
+_UNIT = {0: _ONE}  # the view of a nonzero constant
 
 
-def _add(f, g, sign=1):
-    """f + sign * g."""
+def _add(f, g, k=1):
+    """f + k * g for a nonzero integer k."""
     out = dict(f)
     for d, c in g.items():
         if d in out:
-            c = out[d] + sign * c if type(c) is int else _add(out[d], c, sign)
-        elif sign < 0:
-            c = -c if type(c) is int else _idiv(c, -1)
+            c = out[d] + k * c if type(c) is int else _add(out[d], c, k)
+        elif k != 1:
+            c = k * c if type(c) is int else _mul(c, {0: k})
         if c:
             out[d] = c
         else:
@@ -252,6 +257,13 @@ def _mul(f, g):
     return {d: c for d, c in out.items() if c}
 
 
+def _lead(f) -> int:
+    """The leading integer of the nonzero f: highest degree first, level by level."""
+    while type(f) is not int:
+        f = f[max(f)]
+    return f
+
+
 def _icontent(f) -> int:
     """Nonnegative gcd of the integers in f (0 for the zero polynomial)."""
     c = 0
@@ -265,6 +277,15 @@ def _icontent(f) -> int:
 def _idiv(f, k: int):
     """f with every integer divided by k, which must divide them all."""
     return {d: x // k if type(x) is int else _idiv(x, k) for d, x in f.items()}
+
+
+def _strip(view, scale: Q):
+    """scale * view as a canonical pair: the content of the integer view,
+    signed like its leading integer, moves into the scale."""
+    if not view:
+        return view, Q(0)
+    c = _icontent(view) if _lead(view) > 0 else -_icontent(view)
+    return (view, scale) if c == 1 else (_idiv(view, c), scale * c)
 
 
 def _divexact(f, g):
@@ -332,56 +353,26 @@ def _gcd(f, g):
                 break
             f, g = g, _primitive(r)[1]
         g = _mul(g, {0: _gcd(cf, cg)})
-    lead = g
-    while type(lead) is not int:
-        lead = lead[max(lead)]
-    return _idiv(g, -1) if lead < 0 else g
-
-
-def _zview(p: Poly2):
-    """The nonzero p as s * P, P primitive over Z: P's view in b over Z[a],
-    and the rational scale s."""
-    denom = _int_lcm(*(c.denominator for c in p._terms.values()))
-    view: dict = {}
-    for (da, db), c in p._terms.items():
-        view.setdefault(db, {})[da] = c.numerator * (denom // c.denominator)
-    cont = _icontent(view)
-    return _idiv(view, cont) if cont > 1 else view, Q(cont, denom)
-
-
-def _from_zview(view, scale=1) -> Poly2:
-    return Poly2({(da, db): c * scale for db, u in view.items() for da, c in u.items()})
+    return _idiv(g, -1) if _lead(g) < 0 else g
 
 
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     """Monic gcd of two bivariate polynomials (1 for coprime inputs)."""
-    if p.is_zero():
-        return _monic(q)
-    if q.is_zero():
-        return _monic(p)
-    if p.is_const() or q.is_const():
+    if p.is_zero() or q.is_zero():
+        g = p + q  # the other one
+    elif p.is_const() or q.is_const():
         return Poly2.const(1)
-    return _monic(_from_zview(_gcd(_zview(p)[0], _zview(q)[0])))
+    else:  # the gcd of two views is a view (Gauss's lemma)
+        g = _poly(_gcd(p._view, q._view), Q(1))
+    return g.scale(1 / g.leading_coeff()) if g else g
 
 
 def poly_divexact(p: Poly2, d: Poly2) -> Poly2:
     """Exact division p/d over Q; raises if d does not divide p."""
     if d.is_zero():
         raise DivisionByZero("polynomial division by zero")
-    if p.is_zero():
-        return Poly2()
-    if d.is_const():
-        return p.scale(1 / d.const_value())
-    # Divide the primitive integer parts (exact by Gauss's lemma), then
-    # restore the rational scale factor.
-    (pv, scale_p), (dv, scale_d) = _zview(p), _zview(d)
-    return _from_zview(_divexact(pv, dv), scale_p / scale_d)
-
-
-def _monic(p: Poly2) -> Poly2:
-    if p.is_zero():
-        return p
-    return p.scale(1 / p.leading_coeff())
+    # The quotient of two views is exact over Z and a view (Gauss's lemma).
+    return _poly(_divexact(p._view, d._view), p._scale / d._scale)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +400,7 @@ class RatFunc:
         else:
             if not _coprime:
                 g = poly_gcd(num, den)
-                if not g.is_const() or g.const_value() != 1:
+                if not g.is_const():
                     num = poly_divexact(num, g)
                     den = poly_divexact(den, g)
             lead = den.leading_coeff()
@@ -684,7 +675,7 @@ def _check_power_size(x: Scalar, n: int) -> None:
         degree = max(x.num.total_degree(), x.den.total_degree())
         if degree * n > MAX_EXPONENT:
             raise ParseError(f"power of total degree {degree * n} exceeds {MAX_EXPONENT}")
-        coeffs = [*x.num._terms.values(), *x.den._terms.values()]
+        coeffs = [*x.num._terms().values(), *x.den._terms().values()]
     else:
         coeffs = [x]
     bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs)

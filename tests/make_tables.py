@@ -40,7 +40,7 @@ def cell(x: RatFunc) -> str:
         num = x * den
         if not num.den.is_const():
             continue
-        terms = num.num._terms
+        terms = num.num._terms()
         coeffs = [terms.get(m, 0) for m in MONOMIALS]
         if set(terms) <= set(MONOMIALS) and all(c.denominator == 1 for c in coeffs if c):
             return "(" + ", ".join([name] + [str(int(c)) for c in coeffs]) + ")"

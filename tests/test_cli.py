@@ -252,10 +252,26 @@ class TestRendering:
             ("classify", CLASSIFY_DOC, "text", 0, "98134b9efc4985a4b9cc430fed78b42b6d70419e765ada20f379626663bf297f"),
             ("batch", BATCH_DOC, "json", 2, "5bef12356cd916321a82686a351f43e82af358617b8fc3b1cbb8e8fdd8ce4e89"),
             ("batch", BATCH_DOC, "text", 2, "3d5ea4d81631578f6d994d1a87b95ff4eab008b32a01693b2bd7f96edb1a0570"),
+            ("kernel", {"symbolic": True}, "json", 0, "94c92fe869684f0aca30ce911bfe00e9540dc75a6d830e5c12d415a7ac224fa9"),
+            ("matrices", {"symbolic": True}, "json", 0, "87e1f0483c6279c35d4fbb075abb1a6c23003f8c1bfa3d37b7bd9fc9cae4e33e"),
+            (
+                "kernel", {"a": "a+3", "b": "2*b+5", "symbolic": True}, "json", 0,
+                "2a54f78680aa7fb0abad5797c1222472ec984737035b6f16a6461f4fdb42b6dd",
+            ),
+            (
+                "matrices", {"a": "a-1/2", "b": "3*b+1", "symbolic": True}, "json", 0,
+                "46f22e88df3baaab2444ad0b5ebfd88045dc6a4a01300f4e883a2502c2a12d04",
+            ),
+            (
+                "recover", {"a": "a+2/3", "b": "-b+2", "symbolic": True}, "json", 0,
+                "bae566043da38b29766bbb7a78ebcc50e225c4623433eeaedd528d39998b570d",
+            ),
         ),
         ids=(
             "validate-ok-json", "validate-ok-text", "validate-invalid-json", "validate-invalid-text",
             "ledger-json", "ledger-text", "classify-json", "classify-text", "batch-json", "batch-text",
+            "kernel-symbolic", "matrices-symbolic", "kernel-symbolic-shifted", "matrices-symbolic-shifted",
+            "recover-symbolic-shifted",
         ),
     )
     def test_rendered_report_bytes(self, capsys, monkeypatch, command, doc, fmt, code, digest):

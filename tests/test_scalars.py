@@ -60,6 +60,10 @@ _IRREDUCIBLES = tuple(
 )
 _FACTORS = st.lists(st.integers(0, len(_IRREDUCIBLES) - 1), max_size=3)
 _NONZERO_Q = st.builds(Q, st.integers(-12, 12).filter(bool), st.integers(1, 12))
+#: Polynomials of degree at most 3 in each variable; zero coefficients included.
+_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.builds(Q, st.integers(-12, 12), st.integers(1, 12)), max_size=5
+).map(Poly2)
 
 
 def _product(counts):
@@ -205,6 +209,19 @@ class TestCanonicalForm:
             q1 = poly_divexact(u * w, g)
             q2 = poly_divexact(v * w, g)
             assert poly_gcd(q1, q2).is_const()
+
+    @given(_POLYS, _POLYS.filter(bool), _NONZERO_Q)
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    def test_routes_agree_in_equality_and_hash(self, p, q, c):
+        # One polynomial has one stored form, whatever builds it, so every
+        # route compares equal and hashes equal.
+        routes = (
+            Poly2(p._terms()), -Poly2((-p)._terms()), (p + q) - q, q - (q - p),
+            poly_divexact(p * q, q), -(-p), p.scale(c).scale(1 / c),
+        )
+        for r in routes:
+            assert r == p and hash(r) == hash(p)
+        assert p - p == Poly2() and hash(p - p) == hash(Poly2())
 
     @given(_FACTORS, _FACTORS, _FACTORS, _NONZERO_Q, _NONZERO_Q)
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
