@@ -31,7 +31,7 @@ from functools import lru_cache
 from .errors import DegenerateIntersection, InvalidData, NotALine
 from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, nullspace, rref
 from .phimodule import coordinate_subspace, filtration_basis, vanishing_factor
-from .scalars import Scalar, is_zero
+from .scalars import RatFunc, Scalar, is_zero
 from .symplectic import Subspace, gsp4_coordinates
 from .weyl import S1, S2, W_ALL, W_ID, WeylElem, from_word
 
@@ -180,7 +180,7 @@ def jbar_matrix(a: Scalar, b: Scalar):
 # tests/make_tables.py prints the tables from the eliminated results they
 # stand for, and the certificate in tests/test_kernel.py proves them.
 _1, _A, _Q, _AQ, _B1, _S = range(6)
-#: The denominators as functions of (a, b, q); 1 needs no inversion.
+#: The denominators as functions of (a, b, q); None stands for 1.
 _DENOMINATORS = (
     None,
     lambda a, b, q: a,
@@ -219,45 +219,59 @@ _KERNEL_FREE_BLOCK = (
 )
 
 
+def _ring_pair(x) -> tuple:
+    """x as numerator and denominator in the ring under its field: ints for
+    a Fraction or an int, Poly2s for a RatFunc."""
+    return (x.num, x.den) if isinstance(x, RatFunc) else (x.numerator, x.denominator)
+
+
 def _table_evaluator(a: Scalar, b: Scalar):
-    """The function that evaluates table cells at (a, b), which lie in one
-    field and make every denominator the cells use nonzero.  Values lie in
-    that field; each distinct cell is evaluated once, and each denominator
-    is inverted on first use, so a table pays only for its own."""
-    zero = a - a
-    one = zero + 1
-    ab = a * b
-    q = ab + a + b
-    monomials = (one, a, b, a * a, ab, b * b)
-    values = {0: zero, 1: one}  # tables repeat cells
-    inverses = {}
+    """The functions pair and value on table cells at (a, b), which lie in
+    one field and make every denominator the cells use nonzero.
+
+    pair(cell) is the cell as numerator and denominator in the ring under
+    that field, Z for Q and Q[a, b] for Q(a, b).  With a = an/ad and
+    b = bn/bd, the six monomials share the denominator l = (ad*bd)^2, so a
+    cell over the table denominator dn/dd is (sum of c*m) * dd / (l * dn).
+    value(cell) is that quotient in the field, built by one reduction.
+    Each distinct cell is evaluated once, and each table denominator once
+    on first use, so a table pays only for its own."""
+    field, zero = type(a), a - a
+    an, ad = _ring_pair(a)
+    bn, bd = _ring_pair(b)
+    ad2, bd2 = ad * ad, bd * bd
+    monomials = (ad2 * bd2, an * ad * bd2, bn * bd * ad2, an * an * bd2, an * bn * ad * bd, bn * bn * ad2)
+    q = a * b + a + b
+    denominators, pairs, values = {}, {}, {0: zero, 1: zero + 1}  # tables repeat cells
+
+    def pair(cell):
+        p = pairs.get(cell)
+        if p is None:
+            if isinstance(cell, int):
+                p = (cell, 1)
+            else:
+                den, *coeffs = cell
+                d = denominators.get(den)
+                if d is None:
+                    d = denominators[den] = _ring_pair(_DENOMINATORS[den](a, b, q) if den else 1)
+                n = sum(c * m for c, m in zip(coeffs, monomials) if c)
+                p = (n * d[1], monomials[0] * d[0])
+            pairs[cell] = p
+        return p
 
     def value(cell):
         x = values.get(cell)
         if x is None:
-            if isinstance(cell, int):
-                x = zero + cell
-            else:
-                den, *coeffs = cell
-                x = zero
-                for c, m in zip(coeffs, monomials):
-                    if c:
-                        x = x + (m if c == 1 else c * m)
-                if den:
-                    inv = inverses.get(den)
-                    if inv is None:
-                        inv = inverses[den] = one / _DENOMINATORS[den](a, b, q)
-                    x = x * inv
-            values[cell] = x
+            x = values[cell] = zero + cell if isinstance(cell, int) else field(*pair(cell))
         return x
 
-    return value
+    return pair, value
 
 
 def _generic_kernel_at(a: Scalar, b: Scalar) -> tuple:
     """Rows of the committed generic kernel at (a, b), which lie in one
     field and make a and ab + a + b nonzero."""
-    value = _table_evaluator(a, b)
+    value = _table_evaluator(a, b)[1]
     zero, one = value(0), value(1)
     rows = []
     for pivot, cells in zip(_KERNEL_PIVOTS, _KERNEL_FREE_BLOCK):
@@ -372,11 +386,14 @@ def recover_parameters(K: Subspace):
     factor = vanishing_factor(a, b)
     if factor is not None:
         raise NotALine(f"kernel reads off a degenerate point: factor {factor} vanishes")
-    # the pivot columns already equal the table's 1s and 0s
-    for r, (row, want) in enumerate(zip(rows, _generic_kernel_at(a, b))):
-        c = next((c for c in _KERNEL_FREE if row[c] != want[c]), None)
-        if c is not None:
-            raise NotALine(f"kernel differs from the committed table at cell ({r}, {c})")
+    # the pivot columns already equal the table's 1s and 0s; each free cell
+    # x = xn/xd is compared with the table's n/d as xn*d == n*xd, in the ring
+    pair = _table_evaluator(a, b)[0]
+    for r, (row, cells) in enumerate(zip(rows, _KERNEL_FREE_BLOCK)):
+        for c, cell in zip(_KERNEL_FREE, cells):
+            (xn, xd), (n, d) = _ring_pair(row[c]), pair(cell)
+            if xn * d != n * xd:
+                raise NotALine(f"kernel differs from the committed table at cell ({r}, {c})")
     return a, b
 
 
@@ -405,5 +422,5 @@ def matrix_suite(a: Scalar, b: Scalar) -> dict:
     filtration basis (v1, v2, v3, v4), by evaluating the committed suite
     table."""
     _require_nondegenerate(a, b)
-    value = _table_evaluator(*coerce_rows([(a, b)])[0])
+    value = _table_evaluator(*coerce_rows([(a, b)])[0])[1]
     return {label: [[value(cell) for cell in row] for row in M] for label, M in _SUITE_TABLE.items()}

@@ -12,6 +12,7 @@ from itertools import accumulate, combinations
 from gsp4hodge.errors import ConstraintViolated, InvalidData, NotALine
 from gsp4hodge.extledger import AddChar, _qpchar, _tchar
 from gsp4hodge.kernel import (
+    _DENOMINATORS,
     _GENERATOR_DEF,
     GENERATOR_LABELS,
     RECOVERY_LABELS,
@@ -162,6 +163,48 @@ def hodge_borel_basis(a: Scalar, b: Scalar):
                     eq.append(sum(y[i] * Gr[i] for i in range(4)))
                 equations.append(eq)
     return nullspace(equations, 11)
+
+
+# ---------------------------------------------------------------------------
+# Table evaluation by field operations
+# ---------------------------------------------------------------------------
+
+
+def table_evaluator_by_field_ops(a: Scalar, b: Scalar):
+    """The function that evaluates table cells at (a, b), which lie in one
+    field and make every denominator the cells use nonzero.  Values lie in
+    that field; each distinct cell is evaluated once, and each denominator
+    is inverted on first use, so a table pays only for its own.  The
+    library's kernel._table_evaluator forms each cell in the ring under the
+    field and reduces it once instead; the tests compare the two."""
+    zero = a - a
+    one = zero + 1
+    ab = a * b
+    q = ab + a + b
+    monomials = (one, a, b, a * a, ab, b * b)
+    values = {0: zero, 1: one}  # tables repeat cells
+    inverses = {}
+
+    def value(cell):
+        x = values.get(cell)
+        if x is None:
+            if isinstance(cell, int):
+                x = zero + cell
+            else:
+                den, *coeffs = cell
+                x = zero
+                for c, m in zip(coeffs, monomials):
+                    if c:
+                        x = x + (m if c == 1 else c * m)
+                if den:
+                    inv = inverses.get(den)
+                    if inv is None:
+                        inv = inverses[den] = one / _DENOMINATORS[den](a, b, q)
+                    x = x * inv
+            values[cell] = x
+        return x
+
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gsp4hodge.kernel
 from gsp4hodge.errors import InvalidData, NotALine
@@ -27,6 +29,8 @@ from gsp4hodge.kernel import (
     _KERNEL_FREE_BLOCK,
     _SUITE_TABLE,
     _generic_kernel_at,
+    _ring_pair,
+    _table_evaluator,
 )
 from gsp4hodge.linalg import (
     coerce_rows,
@@ -38,7 +42,7 @@ from gsp4hodge.linalg import (
     row_space,
     transpose,
 )
-from gsp4hodge.phimodule import NONDEG_FACTORS, coordinate_subspace, filtration_basis
+from gsp4hodge.phimodule import NONDEG_FACTORS, coordinate_subspace, filtration_basis, vanishing_factor
 from gsp4hodge.scalars import Poly2, RatFunc, poly_divexact, poly_gcd
 from gsp4hodge.symplectic import Subspace, gsp4_coordinates, lie_membership
 from gsp4hodge.weyl import S1, W_ALL, W_ID, from_word
@@ -49,6 +53,7 @@ from oracles import (
     hodge_borel_basis,
     matrix_suite_by_elimination,
     parameters_from_meets,
+    table_evaluator_by_field_ops,
 )
 
 A = RatFunc.var("a")
@@ -385,6 +390,22 @@ class TestRecovery:
         with pytest.raises(NotALine, match=r"cell \(3, 19\)$"):
             recover_parameters(K)
 
+    def test_perturbed_q_cell_is_named(self):
+        # cell (0, 11) is (2a + 2ab)/q, compared by cross-multiplying in Z
+        rows = [list(r) for r in kernel_basis(Q(2), Q(3)).rows]
+        rows[0][11] += 1
+        K = Subspace(rows=tuple(map(tuple, rows)), ambient=24)
+        with pytest.raises(NotALine, match=r"cell \(0, 11\)$"):
+            recover_parameters(K)
+
+    def test_perturbed_symbolic_cell_is_named(self):
+        # cell (1, 19) is over a*q, compared by cross-multiplying in Q[a, b]
+        rows = [list(r) for r in kernel_basis(*shifted(3, 2, 5)).rows]
+        rows[1][19] += 1
+        K = Subspace(rows=tuple(map(tuple, rows)), ambient=24)
+        with pytest.raises(NotALine, match=r"cell \(1, 19\)$"):
+            recover_parameters(K)
+
     def test_zero_read_off_cell(self):
         # cell (0, 13) is 1/a, so a zero there reads off no point
         rows = [list(r) for r in kernel_basis(Q(2), Q(3)).rows]
@@ -454,19 +475,19 @@ class TestRecovery:
         assert self.count_rrefs(monkeypatch, K) == ((Q(2), Q(3)), 1)
 
     def test_two_kernel_evaluations(self, monkeypatch):
-        # a numeric op evaluates the committed kernel twice: once to build
-        # the kernel, and once in recovery to check the untrusted input
+        # a numeric op evaluates the committed kernel table twice: once to
+        # build the kernel, and once in recovery to check the untrusted input
         # against the table; jbar_rank reads its row count off the table
         import gsp4hodge.kernel
 
         calls = []
-        real = gsp4hodge.kernel._generic_kernel_at
+        real = gsp4hodge.kernel._table_evaluator
 
         def counted(a, b):
             calls.append((a, b))
             return real(a, b)
 
-        monkeypatch.setattr(gsp4hodge.kernel, "_generic_kernel_at", counted)
+        monkeypatch.setattr(gsp4hodge.kernel, "_table_evaluator", counted)
         K = kernel_basis(Q(2), Q(3))
         assert jbar_rank(Q(2), Q(3)) == 7
         assert recover_parameters(K) == (Q(2), Q(3)) and len(calls) == 2
@@ -501,6 +522,15 @@ def seeded_points(n, tall, seed):
         if a * b * (b + 1) * (a + b) * (a * b + a + b) != 0:
             points.append((a, b))
     return points
+
+
+#: Every distinct cell of the kernel and suite tables.
+TABLE_CELLS = tuple(
+    dict.fromkeys(
+        [c for row in _KERNEL_FREE_BLOCK for c in row]
+        + [c for M in _SUITE_TABLE.values() for row in M for c in row]
+    )
+)
 
 
 def shifted(c1, c2, c3):
@@ -677,6 +707,49 @@ class TestEvaluatedKernel:
         rows = kernel_basis(a, b).rows
         assert rows == tuple(row_space(nullspace(jbar_matrix(a, b), 24)))
         assert all(type(x) is RatFunc for r in rows for x in r)
+
+    @staticmethod
+    def assert_evaluators_agree(a, b):
+        # every cell of both tables: the ring evaluator's value is the field
+        # route's value, in the same type and canonical form, and its ring
+        # pair cross-multiplies to it
+        pair, value = _table_evaluator(a, b)
+        oracle = table_evaluator_by_field_ops(a, b)
+        for cell in TABLE_CELLS:
+            want, got = oracle(cell), value(cell)
+            assert type(got) is type(want) and got == want, cell
+            (n, d), (wn, wd) = pair(cell), _ring_pair(want)
+            assert n * wd == wn * d, cell
+
+    @pytest.mark.parametrize(
+        "point",
+        seeded_points(4, False, seed=41)
+        + seeded_points(4, True, seed=43)
+        # negative table denominators: a, q and a + b at low and tall
+        # height, then b + 1 and q
+        + [(Q(-3, 2), Q(5, 4)), (Q(-TALL + 1, 3), Q(TALL - 5, TALL - 1)), (Q(5), Q(-7, 2))],
+    )
+    def test_ring_evaluator_matches_field_ops_over_q(self, point):
+        self.assert_evaluators_agree(*point)
+
+    @pytest.mark.parametrize(
+        "point",
+        [shifted(0, 1, 0), shifted(Q(1, 2), 2, -1), shifted(-3, Q(-1, 3), 2), shifted(3, 2, 5)]
+        # denominators ad, bd != 1
+        + [((A + 1) / (B + 2), A / (B - 1)), (1 / A, 1 / B), (A / (A + B + 1), (2 * B - 1) / (3 * A))],
+    )
+    def test_ring_evaluator_matches_field_ops_over_qab(self, point):
+        assert vanishing_factor(*point) is None
+        self.assert_evaluators_agree(*point)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.builds(Q, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+        b=st.builds(Q, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+    )
+    def test_ring_evaluator_matches_field_ops_property(self, a, b):
+        assume(vanishing_factor(a, b) is None)
+        self.assert_evaluators_agree(a, b)
 
     @pytest.mark.parametrize("factor", NONDEG_FACTORS)
     def test_degenerate_points_raise(self, factor):
