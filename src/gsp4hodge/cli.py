@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 from fractions import Fraction as Q
 
@@ -31,25 +30,7 @@ from .errors import (
     NotALine,
     ParseError,
 )
-from .extledger import check_ledger, socle_diagram
-from .hecke import FrobeniusData, HeckeData, classicality_classify, hecke_charpoly, ideal_generators
-from .kernel import (
-    glue_generators,
-    glue_subspace,
-    kernel_basis,
-    matrix_suite,
-    recover_parameters,
-)
-from .phimodule import (
-    general_position,
-    phi_module_from_json,
-    standard_filtration,
-    validate,
-    vanishing_factor,
-)
 from .scalars import parse_boolean, parse_integer, parse_list, parse_scalar, required_field, scalar_str
-from .symplectic import Subspace, flag_anisotropy_check
-from .weyl import from_oneline, from_word
 
 EXIT_OK, EXIT_INVALID, EXIT_DEGENERATE = 0, 2, 3
 
@@ -125,17 +106,21 @@ def _report(command: str | None, status: str, payload) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns a report dict
+# Command handlers: each returns a report dict.  A handler imports the
+# library modules it uses when it runs, so a cold process loads only those.
 # ---------------------------------------------------------------------------
 
 
 def run_validate(doc, args):
+    from .phimodule import phi_module_from_json, validate
     d = phi_module_from_json(doc)
     report = validate(d)
     return _report("validate", "ok" if report.ok else "invalid", report.as_dict())
 
 
 def run_flag(doc, args):
+    from .phimodule import general_position, phi_module_from_json, standard_filtration
+    from .symplectic import flag_anisotropy_check
     d = phi_module_from_json(doc)
     hf = standard_filtration(d)
     payload = {
@@ -148,6 +133,7 @@ def run_flag(doc, args):
 
 
 def run_kernel(doc, args):
+    from .kernel import kernel_basis
     a, b = _ab_from_doc(doc, args)
     K = kernel_basis(a, b)
     payload = {
@@ -160,7 +146,8 @@ def run_kernel(doc, args):
     return _report("kernel", "ok", payload)
 
 
-def _kernel_from_doc(doc, args) -> Subspace:
+def _kernel_from_doc(doc, args):
+    from .symplectic import Subspace
     symbolic = _is_symbolic(doc, args)
     rows = tuple(
         tuple(parse_scalar(str(x), symbolic) for x in parse_list(row))
@@ -172,7 +159,10 @@ def _kernel_from_doc(doc, args) -> Subspace:
 
 
 def run_recover(doc, args):
+    from .kernel import kernel_basis, recover_parameters
     if "count" in doc or args.random:
+        import random
+        from .phimodule import vanishing_factor
         count = parse_integer(doc.get("count", args.random))
         if count < 0:
             raise InvalidData(f"recover count must be nonnegative, got {count}")
@@ -213,6 +203,7 @@ def run_recover(doc, args):
 
 
 def run_glue(doc, args):
+    from .kernel import glue_generators, glue_subspace
     glue = glue_subspace()
     payload = {
         "generator_count": len(glue_generators()),
@@ -223,6 +214,7 @@ def run_glue(doc, args):
 
 
 def run_matrices(doc, args):
+    from .kernel import matrix_suite
     a, b = _ab_from_doc(doc, args)
     suite = matrix_suite(a, b)
     payload = {name: _rows_strs(M) for name, M in suite.items()}
@@ -231,6 +223,7 @@ def run_matrices(doc, args):
 
 
 def run_ledger(doc, args):
+    from .extledger import check_ledger
     try:
         report = check_ledger()
     except LedgerInconsistent as exc:
@@ -239,6 +232,8 @@ def run_ledger(doc, args):
 
 
 def run_socle(doc, args):
+    from .extledger import socle_diagram
+    from .weyl import from_oneline, from_word
     kind = doc.get("kind", getattr(args, "kind", None))
     if kind is None:
         raise ParseError("socle needs a diagram kind: PS1, pi1 or pimin")
@@ -259,6 +254,7 @@ def run_socle(doc, args):
 
 
 def run_hecke(doc, args):
+    from .hecke import FrobeniusData, HeckeData, hecke_charpoly, ideal_generators
     if "c0" in doc:
         d = HeckeData(
             l=parse_integer(required_field(doc, "l")),
@@ -291,6 +287,7 @@ def run_hecke(doc, args):
 
 
 def run_classify(doc, args):
+    from .hecke import classicality_classify
     report = classicality_classify(
         alphas=[Q(parse_scalar(str(x))) for x in parse_list(required_field(doc, "alphas"))],
         weights=[parse_integer(x) for x in parse_list(required_field(doc, "weights"))],

@@ -10,10 +10,10 @@ one pair per coordinate p1, p2, p3.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction as Q
 from itertools import combinations
 
+from ._value import Value
 from .errors import InvalidData, InvalidIndexSet, LedgerInconsistent, NotALine
 from .kernel import (
     GENERATOR_LABELS,
@@ -31,8 +31,7 @@ from .scalars import Scalar
 from .weyl import CocharTuple, Weight, WeylElem, L_map, L_map_inverse
 
 
-@dataclass(frozen=True)
-class AddChar:
+class AddChar(Value):
     """Additive character with val- and log-coefficient tuples.
 
     shape "qp_to_t": 4 + 4 coefficients with the torus constraint on each
@@ -125,8 +124,7 @@ def ell_map_inverse(chi: AddChar) -> AddChar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Constituent:
+class Constituent(Value):
     """Either the locally algebraic socle or a labeled piece C(I, s_i)."""
 
     index_set: frozenset | None  # None marks the locally algebraic piece
@@ -212,8 +210,7 @@ def socle_constituents(X: str, I) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SocleDiagram:
+class SocleDiagram(Value):
     kind: str
     layers: tuple  # tuple of tuples of Constituent
 
@@ -268,22 +265,19 @@ def socle_diagram(kind: str, w: WeylElem | None = None) -> SocleDiagram:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(Value):
     name: str
     dim: int
     source: str
 
 
-@dataclass(frozen=True)
-class LedgerCheck:
+class LedgerCheck(Value):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class LedgerReport:
+class LedgerReport(Value):
     entries: tuple
     checks: tuple
 
@@ -298,7 +292,8 @@ class LedgerReport:
         raise KeyError(name)
 
     def as_dict(self):
-        return {"ok": self.ok, **asdict(self)}
+        entries = tuple(e._asdict() for e in self.entries)
+        return {"ok": self.ok, "entries": entries, "checks": tuple(c._asdict() for c in self.checks)}
 
 
 #: The ledger's entries in report order, each with where its value comes from.
@@ -420,8 +415,7 @@ def check_ledger() -> LedgerReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LInvariantPlane:
+class LInvariantPlane(Value):
     """Kernel-mod-glue presentation: two representatives in the generator
     coordinates f1..f4, g1..g4, plus the parameters they encode."""
 

@@ -8,10 +8,10 @@ source construction.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction as Q
 from itertools import accumulate
 
+from ._value import Value
 from .errors import InconsistentData, InvalidData
 from .phimodule import newton_above_hodge, refinement_weights
 from .scalars import is_prime, padic_val
@@ -21,8 +21,7 @@ GAP_SLOPE = 20170901
 GAP_OFFSET = 20260630
 
 
-@dataclass(frozen=True)
-class HeckeData:
+class HeckeData(Value):
     l: int
     c0: Q
     c1: Q
@@ -37,8 +36,7 @@ class HeckeData:
             raise InvalidData("c0 must be invertible")
 
 
-@dataclass(frozen=True)
-class FrobeniusData:
+class FrobeniusData(Value):
     """Monic quartic coefficients (T^4 + q3 T^3 + q2 T^2 + q1 T + q0) and
     the similitude value of Frobenius."""
 
@@ -92,8 +90,7 @@ def ideal_generators(f: FrobeniusData, l: int) -> HeckeData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassicalityReport:
+class ClassicalityReport(Value):
     bound_ok: bool
     bound_witness: str
     alternate_reading_differs: bool
@@ -103,7 +100,7 @@ class ClassicalityReport:
     very_classical: bool
 
     def as_dict(self):
-        return {**asdict(self), "admissible": list(self.admissible)}
+        return {**self._asdict(), "admissible": list(self.admissible)}
 
 
 def partial_sum_set(p: int, alphas, weights) -> list[WeylElem]:

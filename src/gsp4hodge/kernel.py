@@ -24,10 +24,10 @@ with T1 = diag(-1,-1,1,1) and T2 = diag(-1,0,0,1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 
+from ._value import Value
 from .errors import DegenerateIntersection, InvalidData, NotALine
 from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, nullspace, rref
 from .phimodule import coordinate_subspace, filtration_basis, vanishing_factor
@@ -103,8 +103,7 @@ def _require_nondegenerate(a: Scalar, b: Scalar) -> None:
         raise InvalidData(f"nondegeneracy-polynomial: factor {factor} vanishes")
 
 
-@dataclass(frozen=True)
-class EigenlineGrid:
+class EigenlineGrid(Value):
     """Lines F_w^i ∩ F_H^{5-i} for each Weyl element w, keyed by w.perm.
 
     Line vectors are normalized so the coefficient of e_{w^{-1}(i)} is 1,

@@ -14,10 +14,10 @@ with jumps at -h_1 > ... > -h_4 read bottom-up.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction as Q
 from itertools import accumulate, combinations
 
+from ._value import Value
 from .errors import InvalidData
 from .linalg import meet_coordinates
 from .scalars import RatFunc, Scalar, is_prime, is_zero, padic_val
@@ -41,8 +41,7 @@ def vanishing_factor(a: Scalar, b: Scalar) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class PhiModuleData:
+class PhiModuleData(Value):
     p: int
     alphas: tuple
     weights: tuple
@@ -72,15 +71,13 @@ def complete_flag(a: Scalar, b: Scalar) -> Flag:
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Value):
     name: str
     passed: bool
     witness: str = ""
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Value):
     checks: tuple
 
     @property
@@ -91,7 +88,7 @@ class ValidityReport:
         return [c for c in self.checks if not c.passed]
 
     def as_dict(self):
-        return {"ok": self.ok, **asdict(self)}
+        return {"ok": self.ok, "checks": tuple(c._asdict() for c in self.checks)}
 
 
 def validate(d: PhiModuleData) -> ValidityReport:
@@ -140,8 +137,7 @@ def validate(d: PhiModuleData) -> ValidityReport:
     return ValidityReport(checks=tuple(checks))
 
 
-@dataclass(frozen=True)
-class HodgeFlag:
+class HodgeFlag(Value):
     """The standard-form Hodge flag together with its jump indices."""
 
     flag: Flag

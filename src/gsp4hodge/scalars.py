@@ -669,21 +669,28 @@ _ALLOWED_NODES = (
 )
 
 
-def _check_power_size(x: Scalar, n: int) -> None:
+def _check_power_size(x: Scalar | Poly2, n: int) -> None:
     """Reject x**n, before computing it, when it would pass the MAX_EXPONENT bounds."""
-    if isinstance(x, RatFunc):
-        degree = max(x.num.total_degree(), x.den.total_degree())
+    if isinstance(x, Q):
+        coeffs = [x]
+    else:
+        parts = (x.num, x.den) if isinstance(x, RatFunc) else (x,)
+        degree = max(part.total_degree() for part in parts)
         if degree * n > MAX_EXPONENT:
             raise ParseError(f"power of total degree {degree * n} exceeds {MAX_EXPONENT}")
-        coeffs = [*x.num._terms().values(), *x.den._terms().values()]
-    else:
-        coeffs = [x]
-    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs)
+        coeffs = [c for part in parts for c in part._terms().values()]
+    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs), default=0)
     if bits * n > MAX_EXPONENT**2:
         raise ParseError(f"power of {bits * n} bits exceeds {MAX_EXPONENT**2}")
 
 
+def _as_field(x) -> Scalar:
+    return RatFunc(x, _coprime=True) if isinstance(x, Poly2) else x
+
+
 def _eval_node(node, symbolic: bool):
+    """A Fraction; in symbolic mode, a Poly2 up to the first division and a
+    RatFunc from there on, so that a quotient of polynomials is reduced once."""
     if isinstance(node, ast.Expression):
         return _eval_node(node.body, symbolic)
     if isinstance(node, ast.Constant):
@@ -691,17 +698,19 @@ def _eval_node(node, symbolic: bool):
             raise ParseError(f"non-integer literal {node.value!r}")
         if node.value.bit_length() > MAX_EXPONENT**2:
             raise ParseError(f"integer literal of {node.value.bit_length()} bits exceeds {MAX_EXPONENT**2}")
-        return RatFunc.const(node.value) if symbolic else Q(node.value)
+        return Poly2.const(node.value) if symbolic else Q(node.value)
     if isinstance(node, ast.Name):
         if not symbolic:
             raise ParseError(f"symbol {node.id!r} in numeric scalar")
-        return RatFunc.var(node.id)
+        return Poly2.var(node.id)
     if isinstance(node, ast.UnaryOp):
         val = _eval_node(node.operand, symbolic)
         return -val if isinstance(node.op, ast.USub) else val
     if isinstance(node, ast.BinOp):
         lhs = _eval_node(node.left, symbolic)
         rhs = _eval_node(node.right, symbolic)
+        if isinstance(lhs, RatFunc) or isinstance(rhs, RatFunc):
+            lhs, rhs = _as_field(lhs), _as_field(rhs)
         if isinstance(node.op, ast.Add):
             return lhs + rhs
         if isinstance(node.op, ast.Sub):
@@ -709,9 +718,9 @@ def _eval_node(node, symbolic: bool):
         if isinstance(node.op, ast.Mult):
             return lhs * rhs
         if isinstance(node.op, ast.Div):
-            if is_zero(rhs):
+            if not rhs:
                 raise ParseError("division by zero in scalar expression")
-            return lhs / rhs
+            return RatFunc(lhs, rhs) if isinstance(lhs, Poly2) else lhs / rhs
         if isinstance(node.op, ast.Pow):
             if not isinstance(node.right, ast.Constant) or not isinstance(
                 node.right.value, int
@@ -735,7 +744,7 @@ def parse_scalar(text: str, symbolic: bool = False) -> Scalar:
         for node in ast.walk(tree):
             if not isinstance(node, _ALLOWED_NODES):
                 raise ParseError(f"forbidden syntax in scalar expression {text!r}")
-        return _eval_node(tree, symbolic)
+        return _as_field(_eval_node(tree, symbolic))
     except SyntaxError as exc:
         raise ParseError(f"bad scalar expression {text!r}: {exc}") from exc
     except RecursionError as exc:

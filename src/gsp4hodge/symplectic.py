@@ -8,9 +8,9 @@ r(x, y) = x J y^T for the fixed antidiagonal J below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 
+from ._value import Value
 from .errors import InvalidData, NotSymplectic
 from .linalg import (
     coerce_rows,
@@ -107,8 +107,7 @@ def gsp4_coordinates(A) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """Row span inside E^ambient in canonical reduced-echelon form; equality
     is structural.  The flags live in E^4, the kernel and the glue in E^24."""
 
@@ -142,8 +141,7 @@ class Subspace:
 FLAG_DIMS = {"complete": (1, 2, 3), "siegel": (2,), "klingen": (1, 3)}
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Value):
     """Nested subspaces with the member dimensions dictated by the kind."""
 
     members: tuple

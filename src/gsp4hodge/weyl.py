@@ -9,15 +9,14 @@ elements are diagonal 4-tuples constrained by m1+m4 = m2+m3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 
+from ._value import Value
 from .errors import ConstraintViolated, InvalidData, ParseError
 from .scalars import padic_val
 
 
-@dataclass(frozen=True)
-class WeylElem:
+class WeylElem(Value):
     """Weyl group element in one-line permutation notation (1-indexed)."""
 
     perm: tuple[int, int, int, int]
@@ -134,8 +133,7 @@ def check_involution(w: WeylElem) -> WeylElem:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Value):
     """Exponents (n1, n2, n3) of p1, p2, p3; rationals allowed for rho-shifts."""
 
     n1: Q
@@ -157,8 +155,7 @@ class Weight:
         return Weight(self.n1 - other.n1, self.n2 - other.n2, self.n3 - other.n3)
 
 
-@dataclass(frozen=True)
-class CocharTuple:
+class CocharTuple(Value):
     """Diagonal cocharacter exponents (m1, m2, m3, m4) with m1+m4 = m2+m3."""
 
     m: tuple
@@ -229,8 +226,7 @@ def dot_action(u: WeylElem, lam: Weight) -> Weight:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QpChar:
+class QpChar(Value):
     """Character unr(coef * p^pexp) * z^zexp of Qp^x.
 
     Canonical form keeps val_p(coef) = 0 by folding powers of p into pexp;
@@ -296,8 +292,7 @@ class QpChar:
         return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class TChar:
+class TChar(Value):
     """Locally algebraic character of T(Qp) in (p1, p2, p3)-coordinates."""
 
     chars: tuple[QpChar, QpChar, QpChar]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsp4hodge
 from gsp4hodge.cli import (
     EXIT_DEGENERATE,
     EXIT_INVALID,
@@ -76,7 +77,6 @@ class TestDispatch:
 
     @pytest.mark.parametrize("command, doc", (("kernel", GOOD_DOC), ("ledger", {})), ids=("kernel", "ledger"))
     def test_kernel_evaluated_once(self, monkeypatch, command, doc):
-        import gsp4hodge.cli
         import gsp4hodge.extledger
         import gsp4hodge.kernel
 
@@ -87,7 +87,8 @@ class TestDispatch:
             calls.append((a, b))
             return real(a, b)
 
-        for module in (gsp4hodge.kernel, gsp4hodge.extledger, gsp4hodge.cli):
+        # the cli's handlers import kernel_basis from the kernel module when they run
+        for module in (gsp4hodge.kernel, gsp4hodge.extledger):
             monkeypatch.setattr(module, "kernel_basis", counted)
         _, code = call(command, doc)
         assert code == EXIT_OK and len(calls) == 1
@@ -799,3 +800,42 @@ class TestCatalogReplay:
                 mismatched.append(f"{name}: stdout bytes")
         assert entries
         assert not mismatched
+
+
+#: Per command, a catalog entry to run, and whether the command may load
+#: gsp4hodge.extledger and gsp4hodge.kernel.
+IMPORT_BUDGET = {
+    "validate": ("validate:P0", False, False),
+    "flag": ("flag:P0", False, False),
+    "kernel": ("kernel:P0", False, True),
+    "hecke": ("hecke-fwd:H1", False, False),
+    "classify": ("classify:C0", False, False),
+    "ledger": ("ledger", True, True),
+    "socle": ("socle-dot:pimin", True, True),
+}
+
+
+@pytest.mark.parametrize("command", sorted(IMPORT_BUDGET))
+def test_import_budget(command):
+    """A cold process loads only the modules its command uses, and never
+    dataclasses."""
+    name, extledger, kernel = IMPORT_BUDGET[command]
+    entry = json.loads(CATALOG.read_text(encoding="utf-8"))["entries"][name]
+    script = (
+        "import json, sys\n"
+        "import gsp4hodge.cli\n"
+        "code = gsp4hodge.cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(entry["argv"])],
+        input=entry["stdin"] or "",
+        env=dict(os.environ, PYTHONPATH=str(Path(gsp4hodge.__file__).resolve().parent.parent)),
+        capture_output=True,
+        text=True,
+    )
+    code, modules = json.loads(out.stderr.splitlines()[-1])
+    assert code in entry["expect"]
+    assert "dataclasses" not in modules
+    assert ("gsp4hodge.extledger" in modules) == extledger
+    assert ("gsp4hodge.kernel" in modules) == kernel

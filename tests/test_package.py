@@ -1,0 +1,78 @@
+"""The package's re-exports: every name resolves, from a fresh interpreter
+too, to the object its defining module binds."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gsp4hodge
+
+#: The names the package has exported since its first release, by module.
+EXPORTED = {
+    "errors": "ConstraintViolated DegenerateIntersection DivisionByZero GSp4Error InconsistentData"
+    " InvalidData InvalidIndexSet LedgerInconsistent NotALine NotSymplectic ParseError VariantMismatch",
+    "extledger": "AddChar Constituent all_constituents check_ledger constituent_of constituents"
+    " ell_map hom_space hom_space_dim l_invariant_plane socle_constituents socle_diagram",
+    "hecke": "FrobeniusData HeckeData classicality_classify hecke_charpoly ideal_generators",
+    "kernel": "EigenlineGrid eigenline_grid glue_subspace jbar_matrix jbar_rank kernel_basis"
+    " matrix_suite nu_operator recover_parameters",
+    "phimodule": "HodgeFlag PhiModuleData admissible_refinements general_position"
+    " refinement_parameters standard_filtration validate weak_admissibility",
+    "scalars": "Poly2 RatFunc field_arith is_zero padic_val parse_scalar scalar_str",
+    "symplectic": "J Flag Subspace adjoint flag_anisotropy_check lie_membership s_involution similitude",
+    "weyl": "S0 S1 S2 W_ALL W_ID CocharTuple L_map QpChar TChar Weight WeylElem build_char"
+    " check_involution dot_action from_oneline from_word pairing weyl_act",
+}
+NAMES = [(module, name) for module, names in EXPORTED.items() for name in names.split()]
+SRC = str(Path(gsp4hodge.__file__).resolve().parent.parent)
+
+
+@pytest.mark.parametrize("module, name", NAMES, ids=[name for _, name in NAMES])
+def test_name_resolves_to_its_definition(module, name):
+    defined = getattr(importlib.import_module(f"gsp4hodge.{module}"), name)
+    assert getattr(gsp4hodge, name) is defined
+    namespace = {}
+    exec(f"from gsp4hodge import {name}", namespace)
+    assert namespace[name] is defined
+
+
+def test_all_lists_every_name():
+    assert sorted(gsp4hodge.__all__) == sorted(name for _, name in NAMES)
+    assert set(gsp4hodge.__all__) <= set(dir(gsp4hodge))
+
+
+def test_fresh_interpreter_imports_lazily():
+    """In a new process, importing the package loads no module of it, and
+    each `from gsp4hodge import name` then gives the defining module's object."""
+    script = (
+        "import importlib, json, sys\n"
+        "import gsp4hodge\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('gsp4hodge.'))\n"
+        "same = []\n"
+        "for module, name in json.loads(sys.argv[1]):\n"
+        "    exec(f'from gsp4hodge import {name}')\n"
+        "    same.append(eval(name) is getattr(importlib.import_module('gsp4hodge.' + module), name))\n"
+        "print(json.dumps([loaded, all(same), len(same)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(NAMES)], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[], True, len(NAMES)]
+
+
+def test_unknown_name():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gsp4hodge.no_such_name
+    with pytest.raises(ImportError):
+        exec("from gsp4hodge import no_such_name", {})
+
+
+def test_version():
+    assert gsp4hodge.__version__ == "0.1.0"

@@ -1,3 +1,4 @@
+import operator
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -249,7 +250,37 @@ def _monic_copy(p):
     return p.scale(1 / p.leading_coeff())
 
 
+def _combine(parts):
+    """Text and value of (left) op (right); the value is None once a divisor is zero."""
+    (ltext, lvalue), op, (rtext, rvalue) = parts
+    text = f"({ltext}) {op} ({rtext})"
+    if lvalue is None or rvalue is None or (op == "/" and rvalue.is_zero()):
+        return text, None
+    return text, {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op](lvalue, rvalue)
+
+
+_LEAVES = st.tuples(
+    st.one_of(st.integers(-5, 5).map(lambda n: (f"({n})", RatFunc.const(n))), st.sampled_from([("a", A), ("b", B)])),
+    st.integers(0, 3),
+).map(lambda leaf: (f"({leaf[0][0]})**{leaf[1]}", leaf[0][1] ** leaf[1]))
+#: Expression text over a, b and small integers, with its value built by RatFunc field operations.
+_EXPRESSIONS = st.recursive(
+    _LEAVES, lambda inner: st.tuples(inner, st.sampled_from("+-*/"), inner).map(_combine), max_leaves=8
+)
+
+
 class TestSerialization:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_EXPRESSIONS)
+    def test_symbolic_parse_matches_field_operations(self, expression):
+        text, value = expression
+        if value is None:
+            with pytest.raises(ParseError, match="division by zero"):
+                parse_scalar(text, symbolic=True)
+        else:
+            parsed = parse_scalar(text, symbolic=True)
+            assert type(parsed) is RatFunc and parsed == value and str(parsed) == str(value)
+
     def test_rational_round_trip(self):
         for text in ["3/4", "-7", "0", "22/7"]:
             assert scalar_str(parse_scalar(text)) == text
