@@ -67,14 +67,14 @@ def _parse_json(raw: str, what: str):
 def _load_document(path: str | None) -> dict:
     if path is None:
         return {}
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read input: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read input: {exc}") from exc
     doc = _parse_json(raw, "input")
     if isinstance(doc, dict) and doc.get("schema", 1) != 1:
         raise ParseError(f"unsupported schema version {doc.get('schema')}")

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import lru_cache
+from math import prod
 
 from ._value import Value
 from .errors import DegenerateIntersection, InvalidData, NotALine
 from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, nullspace, rref
-from .phimodule import coordinate_subspace, filtration_basis, vanishing_factor
-from .scalars import RatFunc, Scalar, is_zero
+from .phimodule import coordinate_subspace, filtration_basis, nondeg_factors, vanishing_factor
+from .scalars import Scalar, is_zero, ring_pair
 from .symplectic import Subspace, gsp4_coordinates
 from .weyl import S1, S2, W_ALL, W_ID, WeylElem, from_word
 
@@ -172,22 +173,13 @@ def jbar_matrix(a: Scalar, b: Scalar):
 
 # Committed tables over Q(a, b).  A cell is an integer or
 # (den, c1, ca, cb, caa, cab, cbb) for
-# (c1 + ca*a + cb*b + caa*a^2 + cab*a*b + cbb*b^2) / den, where den indexes
-# the denominators (1, a, q, a*q, b + 1, a + b), q = ab + a + b.  Every
-# denominator is a product of the five nondegeneracy factors, so a table
-# evaluates at every nondegenerate point, over Q and over Q(a, b) alike.
+# (c1 + ca*a + cb*b + caa*a^2 + cab*a*b + cbb*b^2) / den, where den is the
+# tuple of indices in NONDEG_FACTORS of the factors whose product it is:
+# 1, a, q, a*q, b + 1 and a + b below, q = ab + a + b.  So a table evaluates
+# at every nondegenerate point, over Q and over Q(a, b) alike.
 # tests/make_tables.py prints the tables from the eliminated results they
 # stand for, and the certificate in tests/test_kernel.py proves them.
-_1, _A, _Q, _AQ, _B1, _S = range(6)
-#: The denominators as functions of (a, b, q); None stands for 1.
-_DENOMINATORS = (
-    None,
-    lambda a, b, q: a,
-    lambda a, b, q: q,
-    lambda a, b, q: a * q,
-    lambda a, b, q: b + 1,
-    lambda a, b, q: a + b,
-)
+_1, _A, _Q, _AQ, _B1, _S = (), (0,), (4,), (0, 4), (2,), (3,)
 
 # The kernel of jbar_matrix, in reduced row echelon form.  The RREF is
 # unique and commutes with evaluation wherever the five factors are nonzero,
@@ -218,29 +210,24 @@ _KERNEL_FREE_BLOCK = (
 )
 
 
-def _ring_pair(x) -> tuple:
-    """x as numerator and denominator in the ring under its field: ints for
-    a Fraction or an int, Poly2s for a RatFunc."""
-    return (x.num, x.den) if isinstance(x, RatFunc) else (x.numerator, x.denominator)
-
-
 def _table_evaluator(a: Scalar, b: Scalar):
-    """The functions pair and value on table cells at (a, b), which lie in
-    one field and make every denominator the cells use nonzero.
+    """The functions pair and value on table cells at (a, b), lifted into
+    one field, where every denominator the cells use is nonzero.
 
     pair(cell) is the cell as numerator and denominator in the ring under
-    that field, Z for Q and Q[a, b] for Q(a, b).  With a = an/ad and
-    b = bn/bd, the six monomials share the denominator l = (ad*bd)^2, so a
-    cell over the table denominator dn/dd is (sum of c*m) * dd / (l * dn).
-    value(cell) is that quotient in the field, built by one reduction.
-    Each distinct cell is evaluated once, and each table denominator once
-    on first use, so a table pays only for its own."""
+    that field, Z for Q and Q[a, b] for Q(a, b), built from the pairs of
+    nondeg_factors.  With a = an/ad and b = bn/bd, the first two, the six
+    monomials share the denominator l = (ad*bd)^2, and a table denominator
+    dn/dd is the product of its factors' pairs, so a cell over it is
+    (sum of c*m) * dd / (l * dn).  value(cell) is that quotient in the
+    field, built by one reduction.  Each distinct cell and table
+    denominator is evaluated once, so a table pays only for its own."""
+    a, b = coerce_rows([(a, b)])[0]
+    factors = nondeg_factors(a, b)
+    (an, ad), (bn, bd) = factors[:2]
     field, zero = type(a), a - a
-    an, ad = _ring_pair(a)
-    bn, bd = _ring_pair(b)
     ad2, bd2 = ad * ad, bd * bd
     monomials = (ad2 * bd2, an * ad * bd2, bn * bd * ad2, an * an * bd2, an * bn * ad * bd, bn * bn * ad2)
-    q = a * b + a + b
     denominators, pairs, values = {}, {}, {0: zero, 1: zero + 1}  # tables repeat cells
 
     def pair(cell):
@@ -252,7 +239,7 @@ def _table_evaluator(a: Scalar, b: Scalar):
                 den, *coeffs = cell
                 d = denominators.get(den)
                 if d is None:
-                    d = denominators[den] = _ring_pair(_DENOMINATORS[den](a, b, q) if den else 1)
+                    d = denominators[den] = (prod(factors[i][0] for i in den), prod(factors[i][1] for i in den))
                 n = sum(c * m for c, m in zip(coeffs, monomials) if c)
                 p = (n * d[1], monomials[0] * d[0])
             pairs[cell] = p
@@ -268,8 +255,8 @@ def _table_evaluator(a: Scalar, b: Scalar):
 
 
 def _generic_kernel_at(a: Scalar, b: Scalar) -> tuple:
-    """Rows of the committed generic kernel at (a, b), which lie in one
-    field and make a and ab + a + b nonzero."""
+    """Rows of the committed generic kernel at (a, b), lifted into one
+    field, where a and ab + a + b are nonzero."""
     value = _table_evaluator(a, b)[1]
     zero, one = value(0), value(1)
     rows = []
@@ -287,7 +274,7 @@ def kernel_basis(a: Scalar, b: Scalar) -> Subspace:
     """The kernel of jbar_matrix(a, b) inside E^24, by evaluating the
     committed generic kernel."""
     _require_nondegenerate(a, b)
-    return Subspace(rows=_generic_kernel_at(*coerce_rows([(a, b)])[0]), ambient=24)
+    return Subspace(rows=_generic_kernel_at(a, b), ambient=24)
 
 
 def jbar_rank(a: Scalar, b: Scalar) -> int:
@@ -390,7 +377,7 @@ def recover_parameters(K: Subspace):
     pair = _table_evaluator(a, b)[0]
     for r, (row, cells) in enumerate(zip(rows, _KERNEL_FREE_BLOCK)):
         for c, cell in zip(_KERNEL_FREE, cells):
-            (xn, xd), (n, d) = _ring_pair(row[c]), pair(cell)
+            (xn, xd), (n, d) = ring_pair(row[c]), pair(cell)
             if xn * d != n * xd:
                 raise NotALine(f"kernel differs from the committed table at cell ({r}, {c})")
     return a, b
@@ -421,5 +408,5 @@ def matrix_suite(a: Scalar, b: Scalar) -> dict:
     filtration basis (v1, v2, v3, v4), by evaluating the committed suite
     table."""
     _require_nondegenerate(a, b)
-    value = _table_evaluator(*coerce_rows([(a, b)])[0])[1]
+    value = _table_evaluator(a, b)[1]
     return {label: [[value(cell) for cell in row] for row in M] for label, M in _SUITE_TABLE.items()}

@@ -19,24 +19,29 @@ from itertools import accumulate, combinations
 
 from ._value import Value
 from .errors import InvalidData
-from .linalg import meet_coordinates
-from .scalars import RatFunc, Scalar, is_prime, is_zero, padic_val
-from .symplectic import Flag, Subspace
-from .weyl import W_ALL, QpChar, WeylElem, check_involution
+from .scalars import RatFunc, Scalar, is_prime, padic_val, ring_pair
+
+# linalg, symplectic and weyl are imported where used: validate uses none.
 
 #: Names for the five nondegeneracy factors, in fixed order.
 NONDEG_FACTORS = ("a", "b", "b+1", "a+b", "a*b+a+b")
 
 
-def _nondeg_factor_values(a: Scalar, b: Scalar):
-    return (a, b, b + 1, a + b, a * b + a + b)
+def nondeg_factors(a: Scalar, b: Scalar) -> tuple:
+    """The factors at (a, b) in NONDEG_FACTORS order, each an unreduced
+    numerator and denominator in the ring under the field (Z, or Q[a, b]
+    if a or b is a RatFunc), built from a = an/ad and b = bn/bd by ring
+    products and sums.  A factor vanishes exactly when its numerator does."""
+    (an, ad), (bn, bd) = ring_pair(a), ring_pair(b)
+    b1, ad_bn, ad_bd = bn + bd, ad * bn, ad * bd
+    return ((an, ad), (bn, bd), (b1, bd), (an * bd + ad_bn, ad_bd), (an * b1 + ad_bn, ad_bd))
 
 
 def vanishing_factor(a: Scalar, b: Scalar) -> str | None:
     """Name of the first nondegeneracy factor that vanishes at (a, b), or
     None when (a, b) is nondegenerate."""
-    for name, value in zip(NONDEG_FACTORS, _nondeg_factor_values(a, b)):
-        if is_zero(value):
+    for name, (n, _) in zip(NONDEG_FACTORS, nondeg_factors(a, b)):
+        if not n:
             return name
     return None
 
@@ -64,6 +69,7 @@ def filtration_basis(a: Scalar, b: Scalar) -> tuple:
 def complete_flag(a: Scalar, b: Scalar) -> Flag:
     """The standard-form flag F^1 < F^2 < F^3 at (a, b).  v1, v2, v3 are
     independent for every (a, b), so the flag always exists."""
+    from .symplectic import Flag, Subspace
     v1, v2, v3, _ = filtration_basis(a, b)
     return Flag(
         members=(Subspace.span([v1]), Subspace.span([v1, v2]), Subspace.span([v1, v2, v3])),
@@ -173,6 +179,7 @@ def standard_filtration(d: PhiModuleData) -> HodgeFlag:
 
 def coordinate_subspace(indices) -> Subspace:
     """E_S, the span of e_i for i in S, whose sorted unit rows are in RREF."""
+    from .symplectic import Subspace
     units = [tuple(Q(int(j == i)) for j in (1, 2, 3, 4)) for i in sorted(set(indices))]
     return Subspace(rows=tuple(units))
 
@@ -186,6 +193,7 @@ def _coordinate_meets(members, S) -> tuple:
     """dim(E_S ∩ F^j) for j = 0..4, E_S the span of e_i for i in S, from
     independent spanning rows of F^1, F^2 and F^3; F^0 = 0 and F^4 = E^4
     are the ends of the complete flag.  The unit rows off S annihilate E_S."""
+    from .linalg import meet_coordinates
     ann = coordinate_subspace(set((1, 2, 3, 4)) - set(S)).rows
     return (0,) + tuple(len(meet_coordinates(rows, ann)) for rows in members) + (len(S),)
 
@@ -215,6 +223,7 @@ def newton_above_hodge(t_newton, t_hodge) -> bool:
 
 def refinement_weights(w: WeylElem, weights) -> tuple:
     """The weights relabeled for the refinement w: h_{(w-check)^{-1}(j)}."""
+    from .weyl import check_involution
     wc_inv = check_involution(w).inv()
     return tuple(weights[wc_inv(j) - 1] for j in (1, 2, 3, 4))
 
@@ -246,6 +255,7 @@ def admissible_refinements(d: PhiModuleData):
     dominate the valuation spread.  Hodge sums count the actual meets
     with the flag members, so degenerate (a, b) are handled faithfully.
     """
+    from .weyl import W_ALL
     _require_structure(d, nondegenerate=False)
     members = _filtration_prefixes(d.a, d.b)
     t_newton = list(accumulate(_valuations(d.p, d.alphas)))
@@ -260,6 +270,7 @@ def admissible_refinements(d: PhiModuleData):
 
 def refinement_parameters(d: PhiModuleData, w: WeylElem):
     """Graded parameters of the w-triangulation: unr(alpha_{w^{-1}(i)}) z^{h_i}."""
+    from .weyl import QpChar
     _require_structure(d, nondegenerate=True)
     winv = w.inv()
     out = []

@@ -557,6 +557,12 @@ def is_zero(x: Scalar) -> bool:
     return Q(x) == 0
 
 
+def ring_pair(x) -> tuple:
+    """x as numerator and denominator in the ring under its field: ints for
+    a Fraction or an int, Poly2s for a RatFunc."""
+    return (x.num, x.den) if isinstance(x, RatFunc) else (x.numerator, x.denominator)
+
+
 def field_arith(x: Scalar, y: Scalar, op: str) -> Scalar:
     """Strict field arithmetic: both operands must be the same variant."""
     x_sym = isinstance(x, RatFunc)

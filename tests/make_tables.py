@@ -7,26 +7,31 @@ The kernel table is row_space(nullspace(jbar_matrix(a, b), 24)), and the
 suite table is oracles.matrix_suite_by_elimination(a, b).  Each cell is
 printed in the table format of kernel.py: an integer, or
 (den, c1, ca, cb, caa, cab, cbb) over the first of the denominators
-(1, a, q, aq, b + 1, a + b), q = ab + a + b, that clears it.  The output is
-the source text of the table literals, one block each; test_make_tables
-checks that kernel.py contains every block verbatim, so no table is edited
-by hand.
+(1, a, q, aq, b + 1, a + b), q = ab + a + b, that clears it.  A denominator
+is written as the tuple of indices of its factors in NONDEG_FACTORS, so the
+names line binds each name to a factor product.  The output is the source
+text of the names line and of the table literals, one block each;
+test_make_tables checks that kernel.py contains every block verbatim, so
+no table is edited by hand.
 """
 
-from gsp4hodge.kernel import _DENOMINATORS, jbar_matrix
+from math import prod
+
+from gsp4hodge.kernel import jbar_matrix
 from gsp4hodge.linalg import nullspace, row_space
 from gsp4hodge.scalars import RatFunc
-from oracles import matrix_suite_by_elimination
+from oracles import _nondeg_factor_values, matrix_suite_by_elimination
 
 A = RatFunc.var("a")
 B = RatFunc.var("b")
 
-#: Names of the denominators 1, a, q, aq, b + 1, a + b, and their values
-#: by kernel.py's own definitions.
-NAMES = ("_1", "_A", "_Q", "_AQ", "_B1", "_S")
+#: The denominators 1, a, q, aq, b + 1, a + b: each name with the indices of
+#: its factors in NONDEG_FACTORS.
+NAMED_FACTORS = (("_1", ()), ("_A", (0,)), ("_Q", (4,)), ("_AQ", (0, 4)), ("_B1", (2,)), ("_S", (3,)))
+FACTORS = _nondeg_factor_values(A, B)
+#: Each name with its denominator over Q(a, b), by field operations.
 DENOMINATORS = tuple(
-    (name, den(A, B, A * B + A + B) if den else RatFunc.const(1))
-    for name, den in zip(NAMES, _DENOMINATORS, strict=True)
+    (name, prod((FACTORS[i] for i in factors), start=RatFunc.const(1))) for name, factors in NAMED_FACTORS
 )
 #: Exponents of the monomials 1, a, b, a^2, ab, b^2 of a cell's numerator.
 MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -77,7 +82,8 @@ def suite_table() -> list:
 
 def tables() -> list:
     """The source blocks: denominator names, kernel table, suite table."""
-    blocks = ([f"{', '.join(NAMES)} = range({len(NAMES)})"], kernel_table(), suite_table())
+    names, factors = zip(*NAMED_FACTORS)
+    blocks = ([f"{', '.join(names)} = {', '.join(map(repr, factors))}"], kernel_table(), suite_table())
     return ["\n".join(lines) + "\n" for lines in blocks]
 
 

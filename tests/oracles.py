@@ -8,11 +8,11 @@ computes or certifies, or a fact only the tests check; nothing under
 
 from fractions import Fraction as Q
 from itertools import accumulate, combinations
+from math import prod
 
 from gsp4hodge.errors import ConstraintViolated, InvalidData, NotALine
 from gsp4hodge.extledger import AddChar, _qpchar, _tchar
 from gsp4hodge.kernel import (
-    _DENOMINATORS,
     _GENERATOR_DEF,
     GENERATOR_LABELS,
     RECOVERY_LABELS,
@@ -170,17 +170,23 @@ def hodge_borel_basis(a: Scalar, b: Scalar):
 # ---------------------------------------------------------------------------
 
 
+def _nondeg_factor_values(a: Scalar, b: Scalar):
+    return (a, b, b + 1, a + b, a * b + a + b)
+
+
 def table_evaluator_by_field_ops(a: Scalar, b: Scalar):
     """The function that evaluates table cells at (a, b), which lie in one
     field and make every denominator the cells use nonzero.  Values lie in
-    that field; each distinct cell is evaluated once, and each denominator
-    is inverted on first use, so a table pays only for its own.  The
-    library's kernel._table_evaluator forms each cell in the ring under the
-    field and reduces it once instead; the tests compare the two."""
+    that field; each distinct cell is evaluated once, and each denominator,
+    the product of the nondegeneracy factors it indexes, is built by field
+    operations and inverted on first use, so a table pays only for its own.
+    The library's kernel._table_evaluator forms each cell in the ring under
+    the field, from the factor pairs of phimodule.nondeg_factors, and
+    reduces it once instead; the tests compare the two."""
     zero = a - a
     one = zero + 1
     ab = a * b
-    q = ab + a + b
+    factors = _nondeg_factor_values(a, b)
     monomials = (one, a, b, a * a, ab, b * b)
     values = {0: zero, 1: one}  # tables repeat cells
     inverses = {}
@@ -199,7 +205,7 @@ def table_evaluator_by_field_ops(a: Scalar, b: Scalar):
                 if den:
                     inv = inverses.get(den)
                     if inv is None:
-                        inv = inverses[den] = one / _DENOMINATORS[den](a, b, q)
+                        inv = inverses[den] = one / prod((factors[i] for i in den), start=one)
                     x = x * inv
             values[cell] = x
         return x

@@ -364,6 +364,18 @@ class TestRejectedInputs:
         assert report["command"] == "validate" and report["citations"] == COMMANDS["validate"][1]
         assert report["status"] == "invalid" and "cannot read input" in report["payload"]["error"]
 
+    def test_non_utf8_input_file(self, capsys, tmp_path):
+        doc = tmp_path / "bad.json"
+        doc.write_bytes(b"\xff\xfe{}")
+        report = self.run(capsys, ["validate", "--input", str(doc)])
+        assert report["status"] == "invalid" and "cannot read input" in report["payload"]["error"]
+
+    def test_non_utf8_stdin(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        report = self.run(capsys, ["validate", "--input", "-"])
+        assert report["status"] == "invalid" and "cannot read input" in report["payload"]["error"]
+
     @pytest.mark.parametrize(
         "argv, command, error",
         (
@@ -839,3 +851,6 @@ def test_import_budget(command):
     assert "dataclasses" not in modules
     assert ("gsp4hodge.extledger" in modules) == extledger
     assert ("gsp4hodge.kernel" in modules) == kernel
+    if command == "validate":
+        # checking a document takes no linear algebra, flags or Weyl group
+        assert not {"gsp4hodge.linalg", "gsp4hodge.symplectic", "gsp4hodge.weyl"} & set(modules)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as Q
 from itertools import combinations
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -25,11 +26,9 @@ from gsp4hodge.kernel import (
     matrix_suite,
     nu_operator,
     recover_parameters,
-    _DENOMINATORS,
     _KERNEL_FREE_BLOCK,
     _SUITE_TABLE,
     _generic_kernel_at,
-    _ring_pair,
     _table_evaluator,
 )
 from gsp4hodge.linalg import (
@@ -42,12 +41,19 @@ from gsp4hodge.linalg import (
     row_space,
     transpose,
 )
-from gsp4hodge.phimodule import NONDEG_FACTORS, coordinate_subspace, filtration_basis, vanishing_factor
-from gsp4hodge.scalars import Poly2, RatFunc, poly_divexact, poly_gcd
+from gsp4hodge.phimodule import (
+    NONDEG_FACTORS,
+    coordinate_subspace,
+    filtration_basis,
+    nondeg_factors,
+    vanishing_factor,
+)
+from gsp4hodge.scalars import Poly2, RatFunc, is_zero, poly_divexact, poly_gcd, ring_pair
 from gsp4hodge.symplectic import Subspace, gsp4_coordinates, lie_membership
 from gsp4hodge.weyl import S1, W_ALL, W_ID, from_word
 from make_tables import tables
 from oracles import (
+    _nondeg_factor_values,
     _projected_line,
     det,
     hodge_borel_basis,
@@ -646,12 +652,15 @@ class TestCertificate:
             assert mat_eq(eliminated[label], table[label]), label
 
     def test_table_denominators_are_factor_products(self):
+        # a table denominator is written as the indices of its factors
         cells = [c for row in _KERNEL_FREE_BLOCK for c in row]
         cells += [c for M in _SUITE_TABLE.values() for row in M for c in row]
-        used = {c[0] for c in cells if isinstance(c, tuple)} - {0}
-        assert used == {1, 2, 3, 4, 5}
+        used = {c[0] for c in cells if isinstance(c, tuple)} - {()}
+        assert used == {(0,), (4,), (0, 4), (2,), (3,)}
+        factors = _nondeg_factor_values(A, B)
         for d in used:
-            den = _DENOMINATORS[d](A, B, A * B + A + B)
+            assert all(i in range(len(NONDEG_FACTORS)) for i in d), d
+            den = prod((factors[i] for i in d), start=ONE)
             assert den.den.is_const() and is_factor_product(den.num), d
 
     def test_glue_in_every_kernel(self, generic):
@@ -718,7 +727,7 @@ class TestEvaluatedKernel:
         for cell in TABLE_CELLS:
             want, got = oracle(cell), value(cell)
             assert type(got) is type(want) and got == want, cell
-            (n, d), (wn, wd) = pair(cell), _ring_pair(want)
+            (n, d), (wn, wd) = pair(cell), ring_pair(want)
             assert n * wd == wn * d, cell
 
     @pytest.mark.parametrize(
@@ -762,6 +771,91 @@ class TestEvaluatedKernel:
                 with pytest.raises(InvalidData) as err:
                     fn(a, b)
                 assert str(err.value) == f"nondegeneracy-polynomial: factor {factor} vanishes"
+
+
+#: Fractions of low and 2^64-tall height, and ones built over a negative
+#: denominator.
+_LOW = st.builds(Q, st.integers(-9, 9), st.integers(1, 5))
+_FRACTIONS = (
+    _LOW
+    | st.builds(Q, st.integers(-TALL, TALL), st.integers(1, TALL))
+    | st.builds(Q, st.integers(-TALL, TALL), st.integers(-TALL, -1) | st.integers(-5, -1))
+)
+#: Elements of Q(a, b): generic shifts and quotients with nonconstant
+#: denominators.
+_RATFUNCS = st.one_of(
+    st.builds(lambda c, s: A * s + c, _LOW, _LOW.filter(bool)),
+    st.builds(lambda c, s: B * s + c, _LOW, _LOW.filter(bool)),
+    st.sampled_from(((A + 1) / (B + 2), A / (B - 1), 1 / A, (2 * B - 1) / (3 * A), B / (A + B + 1))),
+)
+_SCALARS = _FRACTIONS | _RATFUNCS
+#: Points where factor k vanishes, built from x; the zero of a constant
+#: factor stays a Fraction, so those points are mixed when x is a RatFunc.
+_ON_ZERO_SET = (
+    lambda x: (Q(0), x),
+    lambda x: (x, Q(0)),
+    lambda x: (x, Q(-1)),
+    lambda x: (x, -x),
+    lambda x: (x, -x / (x + 1)),
+)
+
+
+class TestNondegFactors:
+    """phimodule.nondeg_factors builds the five factors in the ring under the
+    field; the oracle evaluates them by field operations."""
+
+    @staticmethod
+    def assert_matches_oracle(a, b):
+        values = _nondeg_factor_values(a, b)
+        pairs = nondeg_factors(a, b)
+        assert len(pairs) == len(values) == len(NONDEG_FACTORS)
+        for (n, d), v in zip(pairs, values):
+            vn, vd = ring_pair(v)
+            assert d and n * vd == vn * d, (a, b, v)
+        zeros = [name for name, v in zip(NONDEG_FACTORS, values) if is_zero(v)]
+        assert vanishing_factor(a, b) == (zeros[0] if zeros else None)
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(a=_FRACTIONS, b=_FRACTIONS)
+    def test_fraction_points(self, a, b):
+        self.assert_matches_oracle(a, b)
+        assert all(type(x) is int for p in nondeg_factors(a, b) for x in p)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(a=_SCALARS, b=_SCALARS)
+    def test_mixed_and_symbolic_points(self, a, b):
+        self.assert_matches_oracle(a, b)
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(c1=_LOW, c2=_LOW.filter(bool), c3=_LOW)
+    def test_shifted_points(self, c1, c2, c3):
+        self.assert_matches_oracle(*shifted(c1, c2, c3))
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(k=st.integers(0, 4), x=_SCALARS | st.just(A) | st.just(B))
+    def test_zero_sets(self, k, x):
+        assume(k != 4 or x + 1 != 0)
+        a, b = _ON_ZERO_SET[k](x)
+        assert not nondeg_factors(a, b)[k][0]
+        self.assert_matches_oracle(a, b)
+
+    def test_check_takes_no_gcd_and_no_field_operation(self, monkeypatch):
+        # the check reads the factors off ring products and sums alone
+        import gsp4hodge.scalars
+
+        a, b = shifted(3, 2, 5)
+        calls = []
+
+        def recorded(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        monkeypatch.setattr(gsp4hodge.scalars, "poly_gcd", recorded("poly_gcd", poly_gcd))
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__pow__"):
+            monkeypatch.setattr(RatFunc, name, recorded(name, getattr(RatFunc, name)))
+        assert vanishing_factor(a, b) is None
+        assert jbar_rank(a, b) == 7
+        assert calls == []
 
 
 class TestNullspace:
