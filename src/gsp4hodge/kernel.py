@@ -98,8 +98,8 @@ def generator_vector(label: str):
     return embed_block(t, w)
 
 
-def _require_nondegenerate(a: Scalar, b: Scalar) -> None:
-    factor = vanishing_factor(a, b)
+def _require_nondegenerate(a: Scalar, b: Scalar, factors: tuple | None = None) -> None:
+    factor = vanishing_factor(a, b, factors)
     if factor is not None:
         raise InvalidData(f"nondegeneracy-polynomial: factor {factor} vanishes")
 
@@ -221,9 +221,11 @@ def _table_evaluator(a: Scalar, b: Scalar):
     dn/dd is the product of its factors' pairs, so a cell over it is
     (sum of c*m) * dd / (l * dn).  value(cell) is that quotient in the
     field, built by one reduction.  Each distinct cell and table
-    denominator is evaluated once, so a table pays only for its own."""
+    denominator is evaluated once, so a table pays only for its own.
+    InvalidData names the first factor that vanishes at (a, b)."""
     a, b = coerce_rows([(a, b)])[0]
     factors = nondeg_factors(a, b)
+    _require_nondegenerate(a, b, factors)
     (an, ad), (bn, bd) = factors[:2]
     field, zero = type(a), a - a
     ad2, bd2 = ad * ad, bd * bd
@@ -256,7 +258,7 @@ def _table_evaluator(a: Scalar, b: Scalar):
 
 def _generic_kernel_at(a: Scalar, b: Scalar) -> tuple:
     """Rows of the committed generic kernel at (a, b), lifted into one
-    field, where a and ab + a + b are nonzero."""
+    field; InvalidData at a degenerate point."""
     value = _table_evaluator(a, b)[1]
     zero, one = value(0), value(1)
     rows = []
@@ -273,7 +275,6 @@ def _generic_kernel_at(a: Scalar, b: Scalar) -> tuple:
 def kernel_basis(a: Scalar, b: Scalar) -> Subspace:
     """The kernel of jbar_matrix(a, b) inside E^24, by evaluating the
     committed generic kernel."""
-    _require_nondegenerate(a, b)
     return Subspace(rows=_generic_kernel_at(a, b), ambient=24)
 
 
@@ -369,12 +370,13 @@ def recover_parameters(K: Subspace):
         raise NotALine("kernel cell (0, 13), which is 1/a, vanishes")
     a = 1 / inv_a
     b = -(a * cell + 1) / 2
-    factor = vanishing_factor(a, b)
-    if factor is not None:
-        raise NotALine(f"kernel reads off a degenerate point: factor {factor} vanishes")
+    try:
+        pair = _table_evaluator(a, b)[0]
+    except InvalidData:  # the error path alone builds the factors again
+        factor = vanishing_factor(a, b)
+        raise NotALine(f"kernel reads off a degenerate point: factor {factor} vanishes") from None
     # the pivot columns already equal the table's 1s and 0s; each free cell
     # x = xn/xd is compared with the table's n/d as xn*d == n*xd, in the ring
-    pair = _table_evaluator(a, b)[0]
     for r, (row, cells) in enumerate(zip(rows, _KERNEL_FREE_BLOCK)):
         for c, cell in zip(_KERNEL_FREE, cells):
             (xn, xd), (n, d) = ring_pair(row[c]), pair(cell)
@@ -407,6 +409,5 @@ def matrix_suite(a: Scalar, b: Scalar) -> dict:
     """Images of the eight distinguished generators, written in the
     filtration basis (v1, v2, v3, v4), by evaluating the committed suite
     table."""
-    _require_nondegenerate(a, b)
     value = _table_evaluator(a, b)[1]
     return {label: [[value(cell) for cell in row] for row in M] for label, M in _SUITE_TABLE.items()}

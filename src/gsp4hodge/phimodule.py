@@ -37,10 +37,11 @@ def nondeg_factors(a: Scalar, b: Scalar) -> tuple:
     return ((an, ad), (bn, bd), (b1, bd), (an * bd + ad_bn, ad_bd), (an * b1 + ad_bn, ad_bd))
 
 
-def vanishing_factor(a: Scalar, b: Scalar) -> str | None:
+def vanishing_factor(a: Scalar, b: Scalar, factors: tuple | None = None) -> str | None:
     """Name of the first nondegeneracy factor that vanishes at (a, b), or
-    None when (a, b) is nondegenerate."""
-    for name, (n, _) in zip(NONDEG_FACTORS, nondeg_factors(a, b)):
+    None when (a, b) is nondegenerate; factors, if given, is
+    nondeg_factors(a, b), already built."""
+    for name, (n, _) in zip(NONDEG_FACTORS, factors or nondeg_factors(a, b)):
         if not n:
             return name
     return None

@@ -129,12 +129,17 @@ class Poly2:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other):
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Poly2):
+            return self.scale(other) if isinstance(other, (int, Q)) else NotImplemented
+        # A constant factor changes only the scale.
+        if other.is_const():
+            return self.scale(other._scale)
+        if self.is_const():
+            return other.scale(self._scale)
         # A product of views is a view (Gauss's lemma).
         product = _poly(_mul(self._view, other._view), self._scale * other._scale)
-        # Only a product outgrows its inputs' degree, so the cap is checked here.
+        # Only a product of two non-constant polynomials outgrows its
+        # inputs' degree, so the cap is checked here.
         cap = _degree_cap()
         if cap is not None and product.total_degree() > cap:
             raise DegreeCapExceeded(
@@ -156,9 +161,11 @@ class Poly2:
             n >>= 1
         return out
 
-    def scale(self, c: Q) -> "Poly2":
-        c = Q(c)
-        return _poly(self._view if c else {}, self._scale * c)
+    def scale(self, c: int | Q) -> "Poly2":
+        """c * self for an int or a Fraction c: a new scale on the same view."""
+        if c == 1:
+            return self
+        return _poly(self._view, self._scale * c) if c else _poly({}, Q(0))
 
     def evaluate(self, a, b) -> Q:
         a, b = Q(a), Q(b)
@@ -227,6 +234,7 @@ def _poly(view, scale: Q) -> Poly2:
 
 _ONE = {0: 1}  # the unit of Z[a]
 _UNIT = {0: _ONE}  # the view of a nonzero constant
+_ONE_POLY = _poly(_UNIT, Q(1))
 
 
 def _add(f, g, k=1):
@@ -414,7 +422,7 @@ class RatFunc:
 
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc(Poly2.const(c))
+        return _ratfunc(Poly2.const(c), _ONE_POLY)
 
     @staticmethod
     def var(name: str) -> "RatFunc":
@@ -475,6 +483,8 @@ class RatFunc:
         return _as_ratfunc(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Q)):  # c * num is coprime to den for c != 0
+            return _ratfunc(self.num.scale(other), self.den) if other else RatFunc.const(0)
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
@@ -491,6 +501,10 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Q)):
+            if not other:
+                raise DivisionByZero("division by zero rational function")
+            return _ratfunc(self.num.scale(Q(other.denominator, other.numerator)), self.den)
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
@@ -515,6 +529,8 @@ class RatFunc:
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, (int, Q)):  # the canonical pair of c is (c, 1)
+            return self.is_const() and self.num._scale == other
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
@@ -533,6 +549,13 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
+
+
+def _ratfunc(num: Poly2, den: Poly2) -> RatFunc:
+    """The RatFunc num/den of a canonical pair, built without __init__."""
+    r = object.__new__(RatFunc)
+    r.num, r.den = num, den
+    return r
 
 
 def _as_ratfunc(x) -> "RatFunc":

@@ -10,7 +10,7 @@ from fractions import Fraction as Q
 from itertools import accumulate, combinations
 from math import prod
 
-from gsp4hodge.errors import ConstraintViolated, InvalidData, NotALine
+from gsp4hodge.errors import ConstraintViolated, DegreeCapExceeded, DivisionByZero, InvalidData, NotALine
 from gsp4hodge.extledger import AddChar, _qpchar, _tchar
 from gsp4hodge.kernel import (
     _GENERATOR_DEF,
@@ -28,8 +28,88 @@ from gsp4hodge.phimodule import (
     filtration_basis,
     newton_above_hodge,
 )
-from gsp4hodge.scalars import Scalar, is_zero, scalar_str
+from gsp4hodge.scalars import (
+    Poly2,
+    RatFunc,
+    Scalar,
+    _as_poly,
+    _as_ratfunc,
+    _degree_cap,
+    _mul,
+    _poly,
+    is_zero,
+    poly_divexact,
+    poly_gcd,
+    scalar_str,
+)
 from gsp4hodge.weyl import QpChar, TChar, Weight, WeylElem, weyl_act_weight
+
+# ---------------------------------------------------------------------------
+# Products in Q[a, b] and Q(a, b) by the general route
+# ---------------------------------------------------------------------------
+#
+# The general-route bodies of Poly2.__mul__, Poly2.scale, RatFunc.const,
+# RatFunc.__mul__, RatFunc.__truediv__ and RatFunc.__eq__, as they were
+# before a constant factor became a new scale: every product runs _mul and
+# reads the degree cap, and every constant is lifted to a RatFunc and met by
+# the cross-gcds.  They call the library's own helpers and operators, so a
+# test installs them all in place of those methods to run the whole route.
+
+
+def poly2_scale_by_lift(self, c):
+    c = Q(c)
+    return _poly(self._view if c else {}, self._scale * c)
+
+
+def poly2_mul_by_views(self, other):
+    other = _as_poly(other)
+    if other is NotImplemented:
+        return NotImplemented
+    # A product of views is a view (Gauss's lemma).
+    product = _poly(_mul(self._view, other._view), self._scale * other._scale)
+    # Only a product outgrows its inputs' degree, so the cap is checked here.
+    cap = _degree_cap()
+    if cap is not None and product.total_degree() > cap:
+        raise DegreeCapExceeded(
+            f"polynomial degree {product.total_degree()} exceeds GSP4H_MAX_DEGREE={cap}"
+        )
+    return product
+
+
+def ratfunc_const_by_gcd(c) -> RatFunc:
+    return RatFunc(Poly2.const(c))
+
+
+def ratfunc_mul_by_cross_gcds(self, other):
+    other = _as_ratfunc(other)
+    if other is NotImplemented:
+        return NotImplemented
+    if self.is_zero() or other.is_zero():
+        return RatFunc.const(0)
+    g1 = poly_gcd(self.num, other.den)
+    g2 = poly_gcd(other.num, self.den)
+    n1 = self.num if g1.is_const() else poly_divexact(self.num, g1)
+    d2 = other.den if g1.is_const() else poly_divexact(other.den, g1)
+    n2 = other.num if g2.is_const() else poly_divexact(other.num, g2)
+    d1 = self.den if g2.is_const() else poly_divexact(self.den, g2)
+    return RatFunc(n1 * n2, d1 * d2, _coprime=True)
+
+
+def ratfunc_truediv_by_cross_gcds(self, other):
+    other = _as_ratfunc(other)
+    if other is NotImplemented:
+        return NotImplemented
+    if other.is_zero():
+        raise DivisionByZero("division by zero rational function")
+    return self * RatFunc(other.den, other.num, _coprime=True)
+
+
+def ratfunc_eq_by_lift(self, other):
+    other = _as_ratfunc(other)
+    if other is NotImplemented:
+        return NotImplemented
+    return self.num == other.num and self.den == other.den
+
 
 # ---------------------------------------------------------------------------
 # Linear algebra

@@ -26,9 +26,10 @@ from gsp4hodge.kernel import (
     matrix_suite,
     nu_operator,
     recover_parameters,
+    _KERNEL_FREE,
     _KERNEL_FREE_BLOCK,
+    _KERNEL_PIVOTS,
     _SUITE_TABLE,
-    _generic_kernel_at,
     _table_evaluator,
 )
 from gsp4hodge.linalg import (
@@ -421,9 +422,18 @@ class TestRecovery:
             recover_parameters(K)
 
     def test_degenerate_table_names_factor(self):
-        # the table evaluates at (2, -1), where a and ab + a + b are nonzero,
-        # but the point read off it is degenerate
-        K = Subspace(rows=_generic_kernel_at(Q(2), Q(-1)), ambient=24)
+        # the kernel table's denominators a, q and a*q are nonzero at (2, -1),
+        # so the field-operation route evaluates it there, but the point read
+        # off it is degenerate
+        value = table_evaluator_by_field_ops(Q(2), Q(-1))
+        rows = []
+        for pivot, cells in zip(_KERNEL_PIVOTS, _KERNEL_FREE_BLOCK):
+            row = [Q(0)] * 24
+            row[pivot] = Q(1)
+            for col, cell in zip(_KERNEL_FREE, cells):
+                row[col] = value(cell)
+            rows.append(tuple(row))
+        K = Subspace(rows=tuple(rows), ambient=24)
         with pytest.raises(NotALine, match="factor b\\+1 vanishes"):
             recover_parameters(K)
 

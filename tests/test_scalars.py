@@ -1,6 +1,7 @@
 import operator
 import random
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction as Q
 from math import isqrt
 
@@ -29,6 +30,14 @@ from gsp4hodge.scalars import (
     poly_divexact,
     poly_gcd,
     scalar_str,
+)
+from oracles import (
+    poly2_mul_by_views,
+    poly2_scale_by_lift,
+    ratfunc_const_by_gcd,
+    ratfunc_eq_by_lift,
+    ratfunc_mul_by_cross_gcds,
+    ratfunc_truediv_by_cross_gcds,
 )
 
 A = RatFunc.var("a")
@@ -343,3 +352,142 @@ class TestDegreeCap:
         monkeypatch.setenv("GSP4H_MAX_DEGREE", "3")
         with pytest.raises(DegreeCapExceeded, match="degree 4 exceeds"):
             p * q
+
+    def test_constant_factor_under_cap(self, monkeypatch):
+        # a constant factor changes only the scale, so it never outgrows the cap
+        monkeypatch.setenv("GSP4H_MAX_DEGREE", "3")
+        cube = (Poly2.var("a") + Poly2.var("b")) ** 3
+        assert cube * 7 == 7 * cube == cube.scale(7)
+        assert (A + B) ** 3 * 7 == 7 * (A + B) ** 3 == RatFunc(cube.scale(7))
+        assert (A + B) ** 3 / 7 == RatFunc(cube.scale(Q(1, 7)))
+        with pytest.raises(DegreeCapExceeded, match="degree 4 exceeds"):
+            (A + B) ** 3 * A
+        with pytest.raises(DegreeCapExceeded, match="degree 4 exceeds"):
+            cube * Poly2.var("a")
+
+    def test_cap_is_not_read_for_constant_factors(self, monkeypatch):
+        # a degree-4 polynomial built before the cap is set scales under it
+        quartic = (A + B) ** 4
+        monkeypatch.setenv("GSP4H_MAX_DEGREE", "3")
+        assert (quartic * 2).num == quartic.num.scale(2)
+        assert (quartic.num * Poly2.const(-3)).total_degree() == 4
+
+
+#: Constants that products and quotients meet: zero, units, small and
+#: 70-bit integers, negative fractions.
+_CONSTANTS = (0, 1, -1, 2, -2, 2**70, -(2**70), Q(-3, 7), Q(-1, 2**70), Q(5, 3))
+_POOL_POLYS = st.one_of(
+    st.just(Poly2()),
+    st.builds(lambda factors, c: _product(Counter(factors)).scale(c), _FACTORS, _NONZERO_Q),
+)
+_POOL_RATFUNCS = st.builds(RatFunc, _POOL_POLYS, _POOL_POLYS.filter(bool))
+
+
+def _poly_fields(p):
+    return p._scale, p._view, hash(p)
+
+
+def _ratfunc_fields(r):
+    return _poly_fields(r.num), _poly_fields(r.den), hash(r)
+
+
+class TestConstantFactor:
+    """A product with a constant is a new scale on the same view: the general
+    route (tests/oracles.py) and the scale route agree field by field."""
+
+    def test_no_product_gcd_or_cap_read(self, monkeypatch):
+        import gsp4hodge.scalars as scalars
+
+        p = _product(Counter([1, 7, 10]))
+        r = RatFunc(p, _IRREDUCIBLES[4] * _IRREDUCIBLES[8])
+        five = Poly2.const(5)
+
+        def forbidden(*args):
+            raise AssertionError("a constant factor ran a product, a gcd or a cap read")
+
+        for name in ("_mul", "poly_gcd", "_degree_cap"):
+            monkeypatch.setattr(scalars, name, forbidden)
+        got = (p * 3, 3 * p, p * Q(-2, 7), p * 0, p * five, five * p,
+               RatFunc.const(4), r * 2, 2 * r, r / 3, r == 1)
+        monkeypatch.undo()
+        want = (p.scale(3), p.scale(3), p.scale(Q(-2, 7)), Poly2(), p.scale(5), p.scale(5),
+                ratfunc_const_by_gcd(4), RatFunc(p.scale(2), r.den), RatFunc(p.scale(2), r.den),
+                RatFunc(p.scale(Q(1, 3)), r.den), False)
+        assert got == want
+
+    def test_cap_read_once_per_nonconstant_product(self, monkeypatch):
+        # one symbolic-generic op reads the degree cap exactly once for
+        # each product of two non-constant polynomials, and for nothing else
+        import gsp4hodge.scalars as scalars
+        from gsp4hodge.kernel import kernel_basis, matrix_suite, recover_parameters
+
+        counts = {"cap": 0, "products": 0}
+        real_cap, real_mul = scalars._degree_cap, Poly2.__mul__
+
+        def counted_cap():
+            counts["cap"] += 1
+            return real_cap()
+
+        def counted_mul(self, other):
+            if isinstance(other, Poly2) and not self.is_const() and not other.is_const():
+                counts["products"] += 1
+            return real_mul(self, other)
+
+        monkeypatch.setattr(scalars, "_degree_cap", counted_cap)
+        monkeypatch.setattr(Poly2, "__mul__", counted_mul)
+        monkeypatch.setattr(Poly2, "__rmul__", counted_mul)
+        a, b = A + 3, 2 * B + 5
+        assert recover_parameters(kernel_basis(a, b)) == (a, b)
+        matrix_suite(a, b)
+        assert counts["products"] > 0 and counts["cap"] == counts["products"]
+
+    @given(_POOL_POLYS, st.sampled_from(_CONSTANTS), st.booleans())
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    def test_poly2_routes_agree(self, p, c, lift):
+        k = Poly2.const(c) if lift else c
+        with _general_route():
+            want = _poly_fields(p * k), _poly_fields(k * p)
+        assert (_poly_fields(p * k), _poly_fields(k * p)) == want
+
+    @given(_POOL_RATFUNCS, st.sampled_from(_CONSTANTS), st.booleans())
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    def test_ratfunc_routes_agree(self, r, c, lift):
+        k = RatFunc(Poly2.const(c)) if lift else c
+        over_den = RatFunc(Poly2.const(c), r.den)  # a constant numerator alone is not a constant
+
+        def results():
+            quotient = _ratfunc_fields(r / k) if c else None
+            return (
+                _ratfunc_fields(RatFunc.const(c)), _ratfunc_fields(r * k), _ratfunc_fields(k * r), quotient,
+                r == k, k == r, RatFunc.const(c) == r, over_den == k,
+            )
+
+        with _general_route():
+            want = results()
+        assert results() == want
+        if not c:
+            for route in (lambda: r / k, lambda: ratfunc_truediv_by_cross_gcds(r, k)):
+                with pytest.raises(DivisionByZero, match="division by zero rational function"):
+                    route()
+
+
+_GENERAL_ROUTE = (
+    (Poly2, "__mul__", poly2_mul_by_views),
+    (Poly2, "__rmul__", poly2_mul_by_views),
+    (Poly2, "scale", poly2_scale_by_lift),
+    (RatFunc, "const", staticmethod(ratfunc_const_by_gcd)),
+    (RatFunc, "__mul__", ratfunc_mul_by_cross_gcds),
+    (RatFunc, "__rmul__", ratfunc_mul_by_cross_gcds),
+    (RatFunc, "__truediv__", ratfunc_truediv_by_cross_gcds),
+    (RatFunc, "__eq__", ratfunc_eq_by_lift),
+)
+
+
+@contextmanager
+def _general_route():
+    """Poly2 and RatFunc products, quotients, constants and comparisons on
+    the general route of tests/oracles.py."""
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name, method in _GENERAL_ROUTE:
+            mp.setattr(owner, name, method)
+        yield
