@@ -113,7 +113,7 @@ def _report(command: str | None, status: str, payload) -> dict:
 
 def run_validate(doc, args):
     from .phimodule import phi_module_from_json, validate
-    d = phi_module_from_json(doc)
+    d = phi_module_from_json(doc, _is_symbolic(doc, args))
     report = validate(d)
     return _report("validate", "ok" if report.ok else "invalid", report.as_dict())
 
@@ -121,7 +121,7 @@ def run_validate(doc, args):
 def run_flag(doc, args):
     from .phimodule import general_position, phi_module_from_json, standard_filtration
     from .symplectic import flag_anisotropy_check
-    d = phi_module_from_json(doc)
+    d = phi_module_from_json(doc, _is_symbolic(doc, args))
     hf = standard_filtration(d)
     payload = {
         "members": {str(i): _rows_strs(hf.member(i).rows) for i in (1, 2, 3)},

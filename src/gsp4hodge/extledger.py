@@ -14,17 +14,17 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 from ._value import Value
-from .errors import InvalidData, InvalidIndexSet, LedgerInconsistent, NotALine
+from .errors import InvalidData, InvalidIndexSet, LedgerInconsistent
 from .kernel import (
     GENERATOR_LABELS,
     LEVI_CENTERS,
-    RECOVERY_LABELS,
     TORUS_BASIS,
-    generator_meets,
+    _KERNEL_PIVOTS,
+    _PLANE_TABLE,
+    _table_evaluator,
     generator_vector,
     glue_subspace,
     kernel_basis,
-    recover_parameters,
 )
 from .linalg import mat_mul, rank
 from .scalars import Scalar
@@ -431,26 +431,22 @@ class LInvariantPlane(Value):
 
 
 def l_invariant_plane(a: Scalar, b: Scalar) -> LInvariantPlane:
-    K = kernel_basis(a, b)
-    glue = glue_subspace()
-    meets = generator_meets(K.rows)
-    reps, basis_fg = [], []
-    for labels, meet in zip(RECOVERY_LABELS, meets):
-        if len(meet) != 1:
-            raise NotALine(f"kernel meets span{labels} in dimension {len(meet)}")
-        gens = [generator_vector(lbl) for lbl in labels]
-        vec = mat_mul(meet, gens)[0]
-        # the representative is the meet's echelon basis vector in E^24
-        lead = next(x for x in vec if x)
-        reps.append(tuple(x / lead for x in vec))
-        coords = dict(zip(labels, meet[0]))
-        zero = lead - lead
-        basis_fg.append(tuple(coords.get(lbl, zero) / lead for lbl in GENERATOR_LABELS))
-    # independence modulo the glue
-    combined = rank(list(glue.rows) + reps)
-    if combined != K.dim:
-        raise NotALine("representatives do not complete the glue to the kernel")
-    a_rec, b_rec = recover_parameters(K)
+    """The plane K / glue at (a, b), by evaluating the committed plane
+    table (InvalidData at a degenerate point), with (a, b) read off it:
+    b = -g2/g3 - 1 in row 0 and a = b g4/g2 in row 1.  Each row of basis_fg
+    is divided by the first nonzero entry of its vector in E^24, found at
+    the point, so basis_fg is normalized pointwise and is not a rational
+    function of (a, b): over Q(a, b) it has poles on ab - 2b^2 + a - b = 0
+    and ab + 2b^2 + a + b = 0, for example at (3/2, 1) and (-3/2, 1)."""
+    value = _table_evaluator(a, b)[1]
+    gens = [generator_vector(label) for label in GENERATOR_LABELS]
+    basis_fg = []
+    for cells in _PLANE_TABLE:
+        row = [value(cell) for cell in cells]
+        lead = next(x for x in mat_mul([row], gens)[0] if x)
+        basis_fg.append(tuple(x / lead for x in row))
+    (*_, g2, g3, _), (*_, h2, _, h4) = basis_fg
+    b = -g2 / g3 - 1
     return LInvariantPlane(
-        basis_fg=tuple(basis_fg), a=a_rec, b=b_rec, kernel_dim=K.dim, glue_dim=glue.dim
+        basis_fg=tuple(basis_fg), a=b * h4 / h2, b=b, kernel_dim=len(_KERNEL_PIVOTS), glue_dim=glue_subspace().dim
     )

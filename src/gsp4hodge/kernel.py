@@ -1,15 +1,15 @@
 """Eigenline grids, the diagonalizable operators attached to refinements,
 the summed tangent map on the 24-dimensional block space, its kernel, the
-parabolic gluing subspace, recovery of the Hodge parameters (a, b), and the
-eight generator matrices in the filtration basis.
+parabolic gluing subspace, recovery of the Hodge parameters (a, b), the
+eight generator matrices in the filtration basis, and the invariant plane.
 
-The kernel and the matrix suite are committed tables over Q(a, b), which
-one evaluator evaluates at a point; nothing is eliminated per point.  The
-parameters are read off two cells of the kernel table and checked against
-the whole table.  The grid, its operators and the jbar matrix stay as the
-routes the tables stand for: tests/make_tables.py prints the tables from
-them, and the certificate in tests/test_kernel.py proves the tables equal
-them at every nondegenerate point.
+The kernel, the matrix suite and the invariant plane are committed tables
+over Q(a, b), which one evaluator evaluates at a point; nothing is
+eliminated per point.  The parameters are read off two cells of the kernel
+table and checked against the whole table.  The grid, its operators and the
+jbar matrix stay as the routes the tables stand for: tests/make_tables.py
+prints the tables from them, and the certificate in tests/test_kernel.py
+proves the tables equal them at every nondegenerate point.
 
 Block conventions.  The domain is one copy of the 3-dimensional diagonal
 torus algebra per Weyl element, in the fixed order W_ORDER; a torus element
@@ -30,7 +30,7 @@ from math import prod
 
 from ._value import Value
 from .errors import DegenerateIntersection, InvalidData, NotALine
-from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, nullspace, rref
+from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, rref
 from .phimodule import coordinate_subspace, filtration_basis, nondeg_factors, vanishing_factor
 from .scalars import Scalar, is_zero, ring_pair
 from .symplectic import Subspace, gsp4_coordinates
@@ -256,9 +256,9 @@ def _table_evaluator(a: Scalar, b: Scalar):
     return pair, value
 
 
-def _generic_kernel_at(a: Scalar, b: Scalar) -> tuple:
-    """Rows of the committed generic kernel at (a, b), lifted into one
-    field; InvalidData at a degenerate point."""
+def kernel_basis(a: Scalar, b: Scalar) -> Subspace:
+    """The kernel of jbar_matrix(a, b) inside E^24, by evaluating the
+    committed generic kernel; InvalidData at a degenerate point."""
     value = _table_evaluator(a, b)[1]
     zero, one = value(0), value(1)
     rows = []
@@ -269,13 +269,7 @@ def _generic_kernel_at(a: Scalar, b: Scalar) -> tuple:
             if cell:
                 row[col] = value(cell)
         rows.append(tuple(row))
-    return tuple(rows)
-
-
-def kernel_basis(a: Scalar, b: Scalar) -> Subspace:
-    """The kernel of jbar_matrix(a, b) inside E^24, by evaluating the
-    committed generic kernel."""
-    return Subspace(rows=_generic_kernel_at(a, b), ambient=24)
+    return Subspace(rows=tuple(rows), ambient=24)
 
 
 def jbar_rank(a: Scalar, b: Scalar) -> int:
@@ -311,31 +305,18 @@ def glue_subspace() -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Hodge-parameter recovery
+# Hodge-parameter recovery and the invariant plane
 # ---------------------------------------------------------------------------
 
 
-#: The two generator spans that meet the kernel in a line: the first line
-#: projects to (b+1) g2 - g3, the second to b g2 + a g4.  The invariant
-#: plane takes its representatives from these meets.
-RECOVERY_LABELS = (
-    ("f1", "f2", "f3", "f4", "g1", "g2", "g3"),
-    ("f1", "f2", "f3", "f4", "g1", "g2", "g4"),
+# The plane K / glue in the generator coordinates, in GENERATOR_LABELS
+# order: 2b times the kernel's meet with span(f1..f4, g1, g2, g3), which
+# projects onto (g2, g3) along (b + 1, -1), and 2ab times its meet with
+# span(f1..f4, g1, g2, g4), which projects onto (g2, g4) along (b, a).
+_PLANE_TABLE = (
+    ((_1, 0, -1, 1, 0, -1, 0), (_1, 0, 1, -1, 0, 1, -1), (_1, 0, -1, -1, 0, -1, 0), (_1, 0, 1, 1, 0, 1, 1), (_1, 0, 0, 0, 0, 0, 2), (_1, 0, 0, -2, 0, 0, -2), (_1, 0, 0, 2, 0, 0, 0), 0),
+    ((_1, 0, -1, -1, 0, 1, 0), (_1, 0, 1, 1, 0, 1, 1), (_1, 0, -1, -1, 0, -1, 0), (_1, 0, 1, 1, 0, -1, -1), (_1, 0, 0, 0, 0, -2, -2), (_1, 0, 0, 0, 0, 0, 2), 0, (_1, 0, 0, 0, 0, 2, 0)),
 )
-
-
-def generator_meets(kernel_rows) -> tuple:
-    """For each label set in RECOVERY_LABELS, a basis of the
-    coordinates c with sum_j c_j (generator j) in the span of kernel_rows.
-
-    With ann spanning the annihilator of the kernel, these are
-    meet_coordinates(B, ann), B the independent generator vectors, so
-    kernel_rows may be any spanning set, echelon or not."""
-    ann = nullspace(list(kernel_rows), 24)
-    return tuple(
-        tuple(meet_coordinates([generator_vector(lbl) for lbl in labels], ann))
-        for labels in RECOVERY_LABELS
-    )
 
 
 def recover_parameters(K: Subspace):

@@ -281,15 +281,17 @@ def refinement_parameters(d: PhiModuleData, w: WeylElem):
     return out
 
 
-def phi_module_from_json(doc: dict) -> PhiModuleData:
-    """Build PhiModuleData from its wire form (see External Interfaces)."""
+def phi_module_from_json(doc: dict, symbolic: bool | None = None) -> PhiModuleData:
+    """Build PhiModuleData from its wire form (see External Interfaces).
+    a and b live in Q(a, b) when symbolic is true; None reads the
+    document's own symbolic field."""
     from .scalars import parse_boolean, parse_integer, parse_list, parse_scalar, required_field
 
     try:
         p = parse_integer(required_field(doc, "p"))
         alphas = tuple(Q(parse_scalar(str(s))) for s in parse_list(required_field(doc, "alphas")))
         weights = tuple(parse_integer(x) for x in parse_list(required_field(doc, "weights")))
-        symbolic = parse_boolean(doc.get("symbolic", False))
+        symbolic = parse_boolean(doc.get("symbolic", False)) if symbolic is None else symbolic
         a = parse_scalar(str(doc.get("a", "a" if symbolic else "1")), symbolic)
         b = parse_scalar(str(doc.get("b", "b" if symbolic else "1")), symbolic)
     except (TypeError, ValueError) as exc:

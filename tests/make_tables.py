@@ -3,8 +3,10 @@ eliminated results they stand for, over Q(a, b):
 
     PYTHONPATH=src python tests/make_tables.py
 
-The kernel table is row_space(nullspace(jbar_matrix(a, b), 24)), and the
-suite table is oracles.matrix_suite_by_elimination(a, b).  Each cell is
+The kernel table is row_space(nullspace(jbar_matrix(a, b), 24)), the
+suite table is oracles.matrix_suite_by_elimination(a, b), and the plane
+table is the two meets of oracles.generator_meets on that kernel, in the
+generator coordinates, scaled by 2b and 2ab to polynomials.  Each cell is
 printed in the table format of kernel.py: an integer, or
 (den, c1, ca, cb, caa, cab, cbb) over the first of the denominators
 (1, a, q, aq, b + 1, a + b), q = ab + a + b, that clears it.  A denominator
@@ -15,12 +17,13 @@ test_make_tables checks that kernel.py contains every block verbatim, so
 no table is edited by hand.
 """
 
+from functools import lru_cache
 from math import prod
 
-from gsp4hodge.kernel import jbar_matrix
+from gsp4hodge.kernel import GENERATOR_LABELS, jbar_matrix
 from gsp4hodge.linalg import nullspace, row_space
 from gsp4hodge.scalars import RatFunc
-from oracles import _nondeg_factor_values, matrix_suite_by_elimination
+from oracles import RECOVERY_LABELS, _nondeg_factor_values, generator_meets, matrix_suite_by_elimination
 
 A = RatFunc.var("a")
 B = RatFunc.var("b")
@@ -56,9 +59,15 @@ def row(xs) -> str:
     return "(" + ", ".join(cell(x) for x in xs) + ")"
 
 
+@lru_cache(maxsize=1)
+def eliminated_kernel() -> tuple:
+    """The RREF kernel of jbar_matrix over Q(a, b), by elimination."""
+    return tuple(row_space(nullspace(jbar_matrix(A, B), 24)))
+
+
 def kernel_table() -> list:
     """Source lines of the kernel's pivots, free columns and free block."""
-    rows = row_space(nullspace(jbar_matrix(A, B), 24))
+    rows = eliminated_kernel()
     pivots = tuple(next(c for c, x in enumerate(r) if x) for r in rows)
     free = tuple(c for c in range(24) if c not in pivots)
     return [
@@ -80,10 +89,19 @@ def suite_table() -> list:
     ]
 
 
+def plane_table() -> list:
+    """Source lines of the two plane representatives."""
+    rows = []
+    for labels, (meet,), scale in zip(RECOVERY_LABELS, generator_meets(eliminated_kernel()), (2 * B, 2 * A * B)):
+        coords = dict(zip(labels, meet))
+        rows.append(f"    {row(coords.get(label, RatFunc.const(0)) * scale for label in GENERATOR_LABELS)},")
+    return ["_PLANE_TABLE = (", *rows, ")"]
+
+
 def tables() -> list:
-    """The source blocks: denominator names, kernel table, suite table."""
+    """The source blocks: denominator names, kernel, suite and plane tables."""
     names, factors = zip(*NAMED_FACTORS)
-    blocks = ([f"{', '.join(names)} = {', '.join(map(repr, factors))}"], kernel_table(), suite_table())
+    blocks = ([f"{', '.join(names)} = {', '.join(map(repr, factors))}"], kernel_table(), suite_table(), plane_table())
     return ["\n".join(lines) + "\n" for lines in blocks]
 
 

@@ -11,16 +11,19 @@ from itertools import accumulate, combinations
 from math import prod
 
 from gsp4hodge.errors import ConstraintViolated, DegreeCapExceeded, DivisionByZero, InvalidData, NotALine
-from gsp4hodge.extledger import AddChar, _qpchar, _tchar
+from gsp4hodge.extledger import AddChar, LInvariantPlane, _qpchar, _tchar
 from gsp4hodge.kernel import (
     _GENERATOR_DEF,
     GENERATOR_LABELS,
-    RECOVERY_LABELS,
     _require_nondegenerate,
     eigenline_grid,
+    generator_vector,
+    glue_subspace,
+    kernel_basis,
     nu_operator,
+    recover_parameters,
 )
-from gsp4hodge.linalg import coerce_rows, inverse, mat_add, mat_mul, nullspace, row_space
+from gsp4hodge.linalg import coerce_rows, inverse, mat_add, mat_mul, meet_coordinates, nullspace, rank, row_space
 from gsp4hodge.phimodule import (
     PhiModuleData,
     _valuations,
@@ -319,9 +322,33 @@ def matrix_suite_by_elimination(a: Scalar, b: Scalar) -> dict:
 # ---------------------------------------------------------------------------
 
 # The paper's route from the kernel back to (a, b): meet the kernel with two
-# generator spans (kernel.generator_meets) and read the two projected lines.
-# The library reads a and b off two cells of the committed table instead;
-# TestCertificate proves this route over Q(a, b).
+# generator spans (generator_meets) and read the two projected lines.
+# The library reads a and b off two cells of the committed kernel table, and
+# off the committed plane table; TestCertificate proves this route over
+# Q(a, b).
+
+
+#: The two generator spans that meet the kernel in a line: the first line
+#: projects to (b+1) g2 - g3, the second to b g2 + a g4.  The invariant
+#: plane takes its representatives from these meets.
+RECOVERY_LABELS = (
+    ("f1", "f2", "f3", "f4", "g1", "g2", "g3"),
+    ("f1", "f2", "f3", "f4", "g1", "g2", "g4"),
+)
+
+
+def generator_meets(kernel_rows) -> tuple:
+    """For each label set in RECOVERY_LABELS, a basis of the
+    coordinates c with sum_j c_j (generator j) in the span of kernel_rows.
+
+    With ann spanning the annihilator of the kernel, these are
+    meet_coordinates(B, ann), B the independent generator vectors, so
+    kernel_rows may be any spanning set, echelon or not."""
+    ann = nullspace(list(kernel_rows), 24)
+    return tuple(
+        tuple(meet_coordinates([generator_vector(lbl) for lbl in labels], ann))
+        for labels in RECOVERY_LABELS
+    )
 
 
 def _projected_line(coords, labels, pair):
@@ -348,6 +375,36 @@ def parameters_from_meets(meets):
         raise NotALine("degenerate projection: g2 coefficient vanishes")
     a = b * v2 / u2
     return a, b
+
+
+def l_invariant_plane_by_meets(a, b) -> LInvariantPlane:
+    """extledger.l_invariant_plane by elimination: meet the kernel with the
+    two generator spans, check that each meet is a line and that the two
+    representatives complete the glue to the kernel, and recover (a, b)
+    from the kernel."""
+    K = kernel_basis(a, b)
+    glue = glue_subspace()
+    meets = generator_meets(K.rows)
+    reps, basis_fg = [], []
+    for labels, meet in zip(RECOVERY_LABELS, meets):
+        if len(meet) != 1:
+            raise NotALine(f"kernel meets span{labels} in dimension {len(meet)}")
+        gens = [generator_vector(lbl) for lbl in labels]
+        vec = mat_mul(meet, gens)[0]
+        # the representative is the meet's echelon basis vector in E^24
+        lead = next(x for x in vec if x)
+        reps.append(tuple(x / lead for x in vec))
+        coords = dict(zip(labels, meet[0]))
+        zero = lead - lead
+        basis_fg.append(tuple(coords.get(lbl, zero) / lead for lbl in GENERATOR_LABELS))
+    # independence modulo the glue
+    combined = rank(list(glue.rows) + reps)
+    if combined != K.dim:
+        raise NotALine("representatives do not complete the glue to the kernel")
+    a_rec, b_rec = recover_parameters(K)
+    return LInvariantPlane(
+        basis_fg=tuple(basis_fg), a=a_rec, b=b_rec, kernel_dim=K.dim, glue_dim=glue.dim
+    )
 
 
 # ---------------------------------------------------------------------------

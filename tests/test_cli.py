@@ -121,6 +121,14 @@ class TestDispatch:
         assert code == EXIT_OK
         assert (report["payload"]["a"], report["payload"]["b"]) == ("a", "b")
 
+    @pytest.mark.parametrize("command", ("validate", "flag"))
+    @pytest.mark.parametrize("params", ({"a": "a+1"}, {}), ids=("a-given", "defaults"))
+    def test_symbolic_flag_reads_phi_module(self, command, params):
+        # --symbolic is the document's "symbolic": true, for a phi-module too
+        doc = dict({"p": 5, "alphas": ["1", "7", "49", "343"], "weights": [0, -2, -4, -6]}, **params)
+        by_flag = call(command, doc, [command, "--symbolic"])
+        assert by_flag == call(command, dict(doc, symbolic=True)) and by_flag[1] == EXIT_OK
+
     def test_recover_sweep(self):
         report, code = call("recover", {"count": 5}, ["recover", "--seed", "7"])
         assert code == EXIT_OK

@@ -3,6 +3,8 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gsp4hodge.errors import InvalidData, InvalidIndexSet
 from gsp4hodge.extledger import (
@@ -21,9 +23,10 @@ from gsp4hodge.extledger import (
     socle_diagram,
 )
 from gsp4hodge.linalg import row_space
+from gsp4hodge.phimodule import vanishing_factor
 from gsp4hodge.scalars import RatFunc
 from gsp4hodge.weyl import S1, S2, W_ALL, W_ID, check_involution, from_word
-from oracles import weyl_act_addchar
+from oracles import l_invariant_plane_by_meets, weyl_act_addchar
 
 
 def span_of(chars):
@@ -249,3 +252,67 @@ class TestLInvariantPlane:
         k1, k2 = plane.basis_fg
         assert k1[7] == 0  # no g4 component in the first representative
         assert k2[6] == 0  # no g3 component in the second
+
+
+def on_curves():
+    """Nondegenerate points on ab - 2b^2 + a - b = 0 and ab + 2b^2 + a + b = 0,
+    where the symbolic basis_fg has its poles: a = +-b(2b + 1)/(b + 1)."""
+    points = []
+    for b in (Q(1), Q(2), Q(1, 2), Q(-1, 3), Q(3, 2), Q(-5, 2), Q(7)):
+        for sign in (1, -1):
+            a = sign * b * (2 * b + 1) / (b + 1)
+            if vanishing_factor(a, b) is None:
+                points.append((a, b))
+    return points
+
+
+class TestPlaneRoutes:
+    """l_invariant_plane evaluates the committed plane table; the meet
+    route in tests/oracles.py eliminates.  They agree everywhere."""
+
+    @given(
+        st.fractions(min_value=-30, max_value=30, max_denominator=12),
+        st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    def test_numeric(self, a, b):
+        assume(vanishing_factor(a, b) is None)
+        plane = l_invariant_plane(a, b)
+        assert plane == l_invariant_plane_by_meets(a, b)
+        assert all(type(x) is Q for row in plane.basis_fg for x in row)
+
+    @pytest.mark.parametrize("point", on_curves())
+    def test_on_the_pole_curves(self, point):
+        assert l_invariant_plane(*point) == l_invariant_plane_by_meets(*point)
+
+    @pytest.mark.parametrize("shift", ((0, 1, 0), (3, 2, 5)))
+    def test_symbolic(self, shift):
+        c1, c2, c3 = (RatFunc.const(c) for c in shift)
+        a, b = RatFunc.var("a") + c1, RatFunc.var("b") * c2 + c3
+        plane = l_invariant_plane(a, b)
+        assert plane == l_invariant_plane_by_meets(a, b)
+        assert (plane.a, plane.b) == (a, b)
+
+    def test_degenerate_point_names_factor(self):
+        with pytest.raises(InvalidData, match="factor b\\+1 vanishes"):
+            l_invariant_plane(Q(2), Q(-1))
+
+    def test_takes_no_elimination(self, monkeypatch):
+        """No null space, meet, rank, RREF or kernel recovery per point.
+        The glue is one constant subspace, built before the patch."""
+        import sys
+
+        from gsp4hodge.kernel import glue_subspace
+
+        glue_subspace()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("l_invariant_plane eliminated")
+
+        modules = [m for name, m in sys.modules.items() if name.startswith("gsp4hodge")]
+        for name in ("nullspace", "meet_coordinates", "rank", "rref", "recover_parameters"):
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        A, B = RatFunc.var("a"), RatFunc.var("b")
+        assert (l_invariant_plane(Q(2), Q(3)).a, l_invariant_plane(A, B).b) == (Q(2), B)

@@ -12,11 +12,9 @@ import gsp4hodge.kernel
 from gsp4hodge.errors import InvalidData, NotALine
 from gsp4hodge.kernel import (
     GENERATOR_LABELS,
-    RECOVERY_LABELS,
     W_ORDER,
     eigenline_grid,
     embed_block,
-    generator_meets,
     generator_vector,
     glue_generators,
     glue_subspace,
@@ -29,6 +27,7 @@ from gsp4hodge.kernel import (
     _KERNEL_FREE,
     _KERNEL_FREE_BLOCK,
     _KERNEL_PIVOTS,
+    _PLANE_TABLE,
     _SUITE_TABLE,
     _table_evaluator,
 )
@@ -54,9 +53,11 @@ from gsp4hodge.symplectic import Subspace, gsp4_coordinates, lie_membership
 from gsp4hodge.weyl import S1, W_ALL, W_ID, from_word
 from make_tables import tables
 from oracles import (
+    RECOVERY_LABELS,
     _nondeg_factor_values,
     _projected_line,
     det,
+    generator_meets,
     hodge_borel_basis,
     matrix_suite_by_elimination,
     parameters_from_meets,
@@ -540,11 +541,12 @@ def seeded_points(n, tall, seed):
     return points
 
 
-#: Every distinct cell of the kernel and suite tables.
+#: Every distinct cell of the kernel, suite and plane tables.
 TABLE_CELLS = tuple(
     dict.fromkeys(
         [c for row in _KERNEL_FREE_BLOCK for c in row]
         + [c for M in _SUITE_TABLE.values() for row in M for c in row]
+        + [c for row in _PLANE_TABLE for c in row]
     )
 )
 
@@ -574,8 +576,8 @@ class TestCertificate:
        there, so the rank is 7 and K(a0, b0) spans the kernel.
 
     The RREF is unique, so K(a0, b0) = row_space(nullspace(jbar_matrix(a0, b0))).
-    The same kind of argument covers the committed suite table, the glue
-    and the general position of the Hodge flag."""
+    The same kind of argument covers the committed suite and plane tables,
+    the glue and the general position of the Hodge flag."""
 
     def test_grid_exists_off_the_factors(self):
         # The line F_w^i ∩ F_H^{5-i} exists, with a nonzero leading
@@ -665,6 +667,7 @@ class TestCertificate:
         # a table denominator is written as the indices of its factors
         cells = [c for row in _KERNEL_FREE_BLOCK for c in row]
         cells += [c for M in _SUITE_TABLE.values() for row in M for c in row]
+        cells += [c for row in _PLANE_TABLE for c in row]
         used = {c[0] for c in cells if isinstance(c, tuple)} - {()}
         assert used == {(0,), (4,), (0, 4), (2,), (3,)}
         factors = _nondeg_factor_values(A, B)
@@ -681,6 +684,65 @@ class TestCertificate:
         for g in glue_subspace().rows:
             for row in J:
                 assert sum((x * y for x, y in zip(row, g) if x and y), ZERO) == 0
+
+    @staticmethod
+    def plane_rows():
+        """The plane table over Q(a, b), one row per meet."""
+        value = _table_evaluator(A, B)[1]
+        return [[value(cell) for cell in cells] for cells in _PLANE_TABLE]
+
+    def test_plane_rows_are_meet_multiples(self, generic):
+        _, K = generic
+        for labels, (meet,), row in zip(RECOVERY_LABELS, generator_meets(K), self.plane_rows()):
+            coords = dict(zip(labels, meet))
+            pairs = list(zip(row, (coords.get(label, ZERO) for label in GENERATOR_LABELS)))
+            # x / m = y / n for every two coordinates
+            assert any(row) and all(x * n == y * m for x, m in pairs for y, n in pairs)
+
+    def test_plane_meets_are_lines(self, generic):
+        """ann, 1 at each free column f and -K[r][f] at row r's pivot, spans
+        the annihilator of K at every nondegenerate point, and so does its
+        evaluation there, since its cells are the table's.  Each meet is
+        the null space of ann times its seven generator vectors; the table
+        row lies in it, and a 6 x 6 minor of the system is a constant times
+        a factor product, so the meet is the line through the evaluated
+        row at every nondegenerate point."""
+        _, K = generic
+        ann = []
+        for f in _KERNEL_FREE:
+            vec = [ZERO] * 24
+            vec[f] = ONE
+            for r, pivot in zip(K, _KERNEL_PIVOTS):
+                vec[pivot] = -r[f]
+            ann.append(vec)
+        for labels, row in zip(RECOVERY_LABELS, self.plane_rows()):
+            coords = [row[GENERATOR_LABELS.index(label)] for label in labels]
+            gens = [generator_vector(label) for label in labels]
+            system = [[sum((x * y for x, y in zip(v, g) if y), ZERO) for g in gens] for v in ann]
+            assert all(sum((x * c for x, c in zip(eq, coords)), ZERO) == 0 for eq in system)
+            minors = (
+                det([[system[r][c] for c in cols] for r in rows])
+                for rows in combinations(range(7), 6)
+                for cols in combinations(range(7), 6)
+            )
+            assert any(is_factor_product(m.num) and is_factor_product(m.den) for m in minors if m), labels
+
+    def test_plane_rows_independent_modulo_glue(self):
+        """Reduced modulo the glue's RREF, the two rows' vectors in E^24
+        have the 2 x 2 minor 4ab^2 at columns 19 and 22, a factor product.
+        So at every nondegenerate point they are independent modulo the
+        glue, and with it span the 17-dimensional kernel."""
+        gens = [generator_vector(label) for label in GENERATOR_LABELS]
+        glue = glue_subspace().rows
+        reduced = []
+        for row in self.plane_rows():
+            vec = [sum((x * g[k] for x, g in zip(row, gens) if g[k]), ZERO) for k in range(24)]
+            for g in glue:
+                lead = vec[next(k for k, y in enumerate(g) if y)]
+                vec = [x - lead * y for x, y in zip(vec, g)]
+            reduced.append(vec)
+        (u, v), (w, z) = [(vec[19], vec[22]) for vec in reduced]
+        assert u * z - v * w == RatFunc.const(4) * A * B * B
 
     def test_hodge_flag_in_general_position(self):
         """For each of the 42 pairs (E_S, F^j), |S| = 1..3 and j = 1..3,
@@ -729,7 +791,7 @@ class TestEvaluatedKernel:
 
     @staticmethod
     def assert_evaluators_agree(a, b):
-        # every cell of both tables: the ring evaluator's value is the field
+        # every cell of the three tables: the ring evaluator's value is the field
         # route's value, in the same type and canonical form, and its ring
         # pair cross-multiplies to it
         pair, value = _table_evaluator(a, b)

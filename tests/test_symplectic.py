@@ -180,6 +180,34 @@ class TestSInvolution:
             assert symplectic_form(Ax, y) == symplectic_form(x, Asty)
 
 
+class TestCriterion7ByLinearity:
+    """Criterion 7 for every M over any field, not a sample.  s_involution
+    and adjoint are linear in A, and so is the projection
+    P(A) = (A + s(A))/2.  So s(s(A)) = A, P(A) in gsp4 (a linear condition)
+    and P(P(A)) = P(A) hold for all A once they hold on the 16 elementary
+    matrices E_ij, and adjoint(MN) = adjoint(N) adjoint(M), bilinear in
+    (M, N), holds once it holds on the 256 pairs (E_ij, E_kl)."""
+
+    UNITS = [_E(i, j) for i in range(4) for j in range(4)]
+
+    @staticmethod
+    def project(A):
+        return [[(x + y) / 2 for x, y in zip(r, s)] for r, s in zip(A, s_involution(A))]
+
+    def test_involution(self):
+        assert all(mat_eq(s_involution(s_involution(E)), E) for E in self.UNITS)
+
+    def test_projection_lies_in_gsp4_and_is_idempotent(self):
+        for E in self.UNITS:
+            P = self.project(E)
+            assert lie_membership(P)[0] and mat_eq(self.project(P), P)
+
+    def test_adjoint_reverses_products(self):
+        for E in self.UNITS:
+            for F in self.UNITS:
+                assert mat_eq(adjoint(mat_mul(E, F)), mat_mul(adjoint(F), adjoint(E)))
+
+
 class TestSubspaces:
     def test_perp_of_e1(self):
         got = Subspace.span([E[0]]).perp()
