@@ -86,15 +86,6 @@ def _is_symbolic(doc: dict, args) -> bool:
     return parse_boolean(doc.get("symbolic", False)) or args.symbolic
 
 
-def _ab_from_doc(doc: dict, args):
-    symbolic = _is_symbolic(doc, args)
-    a_text = str(doc.get("a", "a" if symbolic else None))
-    b_text = str(doc.get("b", "b" if symbolic else None))
-    if a_text == "None" or b_text == "None":
-        raise ParseError("the document needs Hodge parameters a and b (or --symbolic)")
-    return parse_scalar(a_text, symbolic), parse_scalar(b_text, symbolic)
-
-
 def _report(command: str | None, status: str, payload) -> dict:
     """A report; command is None only for argv that names no command."""
     return {
@@ -134,7 +125,8 @@ def run_flag(doc, args):
 
 def run_kernel(doc, args):
     from .kernel import kernel_basis
-    a, b = _ab_from_doc(doc, args)
+    from .phimodule import hodge_parameters
+    a, b = hodge_parameters(doc, _is_symbolic(doc, args))
     K = kernel_basis(a, b)
     payload = {
         "a": scalar_str(a),
@@ -155,14 +147,14 @@ def _kernel_from_doc(doc, args):
     )
     if any(len(r) != 24 for r in rows):
         raise ParseError("kernel rows must have 24 entries")
-    return Subspace.span(rows, ambient=24)
+    return Subspace(rows=rows, ambient=24)
 
 
 def run_recover(doc, args):
     from .kernel import kernel_basis, recover_parameters
+    from .phimodule import hodge_parameters, vanishing_factor
     if "count" in doc or args.random:
         import random
-        from .phimodule import vanishing_factor
         count = parse_integer(doc.get("count", args.random))
         if count < 0:
             raise InvalidData(f"recover count must be nonnegative, got {count}")
@@ -190,7 +182,7 @@ def run_recover(doc, args):
         payload = {"a": scalar_str(a), "b": scalar_str(b), "source": "kernel-basis"}
         return _report("recover", "ok", payload)
 
-    a, b = _ab_from_doc(doc, args)
+    a, b = hodge_parameters(doc, _is_symbolic(doc, args))
     got_a, got_b = recover_parameters(kernel_basis(a, b))
     round_trip = (got_a, got_b) == (a, b)
     payload = {
@@ -215,7 +207,8 @@ def run_glue(doc, args):
 
 def run_matrices(doc, args):
     from .kernel import matrix_suite
-    a, b = _ab_from_doc(doc, args)
+    from .phimodule import hodge_parameters
+    a, b = hodge_parameters(doc, _is_symbolic(doc, args))
     suite = matrix_suite(a, b)
     payload = {name: _rows_strs(M) for name, M in suite.items()}
     payload["basis"] = "filtration basis (v1, v2, v3, v4)"
@@ -258,9 +251,9 @@ def run_hecke(doc, args):
     if "c0" in doc:
         d = HeckeData(
             l=parse_integer(required_field(doc, "l")),
-            c0=Q(parse_scalar(str(doc["c0"]))),
-            c1=Q(parse_scalar(str(required_field(doc, "c1")))),
-            c2=Q(parse_scalar(str(required_field(doc, "c2")))),
+            c0=parse_scalar(str(doc["c0"])),
+            c1=parse_scalar(str(required_field(doc, "c1"))),
+            c2=parse_scalar(str(required_field(doc, "c2"))),
         )
         f = hecke_charpoly(d)
         back = ideal_generators(f, d.l)
@@ -272,8 +265,8 @@ def run_hecke(doc, args):
         return _report("hecke", "ok", payload)
     if "coeffs" in doc:
         f = FrobeniusData(
-            coeffs=tuple(Q(parse_scalar(str(x))) for x in parse_list(doc["coeffs"])),
-            sim=Q(parse_scalar(str(required_field(doc, "sim")))),
+            coeffs=tuple(parse_scalar(str(x)) for x in parse_list(doc["coeffs"])),
+            sim=parse_scalar(str(required_field(doc, "sim"))),
         )
         d = ideal_generators(f, parse_integer(required_field(doc, "l")))
         payload = {
@@ -289,10 +282,10 @@ def run_hecke(doc, args):
 def run_classify(doc, args):
     from .hecke import classicality_classify
     report = classicality_classify(
-        alphas=[Q(parse_scalar(str(x))) for x in parse_list(required_field(doc, "alphas"))],
+        alphas=[parse_scalar(str(x)) for x in parse_list(required_field(doc, "alphas"))],
         weights=[parse_integer(x) for x in parse_list(required_field(doc, "weights"))],
         p=parse_integer(required_field(doc, "p")),
-        C=Q(parse_scalar(str(required_field(doc, "C")))),
+        C=parse_scalar(str(required_field(doc, "C"))),
     )
     return _report("classify", "ok", report.as_dict())
 

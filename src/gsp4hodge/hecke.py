@@ -9,13 +9,11 @@ source construction.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from itertools import accumulate
 
 from ._value import Value
 from .errors import InconsistentData, InvalidData
-from .phimodule import newton_above_hodge, refinement_weights
+from .phimodule import partial_sum_set
 from .scalars import is_prime, padic_val
-from .weyl import W_ALL, WeylElem
 
 GAP_SLOPE = 20170901
 GAP_OFFSET = 20260630
@@ -106,17 +104,6 @@ class ClassicalityReport(Value):
 
     def as_dict(self):
         return {**self._asdict(), "admissible": list(self.admissible)}
-
-
-def partial_sum_set(p: int, alphas, weights) -> list[WeylElem]:
-    """Weyl elements w with nonnegative partial sums of
-    val(alpha_j) + h_{(w-check)^{-1}(j)} and full-sum equality."""
-    t_newton = list(accumulate(padic_val(Q(x), p) for x in alphas))
-    return [
-        w
-        for w in W_ALL
-        if newton_above_hodge(t_newton, accumulate(-h for h in refinement_weights(w, weights)))
-    ]
 
 
 def classicality_classify(alphas, weights, p: int, C) -> ClassicalityReport:

@@ -18,7 +18,7 @@ from fractions import Fraction as Q
 from itertools import accumulate, combinations
 
 from ._value import Value
-from .errors import InvalidData
+from .errors import InvalidData, ParseError
 from .scalars import RatFunc, Scalar, is_prime, padic_val, ring_pair
 
 # linalg, symplectic and weyl are imported where used: validate uses none.
@@ -247,26 +247,32 @@ def weak_admissibility(d: PhiModuleData) -> bool:
     )
 
 
+def partial_sum_set(p: int, alphas, weights) -> list[WeylElem]:
+    """Weyl elements w with nonnegative partial sums of
+    val(alpha_j) + h_{(w-check)^{-1}(j)} and full-sum equality."""
+    from .weyl import W_ALL
+    t_newton = list(accumulate(_valuations(p, alphas)))
+    return [
+        w
+        for w in W_ALL
+        if newton_above_hodge(t_newton, accumulate(-h for h in refinement_weights(w, weights)))
+    ]
+
+
 def admissible_refinements(d: PhiModuleData):
     """Weyl elements w whose weight pairing is Newton-above-Hodge.
 
     The w-condition pairs the eigenvalue prefixes (in their given order)
     against the filtration with its jump labels permuted by the
     check-involution of w; only the identity survives once the weight gaps
-    dominate the valuation spread.  Hodge sums count the actual meets
-    with the flag members, so degenerate (a, b) are handled faithfully.
+    dominate the valuation spread.  The Hodge sums along the prefixes
+    E_{1..i} are the jump prefix sums at every (a, b), degenerate or not:
+    dim(E_{1..i} ∩ F^j) = max(0, i + j - 4), since in c1 v1 + ... + cj vj
+    the e4, e3 and e2 coordinates force c1, c2 and c3 to 0 in turn.  So
+    this is partial_sum_set once the data are checked.
     """
-    from .weyl import W_ALL
     _require_structure(d, nondegenerate=False)
-    members = _filtration_prefixes(d.a, d.b)
-    t_newton = list(accumulate(_valuations(d.p, d.alphas)))
-    prefix_meets = [_coordinate_meets(members, range(1, i + 1)) for i in (1, 2, 3, 4)]
-    out = []
-    for w in W_ALL:
-        jumps = tuple(-h for h in refinement_weights(w, d.weights))
-        if newton_above_hodge(t_newton, [_hodge_t_invariant(jumps, m) for m in prefix_meets]):
-            out.append(w)
-    return out
+    return partial_sum_set(d.p, d.alphas, d.weights)
 
 
 def refinement_parameters(d: PhiModuleData, w: WeylElem):
@@ -281,6 +287,19 @@ def refinement_parameters(d: PhiModuleData, w: WeylElem):
     return out
 
 
+def hodge_parameters(doc: dict, symbolic: bool) -> tuple:
+    """The Hodge parameters (a, b) of an input document, read by one rule
+    for every command: a parameter that is absent or JSON null is missing,
+    which over Q is a ParseError and over Q(a, b) is the variable itself."""
+    from .scalars import parse_scalar
+    texts = [doc.get(name) for name in ("a", "b")]
+    if not symbolic and any(text is None for text in texts):
+        raise ParseError("the document needs Hodge parameters a and b (or --symbolic)")
+    return tuple(
+        parse_scalar(name if text is None else str(text), symbolic) for name, text in zip(("a", "b"), texts)
+    )
+
+
 def phi_module_from_json(doc: dict, symbolic: bool | None = None) -> PhiModuleData:
     """Build PhiModuleData from its wire form (see External Interfaces).
     a and b live in Q(a, b) when symbolic is true; None reads the
@@ -289,11 +308,10 @@ def phi_module_from_json(doc: dict, symbolic: bool | None = None) -> PhiModuleDa
 
     try:
         p = parse_integer(required_field(doc, "p"))
-        alphas = tuple(Q(parse_scalar(str(s))) for s in parse_list(required_field(doc, "alphas")))
+        alphas = tuple(parse_scalar(str(s)) for s in parse_list(required_field(doc, "alphas")))
         weights = tuple(parse_integer(x) for x in parse_list(required_field(doc, "weights")))
         symbolic = parse_boolean(doc.get("symbolic", False)) if symbolic is None else symbolic
-        a = parse_scalar(str(doc.get("a", "a" if symbolic else "1")), symbolic)
-        b = parse_scalar(str(doc.get("b", "b" if symbolic else "1")), symbolic)
+        a, b = hodge_parameters(doc, symbolic)
     except (TypeError, ValueError) as exc:
         raise InvalidData(f"bad phi-module document: {exc}") from exc
     if len(alphas) != 4 or len(weights) != 4:

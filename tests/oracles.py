@@ -26,10 +26,15 @@ from gsp4hodge.kernel import (
 from gsp4hodge.linalg import coerce_rows, inverse, mat_add, mat_mul, meet_coordinates, nullspace, rank, row_space
 from gsp4hodge.phimodule import (
     PhiModuleData,
+    _coordinate_meets,
+    _filtration_prefixes,
+    _hodge_t_invariant,
+    _require_structure,
     _valuations,
     complete_flag,
     filtration_basis,
     newton_above_hodge,
+    refinement_weights,
 )
 from gsp4hodge.scalars import (
     Poly2,
@@ -45,7 +50,7 @@ from gsp4hodge.scalars import (
     poly_gcd,
     scalar_str,
 )
-from gsp4hodge.weyl import QpChar, TChar, Weight, WeylElem, weyl_act_weight
+from gsp4hodge.weyl import W_ALL, QpChar, TChar, Weight, WeylElem, weyl_act_weight
 
 # ---------------------------------------------------------------------------
 # Products in Q[a, b] and Q(a, b) by the general route
@@ -419,6 +424,22 @@ def newton_hodge_shortcut(p: int, alphas, weights) -> bool:
     return newton_above_hodge(
         accumulate(sorted(_valuations(p, alphas))), accumulate(-h for h in weights)
     )
+
+
+def admissible_refinements_by_meets(d: PhiModuleData):
+    """The refinement set by the meet route that admissible_refinements
+    replaced: the Hodge sums along the prefixes E_{1..i} count the actual
+    meets dim(E_{1..i} ∩ F^j), found by linear algebra at (a, b)."""
+    _require_structure(d, nondegenerate=False)
+    members = _filtration_prefixes(d.a, d.b)
+    t_newton = list(accumulate(_valuations(d.p, d.alphas)))
+    prefix_meets = [_coordinate_meets(members, range(1, i + 1)) for i in (1, 2, 3, 4)]
+    out = []
+    for w in W_ALL:
+        jumps = tuple(-h for h in refinement_weights(w, d.weights))
+        if newton_above_hodge(t_newton, [_hodge_t_invariant(jumps, m) for m in prefix_meets]):
+            out.append(w)
+    return out
 
 
 def siegel_plucker_minors(d: PhiModuleData):

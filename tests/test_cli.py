@@ -114,6 +114,31 @@ class TestDispatch:
         assert code == EXIT_OK
         assert (report["payload"]["a"], report["payload"]["b"]) == ("2", "3")
 
+    @pytest.mark.parametrize("echelon", (True, False), ids=("echelon", "reordered-scaled"))
+    def test_recover_kernel_document_rrefs(self, monkeypatch, tmp_path, capsys, echelon):
+        # an echelon kernel is read as it is; any other spanning set takes one rref
+        import gsp4hodge.kernel
+        import gsp4hodge.linalg
+
+        rows = call("kernel", GOOD_DOC)[0]["payload"]["basis"]
+        if not echelon:
+            rows = [[str(Q(x) * (-2 - i)) for x in row] for i, row in enumerate(reversed(rows))]
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps({"kernel": rows}))
+        calls = []
+        real = gsp4hodge.linalg.rref
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        for module in (gsp4hodge.linalg, gsp4hodge.kernel):
+            monkeypatch.setattr(module, "rref", counted)
+        assert main(["recover", "--input", str(path)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)["payload"]
+        assert (payload["a"], payload["b"]) == ("2", "3")
+        assert len(calls) == (0 if echelon else 1)
+
     def test_recover_symbolic_flag_reads_kernel(self):
         kernel_report, _ = call("kernel", {}, ["kernel", "--symbolic"])
         doc = {"kernel": kernel_report["payload"]["basis"]}
@@ -633,6 +658,16 @@ class TestRejectedInputs:
         report = self.run(capsys, [command, "--input", str(path)])
         assert report["status"] == "invalid"
 
+    @pytest.mark.parametrize("command", ("validate", "flag", "kernel", "recover", "matrices"))
+    @pytest.mark.parametrize("params", ({}, {"a": "2"}, {"b": "3"}), ids=("neither", "a-only", "b-only"))
+    def test_missing_hodge_parameters(self, capsys, tmp_path, command, params):
+        # over Q every command that reads (a, b) needs both
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(dict({"p": 5, "alphas": ["1", "7", "49", "343"], "weights": [0, -2, -4, -6]}, **params)))
+        report = self.run(capsys, [command, "--input", str(path)])
+        assert report["status"] == "invalid"
+        assert "the document needs Hodge parameters a and b (or --symbolic)" in report["payload"]["error"]
+
     def test_degree_cap(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GSP4H_MAX_DEGREE", "5")
         doc = tmp_path / "doc.json"
@@ -859,6 +894,9 @@ def test_import_budget(command):
     assert "dataclasses" not in modules
     assert ("gsp4hodge.extledger" in modules) == extledger
     assert ("gsp4hodge.kernel" in modules) == kernel
+    if command == "hecke":
+        # the charpoly and its inverse take no Weyl group
+        assert "gsp4hodge.weyl" not in modules
     if command == "validate":
         # checking a document takes no linear algebra, flags or Weyl group
         assert not {"gsp4hodge.linalg", "gsp4hodge.symplectic", "gsp4hodge.weyl"} & set(modules)

@@ -3,22 +3,35 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsp4hodge.errors import InvalidData
+from gsp4hodge.errors import InvalidData, ParseError
 from gsp4hodge.phimodule import (
+    NONDEG_FACTORS,
     PhiModuleData,
+    _coordinate_meets,
+    _filtration_prefixes,
     admissible_refinements,
+    filtration_basis,
     general_position,
+    hodge_parameters,
     phi_module_from_json,
     refinement_parameters,
     standard_filtration,
     validate,
+    vanishing_factor,
     weak_admissibility,
 )
 from gsp4hodge.scalars import RatFunc
 from gsp4hodge.symplectic import Subspace, flag_anisotropy_check
 from gsp4hodge.weyl import S1, W_ALL, W_ID
-from oracles import newton_hodge_shortcut, phi_module_to_json, siegel_plucker_minors
+from oracles import (
+    admissible_refinements_by_meets,
+    newton_hodge_shortcut,
+    phi_module_to_json,
+    siegel_plucker_minors,
+)
 
 GOOD = PhiModuleData(p=3, alphas=(Q(1), Q(9), Q(81), Q(729)), weights=(0, -2, -4, -6), a=Q(1), b=Q(1))
 A = RatFunc.var("a")
@@ -216,6 +229,18 @@ class TestWeakAdmissibility:
 
 
 class TestAdmissibleRefinements:
+    @pytest.fixture(autouse=True)
+    def no_meets(self, monkeypatch):
+        """Every case runs with the meet routines patched to raise: the
+        refinement set takes no linear algebra."""
+        import gsp4hodge.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("admissible_refinements ran a meet")
+
+        for name in ("meet_coordinates", "nullspace"):
+            monkeypatch.setattr(gsp4hodge.linalg, name, refuse)
+
     def test_reference_is_identity_only(self):
         # valuations exactly mirror the weights, so any permuted weight
         # prefix drops strictly below zero
@@ -237,6 +262,69 @@ class TestAdmissibleRefinements:
     def test_inadmissible_gives_empty(self):
         d = PhiModuleData(p=3, alphas=GOOD.alphas, weights=(3, 2, 1, 0), a=Q(1), b=Q(1))
         assert admissible_refinements(d) == []
+
+
+# One point on each nondegeneracy factor's zero set, in NONDEG_FACTORS order.
+FACTOR_ZEROS = ((Q(0), Q(2)), (Q(2), Q(0)), (Q(2), Q(-1)), (Q(2), Q(-2)), (Q(-1, 2), Q(1)))
+# The degenerate points of the integer grid [-3, 3]^2.
+GRID_ZEROS = tuple(
+    (Q(a), Q(b)) for a in range(-3, 4) for b in range(-3, 4) if a * b * (b + 1) * (a + b) * (a * b + a + b) == 0
+)
+
+
+class TestPrefixMeets:
+    """Certificate that the refinement set needs no meets: the prefix meets
+    dim(E_{1..i} ∩ F^j) are max(0, i + j - 4) at every (a, b)."""
+
+    def test_triangular_in_e4_e3_e2(self):
+        # Over Q(a, b), in the columns e4, e3, e2 the rows v1, v2, v3 are
+        # upper triangular with the constant diagonal -1, -1, 1.  So
+        # v1..vj project onto e_{i+1..4} with rank min(j, 4 - i) at every
+        # (a, b), and F^j meets E_{1..i} in dimension j - min(j, 4 - i).
+        v = filtration_basis(A, B)[:3]
+        block = [[v[r][c] for c in (3, 2, 1)] for r in range(3)]
+        assert [block[r][r] for r in range(3)] == [-1, -1, 1]
+        assert all(block[r][c] == 0 for r in range(3) for c in range(r))
+
+    @pytest.mark.parametrize("a, b, factor", ((A, B, None),) + tuple(
+        (a, b, name) for (a, b), name in zip(FACTOR_ZEROS, NONDEG_FACTORS)
+    ), ids=("symbolic",) + NONDEG_FACTORS)
+    def test_prefix_meets(self, a, b, factor):
+        assert vanishing_factor(a, b) == factor
+        for i in (1, 2, 3, 4):
+            expect = (0,) + tuple(max(0, i + j - 4) for j in (1, 2, 3)) + (i,)
+            assert _coordinate_meets(_filtration_prefixes(a, b), range(1, i + 1)) == expect, i
+
+    def test_matches_meet_route_at_degenerate_points(self):
+        assert len(GRID_ZEROS) == 25
+        sizes = set()
+
+        # Units 7, 5, 77, 55 keep every eigenvalue ratio off {1, p, 1/p},
+        # and the valuations (e1, e2, s - e2, s - e1) keep the similitude
+        # relation; s = -(h2 + h3) balances the full sums, s + 1 does not.
+        @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+        @given(
+            p=st.sampled_from((2, 3, 5)),
+            e1=st.integers(-4, 4),
+            e2=st.integers(-4, 4),
+            h1=st.integers(-3, 6),
+            gaps=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+            shift=st.sampled_from((0, 0, 0, 1)),
+        )
+        def check(p, e1, e2, h1, gaps, shift):
+            h2 = h1 - gaps[0]
+            h3 = h2 - gaps[1]
+            weights = (h1, h2, h3, h2 + h3 - h1)
+            s = shift - h2 - h3
+            alphas = (Q(p) ** e1 * 7, Q(p) ** e2 * 5, Q(p) ** (s - e2) * 77, Q(p) ** (s - e1) * 55)
+            for a, b in GRID_ZEROS:
+                d = PhiModuleData(p=p, alphas=alphas, weights=weights, a=a, b=b)
+                got = admissible_refinements(d)
+                assert got == admissible_refinements_by_meets(d), (a, b)
+            sizes.add(len(got))
+
+        check()
+        assert 0 in sizes and max(sizes) >= 2  # empty sets and sets beyond the identity
 
 
 class TestRefinementParameters:
@@ -277,3 +365,20 @@ class TestJsonRoundTrip:
     def test_bad_document(self):
         with pytest.raises(InvalidData):
             phi_module_from_json({"p": 3})
+
+
+class TestHodgeParameters:
+    @pytest.mark.parametrize("doc", ({}, {"a": "2"}, {"b": "3"}, {"a": None, "b": "3"}, {"a": "2", "b": None}),
+                             ids=("neither", "a-only", "b-only", "a-null", "b-null"))
+    def test_missing_parameter(self, doc):
+        # absent or null: an error over Q, the variable over Q(a, b)
+        with pytest.raises(ParseError, match=r"needs Hodge parameters a and b \(or --symbolic\)"):
+            hodge_parameters(doc, False)
+        assert hodge_parameters(doc, True) == (
+            A if doc.get("a") is None else RatFunc.const(2),
+            B if doc.get("b") is None else RatFunc.const(3),
+        )
+
+    def test_none_string_is_not_missing(self):
+        with pytest.raises(ParseError, match="non-integer literal None"):
+            hodge_parameters({"a": "None", "b": "3"}, False)
