@@ -227,7 +227,7 @@ def _table_evaluator(a: Scalar, b: Scalar):
     factors = nondeg_factors(a, b)
     _require_nondegenerate(a, b, factors)
     (an, ad), (bn, bd) = factors[:2]
-    field, zero = type(a), a - a
+    field, zero = type(a), a * 0
     ad2, bd2 = ad * ad, bd * bd
     monomials = (ad2 * bd2, an * ad * bd2, bn * bd * ad2, an * an * bd2, an * bn * ad * bd, bn * bn * ad2)
     denominators, pairs, values = {}, {}, {0: zero, 1: zero + 1}  # tables repeat cells
@@ -317,6 +317,43 @@ _PLANE_TABLE = (
     ((_1, 0, -1, 1, 0, -1, 0), (_1, 0, 1, -1, 0, 1, -1), (_1, 0, -1, -1, 0, -1, 0), (_1, 0, 1, 1, 0, 1, 1), (_1, 0, 0, 0, 0, 0, 2), (_1, 0, 0, -2, 0, 0, -2), (_1, 0, 0, 2, 0, 0, 0), 0),
     ((_1, 0, -1, -1, 0, 1, 0), (_1, 0, 1, 1, 0, 1, 1), (_1, 0, -1, -1, 0, -1, 0), (_1, 0, 1, 1, 0, -1, -1), (_1, 0, 0, 0, 0, -2, -2), (_1, 0, 0, 0, 0, 0, 2), 0, (_1, 0, 0, 0, 0, 2, 0)),
 )
+
+
+class LInvariantPlane(Value):
+    """Kernel-mod-glue presentation: two representatives in the generator
+    coordinates f1..f4, g1..g4, plus the parameters they encode."""
+
+    basis_fg: tuple
+    a: Scalar
+    b: Scalar
+    kernel_dim: int
+    glue_dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.kernel_dim - self.glue_dim
+
+
+def l_invariant_plane(a: Scalar, b: Scalar) -> LInvariantPlane:
+    """The plane K / glue at (a, b), by evaluating the committed plane
+    table (InvalidData at a degenerate point), with (a, b) read off it:
+    b = -g2/g3 - 1 in row 0 and a = b g4/g2 in row 1.  Each row of basis_fg
+    is divided by the first nonzero entry of its vector in E^24, found at
+    the point, so basis_fg is normalized pointwise and is not a rational
+    function of (a, b): over Q(a, b) it has poles on ab - 2b^2 + a - b = 0
+    and ab + 2b^2 + a + b = 0, for example at (3/2, 1) and (-3/2, 1)."""
+    value = _table_evaluator(a, b)[1]
+    gens = [generator_vector(label) for label in GENERATOR_LABELS]
+    basis_fg = []
+    for cells in _PLANE_TABLE:
+        row = [value(cell) for cell in cells]
+        lead = next(x for x in mat_mul([row], gens)[0] if x)
+        basis_fg.append(tuple(x / lead for x in row))
+    (*_, g2, g3, _), (*_, h2, _, h4) = basis_fg
+    b = -g2 / g3 - 1
+    return LInvariantPlane(
+        basis_fg=tuple(basis_fg), a=b * h4 / h2, b=b, kernel_dim=len(_KERNEL_PIVOTS), glue_dim=glue_subspace().dim
+    )
 
 
 def recover_parameters(K: Subspace):

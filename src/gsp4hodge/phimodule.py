@@ -62,7 +62,7 @@ class PhiModuleData(Value):
 def filtration_basis(a: Scalar, b: Scalar) -> tuple:
     """The filtration basis v1..v4 over the field of (a, b): F^i is
     spanned by v1..vi."""
-    zero = a - a
+    zero = a * 0
     one = zero + 1
     return (a, -one, one, -one), (b, b + one, -one, zero), (one, one, zero, zero), (one, zero, zero, zero)
 

@@ -681,22 +681,6 @@ def scalar_str(x: Scalar) -> str:
 #: times n is at most MAX_EXPONENT.
 MAX_EXPONENT = 64
 
-_ALLOWED_NODES = (
-    ast.Expression,
-    ast.BinOp,
-    ast.UnaryOp,
-    ast.Add,
-    ast.Sub,
-    ast.Mult,
-    ast.Div,
-    ast.Pow,
-    ast.USub,
-    ast.UAdd,
-    ast.Name,
-    ast.Load,
-    ast.Constant,
-)
-
 
 def _check_power_size(x: Scalar | Poly2, n: int) -> None:
     """Reject x**n, before computing it, when it would pass the MAX_EXPONENT bounds."""
@@ -719,7 +703,12 @@ def _as_field(x) -> Scalar:
 
 def _eval_node(node, symbolic: bool):
     """A Fraction; in symbolic mode, a Poly2 up to the first division and a
-    RatFunc from there on, so that a quotient of polynomials is reduced once."""
+    RatFunc from there on, so that a quotient of polynomials is reduced once.
+
+    This is the only syntax gate: it evaluates integer literals, a, b,
+    binary + - * / ** and unary + -, and rejects any other construct by
+    its node or operator name alone, before evaluating that construct's
+    operands, so the message never formats the node."""
     if isinstance(node, ast.Expression):
         return _eval_node(node.body, symbolic)
     if isinstance(node, ast.Constant):
@@ -732,10 +721,10 @@ def _eval_node(node, symbolic: bool):
         if not symbolic:
             raise ParseError(f"symbol {node.id!r} in numeric scalar")
         return Poly2.var(node.id)
-    if isinstance(node, ast.UnaryOp):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         val = _eval_node(node.operand, symbolic)
         return -val if isinstance(node.op, ast.USub) else val
-    if isinstance(node, ast.BinOp):
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
         lhs = _eval_node(node.left, symbolic)
         rhs = _eval_node(node.right, symbolic)
         if isinstance(lhs, RatFunc) or isinstance(rhs, RatFunc):
@@ -750,17 +739,14 @@ def _eval_node(node, symbolic: bool):
             if not rhs:
                 raise ParseError("division by zero in scalar expression")
             return RatFunc(lhs, rhs) if isinstance(lhs, Poly2) else lhs / rhs
-        if isinstance(node.op, ast.Pow):
-            if not isinstance(node.right, ast.Constant) or not isinstance(
-                node.right.value, int
-            ):
-                raise ParseError("exponents must be integer literals")
-            n = node.right.value
-            if n > MAX_EXPONENT:
-                raise ParseError(f"exponent {n} exceeds {MAX_EXPONENT}")
-            _check_power_size(lhs, n)
-            return lhs**n
-    raise ParseError(f"unsupported syntax in scalar expression: {ast.dump(node)}")
+        if not isinstance(node.right, ast.Constant):  # ast.Pow; a Constant that evaluated is an int
+            raise ParseError("exponents must be integer literals")
+        n = node.right.value
+        if n > MAX_EXPONENT:
+            raise ParseError(f"exponent {n} exceeds {MAX_EXPONENT}")
+        _check_power_size(lhs, n)
+        return lhs**n
+    raise ParseError(f"forbidden syntax in scalar expression: {type(getattr(node, 'op', node)).__name__}")
 
 
 def parse_scalar(text: str, symbolic: bool = False) -> Scalar:
@@ -769,11 +755,7 @@ def parse_scalar(text: str, symbolic: bool = False) -> Scalar:
     Exponents, literals and powers are bounded as stated at MAX_EXPONENT,
     and an expression too deep to evaluate recursively is a ParseError."""
     try:
-        tree = ast.parse(text.strip(), mode="eval")
-        for node in ast.walk(tree):
-            if not isinstance(node, _ALLOWED_NODES):
-                raise ParseError(f"forbidden syntax in scalar expression {text!r}")
-        return _as_field(_eval_node(tree, symbolic))
+        return _as_field(_eval_node(ast.parse(text.strip(), mode="eval"), symbolic))
     except SyntaxError as exc:
         raise ParseError(f"bad scalar expression {text!r}: {exc}") from exc
     except RecursionError as exc:

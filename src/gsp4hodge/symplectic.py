@@ -108,8 +108,10 @@ def gsp4_coordinates(A) -> list:
 
 
 class Subspace(Value):
-    """Row span inside E^ambient in canonical reduced-echelon form; equality
-    is structural.  The flags live in E^4, the kernel and the glue in E^24."""
+    """Row span inside E^ambient.  Subspace.span brings its vectors to
+    canonical reduced-echelon form; Subspace(rows=...) keeps its rows as
+    given.  Equality is structural, so it compares spans only between
+    canonical rows.  The flags live in E^4, the kernel and the glue in E^24."""
 
     rows: tuple
     ambient: int = 4

@@ -6,11 +6,12 @@ computes or certifies, or a fact only the tests check; nothing under
 (pytest's default import mode puts ``tests/`` on ``sys.path``).
 """
 
+import ast
 from fractions import Fraction as Q
 from itertools import accumulate, combinations
 from math import prod
 
-from gsp4hodge.errors import ConstraintViolated, DegreeCapExceeded, DivisionByZero, InvalidData, NotALine
+from gsp4hodge.errors import ConstraintViolated, DegreeCapExceeded, DivisionByZero, InvalidData, NotALine, ParseError
 from gsp4hodge.extledger import AddChar, LInvariantPlane, _qpchar, _tchar
 from gsp4hodge.kernel import (
     _GENERATOR_DEF,
@@ -46,6 +47,7 @@ from gsp4hodge.scalars import (
     _mul,
     _poly,
     is_zero,
+    parse_scalar,
     poly_divexact,
     poly_gcd,
     scalar_str,
@@ -117,6 +119,44 @@ def ratfunc_eq_by_lift(self, other):
     if other is NotImplemented:
         return NotImplemented
     return self.num == other.num and self.den == other.den
+
+
+# ---------------------------------------------------------------------------
+# Scalar syntax by a whitelist walk
+# ---------------------------------------------------------------------------
+
+#: The node types a scalar expression could hold when a walk over the whole
+#: tree checked them ahead of the evaluator.  The evaluator is now the only
+#: syntax gate, and it must admit exactly these.
+ALLOWED_NODES = (
+    ast.Expression,
+    ast.BinOp,
+    ast.UnaryOp,
+    ast.Add,
+    ast.Sub,
+    ast.Mult,
+    ast.Div,
+    ast.Pow,
+    ast.USub,
+    ast.UAdd,
+    ast.Name,
+    ast.Load,
+    ast.Constant,
+)
+
+
+def parse_scalar_by_whitelist(text: str, symbolic: bool = False) -> Scalar:
+    """parse_scalar behind the whitelist walk: a ParseError when the text
+    does not parse or any node of its tree is not in ALLOWED_NODES, and
+    otherwise whatever parse_scalar makes of it."""
+    try:
+        tree = ast.parse(text.strip(), mode="eval")
+    except SyntaxError as exc:
+        raise ParseError(f"bad scalar expression {text!r}: {exc}") from exc
+    for node in ast.walk(tree):
+        if not isinstance(node, ALLOWED_NODES):
+            raise ParseError(f"forbidden syntax in scalar expression {text!r}")
+    return parse_scalar(text, symbolic)
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,17 @@ class TestRejectedInputs:
         report = self.run(capsys, argv)
         assert report["status"] == "invalid" and "nonnegative" in report["payload"]["error"]
 
+    @pytest.mark.parametrize(
+        "text, construct",
+        (("not 1", "Not"), ("~1", "Invert"), (f"f(0x{'f' * 4000})", "Call")),
+        ids=("not", "invert", "huge-literal-call"),
+    )
+    def test_forbidden_syntax(self, capsys, tmp_path, text, construct):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"a": text, "b": "2"}))
+        report = self.run(capsys, ["kernel", "--input", str(doc)])
+        assert report["payload"]["error"] == f"forbidden syntax in scalar expression: {construct}"
+
     def test_long_operator_chain(self, capsys, tmp_path):
         doc = tmp_path / "doc.json"
         doc.write_text(json.dumps({"a": "+".join(["1"] * 1000), "b": "3"}))

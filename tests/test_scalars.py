@@ -32,6 +32,7 @@ from gsp4hodge.scalars import (
     scalar_str,
 )
 from oracles import (
+    parse_scalar_by_whitelist,
     poly2_mul_by_views,
     poly2_scale_by_lift,
     ratfunc_const_by_gcd,
@@ -278,6 +279,41 @@ _EXPRESSIONS = st.recursive(
 )
 
 
+def _grammar(leaves, unary, binary, wrappers):
+    """Expression texts built from leaves by unary, binary and wrapping forms."""
+
+    def forms(inner):
+        return st.one_of(
+            st.tuples(st.sampled_from(unary), inner).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(inner, st.sampled_from(binary), inner).map(lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+            st.tuples(st.sampled_from(wrappers), inner).map(lambda t: t[0].format(t[1])),
+        )
+
+    return st.recursive(st.sampled_from(leaves), forms, max_leaves=6)
+
+
+#: Leaves, unary and binary operators, and wrappers of the allowed syntax
+#: (integer literals, a, b, binary + - * / ** and unary + -), and forbidden ones.
+_ALLOWED = (["0", "1", "2", "3", "a", "b"], ["-", "+"], ["+", "-", "*", "/", "**"], ["({})"])
+_FORBIDDEN = (
+    ["x", "1.5", "'s'", "True", "None", "f'{a}'"],
+    ["not ", "~"],
+    ["%", "//", "@", "<<", "&", "<", "==", "and"],
+    ["f({})", "({}).real", "({})[0]", "[{}]", "{{1: {}}}", "(lambda: {})", "(y := {})"],
+)
+#: Expression text from the allowed syntax only, or mixing in the forbidden.
+_SYNTAX = st.one_of(_grammar(*_ALLOWED), _grammar(*map(operator.add, _ALLOWED, _FORBIDDEN)))
+
+
+def _parse_outcome(parse, text, symbolic):
+    """The value parse makes of text, or None for a ParseError; any other
+    exception propagates."""
+    try:
+        return parse(text, symbolic)
+    except ParseError:
+        return None
+
+
 class TestSerialization:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_EXPRESSIONS)
@@ -311,6 +347,37 @@ class TestSerialization:
             parse_scalar("a + c", symbolic=True)
         with pytest.raises(ParseError):
             parse_scalar("1.5")
+        # the message names the construct and never formats the node: a
+        # literal of more than 4,300 digits cannot be formatted in decimal
+        huge = f"0x{'f' * 4000}"
+        for text in ("not 1", "~1", "1 % 2", f"f({huge})", f"({huge}) % 2"):
+            for symbolic in (False, True):
+                with pytest.raises(ParseError, match="^forbidden syntax in scalar expression: "):
+                    parse_scalar(text, symbolic)
+        # a forbidden construct is found when the evaluator reaches it, so an
+        # allowed operation before it may report its own error first
+        with pytest.raises(ParseError, match="integer literal of 16000 bits exceeds"):
+            parse_scalar(f"({huge}) + (1 % 2)")
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_SYNTAX, st.booleans())
+    def test_accepts_what_the_whitelist_accepts(self, text, symbolic):
+        # the evaluator alone is the syntax gate: it accepts exactly the
+        # texts the whitelist walk let through, with the same values
+        assert _parse_outcome(parse_scalar, text, symbolic) == _parse_outcome(parse_scalar_by_whitelist, text, symbolic)
+
+    def test_no_whitelist_walk(self, monkeypatch):
+        import ast
+
+        def refuse(node):
+            raise AssertionError("parse_scalar walked the tree")
+
+        # pytest formats a failure with ast.walk, so the patch ends before any assert
+        with monkeypatch.context() as patch:
+            patch.setattr(ast, "walk", refuse)
+            value = parse_scalar("-(a + 1)**2/(b - 3)", symbolic=True)
+            rejected = _parse_outcome(parse_scalar, "not 1", False)
+        assert value == -((A + 1) ** 2) / (B - 3) and rejected is None
 
     def test_exponent_bound(self):
         assert parse_scalar(f"2**{MAX_EXPONENT}") == 2**MAX_EXPONENT
