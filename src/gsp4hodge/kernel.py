@@ -4,9 +4,10 @@ parabolic gluing subspace, recovery of the Hodge parameters (a, b), the
 eight generator matrices in the filtration basis, and the invariant plane.
 
 The kernel, the matrix suite and the invariant plane are committed tables
-over Q(a, b), which one evaluator evaluates at a point; nothing is
-eliminated per point.  The parameters are read off two cells of the kernel
-table and checked against the whole table.  The grid, its operators and the
+over Q(a, b), which one evaluator evaluates at a point, kept for the last
+point; nothing is eliminated per point.  The parameters are read off two
+cells of the kernel table and checked against the whole table, unless the
+kernel is the one kept.  The grid, its operators and the
 jbar matrix stay as the routes the tables stand for: tests/make_tables.py
 prints the tables from them, and the certificate in tests/test_kernel.py
 proves the tables equal them at every nondegenerate point.
@@ -221,7 +222,8 @@ def _table_evaluator(a: Scalar, b: Scalar):
     dn/dd is the product of its factors' pairs, so a cell over it is
     (sum of c*m) * dd / (l * dn).  value(cell) is that quotient in the
     field, built by one reduction.  Each distinct cell and table
-    denominator is evaluated once, so a table pays only for its own.
+    denominator is evaluated once, so a table pays only for its own, and
+    the tables share one evaluator per point through _evaluation.
     InvalidData names the first factor that vanishes at (a, b)."""
     a, b = coerce_rows([(a, b)])[0]
     factors = nondeg_factors(a, b)
@@ -256,20 +258,43 @@ def _table_evaluator(a: Scalar, b: Scalar):
     return pair, value
 
 
+_last = None  # the evaluation kept for the last point: see _evaluation
+
+
+def _evaluation(a: Scalar, b: Scalar) -> list:
+    """The tables' evaluation at (a, b), kept for the last point as
+    [key, pair, value, kernel rows].  The key is (field, a, b) after
+    coerce_rows, so a point of Q and the same constants in Q(a, b) never
+    share it; the rows stay None until kernel_basis builds them.  A
+    degenerate point raises InvalidData and leaves the kept one as it was."""
+    global _last
+    a, b = coerce_rows([(a, b)])[0]
+    key = (type(a), a, b)
+    entry = _last  # read once: another thread may replace it meanwhile
+    if entry is None or entry[0] != key:
+        entry = _last = [key, *_table_evaluator(a, b), None]
+    return entry
+
+
 def kernel_basis(a: Scalar, b: Scalar) -> Subspace:
     """The kernel of jbar_matrix(a, b) inside E^24, by evaluating the
-    committed generic kernel; InvalidData at a degenerate point."""
-    value = _table_evaluator(a, b)[1]
-    zero, one = value(0), value(1)
-    rows = []
-    for pivot, cells in zip(_KERNEL_PIVOTS, _KERNEL_FREE_BLOCK):
-        row = [zero] * 24
-        row[pivot] = one
-        for col, cell in zip(_KERNEL_FREE, cells):
-            if cell:
-                row[col] = value(cell)
-        rows.append(tuple(row))
-    return Subspace(rows=tuple(rows), ambient=24)
+    committed generic kernel; InvalidData at a degenerate point.  The rows
+    are kept with the last point's evaluation, and a repeat call there
+    returns them again."""
+    entry = _evaluation(a, b)
+    if entry[3] is None:
+        value = entry[2]
+        zero, one = value(0), value(1)
+        rows = []
+        for pivot, cells in zip(_KERNEL_PIVOTS, _KERNEL_FREE_BLOCK):
+            row = [zero] * 24
+            row[pivot] = one
+            for col, cell in zip(_KERNEL_FREE, cells):
+                if cell:
+                    row[col] = value(cell)
+            rows.append(tuple(row))
+        entry[3] = tuple(rows)
+    return Subspace(rows=entry[3], ambient=24)
 
 
 def jbar_rank(a: Scalar, b: Scalar) -> int:
@@ -342,7 +367,7 @@ def l_invariant_plane(a: Scalar, b: Scalar) -> LInvariantPlane:
     the point, so basis_fg is normalized pointwise and is not a rational
     function of (a, b): over Q(a, b) it has poles on ab - 2b^2 + a - b = 0
     and ab + 2b^2 + a + b = 0, for example at (3/2, 1) and (-3/2, 1)."""
-    value = _table_evaluator(a, b)[1]
+    value = _evaluation(a, b)[2]
     gens = [generator_vector(label) for label in GENERATOR_LABELS]
     basis_fg = []
     for cells in _PLANE_TABLE:
@@ -359,19 +384,25 @@ def l_invariant_plane(a: Scalar, b: Scalar) -> LInvariantPlane:
 def recover_parameters(K: Subspace):
     """Read (a, b) back from the kernel, then check the whole kernel.
 
-    K's rows must have 24 entries.  They are used as they are when they
-    already have the committed table's pivots (1 at _KERNEL_PIVOTS[r] in
-    row r, 0 in the other pivot columns); any other spanning set, redundant
-    or not echelon, is brought to that form by one rref.  In the table, row
-    0 column 13 is 1/a and row 1 column 13 is -(1 + 2b)/a, so a and b are
-    read off those two cells.  The rows must then equal the table evaluated
-    at (a, b) in every free column; the pivot columns already do.
+    Rows that kernel_basis kept for the last point, the same tuple, are
+    the table evaluated there by construction, so that point is returned
+    and no cell is compared.
+    Any other K's rows must have 24 entries.  They are used as they are
+    when they already have the committed table's pivots (1 at
+    _KERNEL_PIVOTS[r] in row r, 0 in the other pivot columns); any other
+    spanning set, redundant or not echelon, is brought to that form by one
+    rref.  In the table, row 0 column 13 is 1/a and row 1 column 13 is
+    -(1 + 2b)/a, so a and b are read off those two cells.  The rows must
+    then equal the table, evaluated afresh at (a, b), in every free column;
+    the pivot columns already do.
     By the certificate in tests/test_kernel.py every kernel at a
     nondegenerate point passes, and every other input raises NotALine with
     a witness: a row length, the pivots, a zero cell, the vanishing factor,
     or the first mismatching (row, column).
     """
-    rows = K.rows
+    rows, entry = K.rows, _last
+    if entry is not None and entry[3] is not None and rows is entry[3]:
+        return entry[0][1:]
     for r, row in enumerate(rows):
         if len(row) != 24:
             raise NotALine(f"kernel row {r} has {len(row)} entries, not 24")
@@ -427,5 +458,5 @@ def matrix_suite(a: Scalar, b: Scalar) -> dict:
     """Images of the eight distinguished generators, written in the
     filtration basis (v1, v2, v3, v4), by evaluating the committed suite
     table."""
-    value = _table_evaluator(a, b)[1]
+    value = _evaluation(a, b)[2]
     return {label: [[value(cell) for cell in row] for row in M] for label, M in _SUITE_TABLE.items()}

@@ -287,6 +287,10 @@ def refinement_parameters(d: PhiModuleData, w: WeylElem):
     return out
 
 
+class _MissingParameters(ParseError):
+    """A document over Q without a or b: every command reports it alike."""
+
+
 def hodge_parameters(doc: dict, symbolic: bool) -> tuple:
     """The Hodge parameters (a, b) of an input document, read by one rule
     for every command: a parameter that is absent or JSON null is missing,
@@ -294,7 +298,7 @@ def hodge_parameters(doc: dict, symbolic: bool) -> tuple:
     from .scalars import parse_scalar
     texts = [doc.get(name) for name in ("a", "b")]
     if not symbolic and any(text is None for text in texts):
-        raise ParseError("the document needs Hodge parameters a and b (or --symbolic)")
+        raise _MissingParameters("the document needs Hodge parameters a and b (or --symbolic)")
     return tuple(
         parse_scalar(name if text is None else str(text), symbolic) for name, text in zip(("a", "b"), texts)
     )
@@ -312,6 +316,8 @@ def phi_module_from_json(doc: dict, symbolic: bool | None = None) -> PhiModuleDa
         weights = tuple(parse_integer(x) for x in parse_list(required_field(doc, "weights")))
         symbolic = parse_boolean(doc.get("symbolic", False)) if symbolic is None else symbolic
         a, b = hodge_parameters(doc, symbolic)
+    except _MissingParameters:
+        raise
     except (TypeError, ValueError) as exc:
         raise InvalidData(f"bad phi-module document: {exc}") from exc
     if len(alphas) != 4 or len(weights) != 4:

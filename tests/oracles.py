@@ -16,7 +16,9 @@ from gsp4hodge.extledger import AddChar, LInvariantPlane, _qpchar, _tchar
 from gsp4hodge.kernel import (
     _GENERATOR_DEF,
     GENERATOR_LABELS,
+    W_ORDER,
     _require_nondegenerate,
+    block_index,
     eigenline_grid,
     generator_vector,
     glue_subspace,
@@ -52,7 +54,7 @@ from gsp4hodge.scalars import (
     poly_gcd,
     scalar_str,
 )
-from gsp4hodge.weyl import W_ALL, QpChar, TChar, Weight, WeylElem, weyl_act_weight
+from gsp4hodge.weyl import W_ALL, QpChar, TChar, Weight, WeylElem, _act_word, weyl_act_weight
 
 # ---------------------------------------------------------------------------
 # Products in Q[a, b] and Q(a, b) by the general route
@@ -450,6 +452,43 @@ def l_invariant_plane_by_meets(a, b) -> LInvariantPlane:
     return LInvariantPlane(
         basis_fg=tuple(basis_fg), a=a_rec, b=b_rec, kernel_dim=K.dim, glue_dim=glue.dim
     )
+
+
+# ---------------------------------------------------------------------------
+# Relabeling the refinement: the Weyl group on (a, b) and on the blocks
+# ---------------------------------------------------------------------------
+
+
+def phi_s1(point):
+    """(a, b) after the refinement is relabeled by s1 = (2,1,4,3)."""
+    a, b = point
+    return 1 / a, b / a
+
+
+def phi_s2(point):
+    """(a, b) after the refinement is relabeled by s2 = (1,3,2,4)."""
+    a, b = point
+    return -a, -b / (b + 1)
+
+
+def phi(w: WeylElem, point):
+    """phi_w(a, b): the letters of w's word act rightmost first.  Both
+    generators are involutions, and phi_vw = phi_v o phi_w."""
+    return _act_word(w.word, point, phi_s1, phi_s2)
+
+
+def block_permutation(w: WeylElem, rows) -> tuple:
+    """R_w on rows of E^24: the block of u moves to the block of u * w^-1
+    and keeps its (x, y, z), so that K(phi_w(a, b)) = R_w K(a, b)."""
+    winv = w.inv()
+    moves = [(3 * block_index(u), 3 * block_index(u * winv)) for u in W_ORDER]
+    out = []
+    for row in rows:
+        new = list(row)
+        for i, j in moves:
+            new[j : j + 3] = row[i : i + 3]
+        out.append(tuple(new))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -672,12 +672,13 @@ class TestRejectedInputs:
     @pytest.mark.parametrize("command", ("validate", "flag", "kernel", "recover", "matrices"))
     @pytest.mark.parametrize("params", ({}, {"a": "2"}, {"b": "3"}), ids=("neither", "a-only", "b-only"))
     def test_missing_hodge_parameters(self, capsys, tmp_path, command, params):
-        # over Q every command that reads (a, b) needs both
+        # over Q every command that reads (a, b) needs both, and says so in
+        # one message
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(dict({"p": 5, "alphas": ["1", "7", "49", "343"], "weights": [0, -2, -4, -6]}, **params)))
         report = self.run(capsys, [command, "--input", str(path)])
         assert report["status"] == "invalid"
-        assert "the document needs Hodge parameters a and b (or --symbolic)" in report["payload"]["error"]
+        assert report["payload"]["error"] == "the document needs Hodge parameters a and b (or --symbolic)"
 
     def test_degree_cap(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GSP4H_MAX_DEGREE", "5")

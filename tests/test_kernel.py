@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gsp4hodge.kernel
-from gsp4hodge.errors import InvalidData, NotALine
+from gsp4hodge.errors import DegreeCapExceeded, InvalidData, NotALine
 from gsp4hodge.kernel import (
     GENERATOR_LABELS,
     W_ORDER,
@@ -21,6 +21,7 @@ from gsp4hodge.kernel import (
     jbar_matrix,
     jbar_rank,
     kernel_basis,
+    l_invariant_plane,
     matrix_suite,
     nu_operator,
     recover_parameters,
@@ -48,12 +49,13 @@ from gsp4hodge.phimodule import (
     nondeg_factors,
     vanishing_factor,
 )
-from gsp4hodge.scalars import Poly2, RatFunc, is_zero, poly_divexact, poly_gcd, ring_pair
+from gsp4hodge.scalars import Poly2, RatFunc, is_zero, parse_scalar, poly_divexact, poly_gcd, ring_pair
 from gsp4hodge.symplectic import Subspace, gsp4_coordinates, lie_membership
 from gsp4hodge.weyl import S1, W_ALL, W_ID, from_word
 from make_tables import tables
 from oracles import (
     RECOVERY_LABELS,
+    block_permutation,
     _nondeg_factor_values,
     _projected_line,
     det,
@@ -61,6 +63,7 @@ from oracles import (
     hodge_borel_basis,
     matrix_suite_by_elimination,
     parameters_from_meets,
+    phi,
     table_evaluator_by_field_ops,
 )
 
@@ -491,23 +494,205 @@ class TestRecovery:
         K = Subspace(rows=rows, ambient=24)
         assert self.count_rrefs(monkeypatch, K) == ((Q(2), Q(3)), 1)
 
-    def test_two_kernel_evaluations(self, monkeypatch):
-        # a numeric op evaluates the committed kernel table twice: once to
-        # build the kernel, and once in recovery to check the untrusted input
-        # against the table; jbar_rank reads its row count off the table
-        import gsp4hodge.kernel
-
-        calls = []
-        real = gsp4hodge.kernel._table_evaluator
-
-        def counted(a, b):
-            calls.append((a, b))
-            return real(a, b)
-
-        monkeypatch.setattr(gsp4hodge.kernel, "_table_evaluator", counted)
+    def test_one_evaluation_per_point(self, monkeypatch):
+        # kernel, rank and recovery at one point evaluate the committed tables
+        # once: recovery knows the rows kernel_basis built there and compares
+        # no cell; jbar_rank reads its row count off the table.  A rebuilt
+        # copy of those rows is another kernel: recovery evaluates the table
+        # once more, at the point read off it, and compares all 17 x 7 free
+        # cells in the ring
+        evaluations, compared = [], []
+        real_evaluator, real_pair = gsp4hodge.kernel._table_evaluator, gsp4hodge.kernel.ring_pair
+        monkeypatch.setattr(
+            gsp4hodge.kernel, "_table_evaluator", lambda a, b: evaluations.append((a, b)) or real_evaluator(a, b)
+        )
+        monkeypatch.setattr(gsp4hodge.kernel, "ring_pair", lambda x: compared.append(x) or real_pair(x))
         K = kernel_basis(Q(2), Q(3))
         assert jbar_rank(Q(2), Q(3)) == 7
-        assert recover_parameters(K) == (Q(2), Q(3)) and len(calls) == 2
+        assert recover_parameters(K) == (Q(2), Q(3))
+        assert len(evaluations) == 1 and not compared
+        copy = Subspace(rows=tuple(tuple(Q(str(x)) for x in row) for row in K.rows), ambient=24)
+        assert copy == K and copy.rows is not K.rows
+        assert recover_parameters(copy) == (Q(2), Q(3))
+        assert len(evaluations) == 2 and len(compared) == 119
+
+
+class TestKeptEvaluation:
+    """kernel._last keeps the tables evaluated at the last point."""
+
+    def test_each_field_its_own(self):
+        # 2 and Q(2) are one point of Q after coerce_rows; RatFunc.const(2)
+        # is a point of Q(a, b) and never shares the entry with it
+        for a, b, field in ((2, 3, Q), (Q(2), Q(3), Q), (RatFunc.const(2), RatFunc.const(3), RatFunc), (2, 3, Q)):
+            K = kernel_basis(a, b)
+            assert all(type(x) is field for row in K.rows for x in row)
+            assert gsp4hodge.kernel._last[0] == (field, a, b)
+            got = recover_parameters(K)
+            assert got == (a, b) and all(type(x) is field for x in got)
+        assert kernel_basis(Q(2), Q(3)) == kernel_basis(RatFunc.const(2), RatFunc.const(3))
+
+    def test_points_in_turn(self):
+        # A, B, A: each kernel and suite is its point's, and a kernel of a
+        # point that is no longer kept still recovers, by the full check
+        points = [(Q(2), Q(3)), (Q(-3, 2), Q(5, 4)), (Q(2), Q(3))]
+        kernels = []
+        for a, b in points:
+            K = kernel_basis(a, b)
+            assert K.rows == tuple(row_space(nullspace(jbar_matrix(a, b), 24)))
+            assert matrix_suite(a, b) == matrix_suite_by_elimination(a, b)
+            assert recover_parameters(K) == (a, b)
+            kernels.append(K)
+        assert recover_parameters(kernels[1]) == points[1]
+        assert kernels[0] == kernels[2] and kernels[0].rows is not kernels[2].rows
+
+    @pytest.mark.parametrize("call", (kernel_basis, matrix_suite, l_invariant_plane))
+    def test_degenerate_point_keeps_the_entry(self, call):
+        K = kernel_basis(Q(2), Q(3))
+        entry = gsp4hodge.kernel._last
+        kept = list(entry)
+        for _ in range(2):
+            with pytest.raises(InvalidData, match="factor b\\+1 vanishes"):
+                call(Q(2), Q(-1))
+            assert gsp4hodge.kernel._last is entry and entry == kept
+        assert recover_parameters(K) == (Q(2), Q(3)) and kernel_basis(Q(2), Q(3)).rows is K.rows
+
+    @pytest.mark.parametrize("symbolic", (False, True), ids=("Q", "Qab"))
+    @pytest.mark.parametrize(
+        "cell, change, witness",
+        (
+            ((3, 19), "+1", "kernel differs from the committed table at cell (3, 19)"),
+            ((0, 11), "+1", "kernel differs from the committed table at cell (0, 11)"),
+            ((0, 13), "+1", "kernel differs from the committed table at cell (0, 11)"),
+            ((1, 13), "+1", "kernel differs from the committed table at cell (0, 11)"),
+            ((0, 13), "0", "kernel cell (0, 13), which is 1/a, vanishes"),
+            ((3, 0), "+1", "kernel differs from the committed table at cell (3, 11)"),
+            ((5, 5), "*2", "kernel differs from the committed table at cell (5, 11)"),
+            ((2, 12), "+1", "kernel differs from the committed table at cell (2, 13)"),
+        ),
+    )
+    def test_changed_copy_gets_its_witness(self, symbolic, cell, change, witness):
+        # the kept rows with one cell changed are another kernel, and get
+        # the witness the full check gives it with no entry kept
+        point = shifted(3, 2, 5) if symbolic else (Q(2), Q(3))
+        rows = [list(row) for row in kernel_basis(*point).rows]
+        r, c = cell
+        rows[r][c] = {"+1": rows[r][c] + 1, "0": rows[r][c] * 0, "*2": rows[r][c] * 2}[change]
+        K = Subspace(rows=tuple(map(tuple, rows)), ambient=24)
+        with pytest.raises(NotALine) as kept:
+            recover_parameters(K)
+        gsp4hodge.kernel._last = None
+        with pytest.raises(NotALine) as cleared:
+            recover_parameters(K)
+        assert str(kept.value) == str(cleared.value) == witness
+
+    def test_rebuilt_copies_take_the_full_check(self):
+        # the round trip's points again, each kernel rebuilt from its text as
+        # a document would bring it: recovery compares every free cell
+        rng = random.Random(11)
+        points = [rand_valid_ab(rng) for _ in range(25)] + [shifted(Q(1, 2), 2, -1), ((A + 1) / (B + 2), A / (B - 1))]
+        for a, b in points:
+            symbolic = isinstance(a, RatFunc)
+            rows = kernel_basis(a, b).rows
+            copy = Subspace(rows=tuple(tuple(parse_scalar(str(x), symbolic) for x in row) for row in rows), ambient=24)
+            assert copy == kernel_basis(a, b) and copy.rows is not rows
+            assert recover_parameters(copy) == (a, b)
+
+    def test_repeat_reads_no_degree_cap(self, monkeypatch):
+        point = ((A + 1) ** 3, B**3 + A)
+        K, suite = kernel_basis(*point), matrix_suite(*point)
+        monkeypatch.setenv("GSP4H_MAX_DEGREE", "2")
+        assert kernel_basis(*point).rows is K.rows and matrix_suite(*point) == suite
+        assert recover_parameters(K) == point
+        gsp4hodge.kernel._last = None
+        with pytest.raises(DegreeCapExceeded, match="GSP4H_MAX_DEGREE=2"):
+            kernel_basis(*point)
+
+    def test_threads_keep_their_own_points(self):
+        # four threads replace the one entry under each other as often as a
+        # short switch interval allows; each must still get its own point's
+        # kernel, and recover its own point from it
+        import sys
+        import threading
+
+        points = seeded_points(4, False, seed=47)
+        want = {p: tuple(row_space(nullspace(jbar_matrix(*p), 24))) for p in points}
+        wrong = []
+
+        def work(p):
+            for _ in range(150):
+                K = kernel_basis(*p)
+                if K.rows != want[p] or recover_parameters(K) != p:
+                    wrong.append(p)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(p,)) for p in points]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not wrong
+
+    def test_kept_point_takes_no_polynomial_arithmetic(self, monkeypatch):
+        # at the symbolic point just built, recovery reads the kept rows and
+        # a repeat suite reads the kept values: no product, no gcd
+        import gsp4hodge.scalars
+
+        point = shifted(3, 2, 5)
+        K, suite = kernel_basis(*point), matrix_suite(*point)
+
+        def forbidden(*args):
+            raise AssertionError("polynomial arithmetic at the kept point")
+
+        monkeypatch.setattr(gsp4hodge.scalars, "_mul", forbidden)
+        monkeypatch.setattr(gsp4hodge.scalars, "poly_gcd", forbidden)
+        assert recover_parameters(K) == point
+        assert matrix_suite(*point) == suite
+        assert kernel_basis(*point).rows is K.rows
+
+
+class TestWeylRelabeling:
+    """Relabeling the refinement by w moves (a, b) to phi_w(a, b) and the
+    blocks of E^24 by R_w, the block of u to that of u * w^-1:
+    K(phi_w(a, b)) = R_w K(a, b)."""
+
+    ORBIT_OF_2_3 = {
+        (Q(2), Q(3)), (Q(1, 2), Q(3, 2)), (Q(-2), Q(-3, 4)), (Q(-1, 2), Q(3, 8)),
+        (Q(-1, 2), Q(-3, 5)), (Q(-2), Q(6, 5)), (Q(1, 2), Q(-3, 11)), (Q(2), Q(-6, 11)),
+    }
+
+    def test_action_on_parameters(self):
+        point = (Q(2), Q(3))
+        assert {phi(w, point) for w in W_ALL} == self.ORBIT_OF_2_3
+        for v in W_ALL:
+            for w in W_ALL:
+                assert phi(v * w, point) == phi(v, phi(w, point))
+
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(
+        a=st.builds(Q, st.integers(-(2**40), 2**40), st.integers(1, 2**40)),
+        b=st.builds(Q, st.integers(-(2**40), 2**40), st.integers(1, 2**40)),
+    )
+    def test_recovery_of_the_relabeled_kernel(self, a, b):
+        # R_w K(a, b) is no kernel the entry built: for w != e its rows are
+        # not echelon, and recovery takes one rref and the full check
+        assume(vanishing_factor(a, b) is None)
+        rows = kernel_basis(a, b).rows
+        for w in W_ALL:
+            K = Subspace(rows=block_permutation(w, rows), ambient=24)
+            with pytest.MonkeyPatch.context() as patch:
+                assert TestRecovery.count_rrefs(patch, K) == (phi(w, (a, b)), int(w != W_ID))
+
+    def test_convention(self):
+        # s1s2 is no involution: R_w moves the block of u to u * w^-1, and
+        # moving it to u * w instead relabels by w^-1
+        w, point = from_word("s1s2"), (Q(2), Q(3))
+        rows = kernel_basis(*point).rows
+        assert phi(w, point) != phi(w.inv(), point)
+        assert recover_parameters(Subspace(rows=block_permutation(w.inv(), rows), ambient=24)) == phi(w.inv(), point)
 
 
 # ---------------------------------------------------------------------------
