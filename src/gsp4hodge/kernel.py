@@ -181,6 +181,11 @@ def jbar_matrix(a: Scalar, b: Scalar):
 # tests/make_tables.py prints the tables from the eliminated results they
 # stand for, and the certificate in tests/test_kernel.py proves them.
 _1, _A, _Q, _AQ, _B1, _S = (), (0,), (4,), (0, 4), (2,), (3,)
+# The exponents of (ad, bd) in the denominator of each factor's pair from
+# nondeg_factors, with a = an/ad and b = bn/bd, and of (a, b) in the terms
+# c1, ca, cb, caa, cab, cbb of a cell.
+_DENOMINATOR_EXPONENTS = ((1, 0), (0, 1), (0, 1), (1, 1), (1, 1))
+_CELL_EXPONENTS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 # The kernel of jbar_matrix, in reduced row echelon form.  The RREF is
 # unique and commutes with evaluation wherever the five factors are nonzero,
@@ -211,28 +216,48 @@ _KERNEL_FREE_BLOCK = (
 )
 
 
+@lru_cache(maxsize=None)
+def _cell_layout(cell: tuple) -> tuple:
+    """A table cell (den, c1, ..., cbb) as ((den, sa, sb), (I, J), terms)
+    for _table_evaluator: at a = an/ad, b = bn/bd the cell is the sum over
+    terms (c, k, x, y) of c * an^u * bn^v * ad^x * bd^y, (u, v) the k-th of
+    _CELL_EXPONENTS and (x, y) = (I - u, J - v), over the product of den's
+    factor numerators times ad^sa * bd^sb.  I and J are the least that
+    clear every exponent, so where sa > 0 some term has x = 0, and likewise
+    for sb and y."""
+    den, *coeffs = cell
+    used = [(c, k, *_CELL_EXPONENTS[k]) for k, c in enumerate(coeffs) if c]
+    i, j = (sum(_DENOMINATOR_EXPONENTS[f][s] for f in den) for s in (0, 1))
+    I, J = max(i, *(u for _, _, u, _ in used)), max(j, *(v for _, _, _, v in used))
+    return (den, I - i, J - j), (I, J), tuple((c, k, I - u, J - v) for c, k, u, v in used)
+
+
 def _table_evaluator(a: Scalar, b: Scalar):
     """The functions pair and value on table cells at (a, b), lifted into
     one field, where every denominator the cells use is nonzero.
 
     pair(cell) is the cell as numerator and denominator in the ring under
     that field, Z for Q and Q[a, b] for Q(a, b), built from the pairs of
-    nondeg_factors.  With a = an/ad and b = bn/bd, the first two, the six
-    monomials share the denominator l = (ad*bd)^2, and a table denominator
-    dn/dd is the product of its factors' pairs, so a cell over it is
-    (sum of c*m) * dd / (l * dn).  value(cell) is that quotient in the
-    field, built by one reduction.  Each distinct cell and table
-    denominator is evaluated once, so a table pays only for its own, and
-    the tables share one evaluator per point through _evaluation.
-    InvalidData names the first factor that vanishes at (a, b)."""
+    nondeg_factors.  With a = an/ad and b = bn/bd, the first two, a table
+    denominator is dn / (ad^i * bd^j) for the product dn of its factors'
+    numerators, so a cell's term c * a^u * b^v is
+    c * an^u * bn^v * ad^(i-u) * bd^(j-v) over dn.  Both sides take the
+    least powers of ad and bd that clear the negative exponents
+    (_cell_layout), so neither ad nor bd is put on both, and the cells with
+    the same powers share their monomials.  value(cell)
+    is that quotient in the field, built by one reduction.  Each distinct
+    cell and table denominator is evaluated once, so a table pays only for
+    its own, and the tables share one evaluator per point through
+    _evaluation.  InvalidData names the first factor that vanishes at (a, b)."""
     a, b = coerce_rows([(a, b)])[0]
     factors = nondeg_factors(a, b)
     _require_nondegenerate(a, b, factors)
     (an, ad), (bn, bd) = factors[:2]
     field, zero = type(a), a * 0
-    ad2, bd2 = ad * ad, bd * bd
-    monomials = (ad2 * bd2, an * ad * bd2, bn * bd * ad2, an * an * bd2, an * bn * ad * bd, bn * bn * ad2)
-    denominators, pairs, values = {}, {}, {0: zero, 1: zero + 1}  # tables repeat cells
+    one = an**0  # the ring's 1
+    pa, pb = (one, ad, ad * ad), (one, bd, bd * bd)
+    cores = (one, an, bn, an * an, an * bn, bn * bn)
+    monomials, denominators, pairs, values = {}, {}, {}, {0: zero, 1: zero + 1}  # tables repeat cells
 
     def pair(cell):
         p = pairs.get(cell)
@@ -240,12 +265,21 @@ def _table_evaluator(a: Scalar, b: Scalar):
             if isinstance(cell, int):
                 p = (cell, 1)
             else:
-                den, *coeffs = cell
-                d = denominators.get(den)
+                powers, shift, terms = _cell_layout(cell)
+                m = monomials.get(shift)  # the monomials of the cells with this shift
+                if m is None:
+                    m = monomials[shift] = [None] * 6
+                n = 0
+                for c, k, x, y in terms:
+                    t = m[k]
+                    if t is None:
+                        t = m[k] = cores[k] * pa[x] * pb[y]
+                    n += c * t
+                d = denominators.get(powers)
                 if d is None:
-                    d = denominators[den] = (prod(factors[i][0] for i in den), prod(factors[i][1] for i in den))
-                n = sum(c * m for c, m in zip(coeffs, monomials) if c)
-                p = (n * d[1], monomials[0] * d[0])
+                    den, sa, sb = powers
+                    d = denominators[powers] = prod(factors[f][0] for f in den) * pa[sa] * pb[sb]
+                p = (n, d)
             pairs[cell] = p
         return p
 
@@ -268,12 +302,19 @@ def _evaluation(a: Scalar, b: Scalar) -> list:
     share it; the rows stay None until kernel_basis builds them.  A
     degenerate point raises InvalidData and leaves the kept one as it was."""
     global _last
+    key, entry = _kept(a, b)
+    if entry is None:
+        entry = _last = [key, *_table_evaluator(*key[1:]), None]
+    return entry
+
+
+def _kept(a: Scalar, b: Scalar) -> tuple:
+    """The key of (a, b) and the kept evaluation if it is that point's,
+    else None."""
     a, b = coerce_rows([(a, b)])[0]
     key = (type(a), a, b)
     entry = _last  # read once: another thread may replace it meanwhile
-    if entry is None or entry[0] != key:
-        entry = _last = [key, *_table_evaluator(a, b), None]
-    return entry
+    return key, entry if entry is not None and entry[0] == key else None
 
 
 def kernel_basis(a: Scalar, b: Scalar) -> Subspace:
@@ -299,8 +340,11 @@ def kernel_basis(a: Scalar, b: Scalar) -> Subspace:
 
 def jbar_rank(a: Scalar, b: Scalar) -> int:
     """24 minus the 17 rows that the committed kernel has at every
-    nondegenerate point, read off the table without evaluating it."""
-    _require_nondegenerate(a, b)
+    nondegenerate point, read off the table without evaluating a cell.
+    At the kept point its evaluation has checked the point already; any
+    other point is checked, InvalidData if degenerate, and not kept."""
+    if _kept(a, b)[1] is None:
+        _require_nondegenerate(a, b)
     return 24 - len(_KERNEL_PIVOTS)
 
 

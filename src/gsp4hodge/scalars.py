@@ -14,6 +14,7 @@ import os
 from fractions import Fraction as Q
 from math import gcd as _int_gcd, lcm as _int_lcm
 
+from ._value import Value, _set
 from .errors import (
     DegreeCapExceeded,
     DivisionByZero,
@@ -230,6 +231,8 @@ def _poly(view, scale: Q) -> Poly2:
 # Poly2s work on these dicts directly.  The gcd is a primitive
 # pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1, Algorithm E) with
 # integer content stripped at every step, which keeps coefficient growth tame.
+# poly_gcd runs it only when a modular certificate after Brown (J. ACM 18(4),
+# 1971), which works mod one prime, cannot prove the two views coprime.
 # ---------------------------------------------------------------------------
 
 _ONE = {0: 1}  # the unit of Z[a]
@@ -364,12 +367,84 @@ def _gcd(f, g):
     return _idiv(g, -1) if _lead(g) < 0 else g
 
 
+# A certificate of coprimality, after Brown's modular gcd (W. S. Brown,
+# J. ACM 18(4), 1971; Geddes, Czapor and Labahn 1992, ch. 7), used one way
+# only: it may prove two views coprime, never that they share a factor.
+# Let f, g be nonconstant views with b-leading coefficients lf, lg in Z[a].
+# 1. If the leading integers of lf and lg are nonzero mod P and lf, lg are
+#    coprime in F_P[a], no nonconstant h in Z[a] divides f and g: h would
+#    divide lf and lg, and its image mod P would keep its degree.
+# 2. At the first a0 in 0, 1, ..., deg lf + deg lg + 1 where lf*lg does not
+#    vanish mod P (one exists: lf*lg has at most deg lf + deg lg roots), if
+#    f(a0, b) and g(a0, b) are coprime in F_P[b], no common h has positive
+#    b-degree: by Gauss's lemma its b-leading coefficient divides lf, so its
+#    image keeps its b-degree.
+# Views are primitive, so no integer divides both.  Both steps passing
+# proves gcd(f, g) = 1; otherwise the pseudo-remainder sequence decides.
+_P = 2**30 - 35  # the largest prime below 2**30: a residue is one CPython digit
+
+
+def _coprime_mod_p(u: list, v: list) -> bool:
+    """Whether u and v, integer coefficient lists from degree 0 up whose
+    last entries are nonzero mod _P, are coprime in F_P[x].  Euclid without
+    inverses: u becomes lc(v)*u - lc(u)*x^k*v until its degree is below v's."""
+    while len(v) > 1:
+        dv, lv = len(v) - 1, v[-1]
+        u = list(u)
+        while len(u) > dv:
+            lu = u.pop()
+            k = len(u) - dv
+            for j in range(len(u)):
+                u[j] = (lv * u[j] - (lu * v[j - k] if j >= k else 0)) % _P
+            while u and not u[-1]:
+                u.pop()
+        if not u:
+            return False
+        u, v = v, u
+    return True
+
+
+def _at(u, x: int) -> int:
+    """A number congruent mod _P to u(x), for u over Z, a dict."""
+    if not x:  # a0 is 0 at most gcds, and u(0) is one lookup
+        return u.get(0, 0)
+    return sum([c * x**d for d, c in u.items()]) % _P
+
+
+def _image(h, x: int) -> list:
+    """The coefficient list in b, from degree 0 up, of h over Z[a] at a = x,
+    each entry congruent mod _P to its value."""
+    im = [0] * (max(h) + 1)
+    for d, u in h.items():
+        im[d] = _at(u, x)
+    return im
+
+
+def _certified_coprime(f, g) -> bool:
+    """True only if the nonconstant views f and g are coprime (see above).
+    Step 2 runs first: a gcd that is not 1 mostly has positive b-degree."""
+    lf, lg = f[max(f)], g[max(g)]
+    df, dg = max(lf), max(lg)
+    if not (lf[df] % _P and lg[dg] % _P):
+        return False
+    a0 = 0
+    while not (_at(lf, a0) % _P and _at(lg, a0) % _P):
+        a0 += 1
+    if not _coprime_mod_p(_image(f, a0), _image(g, a0)):
+        return False
+    if not (df and dg):  # a nonzero constant mod P is a unit of F_P[a]
+        return True
+    return _coprime_mod_p([lf.get(d, 0) for d in range(df + 1)], [lg.get(d, 0) for d in range(dg + 1)])
+
+
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     """Monic gcd of two bivariate polynomials (1 for coprime inputs)."""
     if p.is_zero() or q.is_zero():
         g = p + q  # the other one
     elif p.is_const() or q.is_const():
         return Poly2.const(1)
+    elif _certified_coprime(p._view, q._view):
+        return _ONE_POLY
     else:  # the gcd of two views is a view (Gauss's lemma)
         g = _poly(_gcd(p._view, q._view), Q(1))
     return g.scale(1 / g.leading_coeff()) if g else g
@@ -395,6 +470,8 @@ class RatFunc:
     and gcd(num, den) = 1.  Equality and hashing act on the canonical pair.
     Every construction maps zero to 0/1 and makes the denominator monic;
     ``_coprime=True`` promises gcd(num, den) = 1 and skips only the gcd.
+    Immutable: ``num`` and ``den`` cannot be reassigned or deleted, so a
+    cell shared by several tables or callers stays what it was built as.
     """
 
     __slots__ = ("num", "den")
@@ -415,8 +492,15 @@ class RatFunc:
             if lead != 1:
                 num = num.scale(1 / lead)
                 den = den.scale(1 / lead)
-        self.num = num
-        self.den = den
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    __setattr__ = Value.__setattr__
+    __delattr__ = Value.__delattr__
+
+    def __reduce__(self):
+        # copy and pickle rebuild the canonical pair: the slots refuse setattr
+        return _ratfunc, (self.num, self.den)
 
     # -- constructors ----------------------------------------------------
 
@@ -554,7 +638,8 @@ class RatFunc:
 def _ratfunc(num: Poly2, den: Poly2) -> RatFunc:
     """The RatFunc num/den of a canonical pair, built without __init__."""
     r = object.__new__(RatFunc)
-    r.num, r.den = num, den
+    _set(r, "num", num)
+    _set(r, "den", den)
     return r
 
 

@@ -30,6 +30,7 @@ from gsp4hodge.kernel import (
     _KERNEL_PIVOTS,
     _PLANE_TABLE,
     _SUITE_TABLE,
+    _require_nondegenerate,
     _table_evaluator,
 )
 from gsp4hodge.linalg import (
@@ -556,6 +557,27 @@ class TestKeptEvaluation:
             assert gsp4hodge.kernel._last is entry and entry == kept
         assert recover_parameters(K) == (Q(2), Q(3)) and kernel_basis(Q(2), Q(3)).rows is K.rows
 
+    @pytest.mark.parametrize(
+        "kept, other",
+        (((Q(2), Q(3)), (Q(-3, 2), Q(5, 4))), ((A + 3, 2 * B + 5), (A + 1, B + 1))),
+        ids=("Q", "Qab"),
+    )
+    def test_rank_elsewhere_keeps_the_entry(self, monkeypatch, kept, other):
+        # jbar_rank at another point checks it and keeps nothing of it, so
+        # the kept kernel still recovers off the entry, with no evaluation
+        K = kernel_basis(*kept)
+        entry = gsp4hodge.kernel._last
+        assert jbar_rank(*other) == 7
+        with pytest.raises(InvalidData, match="factor b\\+1 vanishes"):
+            jbar_rank(kept[0], kept[0] * 0 - 1)
+        assert gsp4hodge.kernel._last is entry
+
+        def forbidden(a, b):
+            raise AssertionError("recovery evaluated the tables again")
+
+        monkeypatch.setattr(gsp4hodge.kernel, "_table_evaluator", forbidden)
+        assert recover_parameters(K) == kept
+
     @pytest.mark.parametrize("symbolic", (False, True), ids=("Q", "Qab"))
     @pytest.mark.parametrize(
         "cell, change, witness",
@@ -635,6 +657,25 @@ class TestKeptEvaluation:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and not wrong
+
+    def test_kept_cells_refuse_edits(self):
+        # every caller at the kept point shares its cells, so none may change
+        # one: the RatFunc fields refuse assignment and deletion, and the next
+        # kernel there is the one built
+        point = shifted(3, 2, 5)
+        K = kernel_basis(*point)
+        text = [[str(x) for x in row] for row in K.rows]
+        cell = K.rows[0][13]
+        with pytest.raises(AttributeError):
+            cell.num = Poly2.const(7)
+        with pytest.raises(AttributeError):
+            del cell.den
+        again = kernel_basis(*point)
+        assert again.rows is K.rows and again.rows[0][13] == 1 / point[0]
+        assert [[str(x) for x in row] for row in again.rows] == text
+        assert recover_parameters(again) == point
+        gsp4hodge.kernel._last = None
+        assert kernel_basis(*point) == K
 
     def test_kept_point_takes_no_polynomial_arithmetic(self, monkeypatch):
         # at the symbolic point just built, recovery reads the kept rows and
@@ -1002,11 +1043,31 @@ class TestEvaluatedKernel:
         "point",
         [shifted(0, 1, 0), shifted(Q(1, 2), 2, -1), shifted(-3, Q(-1, 3), 2), shifted(3, 2, 5)]
         # denominators ad, bd != 1
-        + [((A + 1) / (B + 2), A / (B - 1)), (1 / A, 1 / B), (A / (A + B + 1), (2 * B - 1) / (3 * A))],
+        + [((A + 1) / (B + 2), A / (B - 1)), (1 / A, 1 / B), (A / (A + B + 1), (2 * B - 1) / (3 * A))]
+        # the Weyl images (1/a, b/a) and (-a, -b/(b + 1)) of (a, b)
+        + [(1 / A, B / A), (-A, -B / (B + 1))],
     )
     def test_ring_evaluator_matches_field_ops_over_qab(self, point):
         assert vanishing_factor(*point) is None
         self.assert_evaluators_agree(*point)
+
+    @pytest.mark.parametrize(
+        "point",
+        (((A + 1) / (B + 2), A / (B - 1)), (1 / A, 1 / B), (-A, -B / (B + 1))),
+        ids=("rational", "inverse", "s2"),
+    )
+    def test_pairs_share_no_power_of_ad_or_bd(self, monkeypatch, point):
+        # a cell's pair carries only the powers of ad and bd that clear its
+        # exponents, so at these points kernel_basis, recovery and
+        # matrix_suite reduce every cell by a gcd of 1
+        import gsp4hodge.scalars
+
+        gcds, real = [], gsp4hodge.scalars.poly_gcd
+        monkeypatch.setattr(gsp4hodge.scalars, "poly_gcd", lambda p, q: gcds.append(real(p, q)) or gcds[-1])
+        gsp4hodge.kernel._last = None
+        recover_parameters(kernel_basis(*point))
+        matrix_suite(*point)
+        assert len(gcds) > 20 and all(g == Poly2.const(1) for g in gcds)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1095,6 +1156,32 @@ class TestNondegFactors:
         a, b = _ON_ZERO_SET[k](x)
         assert not nondeg_factors(a, b)[k][0]
         self.assert_matches_oracle(a, b)
+
+    def test_rank_after_kernel_builds_the_factors_once(self, monkeypatch):
+        # jbar_rank at the point kernel_basis just kept reuses its evaluation
+        import gsp4hodge.phimodule
+
+        builds = []
+        for module in (gsp4hodge.kernel, gsp4hodge.phimodule):
+            real = module.nondeg_factors
+            monkeypatch.setattr(module, "nondeg_factors", lambda a, b, real=real: builds.append((a, b)) or real(a, b))
+        for point in ((Q(2), Q(3)), shifted(3, 2, 5)):
+            builds.clear()
+            kernel_basis(*point)
+            assert jbar_rank(*point) == 7 and len(builds) == 1
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(k=st.integers(0, 4), x=_SCALARS | st.just(A) | st.just(B))
+    def test_rank_rejects_as_the_check_does(self, k, x):
+        # through the point's evaluation, a degenerate point gets the
+        # message of the nondegeneracy check, byte for byte
+        assume(k != 4 or x + 1 != 0)
+        a, b = _ON_ZERO_SET[k](x)
+        with pytest.raises(InvalidData) as check:
+            _require_nondegenerate(a, b)
+        with pytest.raises(InvalidData) as rank:
+            jbar_rank(a, b)
+        assert str(rank.value) == str(check.value) == f"nondegeneracy-polynomial: factor {vanishing_factor(a, b)} vanishes"
 
     def test_check_takes_no_gcd_and_no_field_operation(self, monkeypatch):
         # the check reads the factors off ring products and sums alone

@@ -1,12 +1,15 @@
+import copy
 import operator
+import pickle
 import random
 from collections import Counter
+from itertools import combinations_with_replacement
 from contextlib import contextmanager
 from fractions import Fraction as Q
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gsp4hodge.errors import (
@@ -17,11 +20,13 @@ from gsp4hodge.errors import (
     VariantMismatch,
     ZeroArgument,
 )
+import gsp4hodge.scalars as scalars
 from gsp4hodge.scalars import (
     MAX_EXPONENT,
     PRIME_BOUND,
     Poly2,
     RatFunc,
+    _certified_coprime,
     field_arith,
     is_prime,
     is_zero,
@@ -558,3 +563,127 @@ def _general_route():
         for owner, name, method in _GENERAL_ROUTE:
             mp.setattr(owner, name, method)
         yield
+
+
+def _view_gcd_is_one(p, q):
+    return scalars._gcd(p._view, q._view) == {0: {0: 1}}
+
+
+def _poly(text):
+    return parse_scalar(text, symbolic=True).num
+
+
+class TestCoprimeCertificate:
+    """scalars._certified_coprime, after Brown's modular gcd, is one-sided:
+    it answers True only for coprime views, and poly_gcd then runs no
+    pseudo-remainder sequence; every other pair takes the PRS as before."""
+
+    def test_modulus_is_prime(self):
+        # Euclid mod _P and both steps of the proof need F_P to be a field
+        assert is_prime(scalars._P) and scalars._P < 2**30
+
+    @given(_FACTORS, _FACTORS, _FACTORS, _NONZERO_Q, _NONZERO_Q)
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_certified_pairs_are_coprime(self, common, only_p, only_q, sp, sq):
+        fp, fq = Counter(common + only_p), Counter(common + only_q)
+        p, q = _product(fp).scale(sp), _product(fq).scale(sq)
+        assume(not p.is_const() and not q.is_const())
+        if _certified_coprime(p._view, q._view):
+            assert not fp & fq and _view_gcd_is_one(p, q)
+
+    def test_pool_products(self):
+        # every pair of products of one or two pool irreducibles: a certified
+        # pair shares no irreducible, and most pairs that share none are
+        # certified, so the certificate is not vacuous
+        counts = [Counter(c) for k in (1, 2) for c in combinations_with_replacement(range(len(_IRREDUCIBLES)), k)]
+        views = [_product(c)._view for c in counts]
+        coprime = certified = 0
+        for cp, fv in zip(counts, views):
+            for cq, gv in zip(counts, views):
+                coprime += not cp & cq
+                if _certified_coprime(fv, gv):
+                    assert not cp & cq
+                    certified += 1
+        assert certified > coprime // 2
+
+    @pytest.mark.parametrize(
+        "p, q, gcd",
+        (
+            ("a*b + a", "a*b - a", "a"),  # a common factor in Z[a] alone: a divides both leads
+            ("(a + 1)*(b + 1)", "(a + 1)*(b - 1)", "a + 1"),  # the same, found by Euclid in F_P[a]
+            (f"{scalars._P}*a*b + 1", "a*b + 2", "1"),  # a leading integer divisible by P
+            (f"{scalars._P}*b + a", f"{scalars._P}*b + a + 1", "1"),  # both leading integers
+            ("(a + 1)*(a + 2)", "(a + 1)*(a - 3)", "a + 1"),  # both inputs in Z[a]
+            ("(b + 1)*(a*b + 1)", "(b + 1)*(a + b)", "b + 1"),  # a common factor of positive b-degree
+            ("a*b + 1", "b + 1", "1"),  # coprime, but the images at a0 = 1 share b + 1
+        ),
+    )
+    def test_falls_back_to_the_prs(self, monkeypatch, p, q, gcd):
+        p, q = _poly(p), _poly(q)
+        assert not _certified_coprime(p._view, q._view)
+        calls, real = [], scalars._gcd
+        monkeypatch.setattr(scalars, "_gcd", lambda f, g: calls.append(1) or real(f, g))
+        assert poly_gcd(p, q) == _poly(gcd) and calls
+
+    @pytest.mark.parametrize(
+        "p, q",
+        (
+            ("2*a*b + 6*a + 8*b + 23", "4*b + 10"),  # a gcd of a symbolic-generic op at (a + 3, 2b + 5)
+            ("a + 1", "a + 2"),  # both in Z[a]: the images at a0 are constants
+            ("a*b + 1", "(a + 1)*b + 3"),  # lf = a vanishes at 0: a0 = 1 is the first point off lf*lg
+            ("(a + b + 1)**8", "(b + 2*a + 5)**8"),
+        ),
+    )
+    def test_certified_pair_runs_no_prs(self, monkeypatch, p, q):
+        p, q = _poly(p), _poly(q)
+        assert _view_gcd_is_one(p, q)
+
+        def forbidden(*args):
+            raise AssertionError("a certified pair ran the pseudo-remainder sequence")
+
+        monkeypatch.setattr(scalars, "_gcd", forbidden)
+        assert _certified_coprime(p._view, q._view) and poly_gcd(p, q) == Poly2.const(1)
+
+    @pytest.mark.parametrize(
+        "point, prems",
+        ((("(a+b+1)**8", "(b+2*a+5)**8"), 0), (("a + 3", "2*b + 5"), 1)),
+        ids=("degree-8", "generic"),
+    )
+    def test_pseudo_remainders_of_kernel_and_suite(self, monkeypatch, point, prems):
+        # kernel_basis then matrix_suite: every gcd but the counted ones is
+        # certified; the kernel still evaluates to the kernel at a point
+        from gsp4hodge.kernel import kernel_basis, matrix_suite
+
+        a, b = (parse_scalar(t, symbolic=True) for t in point)
+        calls, real = [], scalars._prem
+        monkeypatch.setattr(scalars, "_prem", lambda f, g: calls.append(1) or real(f, g))
+        K = kernel_basis(a, b)
+        matrix_suite(a, b)
+        assert len(calls) == prems
+        monkeypatch.undo()
+        at = (a.evaluate(2, 3), b.evaluate(2, 3))
+        assert [[x.evaluate(2, 3) for x in row] for row in K.rows] == [list(row) for row in kernel_basis(*at).rows]
+
+
+class TestImmutableRatFunc:
+    """num and den are fixed at construction, as the value classes' fields are."""
+
+    def test_fields_refuse_assignment_and_deletion(self):
+        r = (A + 1) / (B - 2)
+        for change in (
+            lambda: setattr(r, "num", Poly2.const(7)),
+            lambda: setattr(r, "den", Poly2.const(1)),
+            lambda: delattr(r, "num"),
+            lambda: delattr(r, "den"),
+        ):
+            with pytest.raises(AttributeError):
+                change()
+        assert str(r) == "(a + 1)/(b - 2)"
+
+    @pytest.mark.parametrize("route", (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))))
+    def test_copies_keep_the_canonical_pair(self, route):
+        for r in (RatFunc.const(0), RatFunc.const(Q(-3, 4)), A, (A + 1) / (B - 2), (2 * A * B + 1) / (3 * A)):
+            c = route(r)
+            assert type(c) is RatFunc and c == r and hash(c) == hash(r) and str(c) == str(r)
+            with pytest.raises(AttributeError):
+                c.num = Poly2.const(7)
