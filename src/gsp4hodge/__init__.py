@@ -8,18 +8,18 @@ modules it needs."""
 
 _EXPORTS = {
     "errors": "ConstraintViolated DegenerateIntersection DivisionByZero GSp4Error InconsistentData"
-    " InvalidData InvalidIndexSet LedgerInconsistent NotALine NotSymplectic ParseError VariantMismatch",
+    " InvalidData InvalidIndexSet LedgerInconsistent NotALine NotSymplectic ParseError",
     "extledger": "AddChar Constituent all_constituents check_ledger constituent_of constituents"
     " ell_map hom_space hom_space_dim l_invariant_plane socle_constituents socle_diagram",
     "hecke": "FrobeniusData HeckeData classicality_classify hecke_charpoly ideal_generators",
     "kernel": "EigenlineGrid eigenline_grid glue_subspace jbar_matrix jbar_rank kernel_basis"
     " matrix_suite nu_operator recover_parameters",
     "phimodule": "HodgeFlag PhiModuleData admissible_refinements general_position"
-    " refinement_parameters standard_filtration validate weak_admissibility",
-    "scalars": "Poly2 RatFunc field_arith is_zero padic_val parse_scalar scalar_str",
+    " standard_filtration validate weak_admissibility",
+    "scalars": "Poly2 RatFunc is_zero padic_val parse_scalar scalar_str",
     "symplectic": "J Flag Subspace adjoint flag_anisotropy_check lie_membership s_involution similitude",
-    "weyl": "S0 S1 S2 W_ALL W_ID CocharTuple L_map QpChar TChar Weight WeylElem build_char"
-    " check_involution dot_action from_oneline from_word pairing weyl_act",
+    "weyl": "S0 S1 S2 W_ALL W_ID CocharTuple L_map Weight WeylElem"
+    " check_involution from_oneline from_word pairing weyl_act",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

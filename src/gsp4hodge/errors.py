@@ -9,10 +9,6 @@ class DivisionByZero(GSp4Error, ZeroDivisionError):
     """Division by the zero element of the working field."""
 
 
-class VariantMismatch(GSp4Error, TypeError):
-    """Arithmetic attempted between rational and rational-function scalars."""
-
-
 class ZeroArgument(GSp4Error, ValueError):
     """A p-adic valuation was requested for zero."""
 

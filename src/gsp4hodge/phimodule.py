@@ -275,18 +275,6 @@ def admissible_refinements(d: PhiModuleData):
     return partial_sum_set(d.p, d.alphas, d.weights)
 
 
-def refinement_parameters(d: PhiModuleData, w: WeylElem):
-    """Graded parameters of the w-triangulation: unr(alpha_{w^{-1}(i)}) z^{h_i}."""
-    from .weyl import QpChar
-    _require_structure(d, nondegenerate=True)
-    winv = w.inv()
-    out = []
-    for i in (1, 2, 3, 4):
-        alpha = Q(d.alphas[winv(i) - 1])
-        out.append(QpChar(d.p, coef=alpha, zexp=Q(d.weights[i - 1])))
-    return out
-
-
 class _MissingParameters(ParseError):
     """A document over Q without a or b: every command reports it alike."""
 

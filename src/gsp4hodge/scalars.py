@@ -20,7 +20,6 @@ from .errors import (
     DivisionByZero,
     InvalidData,
     ParseError,
-    VariantMismatch,
     ZeroArgument,
 )
 
@@ -671,29 +670,6 @@ def ring_pair(x) -> tuple:
     return (x.num, x.den) if isinstance(x, RatFunc) else (x.numerator, x.denominator)
 
 
-def field_arith(x: Scalar, y: Scalar, op: str) -> Scalar:
-    """Strict field arithmetic: both operands must be the same variant."""
-    x_sym = isinstance(x, RatFunc)
-    y_sym = isinstance(y, RatFunc)
-    if x_sym != y_sym:
-        raise VariantMismatch(
-            f"cannot mix {type(x).__name__} with {type(y).__name__}"
-        )
-    if not x_sym:
-        x, y = Q(x), Q(y)
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        if is_zero(y):
-            raise DivisionByZero("scalar division by zero")
-        return x / y
-    raise ParseError(f"unknown field operation {op!r}")
-
-
 def _int_val(n: int, p: int) -> int:
     """Exponent of p in a positive integer; doubling ladder keeps the
     division count logarithmic in the exponent."""
@@ -787,8 +763,9 @@ def _as_field(x) -> Scalar:
 
 
 def _eval_node(node, symbolic: bool):
-    """A Fraction; in symbolic mode, a Poly2 up to the first division and a
-    RatFunc from there on, so that a quotient of polynomials is reduced once.
+    """A Fraction; in symbolic mode, a Poly2 up to the first division by a
+    nonconstant polynomial and a RatFunc from there on, so that a quotient of
+    polynomials is reduced once and a rational coefficient is only a scale.
 
     This is the only syntax gate: it evaluates integer literals, a, b,
     binary + - * / ** and unary + -, and rejects any other construct by
@@ -823,6 +800,8 @@ def _eval_node(node, symbolic: bool):
         if isinstance(node.op, ast.Div):
             if not rhs:
                 raise ParseError("division by zero in scalar expression")
+            if isinstance(lhs, Poly2) and rhs.is_const():
+                return lhs.scale(1 / rhs.const_value())
             return RatFunc(lhs, rhs) if isinstance(lhs, Poly2) else lhs / rhs
         if not isinstance(node.right, ast.Constant):  # ast.Pow; a Constant that evaluated is an int
             raise ParseError("exponents must be integer literals")

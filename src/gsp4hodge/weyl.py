@@ -1,4 +1,4 @@
-"""Root datum of (GSp4, B), the 8-element Weyl group, and torus characters.
+"""Root datum of (GSp4, B) and its 8-element Weyl group.
 
 The Weyl group is realized inside S4 as the permutations s with
 s(1)+s(4) = s(2)+s(3) = 5.  Weights live on the rank-3 character lattice
@@ -13,7 +13,6 @@ from fractions import Fraction as Q
 
 from ._value import Value
 from .errors import ConstraintViolated, InvalidData, ParseError
-from .scalars import padic_val
 
 
 class WeylElem(Value):
@@ -134,7 +133,7 @@ def check_involution(w: WeylElem) -> WeylElem:
 
 
 class Weight(Value):
-    """Exponents (n1, n2, n3) of p1, p2, p3; rationals allowed for rho-shifts."""
+    """Exponents (n1, n2, n3) of p1, p2, p3; rationals allowed."""
 
     n1: Q
     n2: Q
@@ -147,12 +146,6 @@ class Weight(Value):
 
     def coords(self) -> tuple[Q, Q, Q]:
         return (self.n1, self.n2, self.n3)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(self.n1 + other.n1, self.n2 + other.n2, self.n3 + other.n3)
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(self.n1 - other.n1, self.n2 - other.n2, self.n3 - other.n3)
 
 
 class CocharTuple(Value):
@@ -173,9 +166,6 @@ SIM = Weight(0, 0, 1)
 ALPHA_CHECK = CocharTuple((1, -1, 1, -1))
 BETA_CHECK = CocharTuple((0, 1, -1, 0))
 
-#: Half-sum of the positive roots alpha, beta, alpha*beta, alpha^2*beta.
-RHO = Weight(2, 1, Q(-3, 2))
-
 
 def _swap_12(c: tuple) -> tuple:
     return (c[1], c[0], c[2])
@@ -187,13 +177,11 @@ def weyl_act_weight(w: WeylElem, mu: Weight) -> Weight:
 
 
 def weyl_act(w: WeylElem, x):
-    """Action on Weight, CocharTuple or plain diagonal 4-tuples."""
+    """Action on Weight or CocharTuple."""
     if isinstance(x, Weight):
         return weyl_act_weight(w, x)
     if isinstance(x, CocharTuple):
         return CocharTuple(w.act_tuple(x.m))
-    if isinstance(x, tuple):
-        return w.act_tuple(x)
     raise InvalidData(f"cannot act on {type(x).__name__}")
 
 
@@ -214,139 +202,3 @@ def L_map_inverse(mu: Weight) -> CocharTuple:
     # m4 = n3, m2 = m1-n2, m3 = m1-n1; m1+m4 = m2+m3 forces m1 = n1+n2+n3.
     m1 = n1 + n2 + n3
     return CocharTuple((m1, m1 - n2, m1 - n1, n3))
-
-
-def dot_action(u: WeylElem, lam: Weight) -> Weight:
-    """Rho-shifted action u . lam = u(lam + rho) - rho."""
-    return weyl_act_weight(u, lam + RHO) - RHO
-
-
-# ---------------------------------------------------------------------------
-# Locally algebraic characters of Qp^x and of the torus
-# ---------------------------------------------------------------------------
-
-
-class QpChar(Value):
-    """Character unr(coef * p^pexp) * z^zexp of Qp^x.
-
-    Canonical form keeps val_p(coef) = 0 by folding powers of p into pexp;
-    rational exponents are allowed (the |.|^(3/2)-style twists need them).
-    """
-
-    p: int
-    coef: Q = Q(1)
-    pexp: Q = Q(0)
-    zexp: Q = Q(0)
-
-    def __post_init__(self):
-        coef, pexp, zexp = Q(self.coef), Q(self.pexp), Q(self.zexp)
-        if coef == 0:
-            raise InvalidData("character unit must be nonzero")
-        v = padic_val(coef, self.p)
-        if v:
-            coef = coef / Q(self.p) ** v
-            pexp = pexp + v
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "pexp", pexp)
-        object.__setattr__(self, "zexp", zexp)
-
-    @staticmethod
-    def unramified(p: int, alpha) -> "QpChar":
-        return QpChar(p, coef=Q(alpha))
-
-    @staticmethod
-    def algebraic(p: int, k) -> "QpChar":
-        return QpChar(p, zexp=Q(k))
-
-    @staticmethod
-    def norm_power(p: int, t) -> "QpChar":
-        """|.|_p^t as a smooth character: unit value p^(-t)."""
-        return QpChar(p, pexp=-Q(t))
-
-    def __mul__(self, other: "QpChar") -> "QpChar":
-        assert self.p == other.p
-        return QpChar(self.p, self.coef * other.coef, self.pexp + other.pexp, self.zexp + other.zexp)
-
-    def __truediv__(self, other: "QpChar") -> "QpChar":
-        assert self.p == other.p
-        return QpChar(self.p, self.coef / other.coef, self.pexp - other.pexp, self.zexp - other.zexp)
-
-    def inv(self) -> "QpChar":
-        return QpChar(self.p, 1 / self.coef, -self.pexp, -self.zexp)
-
-    def is_smooth(self) -> bool:
-        return self.zexp == 0
-
-    def unit_str(self) -> str:
-        if self.pexp.denominator == 1:
-            return str(self.coef * Q(self.p) ** int(self.pexp))
-        body = f"{self.p}^({self.pexp})"
-        return body if self.coef == 1 else f"{self.coef}*{body}"
-
-    def __str__(self):
-        parts = []
-        if not (self.coef == 1 and self.pexp == 0):
-            parts.append(f"unr({self.unit_str()})")
-        if self.zexp:
-            parts.append(f"z^{self.zexp}" if self.zexp.denominator == 1 else f"z^({self.zexp})")
-        return "*".join(parts) if parts else "1"
-
-
-class TChar(Value):
-    """Locally algebraic character of T(Qp) in (p1, p2, p3)-coordinates."""
-
-    chars: tuple[QpChar, QpChar, QpChar]
-
-    @property
-    def p(self) -> int:
-        return self.chars[0].p
-
-    def __mul__(self, other: "TChar") -> "TChar":
-        return TChar(tuple(x * y for x, y in zip(self.chars, other.chars)))
-
-    def inv(self) -> "TChar":
-        return TChar(tuple(x.inv() for x in self.chars))
-
-    def is_smooth(self) -> bool:
-        return all(c.is_smooth() for c in self.chars)
-
-    def __str__(self):
-        return " ; ".join(str(c) for c in self.chars)
-
-
-def weyl_act_tchar(w: WeylElem, chi: TChar) -> TChar:
-    """(w chi)(t) = chi(w^{-1} t w) in the three torus coordinates: the
-    letter formulas of weyl_act_weight, written multiplicatively."""
-    return TChar(_act_word(w.word, chi.chars, _swap_12, lambda c: (c[0], c[1].inv(), c[1] * c[2])))
-
-
-def build_char(kind: str, p: int, alphas=None, weights=None, w: WeylElem | None = None) -> TChar:
-    """The named characters used throughout: phi, eta, lambda, delta_w, llc_param."""
-    if kind == "phi":
-        a1, a2, a3, a4 = (Q(x) for x in alphas)
-        return TChar((
-            QpChar.unramified(p, a1 / a3),
-            QpChar.unramified(p, a1 / a2),
-            QpChar.unramified(p, a4),
-        ))
-    if kind == "eta":
-        # |p1|^-2 |p2|^-1
-        return TChar((QpChar.norm_power(p, -2), QpChar.norm_power(p, -1), QpChar(p)))
-    if kind == "lambda":
-        h1, h2, h3, h4 = weights
-        return TChar((
-            QpChar.algebraic(p, h1 - h3 - 2),
-            QpChar.algebraic(p, h1 - h2 - 1),
-            QpChar.algebraic(p, h4),
-        ))
-    if kind == "delta_w":
-        phi = build_char("phi", p, alphas=alphas)
-        eta = build_char("eta", p)
-        lam = build_char("lambda", p, weights=weights)
-        return weyl_act_tchar(w or W_ID, phi) * eta * lam
-    if kind == "llc_param":
-        phi = build_char("phi", p, alphas=alphas)
-        eta = build_char("eta", p)
-        half_twist = TChar((QpChar(p), QpChar(p), QpChar.norm_power(p, Q(3, 2))))
-        return phi * eta * half_twist
-    raise InvalidData(f"unknown character kind {kind!r}")

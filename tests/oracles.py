@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 from itertools import accumulate, combinations
 from math import prod
 
-from gsp4hodge.errors import ConstraintViolated, DegreeCapExceeded, DivisionByZero, InvalidData, NotALine, ParseError
+from gsp4hodge.errors import DegreeCapExceeded, DivisionByZero, NotALine, ParseError
 from gsp4hodge.extledger import AddChar, LInvariantPlane, _qpchar, _tchar
 from gsp4hodge.kernel import (
     _GENERATOR_DEF,
@@ -54,7 +54,7 @@ from gsp4hodge.scalars import (
     poly_gcd,
     scalar_str,
 )
-from gsp4hodge.weyl import W_ALL, QpChar, TChar, Weight, WeylElem, _act_word, weyl_act_weight
+from gsp4hodge.weyl import W_ALL, Weight, WeylElem, _act_word, weyl_act_weight
 
 # ---------------------------------------------------------------------------
 # Products in Q[a, b] and Q(a, b) by the general route
@@ -547,38 +547,12 @@ def phi_module_to_json(d: PhiModuleData) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def is_integral(mu: Weight) -> bool:
-    return all(x.denominator == 1 for x in mu.coords())
-
-
 def is_dominant(mu: Weight) -> bool:
     return mu.n1 >= mu.n2 >= 0
 
 
 def is_strictly_dominant(mu: Weight) -> bool:
     return mu.n1 > mu.n2 > 0
-
-
-def L_map_chars(chis) -> TChar:
-    """Character version of the lattice map: (x1/x3, x1/x2, x4)."""
-    x1, x2, x3, x4 = chis
-    if x1 * x4 != x2 * x3:
-        raise ConstraintViolated("diagonal character tuple breaks x1*x4 = x2*x3")
-    return TChar((x1 / x3, x1 / x2, x4))
-
-
-def is_generic_smooth(chi: TChar) -> bool:
-    """Genericity of a smooth T-character: the four test characters avoid
-    1 and |.|^{+-1}."""
-    if not chi.is_smooth():
-        raise InvalidData("genericity test needs a smooth character")
-    c1, c2, _ = chi.chars
-    p = chi.p
-    bad = (QpChar(p), QpChar.norm_power(p, 1), QpChar.norm_power(p, -1))
-    for test in (c1, c2, c1 * c2, c1 / c2):
-        if test in bad:
-            return False
-    return True
 
 
 def weyl_act_addchar(w: WeylElem, psi: AddChar) -> AddChar:

@@ -52,7 +52,7 @@ from gsp4hodge.phimodule import (
 )
 from gsp4hodge.scalars import Poly2, RatFunc, is_zero, parse_scalar, poly_divexact, poly_gcd, ring_pair
 from gsp4hodge.symplectic import Subspace, gsp4_coordinates, lie_membership
-from gsp4hodge.weyl import S1, W_ALL, W_ID, from_word
+from gsp4hodge.weyl import S1, S2, W_ALL, W_ID, from_word
 from make_tables import tables
 from oracles import (
     RECOVERY_LABELS,
@@ -65,6 +65,8 @@ from oracles import (
     matrix_suite_by_elimination,
     parameters_from_meets,
     phi,
+    phi_s1,
+    phi_s2,
     table_evaluator_by_field_ops,
 )
 
@@ -989,6 +991,35 @@ class TestCertificate:
                         for cols in combinations(range(4), n)
                     )
                     assert any(m.den.is_const() and is_factor_product(m.num) for m in minors), (S, j)
+
+    # phi_s on (a, b) and on the five factors (a, b, b+1, a+b, q), q = ab + a + b
+    RELABELINGS = (
+        (S1, phi_s1, (ONE / A, B / A, (A + B) / A, (B + 1) / A, (A * B + A + B) / (A * A))),
+        (S2, phi_s2, (-A, -B / (B + 1), ONE / (B + 1), -(A * B + A + B) / (B + 1), -(A + B) / (B + 1))),
+    )
+
+    def test_kernel_follows_the_relabeling(self):
+        """K(phi_s(a, b)) = R_s K(a, b) over Q(a, b) for both generators.
+        Both sides are actions of W, so this holds for every w."""
+        K = kernel_basis(A, B).rows
+        for s, phi_s, _ in self.RELABELINGS:
+            relabeled = kernel_basis(*phi_s((A, B))).rows
+            assert row_space(list(relabeled)) == row_space(list(block_permutation(s, K))), s
+
+    def test_glue_is_relabeling_stable(self):
+        glue = glue_subspace().rows
+        for s, _, _ in self.RELABELINGS:
+            assert row_space(list(block_permutation(s, glue))) == list(glue), s
+
+    def test_degenerate_locus_is_stable(self):
+        """Each factor at phi_s(a, b) is a unit times a product of the five
+        factors: s1 swaps b+1 and a+b, s2 swaps a+b and q."""
+        for s, phi_s, images in self.RELABELINGS:
+            point = phi_s((A, B))
+            factors = tuple(RatFunc(n, d) for n, d in nondeg_factors(*point))
+            assert factors == images == _nondeg_factor_values(*point), s
+            for f in factors:
+                assert is_factor_product(f.num) and is_factor_product(f.den), (s, f)
 
 
 def test_make_tables():

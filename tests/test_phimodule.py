@@ -17,7 +17,6 @@ from gsp4hodge.phimodule import (
     general_position,
     hodge_parameters,
     phi_module_from_json,
-    refinement_parameters,
     standard_filtration,
     validate,
     vanishing_factor,
@@ -25,7 +24,7 @@ from gsp4hodge.phimodule import (
 )
 from gsp4hodge.scalars import RatFunc
 from gsp4hodge.symplectic import Subspace, flag_anisotropy_check
-from gsp4hodge.weyl import S1, W_ALL, W_ID
+from gsp4hodge.weyl import S1, W_ID
 from oracles import (
     admissible_refinements_by_meets,
     newton_hodge_shortcut,
@@ -325,30 +324,6 @@ class TestPrefixMeets:
 
         check()
         assert 0 in sizes and max(sizes) >= 2  # empty sets and sets beyond the identity
-
-
-class TestRefinementParameters:
-    def test_identity(self):
-        params = refinement_parameters(GOOD, W_ID)
-        assert [c.unit_str() for c in params] == ["1", "9", "81", "729"]
-        assert [c.zexp for c in params] == [0, -2, -4, -6]
-
-    def test_s1_swaps(self):
-        params = refinement_parameters(GOOD, S1)
-        assert [c.unit_str() for c in params] == ["9", "1", "729", "81"]
-
-    def test_unit_multiset_invariant(self):
-        expect = sorted(["1", "9", "81", "729"])
-        for w in W_ALL:
-            units = sorted(c.unit_str() for c in refinement_parameters(GOOD, w))
-            assert units == expect
-
-    def test_unit_product_is_alpha0_squared(self):
-        alpha0 = Q(1) * Q(729)
-        prod = Q(1)
-        for c in refinement_parameters(GOOD, W_ID):
-            prod *= c.coef * Q(3) ** int(c.pexp)
-        assert prod == alpha0**2
 
 
 class TestJsonRoundTrip:

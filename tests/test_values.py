@@ -26,7 +26,7 @@ from gsp4hodge.hecke import ClassicalityReport, FrobeniusData, HeckeData, classi
 from gsp4hodge.kernel import EigenlineGrid
 from gsp4hodge.phimodule import CheckResult, HodgeFlag, PhiModuleData, ValidityReport, complete_flag, validate
 from gsp4hodge.symplectic import Flag, Subspace
-from gsp4hodge.weyl import CocharTuple, QpChar, TChar, Weight, WeylElem
+from gsp4hodge.weyl import CocharTuple, Weight, WeylElem
 
 PI = Constituent(index_set=None, reflection=None)
 FLAG = complete_flag(Q(2), Q(3))
@@ -56,11 +56,6 @@ SAMPLES = {
     WeylElem: ({"perm": (2, 1, 4, 3)}, {"perm": (1, 2, 3, 4)}),
     Weight: ({"n1": 1, "n2": -1, "n3": 0}, {"n1": 0, "n2": 2, "n3": -1}),
     CocharTuple: ({"m": (1, -1, 1, -1)}, {"m": (0, 1, -1, 0)}),
-    QpChar: (
-        {"p": 3, "coef": Q(2), "pexp": Q(1), "zexp": Q(0)},
-        {"p": 5, "coef": Q(2), "pexp": Q(1), "zexp": Q(0)},
-    ),
-    TChar: ({"chars": (QpChar(3), QpChar(3), QpChar(3))}, {"chars": (QpChar(3, 2), QpChar(3), QpChar(3))}),
     PhiModuleData: (
         {"p": 3, "alphas": (1, 9, 81, 729), "weights": (0, -2, -4, -6), "a": Q(2), "b": Q(3)},
         {"p": 3, "alphas": (1, 9, 81, 729), "weights": (0, -2, -4, -6), "a": Q(5), "b": Q(3)},
@@ -88,7 +83,7 @@ UNHASHABLE = {EigenlineGrid}
 
 
 def test_every_value_class_is_sampled():
-    assert len(CLASSES) == 22
+    assert len(CLASSES) == 20
     assert all(issubclass(cls, Value) for cls in CLASSES)
 
 
@@ -148,8 +143,6 @@ def test_defaults():
     rows = ((Q(1), Q(0), Q(0), Q(0)),)
     assert Subspace(rows) == Subspace(rows, 4) == Subspace(rows=rows, ambient=4)
     assert CheckResult("genericity", True) == CheckResult("genericity", True, "")
-    assert QpChar(3) == QpChar(3, Q(1), Q(0), Q(0)) == QpChar(p=3, zexp=0)
-    assert QpChar(3, pexp=2).pexp == 2 and QpChar(3, pexp=2).coef == 1
 
 
 def test_post_init_checks_and_normalizes():
@@ -167,15 +160,11 @@ def test_post_init_checks_and_normalizes():
         HeckeData(4, 1, 0, 0)
     with pytest.raises(InvalidData, match="torus constraint"):
         AddChar("qp_to_t", (1, 0, 0, 0), (0, 0, 0, 0))
-    assert QpChar(3, Q(9, 2)) == QpChar(3, Q(1, 2), Q(2))
     assert Weight(1, 2, 3).n1 == Q(1) and type(Weight(1, 2, 3).n1) is Q
 
 
 def test_repr_is_the_dataclass_format():
     assert repr(WeylElem((2, 1, 4, 3))) == "WeylElem(perm=(2, 1, 4, 3))"
-    assert repr(QpChar(3, Q(9, 2))) == (
-        "QpChar(p=3, coef=Fraction(1, 2), pexp=Fraction(2, 1), zexp=Fraction(0, 1))"
-    )
     assert repr(Subspace.span([(1, 2, 3, 4)])) == (
         "Subspace(rows=((Fraction(1, 1), Fraction(2, 1), Fraction(3, 1), Fraction(4, 1)),), ambient=4)"
     )

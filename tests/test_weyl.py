@@ -9,29 +9,24 @@ from gsp4hodge.weyl import (
     ALPHA_CHECK,
     BETA,
     BETA_CHECK,
-    RHO,
     S0,
     S1,
     S2,
     SIM,
-    QpChar,
     W_ALL,
     W_ID,
     CocharTuple,
     Weight,
     WeylElem,
-    build_char,
     check_involution,
-    dot_action,
     from_oneline,
     from_word,
     L_map,
     L_map_inverse,
     pairing,
     weyl_act,
-    weyl_act_tchar,
 )
-from oracles import L_map_chars, is_dominant, is_generic_smooth, is_integral, is_strictly_dominant
+from oracles import is_dominant, is_strictly_dominant
 
 
 class TestGroupStructure:
@@ -102,6 +97,10 @@ class TestWeylAction:
         mu = Weight(3, -2, Q(1, 2))
         assert weyl_act(W_ID, mu) == mu
 
+    def test_only_weights_and_cocharacters(self):
+        with pytest.raises(InvalidData, match="cannot act on tuple"):
+            weyl_act(S1, (1, 2, 3, 4))
+
     def test_sim_fixed_by_all(self):
         for w in W_ALL:
             assert weyl_act(w, SIM) == SIM
@@ -150,6 +149,10 @@ class TestLMap:
     def test_zero(self):
         assert L_map(CocharTuple((0, 0, 0, 0))) == Weight(0, 0, 0)
 
+    def test_hodge_weight_image(self):
+        # the cocharacter z^h of the Hodge weights h = (0, -2, -4, -6)
+        assert L_map(CocharTuple((0, -2, -4, -6))) == Weight(4, 2, -6)
+
     def test_bijective(self):
         rng = random.Random(3)
         for _ in range(60):
@@ -168,100 +171,3 @@ class TestLMap:
     def test_constraint_guard(self):
         with pytest.raises(ConstraintViolated):
             CocharTuple((1, 0, 0, 0))
-
-
-class TestDotAction:
-    def test_rho(self):
-        assert RHO == Weight(2, 1, Q(-3, 2))
-        total = Weight(0, 0, 0)
-        for root in (ALPHA, BETA, Weight(1, 1, -1), Weight(2, 0, -1)):
-            total = total + root
-        assert total == Weight(4, 2, -3)
-
-    def test_identity(self):
-        lam = Weight(4, 2, -1)
-        assert dot_action(W_ID, lam) == lam
-
-    def test_s1_formula(self):
-        rng = random.Random(5)
-        for _ in range(30):
-            lam = Weight(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
-            assert dot_action(S1, lam) == Weight(lam.n2 - 1, lam.n1 + 1, lam.n3)
-
-    def test_group_action(self):
-        rng = random.Random(6)
-        for _ in range(20):
-            lam = Weight(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
-            for u in W_ALL:
-                for v in W_ALL:
-                    assert dot_action(u * v, lam) == dot_action(u, dot_action(v, lam))
-
-    def test_integrality(self):
-        rng = random.Random(7)
-        for _ in range(30):
-            lam = Weight(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
-            for u in W_ALL:
-                assert is_integral(dot_action(u, lam))
-
-
-class TestCharacters:
-    def test_phi_units(self):
-        phi = build_char("phi", 5, alphas=(Q(2), Q(3), Q(10), Q(15)))
-        c1, c2, c3 = phi.chars
-        assert (c1.coef, c1.pexp) == (Q(1, 5), 0) or c1.unit_str() == "1/5"
-        assert c2.unit_str() == "2/3"
-        assert c3.unit_str() == "15"
-
-    def test_eta_units(self):
-        eta = build_char("eta", 3)
-        assert [c.unit_str() for c in eta.chars] == ["9", "3", "1"]
-        assert eta.is_smooth()
-
-    def test_lambda_exponents(self):
-        lam = build_char("lambda", 3, weights=(0, -2, -4, -6))
-        assert [c.zexp for c in lam.chars] == [2, 1, -6]
-
-    def test_delta_w_is_product(self):
-        p = 3
-        alphas = (Q(1), Q(9), Q(81), Q(729))
-        weights = (0, -2, -4, -6)
-        for w in W_ALL:
-            dw = build_char("delta_w", p, alphas=alphas, weights=weights, w=w)
-            manual = (
-                weyl_act_tchar(w, build_char("phi", p, alphas=alphas))
-                * build_char("eta", p)
-                * build_char("lambda", p, weights=weights)
-            )
-            assert dw == manual
-
-    def test_llc_param_has_halfinteger_twist(self):
-        chi = build_char("llc_param", 5, alphas=(Q(2), Q(3), Q(10), Q(15)))
-        assert chi.chars[2].pexp == Q(-3, 2) + 1  # unr(15) contributes 5^1
-
-    def test_lambda_from_L_map(self):
-        # lambda = L(z^h) shifted by p1^-2 p2^-1
-        h = (0, -2, -4, -6)
-        lam = build_char("lambda", 3, weights=h)
-        img = L_map(CocharTuple(h))
-        assert [c.zexp for c in lam.chars] == [img.n1 - 2, img.n2 - 1, img.n3]
-
-    def test_genericity(self):
-        phi = build_char("phi", 3, alphas=(Q(1), Q(9), Q(81), Q(729)))
-        assert is_generic_smooth(phi)
-        # ratio alpha2/alpha1 = p makes it non-generic
-        bad = build_char("phi", 3, alphas=(Q(1), Q(3), Q(9), Q(27)))
-        assert not is_generic_smooth(bad)
-
-    def test_char_L_map_equivariance(self):
-        p = 5
-        chis = tuple(QpChar.unramified(p, a) for a in (Q(2), Q(3), Q(10), Q(15)))
-        for w in W_ALL:
-            lhs = weyl_act_tchar(w, L_map_chars(chis))
-            rhs = L_map_chars(weyl_act(check_involution(w), chis))
-            assert lhs == rhs
-
-    def test_l_map_chars_constraint(self):
-        p = 5
-        chis = tuple(QpChar.unramified(p, a) for a in (2, 3, 7, 11))
-        with pytest.raises(ConstraintViolated):
-            L_map_chars(chis)
