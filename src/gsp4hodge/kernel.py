@@ -6,8 +6,8 @@ eight generator matrices in the filtration basis, and the invariant plane.
 The kernel, the matrix suite and the invariant plane are committed tables
 over Q(a, b), which one evaluator evaluates at a point, kept for the last
 point; nothing is eliminated per point.  The parameters are read off two
-cells of the kernel table and checked against the whole table, unless the
-kernel is the one kept.  The grid, its operators and the
+cells of the kernel table and checked against the kernel at that point,
+unless the kernel is the one kept.  The grid, its operators and the
 jbar matrix stay as the routes the tables stand for: tests/make_tables.py
 prints the tables from them, and the certificate in tests/test_kernel.py
 proves the tables equal them at every nondegenerate point.
@@ -33,7 +33,7 @@ from ._value import Value
 from .errors import DegenerateIntersection, InvalidData, NotALine
 from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, rref
 from .phimodule import coordinate_subspace, filtration_basis, nondeg_factors, vanishing_factor
-from .scalars import Scalar, is_zero, ring_pair
+from .scalars import Scalar, is_zero
 from .symplectic import Subspace, gsp4_coordinates
 from .weyl import S1, S2, W_ALL, W_ID, WeylElem, from_word
 
@@ -233,21 +233,20 @@ def _cell_layout(cell: tuple) -> tuple:
 
 
 def _table_evaluator(a: Scalar, b: Scalar):
-    """The functions pair and value on table cells at (a, b), lifted into
-    one field, where every denominator the cells use is nonzero.
+    """The function value on table cells at (a, b), lifted into one field,
+    where every denominator the cells use is nonzero.
 
-    pair(cell) is the cell as numerator and denominator in the ring under
-    that field, Z for Q and Q[a, b] for Q(a, b), built from the pairs of
-    nondeg_factors.  With a = an/ad and b = bn/bd, the first two, a table
-    denominator is dn / (ad^i * bd^j) for the product dn of its factors'
-    numerators, so a cell's term c * a^u * b^v is
-    c * an^u * bn^v * ad^(i-u) * bd^(j-v) over dn.  Both sides take the
-    least powers of ad and bd that clear the negative exponents
-    (_cell_layout), so neither ad nor bd is put on both, and the cells with
-    the same powers share their monomials.  value(cell)
-    is that quotient in the field, built by one reduction.  Each distinct
-    cell and table denominator is evaluated once, so a table pays only for
-    its own, and the tables share one evaluator per point through
+    value(cell) is the cell in that field, built as numerator over
+    denominator in the ring under it, Z for Q and Q[a, b] for Q(a, b),
+    from the pairs of nondeg_factors, and reduced once.  With a = an/ad
+    and b = bn/bd, the first two, a table denominator is
+    dn / (ad^i * bd^j) for the product dn of its factors' numerators, so a
+    cell's term c * a^u * b^v is c * an^u * bn^v * ad^(i-u) * bd^(j-v)
+    over dn.  Both sides take the least powers of ad and bd that clear the
+    negative exponents (_cell_layout), so neither ad nor bd is put on
+    both, and the cells with the same powers share their monomials.  Each
+    distinct cell and table denominator is evaluated once, so a table pays
+    only for its own, and the tables share one evaluator per point through
     _evaluation.  InvalidData names the first factor that vanishes at (a, b)."""
     a, b = coerce_rows([(a, b)])[0]
     factors = nondeg_factors(a, b)
@@ -257,39 +256,33 @@ def _table_evaluator(a: Scalar, b: Scalar):
     one = an**0  # the ring's 1
     pa, pb = (one, ad, ad * ad), (one, bd, bd * bd)
     cores = (one, an, bn, an * an, an * bn, bn * bn)
-    monomials, denominators, pairs, values = {}, {}, {}, {0: zero, 1: zero + 1}  # tables repeat cells
+    monomials, denominators, values = {}, {}, {0: zero, 1: zero + 1}  # tables repeat cells
 
-    def pair(cell):
-        p = pairs.get(cell)
-        if p is None:
+    def value(cell):
+        x = values.get(cell)
+        if x is None:
             if isinstance(cell, int):
-                p = (cell, 1)
+                x = zero + cell
             else:
                 powers, shift, terms = _cell_layout(cell)
                 m = monomials.get(shift)  # the monomials of the cells with this shift
                 if m is None:
                     m = monomials[shift] = [None] * 6
                 n = 0
-                for c, k, x, y in terms:
+                for c, k, i, j in terms:
                     t = m[k]
                     if t is None:
-                        t = m[k] = cores[k] * pa[x] * pb[y]
+                        t = m[k] = cores[k] * pa[i] * pb[j]
                     n += c * t
                 d = denominators.get(powers)
                 if d is None:
                     den, sa, sb = powers
                     d = denominators[powers] = prod(factors[f][0] for f in den) * pa[sa] * pb[sb]
-                p = (n, d)
-            pairs[cell] = p
-        return p
-
-    def value(cell):
-        x = values.get(cell)
-        if x is None:
-            x = values[cell] = zero + cell if isinstance(cell, int) else field(*pair(cell))
+                x = field(n, d)
+            values[cell] = x
         return x
 
-    return pair, value
+    return value
 
 
 _last = None  # the evaluation kept for the last point: see _evaluation
@@ -297,14 +290,15 @@ _last = None  # the evaluation kept for the last point: see _evaluation
 
 def _evaluation(a: Scalar, b: Scalar) -> list:
     """The tables' evaluation at (a, b), kept for the last point as
-    [key, pair, value, kernel rows].  The key is (field, a, b) after
+    [key, value, kernel rows].  The key is (field, a, b) after
     coerce_rows, so a point of Q and the same constants in Q(a, b) never
-    share it; the rows stay None until kernel_basis builds them.  A
-    degenerate point raises InvalidData and leaves the kept one as it was."""
+    share it; the rows stay None until kernel_basis builds them, there or
+    for recover_parameters at a point it reads off.  A degenerate point
+    raises InvalidData and leaves the kept one as it was."""
     global _last
     key, entry = _kept(a, b)
     if entry is None:
-        entry = _last = [key, *_table_evaluator(*key[1:]), None]
+        entry = _last = [key, _table_evaluator(*key[1:]), None]
     return entry
 
 
@@ -323,8 +317,8 @@ def kernel_basis(a: Scalar, b: Scalar) -> Subspace:
     are kept with the last point's evaluation, and a repeat call there
     returns them again."""
     entry = _evaluation(a, b)
-    if entry[3] is None:
-        value = entry[2]
+    if entry[2] is None:
+        value = entry[1]
         zero, one = value(0), value(1)
         rows = []
         for pivot, cells in zip(_KERNEL_PIVOTS, _KERNEL_FREE_BLOCK):
@@ -334,8 +328,8 @@ def kernel_basis(a: Scalar, b: Scalar) -> Subspace:
                 if cell:
                     row[col] = value(cell)
             rows.append(tuple(row))
-        entry[3] = tuple(rows)
-    return Subspace(rows=entry[3], ambient=24)
+        entry[2] = tuple(rows)
+    return Subspace(rows=entry[2], ambient=24)
 
 
 def jbar_rank(a: Scalar, b: Scalar) -> int:
@@ -411,7 +405,7 @@ def l_invariant_plane(a: Scalar, b: Scalar) -> LInvariantPlane:
     the point, so basis_fg is normalized pointwise and is not a rational
     function of (a, b): over Q(a, b) it has poles on ab - 2b^2 + a - b = 0
     and ab + 2b^2 + a + b = 0, for example at (3/2, 1) and (-3/2, 1)."""
-    value = _evaluation(a, b)[2]
+    value = _evaluation(a, b)[1]
     gens = [generator_vector(label) for label in GENERATOR_LABELS]
     basis_fg = []
     for cells in _PLANE_TABLE:
@@ -437,15 +431,17 @@ def recover_parameters(K: Subspace):
     spanning set, redundant or not echelon, is brought to that form by one
     rref.  In the table, row 0 column 13 is 1/a and row 1 column 13 is
     -(1 + 2b)/a, so a and b are read off those two cells.  The rows must
-    then equal the table, evaluated afresh at (a, b), in every free column;
-    the pivot columns already do.
+    then equal kernel_basis(a, b), cell by canonical cell, in every free
+    column; the pivot columns already do.  That point is then the one
+    kept, so kernel_basis, matrix_suite and l_invariant_plane there
+    evaluate nothing new.
     By the certificate in tests/test_kernel.py every kernel at a
     nondegenerate point passes, and every other input raises NotALine with
     a witness: a row length, the pivots, a zero cell, the vanishing factor,
     or the first mismatching (row, column).
     """
     rows, entry = K.rows, _last
-    if entry is not None and entry[3] is not None and rows is entry[3]:
+    if entry is not None and entry[2] is not None and rows is entry[2]:
         return entry[0][1:]
     for r, row in enumerate(rows):
         if len(row) != 24:
@@ -464,16 +460,13 @@ def recover_parameters(K: Subspace):
     a = 1 / inv_a
     b = -(a * cell + 1) / 2
     try:
-        pair = _table_evaluator(a, b)[0]
+        table = kernel_basis(a, b).rows
     except InvalidData:  # the error path alone builds the factors again
         factor = vanishing_factor(a, b)
         raise NotALine(f"kernel reads off a degenerate point: factor {factor} vanishes") from None
-    # the pivot columns already equal the table's 1s and 0s; each free cell
-    # x = xn/xd is compared with the table's n/d as xn*d == n*xd, in the ring
-    for r, (row, cells) in enumerate(zip(rows, _KERNEL_FREE_BLOCK)):
-        for c, cell in zip(_KERNEL_FREE, cells):
-            (xn, xd), (n, d) = ring_pair(row[c]), pair(cell)
-            if xn * d != n * xd:
+    for r, (row, want) in enumerate(zip(rows, table)):
+        for c in _KERNEL_FREE:
+            if row[c] != want[c]:
                 raise NotALine(f"kernel differs from the committed table at cell ({r}, {c})")
     return a, b
 
@@ -502,5 +495,5 @@ def matrix_suite(a: Scalar, b: Scalar) -> dict:
     """Images of the eight distinguished generators, written in the
     filtration basis (v1, v2, v3, v4), by evaluating the committed suite
     table."""
-    value = _evaluation(a, b)[2]
+    value = _evaluation(a, b)[1]
     return {label: [[value(cell) for cell in row] for row in M] for label, M in _SUITE_TABLE.items()}

@@ -16,12 +16,16 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from itertools import accumulate, combinations
+from typing import TYPE_CHECKING
 
 from ._value import Value
 from .errors import InvalidData, ParseError
 from .scalars import RatFunc, Scalar, is_prime, padic_val, ring_pair
 
 # linalg, symplectic and weyl are imported where used: validate uses none.
+if TYPE_CHECKING:
+    from .symplectic import Flag, Subspace
+    from .weyl import WeylElem
 
 #: Names for the five nondegeneracy factors, in fixed order.
 NONDEG_FACTORS = ("a", "b", "b+1", "a+b", "a*b+a+b")

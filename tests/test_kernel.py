@@ -405,7 +405,7 @@ class TestRecovery:
             recover_parameters(K)
 
     def test_perturbed_q_cell_is_named(self):
-        # cell (0, 11) is (2a + 2ab)/q, compared by cross-multiplying in Z
+        # cell (0, 11) is (2a + 2ab)/q, a Fraction compared in canonical form
         rows = [list(r) for r in kernel_basis(Q(2), Q(3)).rows]
         rows[0][11] += 1
         K = Subspace(rows=tuple(map(tuple, rows)), ambient=24)
@@ -413,7 +413,7 @@ class TestRecovery:
             recover_parameters(K)
 
     def test_perturbed_symbolic_cell_is_named(self):
-        # cell (1, 19) is over a*q, compared by cross-multiplying in Q[a, b]
+        # cell (1, 19) is over a*q, a RatFunc compared in canonical form
         rows = [list(r) for r in kernel_basis(*shifted(3, 2, 5)).rows]
         rows[1][19] += 1
         K = Subspace(rows=tuple(map(tuple, rows)), ambient=24)
@@ -501,23 +501,30 @@ class TestRecovery:
         # kernel, rank and recovery at one point evaluate the committed tables
         # once: recovery knows the rows kernel_basis built there and compares
         # no cell; jbar_rank reads its row count off the table.  A rebuilt
-        # copy of those rows is another kernel: recovery evaluates the table
-        # once more, at the point read off it, and compares all 17 x 7 free
-        # cells in the ring
-        evaluations, compared = [], []
-        real_evaluator, real_pair = gsp4hodge.kernel._table_evaluator, gsp4hodge.kernel.ring_pair
-        monkeypatch.setattr(
-            gsp4hodge.kernel, "_table_evaluator", lambda a, b: evaluations.append((a, b)) or real_evaluator(a, b)
-        )
-        monkeypatch.setattr(gsp4hodge.kernel, "ring_pair", lambda x: compared.append(x) or real_pair(x))
+        # copy of those rows is another kernel, read off the kept point: its
+        # free cells are compared with the kept rows, and nothing is
+        # evaluated.  A copy of another point's kernel evaluates the tables
+        # once, at the point read off it, which stays kept for kernel_basis
+        # and matrix_suite there
+        def copied(K):
+            return Subspace(rows=tuple(tuple(Q(str(x)) for x in row) for row in K.rows), ambient=24)
+
+        other = copied(kernel_basis(Q(-3, 2), Q(5, 4)))
+        evaluations, real = [], gsp4hodge.kernel._table_evaluator
+        monkeypatch.setattr(gsp4hodge.kernel, "_table_evaluator", lambda a, b: evaluations.append((a, b)) or real(a, b))
         K = kernel_basis(Q(2), Q(3))
         assert jbar_rank(Q(2), Q(3)) == 7
         assert recover_parameters(K) == (Q(2), Q(3))
-        assert len(evaluations) == 1 and not compared
-        copy = Subspace(rows=tuple(tuple(Q(str(x)) for x in row) for row in K.rows), ambient=24)
+        assert evaluations == [(Q(2), Q(3))]
+        copy = copied(K)
         assert copy == K and copy.rows is not K.rows
         assert recover_parameters(copy) == (Q(2), Q(3))
-        assert len(evaluations) == 2 and len(compared) == 119
+        assert evaluations == [(Q(2), Q(3))]
+        assert recover_parameters(other) == (Q(-3, 2), Q(5, 4))
+        assert evaluations == [(Q(2), Q(3)), (Q(-3, 2), Q(5, 4))]
+        assert kernel_basis(Q(-3, 2), Q(5, 4)) == other
+        assert matrix_suite(Q(-3, 2), Q(5, 4)) == matrix_suite_by_elimination(Q(-3, 2), Q(5, 4))
+        assert len(evaluations) == 2
 
 
 class TestKeptEvaluation:
@@ -613,7 +620,13 @@ class TestKeptEvaluation:
         # the round trip's points again, each kernel rebuilt from its text as
         # a document would bring it: recovery compares every free cell
         rng = random.Random(11)
-        points = [rand_valid_ab(rng) for _ in range(25)] + [shifted(Q(1, 2), 2, -1), ((A + 1) / (B + 2), A / (B - 1))]
+        points = [rand_valid_ab(rng) for _ in range(25)] + [
+            shifted(Q(1, 2), 2, -1),
+            ((A + 1) / (B + 2), A / (B - 1)),
+            # the Weyl image phi_s1(a, b), where ad = bd = a, and a point of degree 4
+            (1 / A, B / A),
+            ((A + B + 1) ** 4, (B + 2 * A + 5) ** 4),
+        ]
         for a, b in points:
             symbolic = isinstance(a, RatFunc)
             rows = kernel_basis(a, b).rows
@@ -916,7 +929,7 @@ class TestCertificate:
     @staticmethod
     def plane_rows():
         """The plane table over Q(a, b), one row per meet."""
-        value = _table_evaluator(A, B)[1]
+        value = _table_evaluator(A, B)
         return [[value(cell) for cell in cells] for cells in _PLANE_TABLE]
 
     def test_plane_rows_are_meet_multiples(self, generic):
@@ -1049,15 +1062,12 @@ class TestEvaluatedKernel:
     @staticmethod
     def assert_evaluators_agree(a, b):
         # every cell of the three tables: the ring evaluator's value is the field
-        # route's value, in the same type and canonical form, and its ring
-        # pair cross-multiplies to it
-        pair, value = _table_evaluator(a, b)
+        # route's value, in the same type and canonical form
+        value = _table_evaluator(a, b)
         oracle = table_evaluator_by_field_ops(a, b)
         for cell in TABLE_CELLS:
             want, got = oracle(cell), value(cell)
             assert type(got) is type(want) and got == want, cell
-            (n, d), (wn, wd) = pair(cell), ring_pair(want)
-            assert n * wd == wn * d, cell
 
     @pytest.mark.parametrize(
         "point",

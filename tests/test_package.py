@@ -95,3 +95,54 @@ def test_unknown_name():
 
 def test_version():
     assert gsp4hodge.__version__ == "0.1.0"
+
+
+def test_annotations_resolve():
+    """typing.get_type_hints resolves the annotations of every function,
+    class and method each module defines, with the names a module imports
+    only for type checkers bound as a type checker binds them.  The package
+    is imported twice in a fresh interpreter: first to load the standard
+    library as usual, then anew with typing.TYPE_CHECKING set."""
+    script = (
+        "import inspect, json, pkgutil, sys, typing\n"
+        "import gsp4hodge\n"
+        "names = [m.name for m in pkgutil.iter_modules(gsp4hodge.__path__)]\n"
+        "for name in names:\n"
+        "    __import__('gsp4hodge.' + name)\n"
+        "for name in [m for m in sys.modules if m.startswith('gsp4hodge')]:\n"
+        "    del sys.modules[name]\n"
+        "typing.TYPE_CHECKING = True\n"
+        "checked, failed = 0, []\n"
+        "def check(label, obj):\n"
+        "    global checked\n"
+        "    checked += 1\n"
+        "    try:\n"
+        "        typing.get_type_hints(obj)\n"
+        "    except Exception as err:\n"
+        "        failed.append(f'{label}: {type(err).__name__}: {err}')\n"
+        "def members(cls):\n"
+        "    for key, attr in vars(cls).items():\n"
+        "        if isinstance(attr, (staticmethod, classmethod)):\n"
+        "            attr = attr.__func__\n"
+        "        if isinstance(attr, property):\n"
+        "            attr = attr.fget\n"
+        "        if inspect.isfunction(inspect.unwrap(attr)):\n"
+        "            yield key, attr\n"
+        "for name in names:\n"
+        "    module = __import__('gsp4hodge.' + name, fromlist=['_'])\n"
+        "    for key, obj in vars(module).items():\n"
+        "        if getattr(obj, '__module__', None) != module.__name__:\n"
+        "            continue\n"
+        "        if inspect.isclass(obj):\n"
+        "            check(f'{name}.{key}', obj)\n"
+        "            for attr, fn in members(obj):\n"
+        "                check(f'{name}.{key}.{attr}', fn)\n"
+        "        elif inspect.isfunction(inspect.unwrap(obj)):\n"
+        "            check(f'{name}.{key}', obj)\n"
+        "print(json.dumps([checked, failed]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    checked, failed = json.loads(out.stdout)
+    assert checked > 200 and failed == []
