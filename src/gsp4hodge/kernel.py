@@ -28,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import prod
+from operator import itemgetter
 
 from ._value import Value
 from .errors import DegenerateIntersection, InvalidData, NotALine
@@ -214,6 +215,20 @@ _KERNEL_FREE_BLOCK = (
     (0, 0, 0, 1, -1, -1, 0),
     (0, 0, 0, 0, 0, 0, -1),
 )
+# The kernel table's distinct cells, and for each row an itemgetter that
+# gathers its 24 entries from their values in one call.
+_KERNEL_CELLS = tuple(dict.fromkeys((0, 1, *(c for cells in _KERNEL_FREE_BLOCK for c in cells))))
+
+
+def _kernel_row(pivot: int, cells: tuple) -> itemgetter:
+    row = [0] * 24
+    row[pivot] = 1
+    for col, cell in zip(_KERNEL_FREE, cells):
+        row[col] = cell
+    return itemgetter(*map(_KERNEL_CELLS.index, row))
+
+
+_KERNEL_ROWS = tuple(map(_kernel_row, _KERNEL_PIVOTS, _KERNEL_FREE_BLOCK))
 
 
 @lru_cache(maxsize=None)
@@ -318,17 +333,8 @@ def kernel_basis(a: Scalar, b: Scalar) -> Subspace:
     returns them again."""
     entry = _evaluation(a, b)
     if entry[2] is None:
-        value = entry[1]
-        zero, one = value(0), value(1)
-        rows = []
-        for pivot, cells in zip(_KERNEL_PIVOTS, _KERNEL_FREE_BLOCK):
-            row = [zero] * 24
-            row[pivot] = one
-            for col, cell in zip(_KERNEL_FREE, cells):
-                if cell:
-                    row[col] = value(cell)
-            rows.append(tuple(row))
-        entry[2] = tuple(rows)
+        values = list(map(entry[1], _KERNEL_CELLS))
+        entry[2] = tuple(row(values) for row in _KERNEL_ROWS)
     return Subspace(rows=entry[2], ambient=24)
 
 

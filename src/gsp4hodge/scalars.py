@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import os
 from fractions import Fraction as Q
+from itertools import chain, count, islice
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 from ._value import Value, _set
@@ -369,24 +370,35 @@ def _gcd(f, g):
 # A certificate of coprimality, after Brown's modular gcd (W. S. Brown,
 # J. ACM 18(4), 1971; Geddes, Czapor and Labahn 1992, ch. 7), used one way
 # only: it may prove two views coprime, never that they share a factor.
-# Let f, g be nonconstant views with b-leading coefficients lf, lg in Z[a].
-# 1. If the leading integers of lf and lg are nonzero mod P and lf, lg are
-#    coprime in F_P[a], no nonconstant h in Z[a] divides f and g: h would
-#    divide lf and lg, and its image mod P would keep its degree.
-# 2. At the first a0 in 0, 1, ..., deg lf + deg lg + 1 where lf*lg does not
-#    vanish mod P (one exists: lf*lg has at most deg lf + deg lg roots), if
-#    f(a0, b) and g(a0, b) are coprime in F_P[b], no common h has positive
-#    b-degree: by Gauss's lemma its b-leading coefficient divides lf, so its
-#    image keeps its b-degree.
-# Views are primitive, so no integer divides both.  Both steps passing
-# proves gcd(f, g) = 1; otherwise the pseudo-remainder sequence decides.
+# Let f, g be nonconstant views whose b-leading coefficients lf, lg in Z[a]
+# have leading integers nonzero mod P.  Views are primitive, so no integer
+# divides both, and a common factor h that is not a unit lies in Z[a] or
+# has positive b-degree.
+# 1. h in Z[a].  h divides every Z[a] coefficient of f and g, and its
+#    leading integer divides that of lf, so its image mod P keeps its
+#    degree and divides the images of them all.  If those images have a
+#    unit gcd in F_P[a] (a coefficient that is 0 mod P is skipped), there
+#    is no such h.  This holds where lf and lg share a factor, as a + 1
+#    and (a + 1)b + a do; the scan stops at the first unit.
+# 2. Positive b-degree.  By Gauss's lemma the b-leading coefficient of h
+#    divides lf, so at any a0 where lf*lg does not vanish mod P the image
+#    h(a0, b) keeps its b-degree and divides f(a0, b) and g(a0, b).  One
+#    such a0 with coprime images in F_P[b] excludes h.  The first _POINTS
+#    such a0 in 0, 1, ... are tried (lf*lg has at most deg lf + deg lg
+#    roots mod P), since images at one point may share a factor, as b and
+#    ab + a + b do at a0 = 0.
+# Both steps passing proves gcd(f, g) = 1; otherwise the pseudo-remainder
+# sequence decides.  Every gcd of nonconstant views in a symbolic-generic
+# benchmark op is of a coprime pair, and every one is certified.
 _P = 2**30 - 35  # the largest prime below 2**30: a residue is one CPython digit
+_POINTS = 3  # the points a0 step 2 tries before the PRS decides
 
 
-def _coprime_mod_p(u: list, v: list) -> bool:
-    """Whether u and v, integer coefficient lists from degree 0 up whose
-    last entries are nonzero mod _P, are coprime in F_P[x].  Euclid without
-    inverses: u becomes lc(v)*u - lc(u)*x^k*v until its degree is below v's."""
+def _gcd_mod_p(u: list, v: list) -> list:
+    """A gcd in F_P[x], not monic, of u and v, integer coefficient lists from
+    degree 0 up whose last entries are nonzero mod _P; a unit has length 1.
+    Euclid without inverses: u becomes lc(v)*u - lc(u)*x^k*v until its
+    degree is below v's."""
     while len(v) > 1:
         dv, lv = len(v) - 1, v[-1]
         u = list(u)
@@ -398,9 +410,9 @@ def _coprime_mod_p(u: list, v: list) -> bool:
             while u and not u[-1]:
                 u.pop()
         if not u:
-            return False
+            return v
         u, v = v, u
-    return True
+    return v
 
 
 def _at(u, x: int) -> int:
@@ -421,19 +433,27 @@ def _image(h, x: int) -> list:
 
 def _certified_coprime(f, g) -> bool:
     """True only if the nonconstant views f and g are coprime (see above).
-    Step 2 runs first: a gcd that is not 1 mostly has positive b-degree."""
+    Step 1 runs first: at the points where a table's gcds are not all 1,
+    such as (1/a, b/a), each common factor is in Z[a], and step 2 is then
+    skipped."""
     lf, lg = f[max(f)], g[max(g)]
     df, dg = max(lf), max(lg)
     if not (lf[df] % _P and lg[dg] % _P):
         return False
-    a0 = 0
-    while not (_at(lf, a0) % _P and _at(lg, a0) % _P):
-        a0 += 1
-    if not _coprime_mod_p(_image(f, a0), _image(g, a0)):
-        return False
-    if not (df and dg):  # a nonzero constant mod P is a unit of F_P[a]
-        return True
-    return _coprime_mod_p([lf.get(d, 0) for d in range(df + 1)], [lg.get(d, 0) for d in range(dg + 1)])
+    if df and dg:  # else a nonzero constant mod P is a unit of F_P[a]
+        h = [lf.get(d, 0) for d in range(df + 1)]
+        for u in chain(g.values(), f.values()):
+            u = [u.get(d, 0) % _P for d in range(max(u) + 1)]
+            while u and not u[-1]:
+                u.pop()
+            if u:
+                h = _gcd_mod_p(h, u)
+                if len(h) == 1:
+                    break
+        else:
+            return False
+    points = (x for x in count() if _at(lf, x) % _P and _at(lg, x) % _P)
+    return any(len(_gcd_mod_p(_image(f, x), _image(g, x))) == 1 for x in islice(points, _POINTS))
 
 
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:

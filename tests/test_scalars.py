@@ -607,8 +607,8 @@ class TestCoprimeCertificate:
 
     def test_pool_products(self):
         # every pair of products of one or two pool irreducibles: a certified
-        # pair shares no irreducible, and most pairs that share none are
-        # certified, so the certificate is not vacuous
+        # pair shares no irreducible, and every pair that shares none is
+        # certified
         counts = [Counter(c) for k in (1, 2) for c in combinations_with_replacement(range(len(_IRREDUCIBLES)), k)]
         views = [_product(c)._view for c in counts]
         coprime = certified = 0
@@ -618,7 +618,7 @@ class TestCoprimeCertificate:
                 if _certified_coprime(fv, gv):
                     assert not cp & cq
                     certified += 1
-        assert certified > coprime // 2
+        assert certified == coprime
 
     @pytest.mark.parametrize(
         "p, q, gcd",
@@ -629,7 +629,6 @@ class TestCoprimeCertificate:
             (f"{scalars._P}*b + a", f"{scalars._P}*b + a + 1", "1"),  # both leading integers
             ("(a + 1)*(a + 2)", "(a + 1)*(a - 3)", "a + 1"),  # both inputs in Z[a]
             ("(b + 1)*(a*b + 1)", "(b + 1)*(a + b)", "b + 1"),  # a common factor of positive b-degree
-            ("a*b + 1", "b + 1", "1"),  # coprime, but the images at a0 = 1 share b + 1
         ),
     )
     def test_falls_back_to_the_prs(self, monkeypatch, p, q, gcd):
@@ -646,6 +645,10 @@ class TestCoprimeCertificate:
             ("a + 1", "a + 2"),  # both in Z[a]: the images at a0 are constants
             ("a*b + 1", "(a + 1)*b + 3"),  # lf = a vanishes at 0: a0 = 1 is the first point off lf*lg
             ("(a + b + 1)**8", "(b + 2*a + 5)**8"),
+            ("a*b + 1", "b + 1"),  # the images at a0 = 1 share b + 1; those at a0 = 2 are coprime
+            ("b", "a*b + a + b"),  # the images at a0 = 0 are both b; those at a0 = 1 are coprime
+            ("2*a + 8", "2*a*b + 6*a + 8*b + 23"),  # lf and lg share a + 4, the coefficient 6a + 23 does not
+            ("a + 1", "(a + 1)*b + a"),  # likewise: a + 1 divides lf and lg but not a
         ),
     )
     def test_certified_pair_runs_no_prs(self, monkeypatch, p, q):
@@ -660,8 +663,13 @@ class TestCoprimeCertificate:
 
     @pytest.mark.parametrize(
         "point, prems",
-        ((("(a+b+1)**8", "(b+2*a+5)**8"), 0), (("a + 3", "2*b + 5"), 1)),
-        ids=("degree-8", "generic"),
+        (
+            (("(a+b+1)**8", "(b+2*a+5)**8"), 0),
+            (("a + 3", "2*b + 5"), 0),
+            (("a", "b"), 0),
+            (("a - 1", "b"), 0),
+        ),
+        ids=("degree-8", "generic", "identity", "shifted-by-one"),
     )
     def test_pseudo_remainders_of_kernel_and_suite(self, monkeypatch, point, prems):
         # kernel_basis then matrix_suite: every gcd but the counted ones is
