@@ -15,7 +15,7 @@ from itertools import combinations
 
 from ._value import Value
 from .errors import InvalidData, InvalidIndexSet, LedgerInconsistent
-from .kernel import LEVI_CENTERS, TORUS_BASIS, LInvariantPlane, glue_subspace, kernel_basis, l_invariant_plane
+from .kernel import LEVI_CENTERS, TORUS_BASIS, glue_subspace, kernel_basis
 from .linalg import rank
 from .weyl import CocharTuple, Weight, WeylElem, L_map, L_map_inverse
 

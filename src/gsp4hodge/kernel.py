@@ -26,7 +26,7 @@ with T1 = diag(-1,-1,1,1) and T2 = diag(-1,0,0,1).
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 from operator import itemgetter
 
@@ -34,7 +34,7 @@ from ._value import Value
 from .errors import DegenerateIntersection, InvalidData, NotALine
 from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, rref
 from .phimodule import coordinate_subspace, filtration_basis, nondeg_factors, vanishing_factor
-from .scalars import Scalar, is_zero
+from .scalars import RatFunc, Scalar, is_zero, linear_combination
 from .symplectic import Subspace, gsp4_coordinates
 from .weyl import S1, S2, W_ALL, W_ID, WeylElem, from_word
 
@@ -247,13 +247,28 @@ def _cell_layout(cell: tuple) -> tuple:
     return (den, I - i, J - j), (I, J), tuple((c, k, I - u, J - v) for c, k, u, v in used)
 
 
+def _affine_point(an, ad, bn, bd) -> bool:
+    """Whether a = an/ad, b = bn/bd in Q(a, b) is an affine automorphism
+    sigma of Q[a, b]: ad = bd = 1, and an, bn of total degree 1 whose linear
+    parts have a nonzero determinant.  sigma keeps gcds, and the evaluator's
+    pair for a cell N/D is (sigma(N), sigma(D)), so every table cell, in
+    lowest terms (tests/test_kernel.py), needs no gcd there.  At (a, a),
+    with determinant 0, 2a(b + 1)/(ab + a + b) goes to 2a(a + 1)/(a^2 + 2a)."""
+    if ad != 1 or bd != 1 or an.total_degree() != 1 or bn.total_degree() != 1:
+        return False
+    (p, q), (r, s) = ([t.get(m, 0) for m in ((1, 0), (0, 1))] for t in (an._terms(), bn._terms()))
+    return p * s != q * r
+
+
 def _table_evaluator(a: Scalar, b: Scalar):
     """The function value on table cells at (a, b), lifted into one field,
     where every denominator the cells use is nonzero.
 
     value(cell) is the cell in that field, built as numerator over
     denominator in the ring under it, Z for Q and Q[a, b] for Q(a, b),
-    from the pairs of nondeg_factors, and reduced once.  With a = an/ad
+    from the pairs of nondeg_factors, and reduced once, unless (a, b) is an
+    affine point (_affine_point), where no cell needs a gcd.  Over Q(a, b)
+    each numerator is one linear_combination, stripped once.  With a = an/ad
     and b = bn/bd, the first two, a table denominator is
     dn / (ad^i * bd^j) for the product dn of its factors' numerators, so a
     cell's term c * a^u * b^v is c * an^u * bn^v * ad^(i-u) * bd^(j-v)
@@ -268,6 +283,9 @@ def _table_evaluator(a: Scalar, b: Scalar):
     _require_nondegenerate(a, b, factors)
     (an, ad), (bn, bd) = factors[:2]
     field, zero = type(a), a * 0
+    symbolic = field is RatFunc
+    if symbolic and _affine_point(an, ad, bn, bd):
+        field = partial(RatFunc, _coprime=True)
     one = an**0  # the ring's 1
     pa, pb = (one, ad, ad * ad), (one, bd, bd * bd)
     cores = (one, an, bn, an * an, an * bn, bn * bn)
@@ -283,12 +301,21 @@ def _table_evaluator(a: Scalar, b: Scalar):
                 m = monomials.get(shift)  # the monomials of the cells with this shift
                 if m is None:
                     m = monomials[shift] = [None] * 6
-                n = 0
-                for c, k, i, j in terms:
-                    t = m[k]
-                    if t is None:
-                        t = m[k] = cores[k] * pa[i] * pb[j]
-                    n += c * t
+                if symbolic:
+                    ts = []
+                    for c, k, i, j in terms:
+                        t = m[k]
+                        if t is None:
+                            t = m[k] = cores[k] * pa[i] * pb[j]
+                        ts.append((c, t))
+                    n = linear_combination(ts)
+                else:
+                    n = 0
+                    for c, k, i, j in terms:
+                        t = m[k]
+                        if t is None:
+                            t = m[k] = cores[k] * pa[i] * pb[j]
+                        n += c * t
                 d = denominators.get(powers)
                 if d is None:
                     den, sa, sb = powers

@@ -206,6 +206,22 @@ class Poly2:
         return f"Poly2({self})"
 
 
+def linear_combination(terms) -> Poly2:
+    """The sum of c * p over a sequence of pairs (c, p) of an int c and a
+    Poly2 p, stripped once: over the common denominator L of the scales,
+    c * p is an integer multiplier c * scale * L times p's view, so the
+    views are summed by _add with those multipliers and the content is
+    taken at the end.  It equals the term-by-term sum field for field,
+    where each Poly2.__add__ strips."""
+    den = _int_lcm(*(p._scale.denominator for _, p in terms))
+    out = {}
+    for c, p in terms:
+        if c:
+            s = p._scale
+            out = _add(out, p._view, c * s.numerator * (den // s.denominator))
+    return _poly(*_strip(out, Q(1, den)))
+
+
 def _as_poly(x) -> "Poly2":
     if isinstance(x, Poly2):
         return x
@@ -247,7 +263,7 @@ def _add(f, g, k=1):
         if d in out:
             c = out[d] + k * c if type(c) is int else _add(out[d], c, k)
         elif k != 1:
-            c = k * c if type(c) is int else _mul(c, {0: k})
+            c = k * c if type(c) is int else _add({}, c, k)
         if c:
             out[d] = c
         else:
@@ -388,8 +404,10 @@ def _gcd(f, g):
 #    roots mod P), since images at one point may share a factor, as b and
 #    ab + a + b do at a0 = 0.
 # Both steps passing proves gcd(f, g) = 1; otherwise the pseudo-remainder
-# sequence decides.  Every gcd of nonconstant views in a symbolic-generic
-# benchmark op is of a coprime pair, and every one is certified.
+# sequence decides.  No table cell in a symbolic-generic benchmark op runs
+# a gcd: each point there is an affine automorphism of Q[a, b], which keeps
+# a table cell in lowest terms (kernel._affine_point).  The certificate
+# serves the other points, such as rational-function points.
 _P = 2**30 - 35  # the largest prime below 2**30: a residue is one CPython digit
 _POINTS = 3  # the points a0 step 2 tries before the PRS decides
 
@@ -489,6 +507,8 @@ class RatFunc:
     and gcd(num, den) = 1.  Equality and hashing act on the canonical pair.
     Every construction maps zero to 0/1 and makes the denominator monic;
     ``_coprime=True`` promises gcd(num, den) = 1 and skips only the gcd.
+    The field operations below pass it for pairs they reduced, and the
+    table evaluator for every cell at an affine point (kernel._affine_point).
     Immutable: ``num`` and ``den`` cannot be reassigned or deleted, so a
     cell shared by several tables or callers stays what it was built as.
     """

@@ -12,10 +12,11 @@ from itertools import accumulate, combinations
 from math import prod
 
 from gsp4hodge.errors import DegreeCapExceeded, DivisionByZero, NotALine, ParseError
-from gsp4hodge.extledger import AddChar, LInvariantPlane, _qpchar, _tchar
+from gsp4hodge.extledger import AddChar, _qpchar, _tchar
 from gsp4hodge.kernel import (
     _GENERATOR_DEF,
     GENERATOR_LABELS,
+    LInvariantPlane,
     W_ORDER,
     _require_nondegenerate,
     block_index,
@@ -426,7 +427,7 @@ def parameters_from_meets(meets):
 
 
 def l_invariant_plane_by_meets(a, b) -> LInvariantPlane:
-    """extledger.l_invariant_plane by elimination: meet the kernel with the
+    """kernel.l_invariant_plane by elimination: meet the kernel with the
     two generator spans, check that each meet is a line and that the two
     representatives complete the glue to the kernel, and recover (a, b)
     from the kernel."""

@@ -18,10 +18,10 @@ from gsp4hodge.extledger import (
     ell_map_inverse,
     hom_space,
     hom_space_dim,
-    l_invariant_plane,
     socle_constituents,
     socle_diagram,
 )
+from gsp4hodge.kernel import l_invariant_plane
 from gsp4hodge.linalg import row_space
 from gsp4hodge.phimodule import vanishing_factor
 from gsp4hodge.scalars import RatFunc

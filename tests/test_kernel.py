@@ -30,6 +30,8 @@ from gsp4hodge.kernel import (
     _KERNEL_PIVOTS,
     _PLANE_TABLE,
     _SUITE_TABLE,
+    _affine_point,
+    _evaluation,
     _require_nondegenerate,
     _table_evaluator,
 )
@@ -1130,6 +1132,72 @@ class TestEvaluatedKernel:
                 with pytest.raises(InvalidData) as err:
                     fn(a, b)
                 assert str(err.value) == f"nondegeneracy-polynomial: factor {factor} vanishes"
+
+
+def _in_lowest_terms(num: Poly2, den: Poly2) -> bool:
+    return gsp4hodge.scalars._gcd(num._view, den._view) == {0: {0: 1}}
+
+
+class TestAffinePoints:
+    """At a point (a, b) -> (an, bn) that is an affine automorphism of
+    Q[a, b], the table evaluator builds each cell without a gcd: the
+    automorphism keeps every table cell in lowest terms.  Every other point
+    reduces its cells as before."""
+
+    #: (a, b) and three points (a + c1, c2*b + c3) of the symbolic-generic kind.
+    AFFINE = ((0, 1, 0), (Q(1, 2), 2, -1), (-3, Q(-1, 3), 2), (Q(2, 3), Q(-3, 2), Q(1, 3)))
+    #: Points that are not affine automorphisms: singular linear maps, then
+    #: a Weyl image and a rational-function point.
+    NON_AFFINE = {
+        "(a,a)": (A, A),
+        "(a,2a)": (A, 2 * A),
+        "(a+b,a+b)": (A + B, A + B),
+        "phi_s1": (1 / A, B / A),
+        "rational": ((A + 1) / (B + 2), A / (B - 1)),
+    }
+
+    def test_table_cells_are_in_lowest_terms(self):
+        # the certificate the shortcut rests on: over Q[a, b] the numerator
+        # and the factor product of every non-integer cell are coprime
+        cells = [cell for cell in TABLE_CELLS if not isinstance(cell, int)]
+        assert len(cells) == 43
+        for den, *coeffs in cells:
+            num = Poly2({m: Q(c) for m, c in zip(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), coeffs)})
+            assert _in_lowest_terms(num, prod((FACTORS[f] for f in den), start=Poly2.const(1))), (den, *coeffs)
+
+    @pytest.mark.parametrize("consts", AFFINE, ids=("identity", "shift-1", "shift-2", "shift-3"))
+    def test_affine_points_take_no_gcd(self, monkeypatch, consts):
+        point = shifted(*consts)
+        assert _affine_point(*(x for pair in nondeg_factors(*point)[:2] for x in pair))
+
+        def forbidden(*args):
+            raise AssertionError("a gcd at an affine point")
+
+        gsp4hodge.kernel._last = None
+        monkeypatch.setattr(gsp4hodge.scalars, "poly_gcd", forbidden)
+        K = kernel_basis(*point)
+        assert recover_parameters(K) == point
+        matrix_suite(*point)
+        value = _evaluation(*point)[1]  # the plane's cells; its row scaling divides in the field
+        cells = {cell: value(cell) for cell in TABLE_CELLS}
+        monkeypatch.undo()
+        oracle = table_evaluator_by_field_ops(*point)
+        assert all(type(x) is RatFunc and x == oracle(cell) for cell, x in cells.items())
+        assert l_invariant_plane(*point).a == point[0]
+
+    @pytest.mark.parametrize("point", NON_AFFINE.values(), ids=NON_AFFINE.keys())
+    def test_other_points_reduce_every_cell(self, monkeypatch, point):
+        assert not _affine_point(*(x for pair in nondeg_factors(*point)[:2] for x in pair))
+        pairs, real = [], gsp4hodge.scalars.poly_gcd
+        monkeypatch.setattr(gsp4hodge.scalars, "poly_gcd", lambda p, q: pairs.append((p, q)) or real(p, q))
+        value = _table_evaluator(*point)
+        cells = {cell: value(cell) for cell in TABLE_CELLS}
+        monkeypatch.undo()
+        assert any(not (p.is_const() or q.is_const()) for p, q in pairs)
+        oracle = table_evaluator_by_field_ops(*point)
+        for cell, x in cells.items():
+            assert type(x) is RatFunc and x == oracle(cell), cell
+            assert _in_lowest_terms(x.num, x.den), cell
 
 
 #: Fractions of low and 2^64-tall height, and ones built over a negative

@@ -18,10 +18,10 @@ EXPORTED = {
     "errors": "ConstraintViolated DegenerateIntersection DivisionByZero GSp4Error InconsistentData"
     " InvalidData InvalidIndexSet LedgerInconsistent NotALine NotSymplectic ParseError",
     "extledger": "AddChar Constituent all_constituents check_ledger constituent_of constituents"
-    " ell_map hom_space hom_space_dim l_invariant_plane socle_constituents socle_diagram",
+    " ell_map hom_space hom_space_dim socle_constituents socle_diagram",
     "hecke": "FrobeniusData HeckeData classicality_classify hecke_charpoly ideal_generators",
     "kernel": "EigenlineGrid eigenline_grid glue_subspace jbar_matrix jbar_rank kernel_basis"
-    " matrix_suite nu_operator recover_parameters",
+    " l_invariant_plane matrix_suite nu_operator recover_parameters",
     "phimodule": "HodgeFlag PhiModuleData admissible_refinements general_position"
     " standard_filtration validate weak_admissibility",
     "scalars": "Poly2 RatFunc is_zero padic_val parse_scalar scalar_str",

@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gsp4hodge.errors import (
@@ -28,6 +28,7 @@ from gsp4hodge.scalars import (
     _certified_coprime,
     is_prime,
     is_zero,
+    linear_combination,
     padic_val,
     parse_scalar,
     poly_divexact,
@@ -585,6 +586,39 @@ def _view_gcd_is_one(p, q):
 
 def _poly(text):
     return parse_scalar(text, symbolic=True).num
+
+
+#: Integer multipliers of a linear combination: zero, small, and 70-bit.
+_MULTIPLIERS = st.one_of(st.integers(-3, 3), st.sampled_from((2**70, -(2**70), 2**70 + 1)))
+
+
+class TestLinearCombination:
+    """scalars.linear_combination strips content once; the term-by-term
+    Poly2 sum strips it at every addition.  Both give the canonical form."""
+
+    @staticmethod
+    def term_by_term(terms):
+        out = Poly2()
+        for c, p in terms:
+            out = out + c * p
+        return out
+
+    @given(
+        st.lists(_POLYS | _POOL_POLYS, min_size=1, max_size=3),
+        st.lists(st.tuples(_MULTIPLIERS, st.integers(0, 2)), max_size=6),
+        st.booleans(),
+    )
+    @example([Poly2({(1, 0): Q(1, 3), (0, 0): Q(2, 5)})], [(2**70, 0), (0, 0)], True)
+    @example([_poly("2*a*b + 4"), _poly("a*b/3 + 2/3")], [(1, 0), (-6, 1)], False)
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_equals_the_term_by_term_sum(self, pool, picks, cancel):
+        terms = [(c, pool[i % len(pool)]) for c, i in picks]
+        if cancel:  # every term again with the opposite sign: the sum is 0
+            terms += [(-c, p) for c, p in terms]
+        got, want = linear_combination(terms), self.term_by_term(terms)
+        assert _poly_fields(got) == _poly_fields(want)
+        if cancel:
+            assert _poly_fields(got) == _poly_fields(Poly2())
 
 
 class TestCoprimeCertificate:

@@ -18,12 +18,11 @@ from gsp4hodge.extledger import (
     LedgerCheck,
     LedgerEntry,
     LedgerReport,
-    LInvariantPlane,
     SocleDiagram,
     check_ledger,
 )
 from gsp4hodge.hecke import ClassicalityReport, FrobeniusData, HeckeData, classicality_classify
-from gsp4hodge.kernel import EigenlineGrid
+from gsp4hodge.kernel import EigenlineGrid, LInvariantPlane
 from gsp4hodge.phimodule import CheckResult, HodgeFlag, PhiModuleData, ValidityReport, complete_flag, validate
 from gsp4hodge.symplectic import Flag, Subspace
 from gsp4hodge.weyl import CocharTuple, Weight, WeylElem
