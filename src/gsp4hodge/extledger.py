@@ -206,29 +206,6 @@ class SocleDiagram(Value):
     def layer_labels(self):
         return [[c.label for c in layer] for layer in self.layers]
 
-    def to_text(self) -> str:
-        lines = [f"socle diagram: {self.kind}"]
-        for depth, layer in enumerate(self.layers):
-            lines.append(f"  layer {depth}: " + " | ".join(c.label for c in layer))
-        return "\n".join(lines)
-
-    def to_dot(self) -> str:
-        lines = [f'digraph "{self.kind}" {{', "  rankdir=BT;"]
-        names = []
-        for d, layer in enumerate(self.layers):
-            row = []
-            for k, c in enumerate(layer):
-                node = f"n{d}_{k}"
-                lines.append(f'  {node} [label="{c.label}"];')
-                row.append(node)
-            names.append(row)
-        for d in range(len(names) - 1):
-            for src in names[d]:
-                for dst in names[d + 1]:
-                    lines.append(f"  {src} -> {dst};")
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def socle_diagram(kind: str, w: WeylElem | None = None) -> SocleDiagram:
     pi = Constituent.pi_alg()

@@ -204,7 +204,9 @@ def _coordinate_meets(members, S) -> tuple:
 
 
 def general_position(hf: HodgeFlag) -> bool:
-    """Whether every coordinate subspace meets the flag in expected dimension."""
+    """Whether every coordinate subspace meets the flag in expected dimension.
+    For the standard flag at a nondegenerate point this is certified true
+    (tests/test_kernel.py, TestCertificate), so the flag command prints it."""
     for size in (1, 2, 3):
         for S in combinations((1, 2, 3, 4), size):
             meets = _coordinate_meets([F.rows for F in hf.flag.members], S)

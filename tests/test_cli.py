@@ -264,9 +264,32 @@ class TestRendering:
     def test_dot_only_for_socle(self):
         from gsp4hodge.errors import ParseError
 
-        report, _ = call("glue")
-        with pytest.raises(ParseError):
-            render(report, "dot")
+        # an invalid socle report (PS1 needs a Weyl element) has no diagram either
+        for command, doc in (("glue", {}), ("socle", {"kind": "PS1"})):
+            report, _ = call(command, doc)
+            with pytest.raises(ParseError, match="dot output is only available for socle diagrams"):
+                render(report, "dot")
+
+    def test_socle_dot_output(self):
+        report, _ = call("socle", {"kind": "pimin"})
+        dot = render(report, "dot")
+        assert dot.startswith('digraph "pimin"')
+        assert dot.count('label="pi_alg"') == 3
+        # every node is joined to every node one layer up: 1*8 + 8*2 edges
+        assert dot.count("->") == 24
+
+    def test_socle_text_output(self):
+        report, _ = call("socle", {"kind": "PS1", "w": "s1"})
+        lines = render(report, "text").splitlines()
+        assert lines[2:5] == ["socle diagram: PS1(s1)", "  layer 0: pi_alg", "  layer 1: C({2},s1) | C({1,2},s2)"]
+
+    def test_socle_report_is_plain_data(self):
+        report, _ = call("socle", {"kind": "pimin"})
+        assert sorted(report) == ["citations", "command", "payload", "status"]
+        before = json.dumps(report, sort_keys=True)
+        for fmt in ("json", "text", "dot"):
+            render(report, fmt)
+        assert json.dumps(report, sort_keys=True) == before
 
     def test_text_render(self):
         report, _ = call("validate", GOOD_DOC)
@@ -867,6 +890,57 @@ class TestCatalogReplay:
                 mismatched.append(f"{name}: stdout bytes")
         assert entries
         assert not mismatched
+
+
+#: Symbolic points where flag's printed constants are compared with the
+#: eliminating checks: generic, affine, phi_s1, rational and non-affine.
+SYMBOLIC_FLAG_POINTS = (("a", "b"), ("a+3", "2*b+5"), ("1/a", "b/a"), ("(a+1)/(b+2)", "a/(b-1)"), ("a", "a"))
+
+
+def _flag_documents():
+    entries = json.loads(CATALOG.read_text(encoding="utf-8"))["entries"]
+    docs = [json.loads(entry["stdin"]) for name, entry in entries.items() if name.startswith("flag:")]
+    symbolic = [dict(GOOD_DOC, a=a, b=b, symbolic=True) for a, b in SYMBOLIC_FLAG_POINTS]
+    return docs + symbolic
+
+
+class TestFlagFromCertificates:
+    """flag prints anisotropic and general_position as true, from the
+    certificates in TestCertificate; the eliminating checks agree."""
+
+    @pytest.mark.parametrize("doc", _flag_documents(), ids=lambda doc: f"{doc['a']},{doc['b']}")
+    def test_printed_constants_match_the_checks(self, doc):
+        from gsp4hodge.phimodule import general_position, phi_module_from_json, standard_filtration
+        from gsp4hodge.symplectic import flag_anisotropy_check
+
+        hf = standard_filtration(phi_module_from_json(doc))
+        assert general_position(hf) is True
+        assert flag_anisotropy_check(hf.flag) is True
+        report, code = call("flag", doc)
+        assert code == EXIT_OK
+        assert report["payload"]["anisotropic"] is True and report["payload"]["general_position"] is True
+
+    @pytest.mark.parametrize("a, b", (("2", "3"), ("a+3", "2*b+5")))
+    def test_six_rref_calls(self, monkeypatch, a, b):
+        """3 member spans and 3 nesting ranks in Flag.__post_init__; rref is
+        wrapped in every module namespace that binds it."""
+        import gsp4hodge.linalg
+
+        real = gsp4hodge.linalg.rref
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gsp4hodge") and module is not None:
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, key, counted)
+        report, code = call("flag", dict(GOOD_DOC, a=a, b=b, symbolic="a" in a))
+        assert code == EXIT_OK
+        assert len(calls) == 6
 
 
 #: Per command, a catalog entry to run, and whether the command may load

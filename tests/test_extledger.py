@@ -175,16 +175,6 @@ class TestSocleDiagrams:
         assert len(diag.layers) == 3
         assert diag.layer_labels()[2] == ["pi_alg", "pi_alg"]
 
-    def test_dot_output(self):
-        dot = socle_diagram("pimin").to_dot()
-        assert dot.startswith("digraph")
-        assert dot.count('label="pi_alg"') == 3
-        assert "->" in dot
-
-    def test_text_output(self):
-        text = socle_diagram("PS1", S1).to_text()
-        assert "layer 0" in text and "pi_alg" in text
-
 
 class TestLedger:
     def test_all_checks_pass(self):

@@ -53,7 +53,7 @@ from gsp4hodge.phimodule import (
     vanishing_factor,
 )
 from gsp4hodge.scalars import Poly2, RatFunc, is_zero, parse_scalar, poly_divexact, poly_gcd, ring_pair
-from gsp4hodge.symplectic import Subspace, gsp4_coordinates, lie_membership
+from gsp4hodge.symplectic import J as FORM, Subspace, gsp4_coordinates, lie_membership
 from gsp4hodge.weyl import S1, S2, W_ALL, W_ID, from_word
 from make_tables import tables
 from oracles import (
@@ -1006,6 +1006,20 @@ class TestCertificate:
                         for cols in combinations(range(4), n)
                     )
                     assert any(m.den.is_const() and is_factor_product(m.num) for m in minors), (S, j)
+
+    def test_standard_flag_is_anisotropic(self):
+        """v_i J v_j^T = 0 whenever i + j <= 4, so F^i lies in (F^(4-i))^perp
+        for i = 1, 2, 3, and a 3 x 3 minor of v1, v2, v3 is a nonzero
+        constant, so F^i has dimension i at every (a, b).  J is
+        nondegenerate, so (F^(4-i))^perp has dimension i too, and the two
+        are equal: flag_anisotropy_check holds at every (a, b)."""
+        hodge = filtration_basis(A, B)
+        for i in (1, 2, 3):
+            for j in range(1, 5 - i):
+                row = [sum((x * c for x, c in zip(hodge[i - 1], column) if c), ZERO) for column in zip(*FORM)]
+                assert sum((x * y for x, y in zip(row, hodge[j - 1])), ZERO) == 0, (i, j)
+        minors = [det([[v[c] for c in cols] for v in hodge[:3]]) for cols in combinations(range(4), 3)]
+        assert any(m and m.num.is_const() and m.den.is_const() for m in minors)
 
     # phi_s on (a, b) and on the five factors (a, b, b+1, a+b, q), q = ab + a + b
     RELABELINGS = (
