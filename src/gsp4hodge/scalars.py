@@ -110,10 +110,7 @@ class Poly2:
             return self
         if not self._view:
             return other
-        # s*f + t*g = (s/d) * (d*f + n*g), where t/s = n/d
-        r = other._scale / self._scale
-        f = self._view if r.denominator == 1 else _mul(self._view, {0: {0: r.denominator}})
-        return _poly(*_strip(_add(f, other._view, r.numerator), self._scale / r.denominator))
+        return linear_combination(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -127,7 +124,7 @@ class Poly2:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _as_poly(other) + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if not isinstance(other, Poly2):
@@ -207,19 +204,20 @@ class Poly2:
 
 
 def linear_combination(terms) -> Poly2:
-    """The sum of c * p over a sequence of pairs (c, p) of an int c and a
-    Poly2 p, stripped once: over the common denominator L of the scales,
-    c * p is an integer multiplier c * scale * L times p's view, so the
-    views are summed by _add with those multipliers and the content is
-    taken at the end.  It equals the term-by-term sum field for field,
-    where each Poly2.__add__ strips."""
+    """The sum of c * p over pairs (c, p) of an int c and a Poly2 p,
+    stripped once: over the common denominator L of the scales, c * p is an
+    integer multiplier c * scale * L times p's view.  The multipliers are
+    divided by their gcd k, signed like the first, so that terms of one
+    scale add their views as they are; _add sums the views and the content
+    is taken at the end, over the scale k / L.  Poly2.__add__ is this sum."""
     den = _int_lcm(*(p._scale.denominator for _, p in terms))
+    ks = [(c * p._scale.numerator * (den // p._scale.denominator), p._view) for c, p in terms if c and p._view]
+    k = _int_gcd(*(m for m, _ in ks))
+    k = -k if ks and ks[0][0] < 0 else k
     out = {}
-    for c, p in terms:
-        if c:
-            s = p._scale
-            out = _add(out, p._view, c * s.numerator * (den // s.denominator))
-    return _poly(*_strip(out, Q(1, den)))
+    for m, view in ks:  # the first view is shared, not copied, when its multiplier is 1
+        out = _add(out, view, m // k) if out else view if m == k else _add({}, view, m // k)
+    return _poly(*_strip(out, Q(k, den)))
 
 
 def _as_poly(x) -> "Poly2":
@@ -495,6 +493,15 @@ def poly_divexact(p: Poly2, d: Poly2) -> Poly2:
     return _poly(_divexact(p._view, d._view), p._scale / d._scale)
 
 
+def _cancel(p: Poly2, q: Poly2) -> tuple[Poly2, Poly2, Poly2]:
+    """p / g, q / g and g for g = poly_gcd(p, q), or p and q themselves
+    when g is a unit: the one place where Q(a, b) cancels a common factor."""
+    g = poly_gcd(p, q)
+    if g.is_const():
+        return p, q, g
+    return poly_divexact(p, g), poly_divexact(q, g), g
+
+
 # ---------------------------------------------------------------------------
 # The rational function field Q(a, b)
 # ---------------------------------------------------------------------------
@@ -516,21 +523,16 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly2, den: Poly2 | None = None, _coprime=False):
-        den = Poly2.const(1) if den is None else den
+        den = _ONE_POLY if den is None else den
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero():
-            num, den = Poly2(), Poly2.const(1)
-        else:
-            if not _coprime:
-                g = poly_gcd(num, den)
-                if not g.is_const():
-                    num = poly_divexact(num, g)
-                    den = poly_divexact(den, g)
-            lead = den.leading_coeff()
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
+            den = _ONE_POLY
+        elif not _coprime:
+            num, den, _ = _cancel(num, den)
+        lead = den.leading_coeff()
+        if lead != 1:
+            num, den = num.scale(1 / lead), den.scale(1 / lead)
         _set(self, "num", num)
         _set(self, "den", den)
 
@@ -565,8 +567,8 @@ class RatFunc:
     # -- field operations -------------------------------------------------
     #
     # Operands are already reduced, so sums and products only need the
-    # classical cross-gcd reductions; the results below are coprime pairs,
-    # which the constructor only makes monic.
+    # classical cross-gcd reductions, each one call to _cancel; the results
+    # below are coprime pairs, which the constructor only makes monic.
 
     def __add__(self, other):
         other = _as_ratfunc(other)
@@ -576,20 +578,10 @@ class RatFunc:
             return other
         if other.is_zero():
             return self
-        g = poly_gcd(self.den, other.den)
-        if g.is_const():
-            num = self.num * other.den + other.num * self.den
-            den = self.den * other.den
-        else:
-            d2g = poly_divexact(other.den, g)
-            t = self.num * d2g + other.num * poly_divexact(self.den, g)
-            h = poly_gcd(t, g)
-            if h.is_const():
-                num, den = t, self.den * d2g
-            else:
-                num = poly_divexact(t, h)
-                den = poly_divexact(self.den, h) * d2g
-        return RatFunc(num, den, _coprime=True)
+        # Henrici: with denominators d1*g and d2*g, only g can share a factor with the sum
+        d1, d2, g = _cancel(self.den, other.den)
+        num, g, _ = _cancel(self.num * d2 + other.num * d1, g)
+        return RatFunc(num, d1 * g * d2, _coprime=True)
 
     __radd__ = __add__
 
@@ -603,7 +595,7 @@ class RatFunc:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _as_ratfunc(other) + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Q)):  # c * num is coprime to den for c != 0
@@ -613,12 +605,8 @@ class RatFunc:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return RatFunc.const(0)
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = self.num if g1.is_const() else poly_divexact(self.num, g1)
-        d2 = other.den if g1.is_const() else poly_divexact(other.den, g1)
-        n2 = other.num if g2.is_const() else poly_divexact(other.num, g2)
-        d1 = self.den if g2.is_const() else poly_divexact(self.den, g2)
+        n1, d2, _ = _cancel(self.num, other.den)
+        n2, d1, _ = _cancel(other.num, self.den)
         return RatFunc(n1 * n2, d1 * d2, _coprime=True)
 
     __rmul__ = __mul__
@@ -636,7 +624,10 @@ class RatFunc:
         return self * RatFunc(other.den, other.num, _coprime=True)
 
     def __rtruediv__(self, other):
-        return _as_ratfunc(other) / self
+        other = _as_ratfunc(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int):
         if n < 0:

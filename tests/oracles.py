@@ -44,11 +44,13 @@ from gsp4hodge.scalars import (
     Poly2,
     RatFunc,
     Scalar,
+    _add,
     _as_poly,
     _as_ratfunc,
     _degree_cap,
     _mul,
     _poly,
+    _strip,
     is_zero,
     parse_scalar,
     poly_divexact,
@@ -122,6 +124,29 @@ def ratfunc_eq_by_lift(self, other):
     if other is NotImplemented:
         return NotImplemented
     return self.num == other.num and self.den == other.den
+
+
+# ---------------------------------------------------------------------------
+# Sums in Q[a, b] and Q(a, b) by a second route
+# ---------------------------------------------------------------------------
+
+
+def poly2_add_by_scale_ratio(p: Poly2, q: Poly2) -> Poly2:
+    """p + q as Poly2.__add__ summed before it called linear_combination:
+    s*f + t*g = (s/d) * (d*f + n*g), where t/s = n/d, stripped once."""
+    if not q._view:
+        return p
+    if not p._view:
+        return q
+    r = q._scale / p._scale
+    f = p._view if r.denominator == 1 else _mul(p._view, {0: {0: r.denominator}})
+    return _poly(*_strip(_add(f, q._view, r.numerator), p._scale / r.denominator))
+
+
+def ratfunc_add_by_combining(x: RatFunc, y: RatFunc) -> RatFunc:
+    """x + y over the product of the denominators, reduced by one gcd at
+    the end, where Henrici's method cancels before and after it sums."""
+    return RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,33 @@ class TestDispatch:
         r2, _ = call("recover", {"count": 3}, ["recover", "--seed", "1"])
         assert r1 == r2
 
+    @pytest.mark.parametrize(
+        "doc, argv, points",
+        (
+            (GOOD_DOC, ["recover"], 1),
+            ({"a": "a+3", "b": "2*b+5"}, ["recover", "--symbolic"], 1),
+            ({"count": 3}, ["recover", "--seed", "7"], 3),
+        ),
+        ids=("parameters", "symbolic", "sweep"),
+    )
+    def test_round_trip_checks_the_kernel(self, monkeypatch, doc, argv, points):
+        # each point builds its kernel, then recovery reads it off and checks
+        # it against kernel_basis there: the kept rows alone would return the
+        # point by identity, with one call and no cell compared
+        import gsp4hodge.kernel
+
+        calls = []
+        real = gsp4hodge.kernel.kernel_basis
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(gsp4hodge.kernel, "kernel_basis", counted)
+        report, code = call("recover", doc, argv)
+        assert code == EXIT_OK and report["status"] == "ok"
+        assert len(calls) == 2 * points and calls[0::2] == calls[1::2]
+
     def test_glue(self):
         report, code = call("glue")
         assert code == EXIT_OK

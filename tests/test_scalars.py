@@ -2,6 +2,7 @@ import copy
 import operator
 import pickle
 import random
+import re
 from collections import Counter
 from itertools import combinations_with_replacement
 from contextlib import contextmanager
@@ -37,8 +38,10 @@ from gsp4hodge.scalars import (
 )
 from oracles import (
     parse_scalar_by_whitelist,
+    poly2_add_by_scale_ratio,
     poly2_mul_by_views,
     poly2_scale_by_lift,
+    ratfunc_add_by_combining,
     ratfunc_const_by_gcd,
     ratfunc_eq_by_lift,
     ratfunc_mul_by_cross_gcds,
@@ -593,14 +596,16 @@ _MULTIPLIERS = st.one_of(st.integers(-3, 3), st.sampled_from((2**70, -(2**70), 2
 
 
 class TestLinearCombination:
-    """scalars.linear_combination strips content once; the term-by-term
-    Poly2 sum strips it at every addition.  Both give the canonical form."""
+    """scalars.linear_combination strips content once; the term-by-term sum
+    by the scale ratio (tests/oracles.py) strips it at every addition.  Both
+    give the canonical form, and so does the term-by-term Poly2 +, which is
+    linear_combination on two terms."""
 
     @staticmethod
-    def term_by_term(terms):
+    def term_by_term(terms, add=poly2_add_by_scale_ratio):
         out = Poly2()
         for c, p in terms:
-            out = out + c * p
+            out = add(out, c * p)
         return out
 
     @given(
@@ -616,9 +621,62 @@ class TestLinearCombination:
         if cancel:  # every term again with the opposite sign: the sum is 0
             terms += [(-c, p) for c, p in terms]
         got, want = linear_combination(terms), self.term_by_term(terms)
-        assert _poly_fields(got) == _poly_fields(want)
+        assert _poly_fields(got) == _poly_fields(want) == _poly_fields(self.term_by_term(terms, operator.add))
         if cancel:
             assert _poly_fields(got) == _poly_fields(Poly2())
+
+
+#: Products of the first and of the last six irreducibles: always coprime.
+_LOW, _HIGH = (st.lists(st.integers(lo, lo + 5), max_size=2).map(Counter).map(_product) for lo in (0, 6))
+_COMMON = st.lists(st.integers(0, len(_IRREDUCIBLES) - 1), min_size=1, max_size=2).map(Counter).map(_product)
+
+
+@st.composite
+def _henrici_pairs(draw):
+    """A case of Henrici's sum and a pair (x, y) for it: x = n1/d1 and
+    y = n2/d2 with coprime d1 and d2 ("coprime"); x = n1/(d1*g) and
+    y = n2/(d2*g) ("shared"); or that x and y = n2/d2 - x, so that the
+    sum's numerator cancels against the shared factor ("cancel")."""
+    case = draw(st.sampled_from(("coprime", "shared", "cancel")))
+    d1, d2 = draw(_LOW), draw(_HIGH)
+    g = Poly2.const(1) if case == "coprime" else draw(_COMMON)
+    n1, n2 = draw(_POOL_POLYS.filter(bool)), draw(_POOL_POLYS.filter(bool))
+    x = RatFunc(n1, d1 * g)
+    if case == "cancel":
+        return case, x, RatFunc(n2 * x.den - x.num * d2, d2 * x.den)
+    return case, x, RatFunc(n2, d2 * g)
+
+
+class TestHenriciSum:
+    """RatFunc + cancels the denominators' gcd before it sums and the
+    numerator against that gcd after (Henrici; Knuth, TAOCP vol. 2, 4.5.1),
+    and * cancels across; both go through scalars._cancel and equal the
+    combine-then-reduce route field by field."""
+
+    @given(_henrici_pairs())
+    @example(("coprime", 1 / (A + 1), B / (B + 1)))
+    @example(("shared", 1 / (A * (A + 1)), 1 / (A * (B + 1))))
+    @example(("cancel", 1 / (A * (A + 1)), (A - B - 1) / (A * (B + 1))))
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    def test_sum_and_product_equal_combining(self, pair):
+        case, x, y = pair
+        assert _ratfunc_fields(x + y) == _ratfunc_fields(ratfunc_add_by_combining(x, y))
+        assert _ratfunc_fields(x * y) == _ratfunc_fields(RatFunc(x.num * y.num, x.den * y.den))
+        if case == "coprime":
+            d1, d2, g = scalars._cancel(x.den, y.den)
+            assert d1 is x.den and d2 is y.den and g == 1
+
+
+class TestReflectedOperators:
+    @pytest.mark.parametrize(
+        "symbol, op", (("+", operator.add), ("-", operator.sub), ("*", operator.mul), ("/", operator.truediv))
+    )
+    @pytest.mark.parametrize("value", (Poly2.var("a"), A), ids=("Poly2", "RatFunc"))
+    def test_unsupported_operand_names_the_operator(self, symbol, op, value):
+        # a reflected operator returns NotImplemented, so Python names the real one
+        message = rf"unsupported operand type\(s\) for {re.escape(symbol)}: 'object' and '{type(value).__name__}'"
+        with pytest.raises(TypeError, match=message):
+            op(object(), value)
 
 
 class TestCoprimeCertificate:
