@@ -26,7 +26,7 @@ with T1 = diag(-1,-1,1,1) and T2 = diag(-1,0,0,1).
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import prod
 from operator import itemgetter
 
@@ -34,7 +34,7 @@ from ._value import Value
 from .errors import DegenerateIntersection, InvalidData, NotALine
 from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, rref
 from .phimodule import coordinate_subspace, filtration_basis, nondeg_factors, vanishing_factor
-from .scalars import RatFunc, Scalar, is_zero, linear_combination
+from .scalars import RatFunc, Scalar, _ratfunc, is_zero, linear_combination
 from .symplectic import Subspace, gsp4_coordinates
 from .weyl import S1, S2, W_ALL, W_ID, WeylElem, from_word
 
@@ -256,7 +256,8 @@ def _affine_point(an, ad, bn, bd) -> bool:
     with determinant 0, 2a(b + 1)/(ab + a + b) goes to 2a(a + 1)/(a^2 + 2a)."""
     if ad != 1 or bd != 1 or an.total_degree() != 1 or bn.total_degree() != 1:
         return False
-    (p, q), (r, s) = ([t.get(m, 0) for m in ((1, 0), (0, 1))] for t in (an._terms(), bn._terms()))
+    # the coefficients of a and b in the views: the scales do not move the determinant off 0
+    (p, q), (r, s) = ((v.get(0, {}).get(1, 0), v.get(1, {}).get(0, 0)) for v in (an._view, bn._view))
     return p * s != q * r
 
 
@@ -268,7 +269,10 @@ def _table_evaluator(a: Scalar, b: Scalar):
     denominator in the ring under it, Z for Q and Q[a, b] for Q(a, b),
     from the pairs of nondeg_factors, and reduced once, unless (a, b) is an
     affine point (_affine_point), where no cell needs a gcd.  Over Q(a, b)
-    each numerator is one linear_combination, stripped once.  With a = an/ad
+    each table denominator is made monic once per point, and each numerator
+    is one linear_combination, stripped once and scaled as its denominator
+    was: at an affine point the pair is the cell's canonical pair, and
+    elsewhere its reduction leaves the denominator monic.  With a = an/ad
     and b = bn/bd, the first two, a table denominator is
     dn / (ad^i * bd^j) for the product dn of its factors' numerators, so a
     cell's term c * a^u * b^v is c * an^u * bn^v * ad^(i-u) * bd^(j-v)
@@ -284,8 +288,7 @@ def _table_evaluator(a: Scalar, b: Scalar):
     (an, ad), (bn, bd) = factors[:2]
     field, zero = type(a), a * 0
     symbolic = field is RatFunc
-    if symbolic and _affine_point(an, ad, bn, bd):
-        field = partial(RatFunc, _coprime=True)
+    affine = symbolic and _affine_point(an, ad, bn, bd)
     one = an**0  # the ring's 1
     pa, pb = (one, ad, ad * ad), (one, bd, bd * bd)
     cores = (one, an, bn, an * an, an * bn, bn * bn)
@@ -301,6 +304,14 @@ def _table_evaluator(a: Scalar, b: Scalar):
                 m = monomials.get(shift)  # the monomials of the cells with this shift
                 if m is None:
                     m = monomials[shift] = [None] * 6
+                d = denominators.get(powers)
+                if d is None:
+                    den, sa, sb = powers
+                    d = prod(factors[f][0] for f in den) * pa[sa] * pb[sb]
+                    if symbolic:  # monic once, with the scale each numerator takes
+                        inv = 1 / d.leading_coeff()
+                        d = d.scale(inv), inv
+                    denominators[powers] = d
                 if symbolic:
                     ts = []
                     for c, k, i, j in terms:
@@ -308,7 +319,10 @@ def _table_evaluator(a: Scalar, b: Scalar):
                         if t is None:
                             t = m[k] = cores[k] * pa[i] * pb[j]
                         ts.append((c, t))
-                    n = linear_combination(ts)
+                    d, inv = d
+                    n = linear_combination(ts).scale(inv)
+                    # a cell numerator is nonzero and sigma injective: at an affine point (n, d) is canonical
+                    x = _ratfunc(n, d) if affine else RatFunc(n, d)
                 else:
                     n = 0
                     for c, k, i, j in terms:
@@ -316,11 +330,7 @@ def _table_evaluator(a: Scalar, b: Scalar):
                         if t is None:
                             t = m[k] = cores[k] * pa[i] * pb[j]
                         n += c * t
-                d = denominators.get(powers)
-                if d is None:
-                    den, sa, sb = powers
-                    d = denominators[powers] = prod(factors[f][0] for f in den) * pa[sa] * pb[sb]
-                x = field(n, d)
+                    x = field(n, d)
             values[cell] = x
         return x
 

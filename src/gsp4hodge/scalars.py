@@ -476,9 +476,7 @@ def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     """Monic gcd of two bivariate polynomials (1 for coprime inputs)."""
     if p.is_zero() or q.is_zero():
         g = p + q  # the other one
-    elif p.is_const() or q.is_const():
-        return Poly2.const(1)
-    elif _certified_coprime(p._view, q._view):
+    elif p.is_const() or q.is_const() or _certified_coprime(p._view, q._view):
         return _ONE_POLY
     else:  # the gcd of two views is a view (Gauss's lemma)
         g = _poly(_gcd(p._view, q._view), Q(1))
@@ -513,9 +511,11 @@ class RatFunc:
     Invariants: the denominator is nonzero with grlex leading coefficient 1,
     and gcd(num, den) = 1.  Equality and hashing act on the canonical pair.
     Every construction maps zero to 0/1 and makes the denominator monic;
-    ``_coprime=True`` promises gcd(num, den) = 1 and skips only the gcd.
-    The field operations below pass it for pairs they reduced, and the
-    table evaluator for every cell at an affine point (kernel._affine_point).
+    ``_coprime=True`` promises gcd(num, den) = 1 and skips only the gcd;
+    the field operations below pass it for pairs they reduced.  The table
+    evaluator does not: at an affine point (kernel._affine_point) it builds
+    each cell's canonical pair over a denominator it made monic, through
+    _ratfunc, and elsewhere it cancels against that monic denominator.
     Immutable: ``num`` and ``den`` cannot be reassigned or deleted, so a
     cell shared by several tables or callers stays what it was built as.
     """

@@ -25,12 +25,14 @@ from gsp4hodge.kernel import (
     matrix_suite,
     nu_operator,
     recover_parameters,
+    _KERNEL_CELLS,
     _KERNEL_FREE,
     _KERNEL_FREE_BLOCK,
     _KERNEL_PIVOTS,
     _PLANE_TABLE,
     _SUITE_TABLE,
     _affine_point,
+    _cell_layout,
     _evaluation,
     _require_nondegenerate,
     _table_evaluator,
@@ -1154,9 +1156,10 @@ def _in_lowest_terms(num: Poly2, den: Poly2) -> bool:
 
 class TestAffinePoints:
     """At a point (a, b) -> (an, bn) that is an affine automorphism of
-    Q[a, b], the table evaluator builds each cell without a gcd: the
-    automorphism keeps every table cell in lowest terms.  Every other point
-    reduces its cells as before."""
+    Q[a, b], the table evaluator builds each cell as its canonical pair,
+    without a gcd: the automorphism keeps every table cell in lowest terms,
+    and each denominator is made monic once.  Every other point reduces
+    its cells as before."""
 
     #: (a, b) and three points (a + c1, c2*b + c3) of the symbolic-generic kind.
     AFFINE = ((0, 1, 0), (Q(1, 2), 2, -1), (-3, Q(-1, 3), 2), (Q(2, 3), Q(-3, 2), Q(1, 3)))
@@ -1187,17 +1190,51 @@ class TestAffinePoints:
         def forbidden(*args):
             raise AssertionError("a gcd at an affine point")
 
+        # each cell is built as its canonical pair: no RatFunc.__init__, and
+        # one leading coefficient per denominator layout, made monic once
+        suite = (c for M in _SUITE_TABLE.values() for row in M for c in row)
+        layouts = {_cell_layout(c)[0] for c in (*_KERNEL_CELLS, *suite) if not isinstance(c, int)}
+        inits, leads = [], []
+        real_init, real_lead = RatFunc.__init__, Poly2.leading_coeff
         gsp4hodge.kernel._last = None
         monkeypatch.setattr(gsp4hodge.scalars, "poly_gcd", forbidden)
+        monkeypatch.setattr(RatFunc, "__init__", lambda self, *args, **kw: inits.append(1) or real_init(self, *args, **kw))
+        monkeypatch.setattr(Poly2, "leading_coeff", lambda self: leads.append(1) or real_lead(self))
         K = kernel_basis(*point)
-        assert recover_parameters(K) == point
+        recovered = recover_parameters(K)
         matrix_suite(*point)
+        assert not inits and len(leads) == len(layouts) == 9
+        assert recovered == point
         value = _evaluation(*point)[1]  # the plane's cells; its row scaling divides in the field
         cells = {cell: value(cell) for cell in TABLE_CELLS}
         monkeypatch.undo()
         oracle = table_evaluator_by_field_ops(*point)
         assert all(type(x) is RatFunc and x == oracle(cell) for cell, x in cells.items())
         assert l_invariant_plane(*point).a == point[0]
+
+    def test_affine_point_with_non_monic_denominators(self):
+        # at (a + 2/3, -3b/2 + 1/3) q = ab + a + b and a*q lead with -3/2: the
+        # evaluator's pairs are the canonical ones all the same
+        point = shifted(Q(2, 3), Q(-3, 2), Q(1, 3))
+        (an, _), *_, (qn, _) = nondeg_factors(*point)
+        assert qn.leading_coeff() == (an * qn).leading_coeff() == Q(-3, 2)
+        value, oracle = _table_evaluator(*point), table_evaluator_by_field_ops(*point)
+        for cell in TABLE_CELLS:
+            x, y = value(cell), oracle(cell)
+            assert (x.num, x.den, hash(x)) == (y.num, y.den, hash(y)), cell
+            assert x.den.leading_coeff() == 1, cell
+
+    def test_vanishing_cell_at_a_non_affine_point(self):
+        # at (a, a/(a - 1)) kernel cell (0, 19), (ab - a - b)/(a*q), is zero
+        point = (A, A / (A - 1))
+        assert not _affine_point(*(x for pair in nondeg_factors(*point)[:2] for x in pair))
+        gsp4hodge.kernel._last = None
+        K = kernel_basis(*point)
+        x = K.rows[0][19]
+        assert x.num.is_zero() and x.den == Poly2.const(1) and x == ZERO and hash(x) == hash(ZERO)
+        rows = tuple(tuple(parse_scalar(str(y), True) for y in row) for row in K.rows)
+        gsp4hodge.kernel._last = None
+        assert recover_parameters(Subspace(rows=rows, ambient=24)) == point
 
     @pytest.mark.parametrize("point", NON_AFFINE.values(), ids=NON_AFFINE.keys())
     def test_other_points_reduce_every_cell(self, monkeypatch, point):

@@ -208,6 +208,12 @@ class TestCanonicalForm:
         assert x.den.leading_coeff() == 1
         assert scalar_str(x) == "(3/2)/(a)"
 
+    @pytest.mark.parametrize("p, q", (("3", "a + 1"), ("a*b", "-2/5"), ("1", "7")))
+    def test_constant_gcd_is_the_module_one(self, p, q):
+        # the constant shortcut builds no polynomial: it returns the module's 1
+        g = poly_gcd(_poly(p), _poly(q))
+        assert g is scalars._ONE_POLY and g == Poly2.const(1)
+
     def test_gcd_oracle_random_products(self):
         # gcd(u*w, v*w) must be divisible by w; quotients must be coprime.
         rng = random.Random(5)
