@@ -34,7 +34,7 @@ from ._value import Value
 from .errors import DegenerateIntersection, InvalidData, NotALine
 from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, rref
 from .phimodule import coordinate_subspace, filtration_basis, nondeg_factors, vanishing_factor
-from .scalars import RatFunc, Scalar, _ratfunc, is_zero, linear_combination
+from .scalars import RatFunc, Scalar, _cancel, _ratfunc, is_zero, linear_combination
 from .symplectic import Subspace, gsp4_coordinates
 from .weyl import S1, S2, W_ALL, W_ID, WeylElem, from_word
 
@@ -272,8 +272,9 @@ def _table_evaluator(a: Scalar, b: Scalar):
     each table denominator is made monic once per point, and each numerator
     is one linear_combination, stripped once and scaled as its denominator
     was: at an affine point the pair is the cell's canonical pair, and
-    elsewhere its reduction leaves the denominator monic.  With a = an/ad
-    and b = bn/bd, the first two, a table denominator is
+    elsewhere one _cancel makes it so, since it keeps the denominator
+    monic; either way _ratfunc builds the cell.  With a = an/ad and
+    b = bn/bd, the first two, a table denominator is
     dn / (ad^i * bd^j) for the product dn of its factors' numerators, so a
     cell's term c * a^u * b^v is c * an^u * bn^v * ad^(i-u) * bd^(j-v)
     over dn.  Both sides take the least powers of ad and bd that clear the
@@ -322,7 +323,9 @@ def _table_evaluator(a: Scalar, b: Scalar):
                     d, inv = d
                     n = linear_combination(ts).scale(inv)
                     # a cell numerator is nonzero and sigma injective: at an affine point (n, d) is canonical
-                    x = _ratfunc(n, d) if affine else RatFunc(n, d)
+                    if not affine:  # cancelling against a monic d leaves it monic
+                        n, d, _ = _cancel(n, d)
+                    x = _ratfunc(n, d)
                 else:
                     n = 0
                     for c, k, i, j in terms:

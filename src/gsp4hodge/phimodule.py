@@ -298,17 +298,15 @@ def hodge_parameters(doc: dict, symbolic: bool) -> tuple:
     )
 
 
-def phi_module_from_json(doc: dict, symbolic: bool | None = None) -> PhiModuleData:
+def phi_module_from_json(doc: dict, symbolic: bool) -> PhiModuleData:
     """Build PhiModuleData from its wire form (see External Interfaces).
-    a and b live in Q(a, b) when symbolic is true; None reads the
-    document's own symbolic field."""
-    from .scalars import parse_boolean, parse_integer, parse_list, parse_scalar, required_field
+    a and b live in Q(a, b) when symbolic is true."""
+    from .scalars import parse_integer, parse_list, parse_scalar, required_field
 
     try:
         p = parse_integer(required_field(doc, "p"))
         alphas = tuple(parse_scalar(str(s)) for s in parse_list(required_field(doc, "alphas")))
         weights = tuple(parse_integer(x) for x in parse_list(required_field(doc, "weights")))
-        symbolic = parse_boolean(doc.get("symbolic", False)) if symbolic is None else symbolic
         a, b = hodge_parameters(doc, symbolic)
     except _MissingParameters:
         raise

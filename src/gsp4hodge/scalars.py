@@ -510,25 +510,26 @@ class RatFunc:
 
     Invariants: the denominator is nonzero with grlex leading coefficient 1,
     and gcd(num, den) = 1.  Equality and hashing act on the canonical pair.
-    Every construction maps zero to 0/1 and makes the denominator monic;
-    ``_coprime=True`` promises gcd(num, den) = 1 and skips only the gcd;
-    the field operations below pass it for pairs they reduced.  The table
-    evaluator does not: at an affine point (kernel._affine_point) it builds
-    each cell's canonical pair over a denominator it made monic, through
-    _ratfunc, and elsewhere it cancels against that monic denominator.
+    Two constructors, as for Poly2: RatFunc(num, den) takes any pair of
+    Poly2s, cancels it through _cancel, maps zero to 0/1 and makes the
+    denominator monic; _ratfunc builds a pair that is canonical already,
+    as the field operations below and the table evaluator produce.
     Immutable: ``num`` and ``den`` cannot be reassigned or deleted, so a
     cell shared by several tables or callers stays what it was built as.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly2, den: Poly2 | None = None, _coprime=False):
+    def __init__(self, num: Poly2, den: Poly2 | None = None):
         den = _ONE_POLY if den is None else den
+        for name, part in (("numerator", num), ("denominator", den)):
+            if not isinstance(part, Poly2):
+                raise TypeError(f"RatFunc {name} must be a Poly2, not {type(part).__name__!r}")
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero():
             den = _ONE_POLY
-        elif not _coprime:
+        else:
             num, den, _ = _cancel(num, den)
         lead = den.leading_coeff()
         if lead != 1:
@@ -551,7 +552,7 @@ class RatFunc:
 
     @staticmethod
     def var(name: str) -> "RatFunc":
-        return RatFunc(Poly2.var(name))
+        return _ratfunc(Poly2.var(name), _ONE_POLY)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -567,8 +568,10 @@ class RatFunc:
     # -- field operations -------------------------------------------------
     #
     # Operands are already reduced, so sums and products only need the
-    # classical cross-gcd reductions, each one call to _cancel; the results
-    # below are coprime pairs, which the constructor only makes monic.
+    # classical cross-gcd reductions, each one call to _cancel, and their
+    # results are canonical pairs, built by _ratfunc: poly_gcd returns a
+    # monic g and the grlex leading coefficient is multiplicative, so a
+    # product or quotient of monic polynomials is monic.  Only / rescales.
 
     def __add__(self, other):
         other = _as_ratfunc(other)
@@ -581,12 +584,12 @@ class RatFunc:
         # Henrici: with denominators d1*g and d2*g, only g can share a factor with the sum
         d1, d2, g = _cancel(self.den, other.den)
         num, g, _ = _cancel(self.num * d2 + other.num * d1, g)
-        return RatFunc(num, d1 * g * d2, _coprime=True)
+        return _ratfunc(num, d1 * g * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _coprime=True)
+        return _ratfunc(-self.num, self.den)
 
     def __sub__(self, other):
         other = _as_ratfunc(other)
@@ -607,7 +610,7 @@ class RatFunc:
             return RatFunc.const(0)
         n1, d2, _ = _cancel(self.num, other.den)
         n2, d1, _ = _cancel(other.num, self.den)
-        return RatFunc(n1 * n2, d1 * d2, _coprime=True)
+        return _ratfunc(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -621,7 +624,8 @@ class RatFunc:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by zero rational function")
-        return self * RatFunc(other.den, other.num, _coprime=True)
+        inv = 1 / other.num.leading_coeff()  # the one rescale a field operation needs
+        return self * _ratfunc(other.den.scale(inv), other.num.scale(inv))
 
     def __rtruediv__(self, other):
         other = _as_ratfunc(other)
@@ -632,7 +636,7 @@ class RatFunc:
     def __pow__(self, n: int):
         if n < 0:
             return RatFunc.const(1) / self ** (-n)
-        return RatFunc(self.num**n, self.den**n, _coprime=True)
+        return _ratfunc(self.num**n, self.den**n)
 
     def evaluate(self, a, b) -> Q:
         d = self.den.evaluate(a, b)
@@ -790,7 +794,7 @@ def _check_power_size(x: Scalar | Poly2, n: int) -> None:
 
 
 def _as_field(x) -> Scalar:
-    return RatFunc(x, _coprime=True) if isinstance(x, Poly2) else x
+    return _ratfunc(x, _ONE_POLY) if isinstance(x, Poly2) else x
 
 
 def _eval_node(node, symbolic: bool):

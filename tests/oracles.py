@@ -107,7 +107,7 @@ def ratfunc_mul_by_cross_gcds(self, other):
     d2 = other.den if g1.is_const() else poly_divexact(other.den, g1)
     n2 = other.num if g2.is_const() else poly_divexact(other.num, g2)
     d1 = self.den if g2.is_const() else poly_divexact(self.den, g2)
-    return RatFunc(n1 * n2, d1 * d2, _coprime=True)
+    return RatFunc(n1 * n2, d1 * d2)
 
 
 def ratfunc_truediv_by_cross_gcds(self, other):
@@ -116,7 +116,7 @@ def ratfunc_truediv_by_cross_gcds(self, other):
         return NotImplemented
     if other.is_zero():
         raise DivisionByZero("division by zero rational function")
-    return self * RatFunc(other.den, other.num, _coprime=True)
+    return self * RatFunc(other.den, other.num)
 
 
 def ratfunc_eq_by_lift(self, other):

@@ -940,7 +940,7 @@ class TestFlagFromCertificates:
         from gsp4hodge.phimodule import general_position, phi_module_from_json, standard_filtration
         from gsp4hodge.symplectic import flag_anisotropy_check
 
-        hf = standard_filtration(phi_module_from_json(doc))
+        hf = standard_filtration(phi_module_from_json(doc, doc.get("symbolic", False)))
         assert general_position(hf) is True
         assert flag_anisotropy_check(hf.flag) is True
         report, code = call("flag", doc)

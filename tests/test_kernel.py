@@ -1173,6 +1173,29 @@ class TestAffinePoints:
         "rational": ((A + 1) / (B + 2), A / (B - 1)),
     }
 
+    #: Per non-affine point, the nonunit gcds and Poly2.leading_coeff calls of
+    #: a kernel + recovery + suite op: one call per denominator layout and
+    #: one per nonunit gcd, which poly_gcd makes monic.
+    CANCELLING = {"phi_s1": (17, 26), "rational": (0, 9), "(a,a)": (21, 30)}
+
+    @staticmethod
+    def construction_counts(monkeypatch, point):
+        """The distinct denominator layouts of the kernel and suite cells,
+        recover_parameters(kernel_basis(point)), then a suite at point, and
+        the lists of RatFunc.__init__ calls, Poly2.leading_coeff calls and
+        poly_gcd results, which grow until monkeypatch.undo()."""
+        suite = (c for M in _SUITE_TABLE.values() for row in M for c in row)
+        layouts = {_cell_layout(c)[0] for c in (*_KERNEL_CELLS, *suite) if not isinstance(c, int)}
+        inits, leads, gcds = [], [], []
+        real_init, real_lead, real_gcd = RatFunc.__init__, Poly2.leading_coeff, gsp4hodge.scalars.poly_gcd
+        gsp4hodge.kernel._last = None
+        monkeypatch.setattr(gsp4hodge.scalars, "poly_gcd", lambda p, q: gcds.append(real_gcd(p, q)) or gcds[-1])
+        monkeypatch.setattr(RatFunc, "__init__", lambda self, *args, **kw: inits.append(1) or real_init(self, *args, **kw))
+        monkeypatch.setattr(Poly2, "leading_coeff", lambda self: leads.append(1) or real_lead(self))
+        recovered = recover_parameters(kernel_basis(*point))
+        matrix_suite(*point)
+        return layouts, recovered, inits, leads, gcds
+
     def test_table_cells_are_in_lowest_terms(self):
         # the certificate the shortcut rests on: over Q[a, b] the numerator
         # and the factor product of every non-integer cell are coprime
@@ -1187,27 +1210,15 @@ class TestAffinePoints:
         point = shifted(*consts)
         assert _affine_point(*(x for pair in nondeg_factors(*point)[:2] for x in pair))
 
-        def forbidden(*args):
-            raise AssertionError("a gcd at an affine point")
-
-        # each cell is built as its canonical pair: no RatFunc.__init__, and
-        # one leading coefficient per denominator layout, made monic once
-        suite = (c for M in _SUITE_TABLE.values() for row in M for c in row)
-        layouts = {_cell_layout(c)[0] for c in (*_KERNEL_CELLS, *suite) if not isinstance(c, int)}
-        inits, leads = [], []
-        real_init, real_lead = RatFunc.__init__, Poly2.leading_coeff
-        gsp4hodge.kernel._last = None
-        monkeypatch.setattr(gsp4hodge.scalars, "poly_gcd", forbidden)
-        monkeypatch.setattr(RatFunc, "__init__", lambda self, *args, **kw: inits.append(1) or real_init(self, *args, **kw))
-        monkeypatch.setattr(Poly2, "leading_coeff", lambda self: leads.append(1) or real_lead(self))
-        K = kernel_basis(*point)
-        recovered = recover_parameters(K)
-        matrix_suite(*point)
+        # each cell is built as its canonical pair: no gcd, no RatFunc.__init__,
+        # and one leading coefficient per denominator layout, made monic once
+        layouts, recovered, inits, leads, gcds = self.construction_counts(monkeypatch, point)
         assert not inits and len(leads) == len(layouts) == 9
         assert recovered == point
         value = _evaluation(*point)[1]  # the plane's cells; its row scaling divides in the field
         cells = {cell: value(cell) for cell in TABLE_CELLS}
         monkeypatch.undo()
+        assert not gcds, "a gcd at an affine point"
         oracle = table_evaluator_by_field_ops(*point)
         assert all(type(x) is RatFunc and x == oracle(cell) for cell, x in cells.items())
         assert l_invariant_plane(*point).a == point[0]
@@ -1235,6 +1246,18 @@ class TestAffinePoints:
         rows = tuple(tuple(parse_scalar(str(y), True) for y in row) for row in K.rows)
         gsp4hodge.kernel._last = None
         assert recover_parameters(Subspace(rows=rows, ambient=24)) == point
+
+    @pytest.mark.parametrize("name", CANCELLING)
+    def test_other_points_build_no_ratfunc(self, monkeypatch, name):
+        # each cell is cancelled once against its monic denominator and built
+        # as the canonical pair that leaves: no RatFunc.__init__ there either
+        point = self.NON_AFFINE[name]
+        layouts, recovered, inits, leads, gcds = self.construction_counts(monkeypatch, point)
+        monkeypatch.undo()
+        nonunit, expected_leads = self.CANCELLING[name]
+        assert recovered == point
+        assert not inits and sum(not g.is_const() for g in gcds) == nonunit
+        assert len(leads) == len(layouts) + nonunit == expected_leads
 
     @pytest.mark.parametrize("point", NON_AFFINE.values(), ids=NON_AFFINE.keys())
     def test_other_points_reduce_every_cell(self, monkeypatch, point):

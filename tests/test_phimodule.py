@@ -330,16 +330,16 @@ class TestJsonRoundTrip:
     def test_numeric(self):
         doc = phi_module_to_json(GOOD)
         assert doc["alphas"] == ["1", "9", "81", "729"]
-        assert phi_module_from_json(doc) == GOOD
+        assert phi_module_from_json(doc, False) == GOOD
 
     def test_symbolic(self):
         doc = phi_module_to_json(SYMBOLIC)
         assert doc["symbolic"] and doc["a"] == "a"
-        assert phi_module_from_json(doc) == SYMBOLIC
+        assert phi_module_from_json(doc, True) == SYMBOLIC
 
     def test_bad_document(self):
         with pytest.raises(InvalidData):
-            phi_module_from_json({"p": 3})
+            phi_module_from_json({"p": 3}, False)
 
 
 class TestHodgeParameters:

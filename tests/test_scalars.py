@@ -657,17 +657,33 @@ class TestHenriciSum:
     """RatFunc + cancels the denominators' gcd before it sums and the
     numerator against that gcd after (Henrici; Knuth, TAOCP vol. 2, 4.5.1),
     and * cancels across; both go through scalars._cancel and equal the
-    combine-then-reduce route field by field."""
+    combine-then-reduce route field by field.  So do -, / and **, which,
+    like + and *, build their canonical pairs without the constructor."""
 
     @given(_henrici_pairs())
     @example(("coprime", 1 / (A + 1), B / (B + 1)))
     @example(("shared", 1 / (A * (A + 1)), 1 / (A * (B + 1))))
     @example(("cancel", 1 / (A * (A + 1)), (A - B - 1) / (A * (B + 1))))
+    # numerators that lead with 2 and -1: / must make the inverted pair monic
+    @example(("coprime", B / (A + 1), (2 * A + 3) / (B - 1)))
+    @example(("coprime", (2 * A + 3) / (B - 1), -B / (A + 1)))
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     def test_sum_and_product_equal_combining(self, pair):
         case, x, y = pair
+
+        def combined(num, den):  # the constructor's canonical form of a raw pair
+            return _ratfunc_fields(RatFunc(num, den))
+
         assert _ratfunc_fields(x + y) == _ratfunc_fields(ratfunc_add_by_combining(x, y))
-        assert _ratfunc_fields(x * y) == _ratfunc_fields(RatFunc(x.num * y.num, x.den * y.den))
+        assert _ratfunc_fields(x * y) == combined(x.num * y.num, x.den * y.den)
+        assert _ratfunc_fields(-x) == combined(-x.num, x.den)
+        assert _ratfunc_fields(x - y) == combined(x.num * y.den - y.num * x.den, x.den * y.den)
+        assert _ratfunc_fields(x + (-x)) == combined(x.num * x.den - x.num * x.den, x.den * x.den)
+        if y:
+            assert _ratfunc_fields(x / y) == combined(x.num * y.den, x.den * y.num)
+        for n in range(-2, 4):
+            num, den = (x.num**n, x.den**n) if n >= 0 else (x.den**-n, x.num**-n)
+            assert _ratfunc_fields(x**n) == combined(num, den), n
         if case == "coprime":
             d1, d2, g = scalars._cancel(x.den, y.den)
             assert d1 is x.den and d2 is y.den and g == 1
@@ -683,6 +699,24 @@ class TestReflectedOperators:
         message = rf"unsupported operand type\(s\) for {re.escape(symbol)}: 'object' and '{type(value).__name__}'"
         with pytest.raises(TypeError, match=message):
             op(object(), value)
+
+
+class TestConstructorTypes:
+    @pytest.mark.parametrize(
+        "args, part, kind",
+        (
+            ((3,), "numerator", "int"),
+            ((Q(1, 2),), "numerator", "Fraction"),
+            ((A,), "numerator", "RatFunc"),
+            ((Poly2.var("a"), 2), "denominator", "int"),
+            ((Poly2.var("a"), "b"), "denominator", "str"),
+        ),
+        ids=("int", "Fraction", "RatFunc", "int-den", "str-den"),
+    )
+    def test_non_polynomial_part_is_a_type_error(self, args, part, kind):
+        # RatFunc is exported: a part that is no Poly2 is named, not an AttributeError
+        with pytest.raises(TypeError, match=rf"RatFunc {part} must be a Poly2, not '{kind}'"):
+            RatFunc(*args)
 
 
 class TestCoprimeCertificate:
