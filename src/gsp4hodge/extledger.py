@@ -15,9 +15,8 @@ from itertools import combinations
 
 from ._value import Value
 from .errors import InvalidData, InvalidIndexSet, LedgerInconsistent
-from .kernel import LEVI_CENTERS, TORUS_BASIS, glue_subspace, kernel_basis
 from .linalg import rank
-from .weyl import CocharTuple, Weight, WeylElem, L_map, L_map_inverse
+from .weyl import LEVI_CENTERS, TORUS_BASIS, CocharTuple, Weight, WeylElem, L_map, L_map_inverse
 
 
 class AddChar(Value):
@@ -296,6 +295,8 @@ def check_ledger() -> LedgerReport:
     Raises LedgerInconsistent when an identity fails; the report carries
     one line per entry and per check.
     """
+    from .kernel import glue_subspace, kernel_basis  # the socle commands load no kernel
+
     hom = {kind: hom_space_dim(kind) for kind in _EXPECTED_HOM_DIMS}
     n_constituents = len(all_constituents())
     # exact kernel computations at a sample nondegenerate point

@@ -29,6 +29,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import prod
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from ._value import Value
 from .errors import DegenerateIntersection, InvalidData, NotALine
@@ -36,41 +37,32 @@ from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, rref
 from .phimodule import coordinate_subspace, filtration_basis, nondeg_factors, vanishing_factor
 from .scalars import RatFunc, Scalar, _cancel, _ratfunc, is_zero, linear_combination
 from .symplectic import Subspace, gsp4_coordinates
-from .weyl import S1, S2, W_ALL, W_ID, WeylElem, from_word
 
-#: Fixed block order for the 24-dimensional domain.
-W_ORDER = W_ALL
-_BLOCK_INDEX = {w.perm: i for i, w in enumerate(W_ORDER)}
+if TYPE_CHECKING:
+    from .weyl import WeylElem
+
+#: Fixed block order for the 24-dimensional domain: the one-line
+#: permutations of weyl.W_ALL, in its order.  Only the eliminating routes
+#: build the Weyl group, so the tables' commands never load weyl.
+W_ORDER = ((1, 2, 3, 4), (2, 1, 4, 3), (1, 3, 2, 4), (2, 4, 1, 3), (3, 1, 4, 2), (4, 2, 3, 1), (3, 4, 1, 2), (4, 3, 2, 1))
+_BLOCK_INDEX = {perm: i for i, perm in enumerate(W_ORDER)}
 
 #: Torus elements behind the distinguished generators.
 T1 = (Q(-1), Q(-1), Q(1), Q(1))
 T2 = (Q(-1), Q(0), Q(0), Q(1))
 
-#: Torus elements with block coordinates x, y and z.
-TORUS_BASIS = (
-    (Q(1), Q(0), Q(0), Q(-1)),
-    (Q(0), Q(1), Q(-1), Q(0)),
-    (Q(0), Q(0), Q(1), Q(1)),
-)
-
-#: Bases of the centers of gsp4 (G) and of the Siegel (P) and Klingen (Q)
-#: Levi subalgebras: diag(u,u,u,u), diag(u,u,v,v) and diag(u,v,v,2v-u).
-LEVI_CENTERS = {
-    "G": ((Q(1), Q(1), Q(1), Q(1)),),
-    "P": ((Q(1), Q(1), Q(0), Q(0)), (Q(0), Q(0), Q(1), Q(1))),
-    "Q": ((Q(1), Q(0), Q(0), Q(-1)), (Q(0), Q(1), Q(1), Q(2))),
-}
-
 GENERATOR_LABELS = ("f1", "f2", "f3", "f4", "g1", "g2", "g3", "g4")
+#: Each generator's torus element and the permutation of its Weyl element:
+#: e, s2, s1s2s1s2, s2s1, e, s1, s1s2 and s1s2s1s2.
 _GENERATOR_DEF = {
-    "f1": (T1, W_ID),
-    "f2": (T1, from_word("s2")),
-    "f3": (T1, from_word("s1s2s1s2")),
-    "f4": (T1, from_word("s2s1")),
-    "g1": (T2, W_ID),
-    "g2": (T2, from_word("s1")),
-    "g3": (T2, from_word("s1s2")),
-    "g4": (T2, from_word("s1s2s1s2")),
+    "f1": (T1, (1, 2, 3, 4)),
+    "f2": (T1, (1, 3, 2, 4)),
+    "f3": (T1, (4, 3, 2, 1)),
+    "f4": (T1, (3, 1, 4, 2)),
+    "g1": (T2, (1, 2, 3, 4)),
+    "g2": (T2, (2, 1, 4, 3)),
+    "g3": (T2, (2, 4, 1, 3)),
+    "g4": (T2, (4, 3, 2, 1)),
 }
 
 
@@ -88,16 +80,19 @@ def torus_block_coords(t) -> tuple:
 
 def embed_block(t, w: WeylElem):
     """The 24-vector carrying the torus element t in the block of w."""
+    return _embed(t, w.perm)
+
+
+def _embed(t, perm: tuple):
     x, y, z = torus_block_coords(t)
     vec = [Q(0)] * 24
-    base = 3 * block_index(w)
+    base = 3 * _BLOCK_INDEX[perm]
     vec[base], vec[base + 1], vec[base + 2] = x, y, z
     return tuple(vec)
 
 
 def generator_vector(label: str):
-    t, w = _GENERATOR_DEF[label]
-    return embed_block(t, w)
+    return _embed(*_GENERATOR_DEF[label])
 
 
 def _require_nondegenerate(a: Scalar, b: Scalar, factors: tuple | None = None) -> None:
@@ -120,10 +115,12 @@ class EigenlineGrid(Value):
 
 def eigenline_grid(a: Scalar, b: Scalar) -> EigenlineGrid:
     """Intersect the coordinate flags with the Hodge flag, line by line."""
+    from .weyl import W_ALL  # the Weyl group, in W_ORDER
+
     _require_nondegenerate(a, b)
     hodge = coerce_rows(filtration_basis(a, b))
     lines = {}
-    for w in W_ORDER:
+    for w in W_ALL:
         inv = w.inv().perm
         basis = []
         for i in (1, 2, 3, 4):
@@ -164,9 +161,11 @@ def nu_operator(grid: EigenlineGrid, w: WeylElem, t):
 
 def jbar_matrix(a: Scalar, b: Scalar):
     """The 11 x 24 matrix of the summed tangent map in the fixed bases."""
+    from .weyl import TORUS_BASIS, W_ALL  # the Weyl group, in W_ORDER
+
     grid = eigenline_grid(a, b)
     cols = []
-    for w in W_ORDER:
+    for w in W_ALL:
         for t in TORUS_BASIS:
             M = nu_operator(grid, w, t)
             cols.append(gsp4_coordinates(M))
@@ -395,9 +394,11 @@ def jbar_rank(a: Scalar, b: Scalar) -> int:
 def glue_generators():
     """The 16 difference vectors (z)_w - (z)_{s_delta w}, one per unordered
     pair {w, s_delta w} per Levi-center basis element."""
+    from .weyl import LEVI_CENTERS, S1, S2, W_ALL  # the Weyl group, in W_ORDER
+
     out = []
     for s_delta, z_basis in ((S1, LEVI_CENTERS["P"]), (S2, LEVI_CENTERS["Q"])):
-        for w in W_ORDER:
+        for w in W_ALL:
             other = s_delta * w
             if block_index(w) > block_index(other):
                 continue

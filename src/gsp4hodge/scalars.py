@@ -9,10 +9,9 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
-import ast
+import _ast  # the node classes ast re-exports, without loading ast
 import os
 from fractions import Fraction as Q
-from itertools import chain, count, islice
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 from ._value import Value, _set
@@ -242,11 +241,8 @@ def _poly(view, scale: Q) -> Poly2:
 # zero coefficients, whose coefficients are ints or, one level up, such
 # dicts.  Each routine below serves both levels, branching on
 # ``type(x) is int`` at the leaf.  Sums, products and exact quotients of
-# Poly2s work on these dicts directly.  The gcd is a primitive
-# pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1, Algorithm E) with
-# integer content stripped at every step, which keeps coefficient growth tame.
-# poly_gcd runs it only when a modular certificate after Brown (J. ACM 18(4),
-# 1971), which works mod one prime, cannot prove the two views coprime.
+# Poly2s work on these dicts directly; the gcd of two nonconstant views is
+# computed in _polygcd, which poly_gcd imports when it first needs it.
 # ---------------------------------------------------------------------------
 
 _ONE = {0: 1}  # the unit of Z[a]
@@ -332,154 +328,23 @@ def _divexact(f, g):
     return q
 
 
-def _prem(f, g):
-    """Remainder of f by g up to a scalar factor, integer content stripped
-    every step (gcd use only)."""
-    dg = max(g)
-    lg = g[dg]
-    while f and max(f) >= dg:
-        df = max(f)
-        mf, mg = lg, f[df]
-        if type(lg) is int:
-            c = _int_gcd(mf, mg)
-            mf, mg = mf // c, mg // c
-        f = _add(_mul(f, {0: mf}), _mul(g, {df - dg: mg}), -1)
-        c = _icontent(f)
-        if c > 1:
-            f = _idiv(f, c)
-    return f
-
-
-def _primitive(f):
-    """Content of the nonzero f (the gcd of its coefficients) and its
-    primitive part f / content."""
-    c = 0
-    for x in f.values():
-        c = _gcd(c, x)
-        if c == 1 or c == _ONE:
-            return c, f
-    return c, {d: _divexact(x, c) for d, x in f.items()}
-
-
-def _gcd(f, g):
-    """Gcd of f and the nonzero g with a positive leading integer; f may be
-    0, the zero of either level."""
-    if type(g) is int:
-        return _int_gcd(f, g)
-    if f:
-        (cf, f), (cg, g) = _primitive(f), _primitive(g)
-        if max(f) < max(g):
-            f, g = g, f
-        # A nonzero remainder of degree 0 makes the next g a unit, so only
-        # the content survives.
-        while max(g) > 0:
-            r = _prem(f, g)
-            if not r:
-                break
-            f, g = g, _primitive(r)[1]
-        g = _mul(g, {0: _gcd(cf, cg)})
-    return _idiv(g, -1) if _lead(g) < 0 else g
-
-
-# A certificate of coprimality, after Brown's modular gcd (W. S. Brown,
-# J. ACM 18(4), 1971; Geddes, Czapor and Labahn 1992, ch. 7), used one way
-# only: it may prove two views coprime, never that they share a factor.
-# Let f, g be nonconstant views whose b-leading coefficients lf, lg in Z[a]
-# have leading integers nonzero mod P.  Views are primitive, so no integer
-# divides both, and a common factor h that is not a unit lies in Z[a] or
-# has positive b-degree.
-# 1. h in Z[a].  h divides every Z[a] coefficient of f and g, and its
-#    leading integer divides that of lf, so its image mod P keeps its
-#    degree and divides the images of them all.  If those images have a
-#    unit gcd in F_P[a] (a coefficient that is 0 mod P is skipped), there
-#    is no such h.  This holds where lf and lg share a factor, as a + 1
-#    and (a + 1)b + a do; the scan stops at the first unit.
-# 2. Positive b-degree.  By Gauss's lemma the b-leading coefficient of h
-#    divides lf, so at any a0 where lf*lg does not vanish mod P the image
-#    h(a0, b) keeps its b-degree and divides f(a0, b) and g(a0, b).  One
-#    such a0 with coprime images in F_P[b] excludes h.  The first _POINTS
-#    such a0 in 0, 1, ... are tried (lf*lg has at most deg lf + deg lg
-#    roots mod P), since images at one point may share a factor, as b and
-#    ab + a + b do at a0 = 0.
-# Both steps passing proves gcd(f, g) = 1; otherwise the pseudo-remainder
-# sequence decides.  No table cell in a symbolic-generic benchmark op runs
-# a gcd: each point there is an affine automorphism of Q[a, b], which keeps
-# a table cell in lowest terms (kernel._affine_point).  The certificate
-# serves the other points, such as rational-function points.
-_P = 2**30 - 35  # the largest prime below 2**30: a residue is one CPython digit
-_POINTS = 3  # the points a0 step 2 tries before the PRS decides
-
-
-def _gcd_mod_p(u: list, v: list) -> list:
-    """A gcd in F_P[x], not monic, of u and v, integer coefficient lists from
-    degree 0 up whose last entries are nonzero mod _P; a unit has length 1.
-    Euclid without inverses: u becomes lc(v)*u - lc(u)*x^k*v until its
-    degree is below v's."""
-    while len(v) > 1:
-        dv, lv = len(v) - 1, v[-1]
-        u = list(u)
-        while len(u) > dv:
-            lu = u.pop()
-            k = len(u) - dv
-            for j in range(len(u)):
-                u[j] = (lv * u[j] - (lu * v[j - k] if j >= k else 0)) % _P
-            while u and not u[-1]:
-                u.pop()
-        if not u:
-            return v
-        u, v = v, u
-    return v
-
-
-def _at(u, x: int) -> int:
-    """A number congruent mod _P to u(x), for u over Z, a dict."""
-    if not x:  # a0 is 0 at most gcds, and u(0) is one lookup
-        return u.get(0, 0)
-    return sum([c * x**d for d, c in u.items()]) % _P
-
-
-def _image(h, x: int) -> list:
-    """The coefficient list in b, from degree 0 up, of h over Z[a] at a = x,
-    each entry congruent mod _P to its value."""
-    im = [0] * (max(h) + 1)
-    for d, u in h.items():
-        im[d] = _at(u, x)
-    return im
-
-
-def _certified_coprime(f, g) -> bool:
-    """True only if the nonconstant views f and g are coprime (see above).
-    Step 1 runs first: at the points where a table's gcds are not all 1,
-    such as (1/a, b/a), each common factor is in Z[a], and step 2 is then
-    skipped."""
-    lf, lg = f[max(f)], g[max(g)]
-    df, dg = max(lf), max(lg)
-    if not (lf[df] % _P and lg[dg] % _P):
-        return False
-    if df and dg:  # else a nonzero constant mod P is a unit of F_P[a]
-        h = [lf.get(d, 0) for d in range(df + 1)]
-        for u in chain(g.values(), f.values()):
-            u = [u.get(d, 0) % _P for d in range(max(u) + 1)]
-            while u and not u[-1]:
-                u.pop()
-            if u:
-                h = _gcd_mod_p(h, u)
-                if len(h) == 1:
-                    break
-        else:
-            return False
-    points = (x for x in count() if _at(lf, x) % _P and _at(lg, x) % _P)
-    return any(len(_gcd_mod_p(_image(f, x), _image(g, x))) == 1 for x in islice(points, _POINTS))
+_polygcd = None  # the module of the Z[a][b] gcd routines, once poly_gcd has needed it
 
 
 def poly_gcd(p: Poly2, q: Poly2) -> Poly2:
     """Monic gcd of two bivariate polynomials (1 for coprime inputs)."""
+    global _polygcd
     if p.is_zero() or q.is_zero():
         g = p + q  # the other one
-    elif p.is_const() or q.is_const() or _certified_coprime(p._view, q._view):
+    elif p.is_const() or q.is_const():
         return _ONE_POLY
-    else:  # the gcd of two views is a view (Gauss's lemma)
-        g = _poly(_gcd(p._view, q._view), Q(1))
+    else:
+        if _polygcd is None:
+            from . import _polygcd
+        if _polygcd._certified_coprime(p._view, q._view):
+            return _ONE_POLY
+        # the gcd of two views is a view (Gauss's lemma)
+        g = _poly(_polygcd._gcd(p._view, q._view), Q(1))
     return g.scale(1 / g.leading_coeff()) if g else g
 
 
@@ -721,7 +586,10 @@ def _int_val(n: int, p: int) -> int:
 
 
 def padic_val(x, p: int) -> int:
-    """Exponent of the prime p in the nonzero rational x."""
+    """Exponent of the prime p in the nonzero rational x; InvalidData unless
+    is_prime(p), since for p = 1 the count would not end."""
+    if not is_prime(p):
+        raise InvalidData(f"p-adic valuation needs a prime p, got {p}")
     x = Q(x)
     if x == 0:
         raise ZeroArgument("p-adic valuation of zero")
@@ -806,39 +674,39 @@ def _eval_node(node, symbolic: bool):
     binary + - * / ** and unary + -, and rejects any other construct by
     its node or operator name alone, before evaluating that construct's
     operands, so the message never formats the node."""
-    if isinstance(node, ast.Expression):
+    if isinstance(node, _ast.Expression):
         return _eval_node(node.body, symbolic)
-    if isinstance(node, ast.Constant):
+    if isinstance(node, _ast.Constant):
         if type(node.value) is not int:  # bool is an int subclass: True is not 1 here
             raise ParseError(f"non-integer literal {node.value!r}")
         if node.value.bit_length() > MAX_EXPONENT**2:
             raise ParseError(f"integer literal of {node.value.bit_length()} bits exceeds {MAX_EXPONENT**2}")
         return Poly2.const(node.value) if symbolic else Q(node.value)
-    if isinstance(node, ast.Name):
+    if isinstance(node, _ast.Name):
         if not symbolic:
             raise ParseError(f"symbol {node.id!r} in numeric scalar")
         return Poly2.var(node.id)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+    if isinstance(node, _ast.UnaryOp) and isinstance(node.op, (_ast.USub, _ast.UAdd)):
         val = _eval_node(node.operand, symbolic)
-        return -val if isinstance(node.op, ast.USub) else val
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
+        return -val if isinstance(node.op, _ast.USub) else val
+    if isinstance(node, _ast.BinOp) and isinstance(node.op, (_ast.Add, _ast.Sub, _ast.Mult, _ast.Div, _ast.Pow)):
         lhs = _eval_node(node.left, symbolic)
         rhs = _eval_node(node.right, symbolic)
         if isinstance(lhs, RatFunc) or isinstance(rhs, RatFunc):
             lhs, rhs = _as_field(lhs), _as_field(rhs)
-        if isinstance(node.op, ast.Add):
+        if isinstance(node.op, _ast.Add):
             return lhs + rhs
-        if isinstance(node.op, ast.Sub):
+        if isinstance(node.op, _ast.Sub):
             return lhs - rhs
-        if isinstance(node.op, ast.Mult):
+        if isinstance(node.op, _ast.Mult):
             return lhs * rhs
-        if isinstance(node.op, ast.Div):
+        if isinstance(node.op, _ast.Div):
             if not rhs:
                 raise ParseError("division by zero in scalar expression")
             if isinstance(lhs, Poly2) and rhs.is_const():
                 return lhs.scale(1 / rhs.const_value())
             return RatFunc(lhs, rhs) if isinstance(lhs, Poly2) else lhs / rhs
-        if not isinstance(node.right, ast.Constant):  # ast.Pow; a Constant that evaluated is an int
+        if not isinstance(node.right, _ast.Constant):  # _ast.Pow; a Constant that evaluated is an int
             raise ParseError("exponents must be integer literals")
         n = node.right.value
         if n > MAX_EXPONENT:
@@ -854,7 +722,9 @@ def parse_scalar(text: str, symbolic: bool = False) -> Scalar:
     Exponents, literals and powers are bounded as stated at MAX_EXPONENT,
     and an expression too deep to evaluate recursively is a ParseError."""
     try:
-        return _as_field(_eval_node(ast.parse(text.strip(), mode="eval"), symbolic))
+        # ast.parse(text, mode="eval") is this call, made from a module without future imports
+        tree = compile(text.strip(), "<unknown>", "eval", _ast.PyCF_ONLY_AST, True)
+        return _as_field(_eval_node(tree, symbolic))
     except SyntaxError as exc:
         raise ParseError(f"bad scalar expression {text!r}: {exc}") from exc
     except RecursionError as exc:

@@ -90,6 +90,22 @@ W_ALL = tuple(sorted((WeylElem(p) for p in _WORDS), key=lambda w: (w.length(), w
 S0 = WeylElem((4, 3, 2, 1))
 
 
+#: Torus elements with block coordinates x, y and z (kernel.torus_block_coords).
+TORUS_BASIS = (
+    (Q(1), Q(0), Q(0), Q(-1)),
+    (Q(0), Q(1), Q(-1), Q(0)),
+    (Q(0), Q(0), Q(1), Q(1)),
+)
+
+#: Bases of the centers of gsp4 (G) and of the Siegel (P) and Klingen (Q)
+#: Levi subalgebras: diag(u,u,u,u), diag(u,u,v,v) and diag(u,v,v,2v-u).
+LEVI_CENTERS = {
+    "G": ((Q(1), Q(1), Q(1), Q(1)),),
+    "P": ((Q(1), Q(1), Q(0), Q(0)), (Q(0), Q(0), Q(1), Q(1))),
+    "Q": ((Q(1), Q(0), Q(0), Q(-1)), (Q(0), Q(1), Q(1), Q(2))),
+}
+
+
 def _act_word(word: str, x, s1, s2):
     """Apply the letters of a word like "s1s2" to x, rightmost first;
     s1(x) and s2(x) give the action of one letter."""

@@ -6,21 +6,24 @@ computes or certifies, or a fact only the tests check; nothing under
 (pytest's default import mode puts ``tests/`` on ``sys.path``).
 """
 
+import argparse
 import ast
 from fractions import Fraction as Q
 from itertools import accumulate, combinations
 from math import prod
 
+from gsp4hodge.cli import COMMANDS, _ArgumentParser
 from gsp4hodge.errors import DegreeCapExceeded, DivisionByZero, NotALine, ParseError
 from gsp4hodge.extledger import AddChar, _qpchar, _tchar
 from gsp4hodge.kernel import (
-    _GENERATOR_DEF,
     GENERATOR_LABELS,
+    T1,
+    T2,
     LInvariantPlane,
-    W_ORDER,
     _require_nondegenerate,
     block_index,
     eigenline_grid,
+    embed_block,
     generator_vector,
     glue_subspace,
     kernel_basis,
@@ -57,7 +60,7 @@ from gsp4hodge.scalars import (
     poly_gcd,
     scalar_str,
 )
-from gsp4hodge.weyl import W_ALL, Weight, WeylElem, _act_word, weyl_act_weight
+from gsp4hodge.weyl import W_ALL, W_ID, Weight, WeylElem, _act_word, from_word, weyl_act_weight
 
 # ---------------------------------------------------------------------------
 # Products in Q[a, b] and Q(a, b) by the general route
@@ -371,8 +374,27 @@ def table_evaluator_by_field_ops(a: Scalar, b: Scalar):
 
 
 # ---------------------------------------------------------------------------
-# The matrix suite by elimination
+# The generators and the matrix suite by elimination
 # ---------------------------------------------------------------------------
+
+
+#: Each distinguished generator's torus element and Weyl element, built
+#: from its word; kernel._GENERATOR_DEF holds the same as permutations.
+GENERATOR_DEF_BY_WORD = {
+    "f1": (T1, W_ID),
+    "f2": (T1, from_word("s2")),
+    "f3": (T1, from_word("s1s2s1s2")),
+    "f4": (T1, from_word("s2s1")),
+    "g1": (T2, W_ID),
+    "g2": (T2, from_word("s1")),
+    "g3": (T2, from_word("s1s2")),
+    "g4": (T2, from_word("s1s2s1s2")),
+}
+
+
+def generator_vector_by_word(label: str):
+    t, w = GENERATOR_DEF_BY_WORD[label]
+    return embed_block(t, w)
 
 
 def matrix_suite_by_elimination(a: Scalar, b: Scalar) -> dict:
@@ -385,7 +407,7 @@ def matrix_suite_by_elimination(a: Scalar, b: Scalar) -> dict:
     Binv = inverse(coerce_rows(B))
     out = {}
     for label in GENERATOR_LABELS:
-        t, w = _GENERATOR_DEF[label]
+        t, w = GENERATOR_DEF_BY_WORD[label]
         M = nu_operator(grid, w, t)
         out[label] = mat_mul(mat_mul(Binv, M), coerce_rows(B))
     return out
@@ -508,7 +530,7 @@ def block_permutation(w: WeylElem, rows) -> tuple:
     """R_w on rows of E^24: the block of u moves to the block of u * w^-1
     and keeps its (x, y, z), so that K(phi_w(a, b)) = R_w K(a, b)."""
     winv = w.inv()
-    moves = [(3 * block_index(u), 3 * block_index(u * winv)) for u in W_ORDER]
+    moves = [(3 * block_index(u), 3 * block_index(u * winv)) for u in W_ALL]
     out = []
     for row in rows:
         new = list(row)
@@ -587,3 +609,32 @@ def weyl_act_addchar(w: WeylElem, psi: AddChar) -> AddChar:
         return _qpchar(w.act_tuple(psi.val), w.act_tuple(psi.log))
     # T_to_E: val and log each transform like a weight
     return _tchar(*(weyl_act_weight(w, Weight(*half)).coords() for half in (psi.val, psi.log)))
+
+
+# ---------------------------------------------------------------------------
+# The command line
+# ---------------------------------------------------------------------------
+
+
+def build_parser_all_commands() -> argparse.ArgumentParser:
+    """The CLI's parser with every command's options built up front;
+    cli.build_parser adds them to the invoked command's subparser only."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "text", "dot"), default="json")
+    common.add_argument("--input", default=None, help="JSON document path or - for stdin")
+    common.add_argument("--symbolic", action="store_true", help="work over Q(a,b)")
+    common.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
+    parser = _ArgumentParser(
+        prog="gsp4hodge",
+        description="Exact computations around symplectic Hodge parameters.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        p = sub.add_parser(name, parents=[common])
+        if name == "socle":
+            p.add_argument("kind", nargs="?", choices=("PS1", "pi1", "pimin"))
+            p.add_argument("--w", default=None, help="Weyl word like s1s2 or one-line [2,1,4,3]")
+        if name == "recover":
+            p.add_argument("--random", type=int, default=0, help="round-trip this many random points")
+    parser.set_defaults(random=0)
+    return parser

@@ -26,7 +26,9 @@ from gsp4hodge.cli import (
     render,
     run_batch,
 )
+from gsp4hodge.errors import ParseError
 from gsp4hodge.kernel import kernel_basis
+from oracles import build_parser_all_commands
 
 GOOD_DOC = {
     "p": 3,
@@ -87,9 +89,8 @@ class TestDispatch:
             calls.append((a, b))
             return real(a, b)
 
-        # the cli's handlers import kernel_basis from the kernel module when they run
-        for module in (gsp4hodge.kernel, gsp4hodge.extledger):
-            monkeypatch.setattr(module, "kernel_basis", counted)
+        # the cli's handlers and check_ledger import kernel_basis from the kernel module when they run
+        monkeypatch.setattr(gsp4hodge.kernel, "kernel_basis", counted)
         _, code = call(command, doc)
         assert code == EXIT_OK and len(calls) == 1
 
@@ -893,6 +894,59 @@ def test_exit_contract(command, monkeypatch, tmp_path):
         check()
 
 
+#: argv words: every command, positionals, options with good and bad
+#: values, the --flag=value form, abbreviations, help and the end marker.
+_ARGV_WORD = st.one_of(
+    st.sampled_from(sorted(COMMANDS)),
+    st.sampled_from(["PS1", "pi1", "pimin", "bogus", "extra", "-", "-1", "--", "--bogus", "-x"]),
+    st.sampled_from(["--help", "-h", "--he", "--sym", "--form=text", "--symbolic"]),
+    st.sampled_from(["--format=xml", "--format=dot", "--seed=x", "--seed=4", "--random=2", "--w=s1", "--input=-"]),
+    st.tuples(
+        st.sampled_from(["--format", "--seed", "--random", "--w", "--input"]),
+        st.sampled_from(["json", "text", "xml", "3", "x", "abc", "-2", "s1s2", "[2,1,4,3]", "doc.json"]),
+    ).map(list),
+)
+
+
+def _parsed(parser, argv):
+    """What parse_args makes of argv: the namespace, the usage error, or
+    the exit code and text of a help message."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "namespace", vars(parser.parse_args(argv))
+    except ParseError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+def _flatten(words):
+    return [x for w in words for x in ([w] if isinstance(w, str) else w)]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_parser_matches_all_commands_parser(command):
+    """build_parser adds options to the invoked command's subparser only,
+    and parses every argv as the parser that builds them all up front
+    (tests/oracles.py): the same namespace, usage error or help text."""
+    fixed = ([], ["--help"], [command], [command, "--help"], [command, "-h"], ["--help", command], [command, "extra"])
+    for argv in fixed:
+        assert _parsed(build_parser(), argv) == _parsed(build_parser_all_commands(), argv), argv
+    assert _parsed(build_parser(), [command, "--help"])[:2] == ("exit", 0)
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(
+        before=st.lists(_ARGV_WORD, max_size=2) | st.just([]),
+        after=st.lists(_ARGV_WORD, max_size=5),
+    )
+    def check(before, after):
+        argv = _flatten(before) + [command] + _flatten(after)
+        assert _parsed(build_parser(), argv) == _parsed(build_parser_all_commands(), argv)
+
+    check()
+
+
 CATALOG = Path(__file__).resolve().parent.parent / "perfbench" / "catalog.json"
 
 
@@ -976,11 +1030,31 @@ IMPORT_BUDGET = {
     "validate": ("validate:P0", False, False),
     "flag": ("flag:P0", False, False),
     "kernel": ("kernel:P0", False, True),
+    "matrices": ("matrices:P0", False, True),
+    "recover": ("recover-params:P0", False, True),
     "hecke": ("hecke-fwd:H1", False, False),
     "classify": ("classify:C0", False, False),
     "ledger": ("ledger", True, True),
-    "socle": ("socle-dot:pimin", True, True),
+    "socle": ("socle-dot:pimin", True, False),
 }
+
+
+def _cold_modules(argv, stdin):
+    """The exit code of main in a fresh process, and the modules it loaded."""
+    script = (
+        "import json, sys\n"
+        "import gsp4hodge.cli\n"
+        "code = gsp4hodge.cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        input=stdin or "",
+        env=dict(os.environ, PYTHONPATH=str(Path(gsp4hodge.__file__).resolve().parent.parent)),
+        capture_output=True,
+        text=True,
+    )
+    return json.loads(out.stderr.splitlines()[-1])
 
 
 @pytest.mark.parametrize("command", sorted(IMPORT_BUDGET))
@@ -989,27 +1063,25 @@ def test_import_budget(command):
     dataclasses."""
     name, extledger, kernel = IMPORT_BUDGET[command]
     entry = json.loads(CATALOG.read_text(encoding="utf-8"))["entries"][name]
-    script = (
-        "import json, sys\n"
-        "import gsp4hodge.cli\n"
-        "code = gsp4hodge.cli.main(json.loads(sys.argv[1]))\n"
-        "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(entry["argv"])],
-        input=entry["stdin"] or "",
-        env=dict(os.environ, PYTHONPATH=str(Path(gsp4hodge.__file__).resolve().parent.parent)),
-        capture_output=True,
-        text=True,
-    )
-    code, modules = json.loads(out.stderr.splitlines()[-1])
+    code, modules = _cold_modules(entry["argv"], entry["stdin"])
     assert code in entry["expect"]
     assert "dataclasses" not in modules
     assert ("gsp4hodge.extledger" in modules) == extledger
     assert ("gsp4hodge.kernel" in modules) == kernel
-    if command == "hecke":
-        # the charpoly and its inverse take no Weyl group
+    # a numeric command takes no gcd in Z[a][b], and scalars parses through _ast
+    assert not {"gsp4hodge._polygcd", "ast"} & set(modules)
+    if command in ("kernel", "matrices", "recover", "hecke"):
+        # the committed tables, the charpoly and its inverse take no Weyl group
         assert "gsp4hodge.weyl" not in modules
     if command == "validate":
         # checking a document takes no linear algebra, flags or Weyl group
         assert not {"gsp4hodge.linalg", "gsp4hodge.symplectic", "gsp4hodge.weyl"} & set(modules)
+
+
+def test_symbolic_kernel_loads_the_gcd_module():
+    """(1/a, b/a) is no affine point: parsing b/a, and 17 table cells
+    there, take gcds of two nonconstant polynomials, so poly_gcd imports
+    the Z[a][b] gcd routines."""
+    code, modules = _cold_modules(["kernel", "--symbolic", "--input", "-"], json.dumps({"a": "1/a", "b": "b/a"}))
+    assert code == EXIT_OK
+    assert "gsp4hodge._polygcd" in modules and "ast" not in modules

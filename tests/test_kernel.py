@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gsp4hodge._polygcd
 import gsp4hodge.kernel
 from gsp4hodge.errors import DegreeCapExceeded, InvalidData, NotALine
 from gsp4hodge.kernel import (
@@ -59,12 +60,14 @@ from gsp4hodge.symplectic import J as FORM, Subspace, gsp4_coordinates, lie_memb
 from gsp4hodge.weyl import S1, S2, W_ALL, W_ID, from_word
 from make_tables import tables
 from oracles import (
+    GENERATOR_DEF_BY_WORD,
     RECOVERY_LABELS,
     block_permutation,
     _nondeg_factor_values,
     _projected_line,
     det,
     generator_meets,
+    generator_vector_by_word,
     hodge_borel_basis,
     matrix_suite_by_elimination,
     parameters_from_meets,
@@ -327,13 +330,23 @@ class TestJbar:
         a, b = Q(2), Q(3)
         grid = eigenline_grid(a, b)
         M = jbar_matrix(a, b)
-        from gsp4hodge.kernel import _GENERATOR_DEF
-
         for label in GENERATOR_LABELS:
             vec = generator_vector(label)
             image = [sum(x * y for x, y in zip(row, vec)) for row in M]
-            t, w = _GENERATOR_DEF[label]
+            t, w = GENERATOR_DEF_BY_WORD[label]
             assert image == gsp4_coordinates(nu_operator(grid, w, t))
+
+
+class TestWeylPermutationData:
+    """kernel keeps its Weyl data as permutations, so that the tables'
+    commands need not build the Weyl group."""
+
+    def test_block_order_is_w_all(self):
+        assert W_ORDER == tuple(w.perm for w in W_ALL)
+
+    @pytest.mark.parametrize("label", GENERATOR_LABELS)
+    def test_generator_vector_matches_words(self, label):
+        assert generator_vector(label) == generator_vector_by_word(label)
 
 
 class TestGlue:
@@ -828,7 +841,7 @@ class TestCertificate:
         # The line F_w^i ∩ F_H^{5-i} exists, with a nonzero leading
         # coefficient, iff F_w^{i-1} and F_H^{5-i} span E^4.
         hodge = filtration_basis(A, B)
-        for w in W_ORDER:
+        for w in W_ALL:
             inv = w.inv().perm
             for i in (1, 2, 3, 4):
                 coord = [[ONE if c == inv[k] - 1 else ZERO for c in range(4)] for k in range(i - 1)]
@@ -1151,7 +1164,7 @@ class TestEvaluatedKernel:
 
 
 def _in_lowest_terms(num: Poly2, den: Poly2) -> bool:
-    return gsp4hodge.scalars._gcd(num._view, den._view) == {0: {0: 1}}
+    return gsp4hodge._polygcd._gcd(num._view, den._view) == {0: {0: 1}}
 
 
 class TestAffinePoints:

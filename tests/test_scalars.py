@@ -3,6 +3,7 @@ import operator
 import pickle
 import random
 import re
+import signal
 from collections import Counter
 from itertools import combinations_with_replacement
 from contextlib import contextmanager
@@ -20,13 +21,14 @@ from gsp4hodge.errors import (
     ParseError,
     ZeroArgument,
 )
+import gsp4hodge._polygcd as polygcd
 import gsp4hodge.scalars as scalars
+from gsp4hodge._polygcd import _certified_coprime
 from gsp4hodge.scalars import (
     MAX_EXPONENT,
     PRIME_BOUND,
     Poly2,
     RatFunc,
-    _certified_coprime,
     is_prime,
     is_zero,
     linear_combination,
@@ -143,6 +145,24 @@ class TestPadicVal:
                 continue
             for p in (2, 3, 5):
                 assert padic_val(x * y, p) == padic_val(x, p) + padic_val(y, p)
+
+    @pytest.mark.parametrize("p", (-2, 0, 1, 4), ids=("minus-two", "zero", "one", "four"))
+    def test_p_must_be_prime(self, p):
+        # p = 1 once counted forever and p = 4 gave padic_val(8, 4) = 1:
+        # each call now raises at once, within a 5-second bound
+        def expire(signum, frame):
+            raise AssertionError(f"padic_val(12, {p}) ran past its time bound")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            with pytest.raises(InvalidData, match=rf"p-adic valuation needs a prime p, got {p}"):
+                padic_val(12, p)
+            with pytest.raises(InvalidData):
+                padic_val(8, p)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestIsPrime:
@@ -590,7 +610,7 @@ def _general_route():
 
 
 def _view_gcd_is_one(p, q):
-    return scalars._gcd(p._view, q._view) == {0: {0: 1}}
+    return polygcd._gcd(p._view, q._view) == {0: {0: 1}}
 
 
 def _poly(text):
@@ -720,13 +740,13 @@ class TestConstructorTypes:
 
 
 class TestCoprimeCertificate:
-    """scalars._certified_coprime, after Brown's modular gcd, is one-sided:
+    """_polygcd._certified_coprime, after Brown's modular gcd, is one-sided:
     it answers True only for coprime views, and poly_gcd then runs no
     pseudo-remainder sequence; every other pair takes the PRS as before."""
 
     def test_modulus_is_prime(self):
         # Euclid mod _P and both steps of the proof need F_P to be a field
-        assert is_prime(scalars._P) and scalars._P < 2**30
+        assert is_prime(polygcd._P) and polygcd._P < 2**30
 
     @given(_FACTORS, _FACTORS, _FACTORS, _NONZERO_Q, _NONZERO_Q)
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -757,8 +777,8 @@ class TestCoprimeCertificate:
         (
             ("a*b + a", "a*b - a", "a"),  # a common factor in Z[a] alone: a divides both leads
             ("(a + 1)*(b + 1)", "(a + 1)*(b - 1)", "a + 1"),  # the same, found by Euclid in F_P[a]
-            (f"{scalars._P}*a*b + 1", "a*b + 2", "1"),  # a leading integer divisible by P
-            (f"{scalars._P}*b + a", f"{scalars._P}*b + a + 1", "1"),  # both leading integers
+            (f"{polygcd._P}*a*b + 1", "a*b + 2", "1"),  # a leading integer divisible by P
+            (f"{polygcd._P}*b + a", f"{polygcd._P}*b + a + 1", "1"),  # both leading integers
             ("(a + 1)*(a + 2)", "(a + 1)*(a - 3)", "a + 1"),  # both inputs in Z[a]
             ("(b + 1)*(a*b + 1)", "(b + 1)*(a + b)", "b + 1"),  # a common factor of positive b-degree
         ),
@@ -766,8 +786,8 @@ class TestCoprimeCertificate:
     def test_falls_back_to_the_prs(self, monkeypatch, p, q, gcd):
         p, q = _poly(p), _poly(q)
         assert not _certified_coprime(p._view, q._view)
-        calls, real = [], scalars._gcd
-        monkeypatch.setattr(scalars, "_gcd", lambda f, g: calls.append(1) or real(f, g))
+        calls, real = [], polygcd._gcd
+        monkeypatch.setattr(polygcd, "_gcd", lambda f, g: calls.append(1) or real(f, g))
         assert poly_gcd(p, q) == _poly(gcd) and calls
 
     @pytest.mark.parametrize(
@@ -790,7 +810,7 @@ class TestCoprimeCertificate:
         def forbidden(*args):
             raise AssertionError("a certified pair ran the pseudo-remainder sequence")
 
-        monkeypatch.setattr(scalars, "_gcd", forbidden)
+        monkeypatch.setattr(polygcd, "_gcd", forbidden)
         assert _certified_coprime(p._view, q._view) and poly_gcd(p, q) == Poly2.const(1)
 
     @pytest.mark.parametrize(
@@ -809,8 +829,8 @@ class TestCoprimeCertificate:
         from gsp4hodge.kernel import kernel_basis, matrix_suite
 
         a, b = (parse_scalar(t, symbolic=True) for t in point)
-        calls, real = [], scalars._prem
-        monkeypatch.setattr(scalars, "_prem", lambda f, g: calls.append(1) or real(f, g))
+        calls, real = [], polygcd._prem
+        monkeypatch.setattr(polygcd, "_prem", lambda f, g: calls.append(1) or real(f, g))
         K = kernel_basis(a, b)
         matrix_suite(a, b)
         assert len(calls) == prems
