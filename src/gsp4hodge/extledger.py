@@ -15,8 +15,7 @@ from itertools import combinations
 
 from ._value import Value
 from .errors import InvalidData, InvalidIndexSet, LedgerInconsistent
-from .linalg import rank
-from .weyl import LEVI_CENTERS, TORUS_BASIS, CocharTuple, Weight, WeylElem, L_map, L_map_inverse
+from .weyl import LEVI_CENTERS, TORUS_BASIS, CocharTuple, WeylElem, L_map
 
 
 class AddChar(Value):
@@ -91,6 +90,8 @@ def hom_space(kind: str):
 
 
 def hom_space_dim(kind: str) -> int:
+    from .linalg import rank  # only the ledger takes a rank: socle compiles no linalg
+
     return rank([list(c.coords()) for c in hom_space(kind)])
 
 
@@ -99,12 +100,6 @@ def ell_map(psi: AddChar) -> AddChar:
     if psi.shape != "qp_to_t":
         raise InvalidData("ell_map expects a qp_to_t character")
     return _tchar(*(L_map(CocharTuple(half)).coords() for half in (psi.val, psi.log)))
-
-
-def ell_map_inverse(chi: AddChar) -> AddChar:
-    if chi.shape != "T_to_E":
-        raise InvalidData("ell_map_inverse expects a T_to_E character")
-    return _qpchar(*(L_map_inverse(Weight(*half)).m for half in (chi.val, chi.log)))
 
 
 # ---------------------------------------------------------------------------

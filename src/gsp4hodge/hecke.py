@@ -12,7 +12,6 @@ from fractions import Fraction as Q
 
 from ._value import Value
 from .errors import InconsistentData, InvalidData
-from .phimodule import partial_sum_set
 from .scalars import is_prime, padic_val
 
 GAP_SLOPE = 20170901
@@ -146,6 +145,8 @@ def classicality_classify(alphas, weights, p: int, C) -> ClassicalityReport:
                 f"h_{i+1} - h_{i+2} = {h[i] - h[i+1]} <= {bound}",
             )
             break
+
+    from .phimodule import partial_sum_set  # only classify scans refinements: hecke compiles no phimodule
 
     admissible = partial_sum_set(p, alphas, h)
     very = (

@@ -5,17 +5,20 @@ eight generator matrices in the filtration basis, and the invariant plane.
 
 The kernel, the matrix suite and the invariant plane are committed tables
 over Q(a, b), which one evaluator evaluates at a point, kept for the last
-point; nothing is eliminated per point.  The parameters are read off two
-cells of the kernel table and checked against the kernel at that point,
-unless the kernel is the one kept.  The grid, its operators and the
-jbar matrix stay as the routes the tables stand for: tests/make_tables.py
-prints the tables from them, and the certificate in tests/test_kernel.py
-proves the tables equal them at every nondegenerate point.
+point; nothing is eliminated or normalised per point.  A point is an int,
+a Fraction or a RatFunc in each of a and b (_point); a float, a bool or
+anything else is a TypeError.  The parameters are read off two cells of
+the kernel table and checked against the kernel at that point, unless the
+kernel is the one kept.  The grid, its operators and the jbar matrix stay
+as the routes the tables stand for: tests/make_tables.py prints the tables
+from them, and the certificate in tests/test_kernel.py proves the tables
+equal them at every nondegenerate point.
 
 Block conventions.  The domain is one copy of the 3-dimensional diagonal
 torus algebra per Weyl element, in the fixed order W_ORDER; a torus element
 diag(x, y, z-y, z-x) has block coordinates (x, y, z), so the flat space is
-E^24 with coordinate 3*block + k.  The distinguished generators are
+E^24 with coordinate 3*block + k.  The plane table is written in the
+coordinates of the distinguished generators
 
     f1 = (T1)_e      f2 = (T1)_{s2}    f3 = (T1)_{s0}    f4 = (T1)_{s2s1}
     g1 = (T2)_e      g2 = (T2)_{s1}    g3 = (T2)_{s1s2}  g4 = (T2)_{s0}
@@ -47,23 +50,7 @@ if TYPE_CHECKING:
 W_ORDER = ((1, 2, 3, 4), (2, 1, 4, 3), (1, 3, 2, 4), (2, 4, 1, 3), (3, 1, 4, 2), (4, 2, 3, 1), (3, 4, 1, 2), (4, 3, 2, 1))
 _BLOCK_INDEX = {perm: i for i, perm in enumerate(W_ORDER)}
 
-#: Torus elements behind the distinguished generators.
-T1 = (Q(-1), Q(-1), Q(1), Q(1))
-T2 = (Q(-1), Q(0), Q(0), Q(1))
-
 GENERATOR_LABELS = ("f1", "f2", "f3", "f4", "g1", "g2", "g3", "g4")
-#: Each generator's torus element and the permutation of its Weyl element:
-#: e, s2, s1s2s1s2, s2s1, e, s1, s1s2 and s1s2s1s2.
-_GENERATOR_DEF = {
-    "f1": (T1, (1, 2, 3, 4)),
-    "f2": (T1, (1, 3, 2, 4)),
-    "f3": (T1, (4, 3, 2, 1)),
-    "f4": (T1, (3, 1, 4, 2)),
-    "g1": (T2, (1, 2, 3, 4)),
-    "g2": (T2, (2, 1, 4, 3)),
-    "g3": (T2, (2, 4, 1, 3)),
-    "g4": (T2, (4, 3, 2, 1)),
-}
 
 
 def block_index(w: WeylElem) -> int:
@@ -80,19 +67,26 @@ def torus_block_coords(t) -> tuple:
 
 def embed_block(t, w: WeylElem):
     """The 24-vector carrying the torus element t in the block of w."""
-    return _embed(t, w.perm)
-
-
-def _embed(t, perm: tuple):
     x, y, z = torus_block_coords(t)
     vec = [Q(0)] * 24
-    base = 3 * _BLOCK_INDEX[perm]
+    base = 3 * block_index(w)
     vec[base], vec[base + 1], vec[base + 2] = x, y, z
     return tuple(vec)
 
 
-def generator_vector(label: str):
-    return _embed(*_GENERATOR_DEF[label])
+def _point(a: Scalar, b: Scalar) -> tuple:
+    """(a, b) in one field: RatFunc if either is one, else Fraction.  Each
+    must be an int, a Fraction or a RatFunc; a TypeError names any other,
+    a float (not exact) and a bool (rejected, as parse_integer does) too."""
+    ta, tb = type(a), type(b)
+    if ta is tb and (ta is Q or ta is RatFunc):  # already one field
+        return a, b
+    for name, t in (("a", ta), ("b", tb)):
+        if t not in (int, Q, RatFunc):
+            raise TypeError(f"{name} must be an int, a Fraction or a RatFunc, not {t.__name__!r}")
+    if RatFunc in (ta, tb):
+        return tuple(x if type(x) is RatFunc else RatFunc.const(x) for x in (a, b))
+    return Q(a), Q(b)
 
 
 def _require_nondegenerate(a: Scalar, b: Scalar, factors: tuple | None = None) -> None:
@@ -117,6 +111,7 @@ def eigenline_grid(a: Scalar, b: Scalar) -> EigenlineGrid:
     """Intersect the coordinate flags with the Hodge flag, line by line."""
     from .weyl import W_ALL  # the Weyl group, in W_ORDER
 
+    a, b = _point(a, b)
     _require_nondegenerate(a, b)
     hodge = coerce_rows(filtration_basis(a, b))
     lines = {}
@@ -281,8 +276,8 @@ def _table_evaluator(a: Scalar, b: Scalar):
     both, and the cells with the same powers share their monomials.  Each
     distinct cell and table denominator is evaluated once, so a table pays
     only for its own, and the tables share one evaluator per point through
-    _evaluation.  InvalidData names the first factor that vanishes at (a, b)."""
-    a, b = coerce_rows([(a, b)])[0]
+    _evaluation.  (a, b) is a point in one field, as _point gives it;
+    InvalidData names the first factor that vanishes there."""
     factors = nondeg_factors(a, b)
     _require_nondegenerate(a, b, factors)
     (an, ad), (bn, bd) = factors[:2]
@@ -345,7 +340,7 @@ _last = None  # the evaluation kept for the last point: see _evaluation
 def _evaluation(a: Scalar, b: Scalar) -> list:
     """The tables' evaluation at (a, b), kept for the last point as
     [key, value, kernel rows].  The key is (field, a, b) after
-    coerce_rows, so a point of Q and the same constants in Q(a, b) never
+    _point, so a point of Q and the same constants in Q(a, b) never
     share it; the rows stay None until kernel_basis builds them, there or
     for recover_parameters at a point it reads off.  A degenerate point
     raises InvalidData and leaves the kept one as it was."""
@@ -359,7 +354,7 @@ def _evaluation(a: Scalar, b: Scalar) -> list:
 def _kept(a: Scalar, b: Scalar) -> tuple:
     """The key of (a, b) and the kept evaluation if it is that point's,
     else None."""
-    a, b = coerce_rows([(a, b)])[0]
+    a, b = _point(a, b)
     key = (type(a), a, b)
     entry = _last  # read once: another thread may replace it meanwhile
     return key, entry if entry is not None and entry[0] == key else None
@@ -382,8 +377,9 @@ def jbar_rank(a: Scalar, b: Scalar) -> int:
     nondegenerate point, read off the table without evaluating a cell.
     At the kept point its evaluation has checked the point already; any
     other point is checked, InvalidData if degenerate, and not kept."""
-    if _kept(a, b)[1] is None:
-        _require_nondegenerate(a, b)
+    key, entry = _kept(a, b)
+    if entry is None:
+        _require_nondegenerate(*key[1:])
     return 24 - len(_KERNEL_PIVOTS)
 
 
@@ -431,7 +427,8 @@ _PLANE_TABLE = (
 
 class LInvariantPlane(Value):
     """Kernel-mod-glue presentation: two representatives in the generator
-    coordinates f1..f4, g1..g4, plus the parameters they encode."""
+    coordinates f1..f4, g1..g4, the rows of the committed plane table at
+    (a, b), plus the parameters they encode."""
 
     basis_fg: tuple
     a: Scalar
@@ -446,23 +443,17 @@ class LInvariantPlane(Value):
 
 def l_invariant_plane(a: Scalar, b: Scalar) -> LInvariantPlane:
     """The plane K / glue at (a, b), by evaluating the committed plane
-    table (InvalidData at a degenerate point), with (a, b) read off it:
-    b = -g2/g3 - 1 in row 0 and a = b g4/g2 in row 1.  Each row of basis_fg
-    is divided by the first nonzero entry of its vector in E^24, found at
-    the point, so basis_fg is normalized pointwise and is not a rational
-    function of (a, b): over Q(a, b) it has poles on ab - 2b^2 + a - b = 0
-    and ab + 2b^2 + a + b = 0, for example at (3/2, 1) and (-3/2, 1)."""
+    table (InvalidData at a degenerate point).  basis_fg is its two rows
+    as the evaluator gives them: polynomials in (a, b), so the plane has
+    no poles off the degenerate locus.  (a, b) is read off them by two
+    ratios that no scale of a row moves: b = -g2/g3 - 1 in row 0, where
+    g3 = 2b, and a = b g4/g2 in row 1, where g2 = 2b^2."""
     value = _evaluation(a, b)[1]
-    gens = [generator_vector(label) for label in GENERATOR_LABELS]
-    basis_fg = []
-    for cells in _PLANE_TABLE:
-        row = [value(cell) for cell in cells]
-        lead = next(x for x in mat_mul([row], gens)[0] if x)
-        basis_fg.append(tuple(x / lead for x in row))
+    basis_fg = tuple(tuple(map(value, cells)) for cells in _PLANE_TABLE)
     (*_, g2, g3, _), (*_, h2, _, h4) = basis_fg
     b = -g2 / g3 - 1
     return LInvariantPlane(
-        basis_fg=tuple(basis_fg), a=b * h4 / h2, b=b, kernel_dim=len(_KERNEL_PIVOTS), glue_dim=glue_subspace().dim
+        basis_fg=basis_fg, a=b * h4 / h2, b=b, kernel_dim=len(_KERNEL_PIVOTS), glue_dim=glue_subspace().dim
     )
 
 

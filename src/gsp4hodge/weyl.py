@@ -211,10 +211,3 @@ def L_map(c: CocharTuple) -> Weight:
     """The lattice isomorphism diag(m1..m4) -> (m1-m3, m1-m2, m4)."""
     m1, m2, m3, m4 = c.m
     return Weight(m1 - m3, m1 - m2, m4)
-
-
-def L_map_inverse(mu: Weight) -> CocharTuple:
-    n1, n2, n3 = mu.coords()
-    # m4 = n3, m2 = m1-n2, m3 = m1-n1; m1+m4 = m2+m3 forces m1 = n1+n2+n3.
-    m1 = n1 + n2 + n3
-    return CocharTuple((m1, m1 - n2, m1 - n1, n3))

@@ -13,18 +13,15 @@ from itertools import accumulate, combinations
 from math import prod
 
 from gsp4hodge.cli import COMMANDS, _ArgumentParser
-from gsp4hodge.errors import DegreeCapExceeded, DivisionByZero, NotALine, ParseError
+from gsp4hodge.errors import DegreeCapExceeded, DivisionByZero, InvalidData, NotALine, ParseError
 from gsp4hodge.extledger import AddChar, _qpchar, _tchar
 from gsp4hodge.kernel import (
     GENERATOR_LABELS,
-    T1,
-    T2,
     LInvariantPlane,
     _require_nondegenerate,
     block_index,
     eigenline_grid,
     embed_block,
-    generator_vector,
     glue_subspace,
     kernel_basis,
     nu_operator,
@@ -60,7 +57,7 @@ from gsp4hodge.scalars import (
     poly_gcd,
     scalar_str,
 )
-from gsp4hodge.weyl import W_ALL, W_ID, Weight, WeylElem, _act_word, from_word, weyl_act_weight
+from gsp4hodge.weyl import W_ALL, W_ID, CocharTuple, Weight, WeylElem, _act_word, from_word, weyl_act_weight
 
 # ---------------------------------------------------------------------------
 # Products in Q[a, b] and Q(a, b) by the general route
@@ -378,8 +375,13 @@ def table_evaluator_by_field_ops(a: Scalar, b: Scalar):
 # ---------------------------------------------------------------------------
 
 
+#: Torus elements behind the distinguished generators.
+T1 = (Q(-1), Q(-1), Q(1), Q(1))
+T2 = (Q(-1), Q(0), Q(0), Q(1))
+
 #: Each distinguished generator's torus element and Weyl element, built
-#: from its word; kernel._GENERATOR_DEF holds the same as permutations.
+#: from its word.  The plane table in kernel is written in these
+#: generators' coordinates, in GENERATOR_LABELS order.
 GENERATOR_DEF_BY_WORD = {
     "f1": (T1, W_ID),
     "f2": (T1, from_word("s2")),
@@ -442,7 +444,7 @@ def generator_meets(kernel_rows) -> tuple:
     kernel_rows may be any spanning set, echelon or not."""
     ann = nullspace(list(kernel_rows), 24)
     return tuple(
-        tuple(meet_coordinates([generator_vector(lbl) for lbl in labels], ann))
+        tuple(meet_coordinates([generator_vector_by_word(lbl) for lbl in labels], ann))
         for labels in RECOVERY_LABELS
     )
 
@@ -485,7 +487,7 @@ def l_invariant_plane_by_meets(a, b) -> LInvariantPlane:
     for labels, meet in zip(RECOVERY_LABELS, meets):
         if len(meet) != 1:
             raise NotALine(f"kernel meets span{labels} in dimension {len(meet)}")
-        gens = [generator_vector(lbl) for lbl in labels]
+        gens = [generator_vector_by_word(lbl) for lbl in labels]
         vec = mat_mul(meet, gens)[0]
         # the representative is the meet's echelon basis vector in E^24
         lead = next(x for x in vec if x)
@@ -602,6 +604,19 @@ def is_dominant(mu: Weight) -> bool:
 
 def is_strictly_dominant(mu: Weight) -> bool:
     return mu.n1 > mu.n2 > 0
+
+
+def L_map_inverse(mu: Weight) -> CocharTuple:
+    n1, n2, n3 = mu.coords()
+    # m4 = n3, m2 = m1-n2, m3 = m1-n1; m1+m4 = m2+m3 forces m1 = n1+n2+n3.
+    m1 = n1 + n2 + n3
+    return CocharTuple((m1, m1 - n2, m1 - n1, n3))
+
+
+def ell_map_inverse(chi: AddChar) -> AddChar:
+    if chi.shape != "T_to_E":
+        raise InvalidData("ell_map_inverse expects a T_to_E character")
+    return _qpchar(*(L_map_inverse(Weight(*half)).m for half in (chi.val, chi.log)))
 
 
 def weyl_act_addchar(w: WeylElem, psi: AddChar) -> AddChar:

@@ -1076,6 +1076,12 @@ def test_import_budget(command):
     if command == "validate":
         # checking a document takes no linear algebra, flags or Weyl group
         assert not {"gsp4hodge.linalg", "gsp4hodge.symplectic", "gsp4hodge.weyl"} & set(modules)
+    if command == "socle":
+        # a socle diagram takes no rank: only the ledger's hom_space_dim does
+        assert "gsp4hodge.linalg" not in modules
+    if command == "hecke":
+        # the charpoly scans no refinements: only classify does
+        assert "gsp4hodge.phimodule" not in modules
 
 
 def test_symbolic_kernel_loads_the_gcd_module():

@@ -15,7 +15,6 @@ from gsp4hodge.extledger import (
     constituent_of,
     constituents,
     ell_map,
-    ell_map_inverse,
     hom_space,
     hom_space_dim,
     socle_constituents,
@@ -26,7 +25,7 @@ from gsp4hodge.linalg import row_space
 from gsp4hodge.phimodule import vanishing_factor
 from gsp4hodge.scalars import RatFunc
 from gsp4hodge.weyl import S1, S2, W_ALL, W_ID, check_involution, from_word
-from oracles import l_invariant_plane_by_meets, weyl_act_addchar
+from oracles import ell_map_inverse, l_invariant_plane_by_meets, weyl_act_addchar
 
 
 def span_of(chars):
@@ -229,12 +228,13 @@ class TestLInvariantPlane:
         assert plane.dim == 2 and plane.a == A and plane.b == B
 
     def test_basis_normalization(self):
-        # each representative is the echelon basis vector of its meet in
-        # E^24, written in the generator coordinates f1..f4, g1..g4
+        # the plane table's two rows at the point, in the generator
+        # coordinates f1..f4, g1..g4: the kernel's meets scaled by 2b and
+        # 2ab, with no normalisation per point
         plane = l_invariant_plane(Q(2), Q(3))
         assert plane.basis_fg == (
-            tuple(Q(x, 13) for x in (5, 4, 11, -20, -18, 24, -6, 0)),
-            tuple(Q(x, 29) for x in (1, 20, -11, -10, -30, 18, 0, 12)),
+            tuple(map(Q, (-5, -4, -11, 20, 18, -24, 6, 0))),
+            tuple(map(Q, (1, 20, -11, -10, -30, 18, 0, 12))),
         )
 
     def test_basis_lives_on_expected_generators(self):
@@ -246,7 +246,8 @@ class TestLInvariantPlane:
 
 def on_curves():
     """Nondegenerate points on ab - 2b^2 + a - b = 0 and ab + 2b^2 + a + b = 0,
-    where the symbolic basis_fg has its poles: a = +-b(2b + 1)/(b + 1)."""
+    a = +-b(2b + 1)/(b + 1), where a row scaled by the first nonzero entry
+    of its vector in E^24 had poles."""
     points = []
     for b in (Q(1), Q(2), Q(1, 2), Q(-1, 3), Q(3, 2), Q(-5, 2), Q(7)):
         for sign in (1, -1):
@@ -256,9 +257,22 @@ def on_curves():
     return points
 
 
+def assert_matches_meets(plane, a, b):
+    """plane's (a, b) and dimensions are the meet route's, and each of its
+    rows is a nonzero multiple of that route's row: the meet route scales
+    a row by the first nonzero entry of its vector in E^24."""
+    want = l_invariant_plane_by_meets(a, b)
+    assert (plane.a, plane.b, plane.kernel_dim, plane.glue_dim) == (want.a, want.b, want.kernel_dim, want.glue_dim)
+    assert len(plane.basis_fg) == len(want.basis_fg) == 2
+    for row, ref in zip(plane.basis_fg, want.basis_fg):
+        factor = next(x / y for x, y in zip(row, ref) if y)
+        assert factor and all(x == factor * y for x, y in zip(row, ref))
+
+
 class TestPlaneRoutes:
     """l_invariant_plane evaluates the committed plane table; the meet
-    route in tests/oracles.py eliminates.  They agree everywhere."""
+    route in tests/oracles.py eliminates.  They agree everywhere, as
+    planes with the same (a, b)."""
 
     @given(
         st.fractions(min_value=-30, max_value=30, max_denominator=12),
@@ -268,24 +282,36 @@ class TestPlaneRoutes:
     def test_numeric(self, a, b):
         assume(vanishing_factor(a, b) is None)
         plane = l_invariant_plane(a, b)
-        assert plane == l_invariant_plane_by_meets(a, b)
+        assert_matches_meets(plane, a, b)
         assert all(type(x) is Q for row in plane.basis_fg for x in row)
 
     @pytest.mark.parametrize("point", on_curves())
     def test_on_the_pole_curves(self, point):
-        assert l_invariant_plane(*point) == l_invariant_plane_by_meets(*point)
+        assert_matches_meets(l_invariant_plane(*point), *point)
 
     @pytest.mark.parametrize("shift", ((0, 1, 0), (3, 2, 5)))
     def test_symbolic(self, shift):
         c1, c2, c3 = (RatFunc.const(c) for c in shift)
         a, b = RatFunc.var("a") + c1, RatFunc.var("b") * c2 + c3
         plane = l_invariant_plane(a, b)
-        assert plane == l_invariant_plane_by_meets(a, b)
+        assert_matches_meets(plane, a, b)
         assert (plane.a, plane.b) == (a, b)
 
     def test_degenerate_point_names_factor(self):
         with pytest.raises(InvalidData, match="factor b\\+1 vanishes"):
             l_invariant_plane(Q(2), Q(-1))
+
+    def test_affine_point_takes_two_gcds(self, monkeypatch):
+        # at (a + 3, 2b + 5) the cells take no gcd: only the two ratios that
+        # read (a, b) off the rows cancel in Q(a, b)
+        import gsp4hodge.scalars
+
+        A, B = RatFunc.var("a"), RatFunc.var("b")
+        gcds, real = [], gsp4hodge.scalars.poly_gcd
+        monkeypatch.setattr(gsp4hodge.scalars, "poly_gcd", lambda p, q: gcds.append((p, q)) or real(p, q))
+        plane = l_invariant_plane(A + 3, 2 * B + 5)
+        assert sum(not (p.is_const() or q.is_const()) for p, q in gcds) <= 2
+        assert (plane.a, plane.b) == (A + 3, 2 * B + 5)
 
     def test_takes_no_elimination(self, monkeypatch):
         """No null space, meet, rank, RREF or kernel recovery per point.

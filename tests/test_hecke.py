@@ -12,9 +12,8 @@ from gsp4hodge.hecke import (
     classicality_classify,
     hecke_charpoly,
     ideal_generators,
-    partial_sum_set,
 )
-from gsp4hodge.phimodule import PhiModuleData
+from gsp4hodge.phimodule import PhiModuleData, partial_sum_set
 from oracles import admissible_refinements_by_meets
 
 

@@ -16,7 +16,6 @@ from gsp4hodge.kernel import (
     W_ORDER,
     eigenline_grid,
     embed_block,
-    generator_vector,
     glue_generators,
     glue_subspace,
     jbar_matrix,
@@ -331,7 +330,7 @@ class TestJbar:
         grid = eigenline_grid(a, b)
         M = jbar_matrix(a, b)
         for label in GENERATOR_LABELS:
-            vec = generator_vector(label)
+            vec = generator_vector_by_word(label)
             image = [sum(x * y for x, y in zip(row, vec)) for row in M]
             t, w = GENERATOR_DEF_BY_WORD[label]
             assert image == gsp4_coordinates(nu_operator(grid, w, t))
@@ -343,10 +342,6 @@ class TestWeylPermutationData:
 
     def test_block_order_is_w_all(self):
         assert W_ORDER == tuple(w.perm for w in W_ALL)
-
-    @pytest.mark.parametrize("label", GENERATOR_LABELS)
-    def test_generator_vector_matches_words(self, label):
-        assert generator_vector(label) == generator_vector_by_word(label)
 
 
 class TestGlue:
@@ -975,7 +970,7 @@ class TestCertificate:
             ann.append(vec)
         for labels, row in zip(RECOVERY_LABELS, self.plane_rows()):
             coords = [row[GENERATOR_LABELS.index(label)] for label in labels]
-            gens = [generator_vector(label) for label in labels]
+            gens = [generator_vector_by_word(label) for label in labels]
             system = [[sum((x * y for x, y in zip(v, g) if y), ZERO) for g in gens] for v in ann]
             assert all(sum((x * c for x, c in zip(eq, coords)), ZERO) == 0 for eq in system)
             minors = (
@@ -990,7 +985,7 @@ class TestCertificate:
         have the 2 x 2 minor 4ab^2 at columns 19 and 22, a factor product.
         So at every nondegenerate point they are independent modulo the
         glue, and with it span the 17-dimensional kernel."""
-        gens = [generator_vector(label) for label in GENERATOR_LABELS]
+        gens = [generator_vector_by_word(label) for label in GENERATOR_LABELS]
         glue = glue_subspace().rows
         reduced = []
         for row in self.plane_rows():
@@ -1001,6 +996,14 @@ class TestCertificate:
             reduced.append(vec)
         (u, v), (w, z) = [(vec[19], vec[22]) for vec in reduced]
         assert u * z - v * w == RatFunc.const(4) * A * B * B
+
+    def test_plane_table_is_polynomial(self):
+        """Every plane cell is an integer or has the empty denominator (),
+        so the plane's rows are polynomials in (a, b), with no poles at
+        all; over Q(a, b) every cell of basis_fg has denominator 1."""
+        assert all(isinstance(c, int) or c[0] == () for row in _PLANE_TABLE for c in row)
+        plane = l_invariant_plane(A, B)
+        assert all(x.den == Poly2.const(1) for row in plane.basis_fg for x in row)
 
     def test_hodge_flag_in_general_position(self):
         """For each of the 42 pairs (E_S, F^j), |S| = 1..3 and j = 1..3,
@@ -1228,7 +1231,7 @@ class TestAffinePoints:
         layouts, recovered, inits, leads, gcds = self.construction_counts(monkeypatch, point)
         assert not inits and len(leads) == len(layouts) == 9
         assert recovered == point
-        value = _evaluation(*point)[1]  # the plane's cells; its row scaling divides in the field
+        value = _evaluation(*point)[1]  # the plane's cells; its read-off of (a, b) divides in the field
         cells = {cell: value(cell) for cell in TABLE_CELLS}
         monkeypatch.undo()
         assert not gcds, "a gcd at an affine point"

@@ -24,6 +24,14 @@ from gsp4hodge.errors import (
 import gsp4hodge._polygcd as polygcd
 import gsp4hodge.scalars as scalars
 from gsp4hodge._polygcd import _certified_coprime
+from gsp4hodge.kernel import (
+    eigenline_grid,
+    jbar_matrix,
+    jbar_rank,
+    kernel_basis,
+    l_invariant_plane,
+    matrix_suite,
+)
 from gsp4hodge.scalars import (
     MAX_EXPONENT,
     PRIME_BOUND,
@@ -737,6 +745,47 @@ class TestConstructorTypes:
         # RatFunc is exported: a part that is no Poly2 is named, not an AttributeError
         with pytest.raises(TypeError, match=rf"RatFunc {part} must be a Poly2, not '{kind}'"):
             RatFunc(*args)
+
+
+#: Every entry point of kernel that takes a point (a, b).
+POINT_ENTRIES = (kernel_basis, jbar_rank, matrix_suite, l_invariant_plane, eigenline_grid, jbar_matrix)
+
+
+class TestPointTypes:
+    """kernel._point gates every point: a and b are each an int, a
+    Fraction or a RatFunc.  A float is not exact, and a bool is rejected as
+    parse_integer rejects it."""
+
+    @pytest.mark.parametrize("call", POINT_ENTRIES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "point, name, kind",
+        (
+            ((0.1, 3), "a", "float"),
+            ((1.0, 2), "a", "float"),
+            ((2, 3.0), "b", "float"),
+            ((True, 3), "a", "bool"),
+            ((Q(2), False), "b", "bool"),
+            (("2", 3), "a", "str"),
+            ((A, "b"), "b", "str"),
+            ((None, 3), "a", "NoneType"),
+            ((Q(2), None), "b", "NoneType"),
+        ),
+        ids=("float", "float-one", "float-b", "bool", "bool-b", "str", "str-b", "None", "None-b"),
+    )
+    def test_other_types_are_type_errors(self, call, point, name, kind):
+        # kernel_basis(0.1, 3) computed at 3602879701896397/36028797018963968, and
+        # jbar_rank(1.0, 2) and eigenline_grid(1.0, 2) raised AttributeError
+        with pytest.raises(TypeError, match=rf"^{name} must be an int, a Fraction or a RatFunc, not '{kind}'$"):
+            call(*point)
+
+    @pytest.mark.parametrize("call", POINT_ENTRIES, ids=lambda f: f.__name__)
+    def test_ints_fractions_and_ratfuncs_mix(self, call):
+        # a point is lifted into one field: Q, or Q(a, b) if either is a RatFunc
+        assert call(2, Q(3)) == call(Q(2), Q(3)) == call(2, 3)
+        if call is not jbar_matrix:  # elimination over Q(a, b) takes seconds
+            three = RatFunc.const(3)
+            assert call(A + 1, 3) == call(A + 1, three)
+            assert call(Q(3), A) == call(three, A)
 
 
 class TestCoprimeCertificate:

@@ -22,11 +22,10 @@ from gsp4hodge.weyl import (
     from_oneline,
     from_word,
     L_map,
-    L_map_inverse,
     pairing,
     weyl_act,
 )
-from oracles import is_dominant, is_strictly_dominant
+from oracles import L_map_inverse, is_dominant, is_strictly_dominant
 
 
 class TestGroupStructure:
