@@ -423,38 +423,23 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-class _CommandParser(_ArgumentParser):
-    """One command's subparser.  It adds its options when argparse invokes
-    it, so a process builds the options of the one command it runs, while
-    every command stays registered by name for the usage messages."""
-
-    def __init__(self, command: str, **kwargs):
-        super().__init__(**kwargs)
-        self._command = command  # None once the options are added
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._command is not None:
-            self.add_argument("--format", choices=("json", "text", "dot"), default="json")
-            self.add_argument("--input", default=None, help="JSON document path or - for stdin")
-            self.add_argument("--symbolic", action="store_true", help="work over Q(a,b)")
-            self.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
-            if self._command == "socle":
-                self.add_argument("kind", nargs="?", choices=("PS1", "pi1", "pimin"))
-                self.add_argument("--w", default=None, help="Weyl word like s1s2 or one-line [2,1,4,3]")
-            if self._command == "recover":
-                self.add_argument("--random", type=int, default=0, help="round-trip this many random points")
-            self._command = None
-        return super().parse_known_args(args, namespace)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="gsp4hodge",
         description="Exact computations around symplectic Hodge parameters.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)  # each an _ArgumentParser too
     for name in COMMANDS:
-        sub.add_parser(name, command=name)
+        p = sub.add_parser(name)
+        p.add_argument("--format", choices=("json", "text", "dot"), default="json")
+        p.add_argument("--input", default=None, help="JSON document path or - for stdin")
+        p.add_argument("--symbolic", action="store_true", help="work over Q(a,b)")
+        p.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
+        if name == "socle":
+            p.add_argument("kind", nargs="?", choices=("PS1", "pi1", "pimin"))
+            p.add_argument("--w", default=None, help="Weyl word like s1s2 or one-line [2,1,4,3]")
+        if name == "recover":
+            p.add_argument("--random", type=int, default=0, help="round-trip this many random points")
     parser.set_defaults(random=0)
     return parser
 

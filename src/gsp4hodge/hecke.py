@@ -47,14 +47,13 @@ class FrobeniusData(Value):
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "sim", Q(self.sim))
 
-    @property
-    def trace(self) -> Q:
-        return -self.coeffs[0]
-
 
 def hecke_charpoly(d: HeckeData) -> FrobeniusData:
     """Characteristic polynomial of Frobenius from the three eigenvalues:
-    T^4 - c1 T^3 + ((l^3+l)c0 + l c2) T^2 - l^3 c0 c1 T + l^6 c0^2."""
+    T^4 - c1 T^3 + ((l^3+l)c0 + l c2) T^2 - l^3 c0 c1 T + l^6 c0^2.
+    A d that is not a HeckeData is a TypeError."""
+    if not isinstance(d, HeckeData):
+        raise TypeError(f"d must be a HeckeData, not {type(d).__name__!r}")
     l = Q(d.l)
     q3 = -d.c1
     q2 = (l**3 + l) * d.c0 + l * d.c2

@@ -460,39 +460,35 @@ def l_invariant_plane(a: Scalar, b: Scalar) -> LInvariantPlane:
 def recover_parameters(K: Subspace):
     """Read (a, b) back from the kernel, then check the whole kernel.
 
+    K must be a Subspace; a TypeError names any other type.
     Rows that kernel_basis kept for the last point, the same tuple, are
     the table evaluated there by construction, so that point is returned
     and no cell is compared.
-    Any other K's rows must have 24 entries.  They are used as they are
-    when they already have the committed table's pivots (1 at
-    _KERNEL_PIVOTS[r] in row r, 0 in the other pivot columns); any other
-    spanning set, redundant or not echelon, is brought to that form by one
-    rref.  In the table, row 0 column 13 is 1/a and row 1 column 13 is
-    -(1 + 2b)/a, so a and b are read off those two cells.  The rows must
-    then equal kernel_basis(a, b), cell by canonical cell, in every free
-    column; the pivot columns already do.  That point is then the one
-    kept, so kernel_basis, matrix_suite and l_invariant_plane there
-    evaluate nothing new.
+    Any other K's rows must have 24 entries.  One rref brings them, a
+    basis or any other spanning set, to pivot form, whose pivots must be
+    the committed table's _KERNEL_PIVOTS.  In the table, row 0 column 13
+    is 1/a and row 1 column 13 is -(1 + 2b)/a, so a and b are read off
+    those two cells.  The rows must then equal kernel_basis(a, b), cell
+    by canonical cell, in every free column; the pivot columns already
+    do.  That point is then the one kept, so kernel_basis, matrix_suite
+    and l_invariant_plane there evaluate nothing new.
     By the certificate in tests/test_kernel.py every kernel at a
     nondegenerate point passes, and every other input raises NotALine with
     a witness: a row length, the pivots, a zero cell, the vanishing factor,
     or the first mismatching (row, column).
     """
+    if not isinstance(K, Subspace):
+        raise TypeError(f"K must be a Subspace, not {type(K).__name__!r}")
     rows, entry = K.rows, _last
     if entry is not None and entry[2] is not None and rows is entry[2]:
         return entry[0][1:]
     for r, row in enumerate(rows):
         if len(row) != 24:
             raise NotALine(f"kernel row {r} has {len(row)} entries, not 24")
-    if len(rows) != len(_KERNEL_PIVOTS) or not all(
-        row[pivot] == 1 and not any(row[p] for p in _KERNEL_PIVOTS if p != pivot)
-        for row, pivot in zip(rows, _KERNEL_PIVOTS)
-    ):
-        rows, pivots = rref(coerce_rows(rows))
-        if tuple(pivots) != _KERNEL_PIVOTS:
-            raise NotALine(f"kernel has pivot columns {pivots}, not those of the committed table")
-        rows = rows[: len(pivots)]
-    inv_a, cell = coerce_rows([(rows[0][13], rows[1][13])])[0]
+    rows, pivots = rref(coerce_rows(rows))
+    if tuple(pivots) != _KERNEL_PIVOTS:
+        raise NotALine(f"kernel has pivot columns {pivots}, not those of the committed table")
+    inv_a, cell = rows[0][13], rows[1][13]
     if not inv_a:
         raise NotALine("kernel cell (0, 13), which is 1/a, vanishes")
     a = 1 / inv_a

@@ -103,7 +103,10 @@ class ValidityReport(Value):
 
 
 def validate(d: PhiModuleData) -> ValidityReport:
-    """Run every structural invariant; failures carry witnesses."""
+    """Run every structural invariant; failures carry witnesses.  A d
+    that is not a PhiModuleData is a TypeError."""
+    if not isinstance(d, PhiModuleData):
+        raise TypeError(f"d must be a PhiModuleData, not {type(d).__name__!r}")
     checks = []
 
     checks.append(CheckResult("p-prime", is_prime(d.p), f"p={d.p}"))

@@ -48,6 +48,8 @@ class Poly2:
     __slots__ = ("_scale", "_view")
 
     def __init__(self, terms: dict[Monomial, Q] | None = None):
+        if not isinstance(terms, (dict, type(None))):
+            raise TypeError(f"Poly2 terms must be a dict, not {type(terms).__name__!r}")
         coeffs = [(mono, Q(c)) for mono, c in (terms or {}).items()]
         denom = _int_lcm(*(c.denominator for _, c in coeffs))
         view: dict = {}
@@ -573,7 +575,7 @@ def ring_pair(x) -> tuple:
 def _int_val(n: int, p: int) -> int:
     """Exponent of p in a positive integer; doubling ladder keeps the
     division count logarithmic in the exponent."""
-    if p == 2:
+    if p == 2:  # trailing zero bits; the ladder divides in time quadratic in n's size
         return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
@@ -720,7 +722,10 @@ def parse_scalar(text: str, symbolic: bool = False) -> Scalar:
     """Parse "3/4", "-2", "a*b + 1" or "(b + 1)/(a - 2)" style strings.
 
     Exponents, literals and powers are bounded as stated at MAX_EXPONENT,
-    and an expression too deep to evaluate recursively is a ParseError."""
+    and an expression too deep to evaluate recursively is a ParseError.
+    A text that is not a str is a TypeError."""
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, not {type(text).__name__!r}")
     try:
         # ast.parse(text, mode="eval") is this call, made from a module without future imports
         tree = compile(text.strip(), "<unknown>", "eval", _ast.PyCF_ONLY_AST, True)

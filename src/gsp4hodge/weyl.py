@@ -124,7 +124,10 @@ def _act_word(word: str, x, s1, s2):
 
 
 def from_word(word: str) -> WeylElem:
-    """Parse words like "s1s2s1"; "e" or "" is the identity."""
+    """Parse words like "s1s2s1"; "e" or "" is the identity.  A word that
+    is not a str is a TypeError."""
+    if not isinstance(word, str):
+        raise TypeError(f"word must be a str, not {type(word).__name__!r}")
     word = word.strip()
     if word in ("", "e", "id"):
         return W_ID

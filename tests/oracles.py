@@ -6,13 +6,11 @@ computes or certifies, or a fact only the tests check; nothing under
 (pytest's default import mode puts ``tests/`` on ``sys.path``).
 """
 
-import argparse
 import ast
 from fractions import Fraction as Q
 from itertools import accumulate, combinations
 from math import prod
 
-from gsp4hodge.cli import COMMANDS, _ArgumentParser
 from gsp4hodge.errors import DegreeCapExceeded, DivisionByZero, InvalidData, NotALine, ParseError
 from gsp4hodge.extledger import AddChar, _qpchar, _tchar
 from gsp4hodge.kernel import (
@@ -624,32 +622,3 @@ def weyl_act_addchar(w: WeylElem, psi: AddChar) -> AddChar:
         return _qpchar(w.act_tuple(psi.val), w.act_tuple(psi.log))
     # T_to_E: val and log each transform like a weight
     return _tchar(*(weyl_act_weight(w, Weight(*half)).coords() for half in (psi.val, psi.log)))
-
-
-# ---------------------------------------------------------------------------
-# The command line
-# ---------------------------------------------------------------------------
-
-
-def build_parser_all_commands() -> argparse.ArgumentParser:
-    """The CLI's parser with every command's options built up front;
-    cli.build_parser adds them to the invoked command's subparser only."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text", "dot"), default="json")
-    common.add_argument("--input", default=None, help="JSON document path or - for stdin")
-    common.add_argument("--symbolic", action="store_true", help="work over Q(a,b)")
-    common.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
-    parser = _ArgumentParser(
-        prog="gsp4hodge",
-        description="Exact computations around symplectic Hodge parameters.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, parents=[common])
-        if name == "socle":
-            p.add_argument("kind", nargs="?", choices=("PS1", "pi1", "pimin"))
-            p.add_argument("--w", default=None, help="Weyl word like s1s2 or one-line [2,1,4,3]")
-        if name == "recover":
-            p.add_argument("--random", type=int, default=0, help="round-trip this many random points")
-    parser.set_defaults(random=0)
-    return parser

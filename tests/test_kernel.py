@@ -501,7 +501,7 @@ class TestRecovery:
         return recover_parameters(K), len(calls)
 
     def test_table_rows_take_no_elimination(self, monkeypatch):
-        # rows with the table's pivots are read as they are
+        # the rows kernel_basis kept are the table there: no elimination
         assert self.count_rrefs(monkeypatch, kernel_basis(Q(2), Q(3))) == ((Q(2), Q(3)), 0)
 
     def test_non_echelon_basis_takes_one_elimination(self, monkeypatch):
@@ -611,6 +611,9 @@ class TestKeptEvaluation:
             ((3, 0), "+1", "kernel differs from the committed table at cell (3, 11)"),
             ((5, 5), "*2", "kernel differs from the committed table at cell (5, 11)"),
             ((2, 12), "+1", "kernel differs from the committed table at cell (2, 13)"),
+            # a free cell left of its row's own pivot: rref moves that pivot there
+            ((12, 11), "+1", f"kernel has pivot columns {[*range(13), 15, 16, 18, 20]}, not those of the committed table"),
+            ((16, 13), "+1", f"kernel has pivot columns {[*range(11), 12, 13, 14, 15, 16, 18]}, not those of the committed table"),
         ),
     )
     def test_changed_copy_gets_its_witness(self, symbolic, cell, change, witness):
@@ -745,14 +748,14 @@ class TestWeylRelabeling:
         b=st.builds(Q, st.integers(-(2**40), 2**40), st.integers(1, 2**40)),
     )
     def test_recovery_of_the_relabeled_kernel(self, a, b):
-        # R_w K(a, b) is no kernel the entry built: for w != e its rows are
-        # not echelon, and recovery takes one rref and the full check
+        # R_w K(a, b) is no kernel the entry built, for w = e a new tuple of
+        # its rows, so recovery takes one rref and the full check
         assume(vanishing_factor(a, b) is None)
         rows = kernel_basis(a, b).rows
         for w in W_ALL:
             K = Subspace(rows=block_permutation(w, rows), ambient=24)
             with pytest.MonkeyPatch.context() as patch:
-                assert TestRecovery.count_rrefs(patch, K) == (phi(w, (a, b)), int(w != W_ID))
+                assert TestRecovery.count_rrefs(patch, K) == (phi(w, (a, b)), 1)
 
     def test_convention(self):
         # s1s2 is no involution: R_w moves the block of u to u * w^-1, and

@@ -24,6 +24,7 @@ from gsp4hodge.errors import (
 import gsp4hodge._polygcd as polygcd
 import gsp4hodge.scalars as scalars
 from gsp4hodge._polygcd import _certified_coprime
+from gsp4hodge.hecke import hecke_charpoly
 from gsp4hodge.kernel import (
     eigenline_grid,
     jbar_matrix,
@@ -31,7 +32,9 @@ from gsp4hodge.kernel import (
     kernel_basis,
     l_invariant_plane,
     matrix_suite,
+    recover_parameters,
 )
+from gsp4hodge.phimodule import validate
 from gsp4hodge.scalars import (
     MAX_EXPONENT,
     PRIME_BOUND,
@@ -46,6 +49,7 @@ from gsp4hodge.scalars import (
     poly_gcd,
     scalar_str,
 )
+from gsp4hodge.weyl import from_word
 from oracles import (
     parse_scalar_by_whitelist,
     poly2_add_by_scale_ratio,
@@ -786,6 +790,25 @@ class TestPointTypes:
             three = RatFunc.const(3)
             assert call(A + 1, 3) == call(A + 1, three)
             assert call(Q(3), A) == call(three, A)
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize(
+        "call, arg, message",
+        (
+            (recover_parameters, 5, "K must be a Subspace, not 'int'"),
+            (Poly2, "a", "Poly2 terms must be a dict, not 'str'"),
+            (parse_scalar, 3, "text must be a str, not 'int'"),
+            (validate, {}, "d must be a PhiModuleData, not 'dict'"),
+            (hecke_charpoly, None, "d must be a HeckeData, not 'NoneType'"),
+            (from_word, 5, "word must be a str, not 'int'"),
+        ),
+        ids=("recover_parameters", "Poly2", "parse_scalar", "validate", "hecke_charpoly", "from_word"),
+    )
+    def test_wrong_type_is_a_type_error(self, call, arg, message):
+        # each raised AttributeError on its argument's first attribute
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call(arg)
 
 
 class TestCoprimeCertificate:
