@@ -15,7 +15,7 @@ from them, and the certificate in tests/test_kernel.py proves the tables
 equal them at every nondegenerate point.
 
 Block conventions.  The domain is one copy of the 3-dimensional diagonal
-torus algebra per Weyl element, in the fixed order W_ORDER; a torus element
+torus algebra per Weyl element, in the order of weyl.W_ALL; a torus element
 diag(x, y, z-y, z-x) has block coordinates (x, y, z), so the flat space is
 E^24 with coordinate 3*block + k.  The plane table is written in the
 coordinates of the distinguished generators
@@ -44,17 +44,13 @@ from .symplectic import Subspace, gsp4_coordinates
 if TYPE_CHECKING:
     from .weyl import WeylElem
 
-#: Fixed block order for the 24-dimensional domain: the one-line
-#: permutations of weyl.W_ALL, in its order.  Only the eliminating routes
-#: build the Weyl group, so the tables' commands never load weyl.
-W_ORDER = ((1, 2, 3, 4), (2, 1, 4, 3), (1, 3, 2, 4), (2, 4, 1, 3), (3, 1, 4, 2), (4, 2, 3, 1), (3, 4, 1, 2), (4, 3, 2, 1))
-_BLOCK_INDEX = {perm: i for i, perm in enumerate(W_ORDER)}
-
 GENERATOR_LABELS = ("f1", "f2", "f3", "f4", "g1", "g2", "g3", "g4")
 
 
 def block_index(w: WeylElem) -> int:
-    return _BLOCK_INDEX[w.perm]
+    """The block of w: its place in weyl.W_ALL."""
+    from .weyl import W_ALL
+    return W_ALL.index(w)
 
 
 def torus_block_coords(t) -> tuple:
@@ -109,7 +105,7 @@ class EigenlineGrid(Value):
 
 def eigenline_grid(a: Scalar, b: Scalar) -> EigenlineGrid:
     """Intersect the coordinate flags with the Hodge flag, line by line."""
-    from .weyl import W_ALL  # the Weyl group, in W_ORDER
+    from .weyl import W_ALL  # the Weyl group, in block order
 
     a, b = _point(a, b)
     _require_nondegenerate(a, b)
@@ -156,7 +152,7 @@ def nu_operator(grid: EigenlineGrid, w: WeylElem, t):
 
 def jbar_matrix(a: Scalar, b: Scalar):
     """The 11 x 24 matrix of the summed tangent map in the fixed bases."""
-    from .weyl import TORUS_BASIS, W_ALL  # the Weyl group, in W_ORDER
+    from .weyl import TORUS_BASIS, W_ALL  # the Weyl group, in block order
 
     grid = eigenline_grid(a, b)
     cols = []
@@ -390,13 +386,13 @@ def jbar_rank(a: Scalar, b: Scalar) -> int:
 def glue_generators():
     """The 16 difference vectors (z)_w - (z)_{s_delta w}, one per unordered
     pair {w, s_delta w} per Levi-center basis element."""
-    from .weyl import LEVI_CENTERS, S1, S2, W_ALL  # the Weyl group, in W_ORDER
+    from .weyl import LEVI_CENTERS, S1, S2, W_ALL  # the Weyl group, in block order
 
     out = []
     for s_delta, z_basis in ((S1, LEVI_CENTERS["P"]), (S2, LEVI_CENTERS["Q"])):
-        for w in W_ALL:
+        for i, w in enumerate(W_ALL):
             other = s_delta * w
-            if block_index(w) > block_index(other):
+            if i > W_ALL.index(other):
                 continue
             for z in z_basis:
                 vec = [x - y for x, y in zip(embed_block(z, w), embed_block(z, other))]

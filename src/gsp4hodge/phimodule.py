@@ -58,6 +58,10 @@ class PhiModuleData(Value):
     a: Scalar
     b: Scalar
 
+    def __post_init__(self):
+        if len(self.alphas) != 4 or len(self.weights) != 4:
+            raise InvalidData("alphas and weights need four entries each")
+
     @property
     def symbolic(self) -> bool:
         return isinstance(self.a, RatFunc)
@@ -75,11 +79,7 @@ def complete_flag(a: Scalar, b: Scalar) -> Flag:
     """The standard-form flag F^1 < F^2 < F^3 at (a, b).  v1, v2, v3 are
     independent for every (a, b), so the flag always exists."""
     from .symplectic import Flag, Subspace
-    v1, v2, v3, _ = filtration_basis(a, b)
-    return Flag(
-        members=(Subspace.span([v1]), Subspace.span([v1, v2]), Subspace.span([v1, v2, v3])),
-        kind="complete",
-    )
+    return Flag(members=tuple(map(Subspace.span, _filtration_prefixes(a, b))), kind="complete")
 
 
 class CheckResult(Value):
@@ -239,7 +239,7 @@ def refinement_weights(w: WeylElem, weights) -> tuple:
 
 
 def _valuations(p: int, alphas) -> list:
-    return [padic_val(Q(x), p) for x in alphas]
+    return [padic_val(x, p) for x in alphas]
 
 
 def weak_admissibility(d: PhiModuleData) -> bool:
@@ -284,10 +284,6 @@ def admissible_refinements(d: PhiModuleData):
     return partial_sum_set(d.p, d.alphas, d.weights)
 
 
-class _MissingParameters(ParseError):
-    """A document over Q without a or b: every command reports it alike."""
-
-
 def hodge_parameters(doc: dict, symbolic: bool) -> tuple:
     """The Hodge parameters (a, b) of an input document, read by one rule
     for every command: a parameter that is absent or JSON null is missing,
@@ -295,7 +291,7 @@ def hodge_parameters(doc: dict, symbolic: bool) -> tuple:
     from .scalars import parse_scalar
     texts = [doc.get(name) for name in ("a", "b")]
     if not symbolic and any(text is None for text in texts):
-        raise _MissingParameters("the document needs Hodge parameters a and b (or --symbolic)")
+        raise ParseError("the document needs Hodge parameters a and b (or --symbolic)")
     return tuple(
         parse_scalar(name if text is None else str(text), symbolic) for name, text in zip(("a", "b"), texts)
     )
@@ -303,18 +299,12 @@ def hodge_parameters(doc: dict, symbolic: bool) -> tuple:
 
 def phi_module_from_json(doc: dict, symbolic: bool) -> PhiModuleData:
     """Build PhiModuleData from its wire form (see External Interfaces).
-    a and b live in Q(a, b) when symbolic is true."""
+    a and b live in Q(a, b) when symbolic is true.  A bad field raises its
+    reader's ParseError, as in every other command."""
     from .scalars import parse_integer, parse_list, parse_scalar, required_field
-
-    try:
-        p = parse_integer(required_field(doc, "p"))
-        alphas = tuple(parse_scalar(str(s)) for s in parse_list(required_field(doc, "alphas")))
-        weights = tuple(parse_integer(x) for x in parse_list(required_field(doc, "weights")))
-        a, b = hodge_parameters(doc, symbolic)
-    except _MissingParameters:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InvalidData(f"bad phi-module document: {exc}") from exc
-    if len(alphas) != 4 or len(weights) != 4:
-        raise InvalidData("bad phi-module document: alphas and weights need four entries each")
-    return PhiModuleData(p=p, alphas=alphas, weights=weights, a=a, b=b)
+    return PhiModuleData(
+        parse_integer(required_field(doc, "p")),
+        tuple(parse_scalar(str(s)) for s in parse_list(required_field(doc, "alphas"))),
+        tuple(parse_integer(x) for x in parse_list(required_field(doc, "weights"))),
+        *hodge_parameters(doc, symbolic),
+    )

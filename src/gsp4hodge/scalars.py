@@ -589,7 +589,11 @@ def _int_val(n: int, p: int) -> int:
 
 def padic_val(x, p: int) -> int:
     """Exponent of the prime p in the nonzero rational x; InvalidData unless
-    is_prime(p), since for p = 1 the count would not end."""
+    is_prime(p), since for p = 1 the count would not end.  x must be an
+    int or a Fraction; a TypeError names any other, a float (not exact),
+    a bool and a str too."""
+    if type(x) not in (int, Q):
+        raise TypeError(f"x must be an int or a Fraction, not {type(x).__name__!r}")
     if not is_prime(p):
         raise InvalidData(f"p-adic valuation needs a prime p, got {p}")
     x = Q(x)
@@ -730,7 +734,9 @@ def parse_scalar(text: str, symbolic: bool = False) -> Scalar:
         # ast.parse(text, mode="eval") is this call, made from a module without future imports
         tree = compile(text.strip(), "<unknown>", "eval", _ast.PyCF_ONLY_AST, True)
         return _as_field(_eval_node(tree, symbolic))
-    except SyntaxError as exc:
+    except ParseError:
+        raise  # a construct or bound rejected by _eval_node
+    except (SyntaxError, ValueError) as exc:  # compile's ValueError: a lone surrogate, or a null byte before 3.12
         raise ParseError(f"bad scalar expression {text!r}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("scalar expression nests too deeply") from exc

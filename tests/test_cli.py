@@ -428,6 +428,10 @@ class TestEndToEnd:
         assert out1 == out2
 
 
+#: The commands that read a document's Hodge parameters a and b.
+_READERS_OF_AB = ("validate", "flag", "kernel", "recover", "matrices")
+
+
 class TestRejectedInputs:
     """Inputs that once ended in a traceback: each exits 2 with one JSON
     document on stdout."""
@@ -490,6 +494,28 @@ class TestRejectedInputs:
         doc.write_text(json.dumps(dict(GOOD_DOC, weights=[0, -2, -4], C="10")))
         report = self.run(capsys, [command, "--input", str(doc)])
         assert "four entries" in report["payload"]["error"]
+
+    @pytest.mark.parametrize(
+        "doc, commands",
+        (
+            (dict(GOOD_DOC, a="q + 1"), _READERS_OF_AB),
+            (dict(GOOD_DOC, a="1.5"), _READERS_OF_AB),
+            (dict(GOOD_DOC, a="not 1"), _READERS_OF_AB),
+            (dict(GOOD_DOC, a="\ud800"), _READERS_OF_AB),
+            (dict(GOOD_DOC, a="1\u0000"), _READERS_OF_AB),
+            ({k: v for k, v in GOOD_DOC.items() if k != "b"}, _READERS_OF_AB),
+            (dict(GOOD_DOC, alphas=["\ud800", "9", "81", "729"]), ("validate", "flag")),
+        ),
+        ids=("symbol", "decimal", "not", "surrogate", "null-byte", "missing-b", "surrogate-alpha"),
+    )
+    def test_one_field_error_message(self, capsys, monkeypatch, doc, commands):
+        # one message per bad field, whichever command reads it; compile's
+        # ValueError on a lone surrogate or a null byte is a ParseError too
+        errors = set()
+        for command in commands:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+            errors.add(self.run(capsys, [command, "--input", "-"])["payload"]["error"])
+        assert len(errors) == 1, errors
 
     @pytest.mark.parametrize(
         "argv, stdin",

@@ -13,7 +13,6 @@ import gsp4hodge.kernel
 from gsp4hodge.errors import DegreeCapExceeded, InvalidData, NotALine
 from gsp4hodge.kernel import (
     GENERATOR_LABELS,
-    W_ORDER,
     eigenline_grid,
     embed_block,
     glue_generators,
@@ -334,14 +333,6 @@ class TestJbar:
             image = [sum(x * y for x, y in zip(row, vec)) for row in M]
             t, w = GENERATOR_DEF_BY_WORD[label]
             assert image == gsp4_coordinates(nu_operator(grid, w, t))
-
-
-class TestWeylPermutationData:
-    """kernel keeps its Weyl data as permutations, so that the tables'
-    commands need not build the Weyl group."""
-
-    def test_block_order_is_w_all(self):
-        assert W_ORDER == tuple(w.perm for w in W_ALL)
 
 
 class TestGlue:

@@ -338,8 +338,16 @@ class TestJsonRoundTrip:
         assert phi_module_from_json(doc, True) == SYMBOLIC
 
     def test_bad_document(self):
-        with pytest.raises(InvalidData):
+        with pytest.raises(ParseError, match="^missing field 'alphas'$"):
             phi_module_from_json({"p": 3}, False)
+
+
+class TestFourEntries:
+    @pytest.mark.parametrize("field", ("alphas", "weights"))
+    def test_three_entries_rejected_when_built(self, field):
+        # the record holds the rule, so validate and the flag can index all four
+        with pytest.raises(InvalidData, match="^alphas and weights need four entries each$"):
+            PhiModuleData(**dict(GOOD._asdict(), **{field: getattr(GOOD, field)[:3]}))
 
 
 class TestHodgeParameters:

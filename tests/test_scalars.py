@@ -8,6 +8,7 @@ from collections import Counter
 from itertools import combinations_with_replacement
 from contextlib import contextmanager
 from fractions import Fraction as Q
+from functools import partial
 from math import isqrt
 
 import pytest
@@ -34,7 +35,7 @@ from gsp4hodge.kernel import (
     matrix_suite,
     recover_parameters,
 )
-from gsp4hodge.phimodule import validate
+from gsp4hodge.phimodule import PhiModuleData, validate, weak_admissibility
 from gsp4hodge.scalars import (
     MAX_EXPONENT,
     PRIME_BOUND,
@@ -419,6 +420,12 @@ class TestSerialization:
         # allowed operation before it may report its own error first
         with pytest.raises(ParseError, match="integer literal of 16000 bits exceeds"):
             parse_scalar(f"({huge}) + (1 % 2)")
+        # text that compile refuses with a ValueError: a lone surrogate, and a
+        # null byte (a SyntaxError from Python 3.12 on)
+        for text in ("\ud800", "1\x00"):
+            for symbolic in (False, True):
+                with pytest.raises(ParseError, match="^bad scalar expression "):
+                    parse_scalar(text, symbolic)
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(_SYNTAX, st.booleans())
@@ -802,11 +809,18 @@ class TestArgumentTypes:
             (validate, {}, "d must be a PhiModuleData, not 'dict'"),
             (hecke_charpoly, None, "d must be a HeckeData, not 'NoneType'"),
             (from_word, 5, "word must be a str, not 'int'"),
+            # a valuation is exact: a float's would be that of its binary value
+            (partial(padic_val, p=3), 0.1, "x must be an int or a Fraction, not 'float'"),
+            (partial(padic_val, p=3), True, "x must be an int or a Fraction, not 'bool'"),
+            (partial(padic_val, p=3), "9", "x must be an int or a Fraction, not 'str'"),
+            (weak_admissibility, PhiModuleData(3, (1.0, 9, 81, 729), (0, -2, -4, -6), Q(2), Q(3)),
+             "x must be an int or a Fraction, not 'float'"),
         ),
-        ids=("recover_parameters", "Poly2", "parse_scalar", "validate", "hecke_charpoly", "from_word"),
+        ids=("recover_parameters", "Poly2", "parse_scalar", "validate", "hecke_charpoly", "from_word",
+             "padic_val-float", "padic_val-bool", "padic_val-str", "weak_admissibility-float-alpha"),
     )
     def test_wrong_type_is_a_type_error(self, call, arg, message):
-        # each raised AttributeError on its argument's first attribute
+        # the argument is named, not met by an AttributeError or a silent coercion
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             call(arg)
 
