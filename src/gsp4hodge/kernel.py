@@ -5,7 +5,10 @@ eight generator matrices in the filtration basis, and the invariant plane.
 
 The kernel, the matrix suite and the invariant plane are committed tables
 over Q(a, b), which one evaluator evaluates at a point, kept for the last
-point; nothing is eliminated or normalised per point.  A point is an int,
+point; nothing is eliminated or normalised per point.  Each table has a
+plan, compiled on its first evaluation (_plan), and is evaluated in flat
+passes over it: its monomials, its denominators, then each cell as an
+integer sum over its monomials' terms.  A point is an int,
 a Fraction or a RatFunc in each of a and b (_point); a float, a bool or
 anything else is a TypeError.  The parameters are read off two cells of
 the kernel table and checked against the kernel at that point, unless the
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import prod
+from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -38,7 +41,7 @@ from ._value import Value
 from .errors import DegenerateIntersection, InvalidData, NotALine
 from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, rref
 from .phimodule import coordinate_subspace, filtration_basis, nondeg_factors, vanishing_factor
-from .scalars import RatFunc, Scalar, _cancel, _ratfunc, is_zero, linear_combination
+from .scalars import RatFunc, Scalar, _cancel, _flat_poly, _ratfunc, is_zero
 from .symplectic import Subspace, gsp4_coordinates
 
 if TYPE_CHECKING:
@@ -221,11 +224,10 @@ def _kernel_row(pivot: int, cells: tuple) -> itemgetter:
 _KERNEL_ROWS = tuple(map(_kernel_row, _KERNEL_PIVOTS, _KERNEL_FREE_BLOCK))
 
 
-@lru_cache(maxsize=None)
 def _cell_layout(cell: tuple) -> tuple:
-    """A table cell (den, c1, ..., cbb) as ((den, sa, sb), (I, J), terms)
-    for _table_evaluator: at a = an/ad, b = bn/bd the cell is the sum over
-    terms (c, k, x, y) of c * an^u * bn^v * ad^x * bd^y, (u, v) the k-th of
+    """A table cell (den, c1, ..., cbb) as ((den, sa, sb), terms) for
+    _plan: at a = an/ad, b = bn/bd the cell is the sum over terms
+    (c, (k, x, y)) of c * an^u * bn^v * ad^x * bd^y, (u, v) the k-th of
     _CELL_EXPONENTS and (x, y) = (I - u, J - v), over the product of den's
     factor numerators times ad^sa * bd^sb.  I and J are the least that
     clear every exponent, so where sa > 0 some term has x = 0, and likewise
@@ -234,7 +236,33 @@ def _cell_layout(cell: tuple) -> tuple:
     used = [(c, k, *_CELL_EXPONENTS[k]) for k, c in enumerate(coeffs) if c]
     i, j = (sum(_DENOMINATOR_EXPONENTS[f][s] for f in den) for s in (0, 1))
     I, J = max(i, *(u for _, _, u, _ in used)), max(j, *(v for _, _, _, v in used))
-    return (den, I - i, J - j), (I, J), tuple((c, k, I - u, J - v) for c, k, u, v in used)
+    return (den, I - i, J - j), tuple((c, (k, I - u, J - v)) for c, k, u, v in used)
+
+
+@lru_cache(maxsize=1)
+def _cell_keys() -> dict:
+    """Each distinct cell of the three tables by its place among them, its
+    key in a point's values: a cell that two tables hold is one value."""
+    return {cell: i for i, cell in enumerate(dict.fromkeys(_KERNEL_CELLS + _SUITE_CELLS + _PLANE_CELLS))}
+
+
+@lru_cache(maxsize=None)
+def _plan(cells: tuple) -> tuple:
+    """The plan that evaluates table cells, compiled on their first
+    evaluation: the layouts (den, sa, sb) and the monomial keys (k, x, y)
+    of _cell_layout that the cells use, one entry per distinct cell, and
+    the cells' keys (_cell_keys) in their order.  An entry is
+    (key, layout, terms), terms being ((c, monomial), ...) over the
+    plan's positions, or (key, None, c) for an integer cell c."""
+    keys, layouts, monomials, entries = _cell_keys(), {}, {}, []
+    for cell in dict.fromkeys(cells):
+        if isinstance(cell, int):
+            entries.append((keys[cell], None, cell))
+        else:
+            powers, terms = _cell_layout(cell)
+            terms = tuple((c, monomials.setdefault(m, len(monomials))) for c, m in terms)
+            entries.append((keys[cell], layouts.setdefault(powers, len(layouts)), terms))
+    return tuple(layouts), tuple(monomials), tuple(entries), tuple(map(keys.get, cells))
 
 
 def _affine_point(an, ad, bn, bd) -> bool:
@@ -252,82 +280,114 @@ def _affine_point(an, ad, bn, bd) -> bool:
 
 
 def _table_evaluator(a: Scalar, b: Scalar):
-    """The function value on table cells at (a, b), lifted into one field,
-    where every denominator the cells use is nonzero.
+    """The function that evaluates tables at (a, b), lifted into one
+    field, where every denominator the cells use is nonzero: given a
+    table's cells, it returns their values in order.
 
-    value(cell) is the cell in that field, built as numerator over
-    denominator in the ring under it, Z for Q and Q[a, b] for Q(a, b),
-    from the pairs of nondeg_factors, and reduced once, unless (a, b) is an
-    affine point (_affine_point), where no cell needs a gcd.  Over Q(a, b)
-    each table denominator is made monic once per point, and each numerator
-    is one linear_combination, stripped once and scaled as its denominator
-    was: at an affine point the pair is the cell's canonical pair, and
-    elsewhere one _cancel makes it so, since it keeps the denominator
-    monic; either way _ratfunc builds the cell.  With a = an/ad and
-    b = bn/bd, the first two, a table denominator is
+    Each cell is numerator over denominator in the ring under the field,
+    Z for Q and Q[a, b] for Q(a, b), from the pairs of nondeg_factors.
+    With a = an/ad and b = bn/bd, the first two, a table denominator is
     dn / (ad^i * bd^j) for the product dn of its factors' numerators, so a
     cell's term c * a^u * b^v is c * an^u * bn^v * ad^(i-u) * bd^(j-v)
     over dn.  Both sides take the least powers of ad and bd that clear the
     negative exponents (_cell_layout), so neither ad nor bd is put on
-    both, and the cells with the same powers share their monomials.  Each
-    distinct cell and table denominator is evaluated once, so a table pays
-    only for its own, and the tables share one evaluator per point through
-    _evaluation.  (a, b) is a point in one field, as _point gives it;
-    InvalidData names the first factor that vanishes there."""
+    both.  A table's plan (_plan) names its layouts, monomials and cells,
+    and the evaluation makes three flat passes over it: each monomial
+    an^u * bn^v * ad^x * bd^y and each denominator layout is built once per
+    point, whichever table needs it first, and each distinct cell is
+    evaluated once per point, so the tables share one evaluator per point
+    through _evaluation.  Over Q a cell is one Fraction of the sum of its
+    terms.  Over Q(a, b) each denominator is made monic once, and a
+    monomial is kept as its integer terms times one scale; a table brings
+    its monomials to one common denominator L, so a cell numerator is an
+    integer sum over its monomials' terms, whose content and sign (its
+    leading integer's) move into one Fraction scale, and the denominator's
+    monic scale with it.  At an affine point (_affine_point) that pair is
+    the cell's canonical pair; elsewhere one _cancel makes it so, since it
+    keeps the denominator monic; either way _ratfunc builds the cell.
+    (a, b) is a point in one field, as _point gives it; InvalidData names
+    the first factor that vanishes there."""
     factors = nondeg_factors(a, b)
     _require_nondegenerate(a, b, factors)
     (an, ad), (bn, bd) = factors[:2]
-    field, zero = type(a), a * 0
-    symbolic = field is RatFunc
+    zero = a * 0
+    symbolic = type(a) is RatFunc
     affine = symbolic and _affine_point(an, ad, bn, bd)
     one = an**0  # the ring's 1
     pa, pb = (one, ad, ad * ad), (one, bd, bd * bd)
+    # where ad = 1, monomials that differ only in its exponent are one, and likewise for bd
+    xa = (0, 1, 2) if ad != 1 else (0, 0, 0)
+    xb = (0, 1, 2) if bd != 1 else (0, 0, 0)
     cores = (one, an, bn, an * an, an * bn, bn * bn)
-    monomials, denominators, values = {}, {}, {0: zero, 1: zero + 1}  # tables repeat cells
+    monomials, denominators, values = {}, {}, {}
 
-    def value(cell):
-        x = values.get(cell)
-        if x is None:
-            if isinstance(cell, int):
-                x = zero + cell
-            else:
-                powers, shift, terms = _cell_layout(cell)
-                m = monomials.get(shift)  # the monomials of the cells with this shift
-                if m is None:
-                    m = monomials[shift] = [None] * 6
-                d = denominators.get(powers)
-                if d is None:
-                    den, sa, sb = powers
-                    d = prod(factors[f][0] for f in den) * pa[sa] * pb[sb]
-                    if symbolic:  # monic once, with the scale each numerator takes
-                        inv = 1 / d.leading_coeff()
-                        d = d.scale(inv), inv
-                    denominators[powers] = d
-                if symbolic:
-                    ts = []
-                    for c, k, i, j in terms:
-                        t = m[k]
-                        if t is None:
-                            t = m[k] = cores[k] * pa[i] * pb[j]
-                        ts.append((c, t))
-                    d, inv = d
-                    n = linear_combination(ts).scale(inv)
-                    # a cell numerator is nonzero and sigma injective: at an affine point (n, d) is canonical
-                    if not affine:  # cancelling against a monic d leaves it monic
-                        n, d, _ = _cancel(n, d)
-                    x = _ratfunc(n, d)
+    def evaluate(cells: tuple) -> list:
+        layouts, keys, entries, order = _plan(cells)
+        keys = [(k, xa[x], xb[y]) for k, x, y in keys]
+        for key in keys:
+            if key not in monomials:
+                k, x, y = key
+                m = cores[k]
+                if x:
+                    m = m * pa[x]
+                if y:
+                    m = m * pb[y]
+                if symbolic:  # its integer terms, keyed (b-degree, a-degree), and its scale
+                    m = [((db, da), c) for db, u in m._view.items() for da, c in u.items()], m._scale
+                monomials[key] = m
+        ds = []
+        for powers in layouts:
+            d = denominators.get(powers)
+            if d is None:
+                den, sa, sb = powers
+                d = prod(factors[f][0] for f in den) * pa[sa] * pb[sb]
+                if symbolic:  # monic once, with the scale each numerator takes
+                    inv = 1 / d.leading_coeff()
+                    d = d.scale(inv), inv
+                denominators[powers] = d
+            ds.append(d)
+        if symbolic:  # each monomial's terms over the table's common denominator L, by position in exps
+            ms = {key: monomials[key] for key in keys}
+            L = lcm(*(s.denominator for _, s in ms.values()))
+            exps = sorted({e for t, _ in ms.values() for e, _ in t})  # (b-degree, a-degree), the leading one last
+            at = {e: i for i, e in enumerate(exps)}
+            for key, (t, s) in ms.items():
+                n = s.numerator * (L // s.denominator)
+                ms[key] = [(at[e], v * n) for e, v in t]
+            ms = [ms[key] for key in keys]
+        else:
+            ms = [monomials[key] for key in keys]
+        for key, layout, terms in entries:
+            if key in values:
+                continue
+            if layout is None:
+                x = zero + terms
+            elif symbolic:
+                acc = [0] * len(exps)
+                for c, m in terms:
+                    for i, v in ms[m]:
+                        acc[i] += c * v
+                d, inv = ds[layout]
+                g = gcd(*acc)
+                if g:  # the content, signed like the leading integer
+                    acc = [(e, v) for e, v in zip(exps, acc) if v]
+                    g = g if acc[-1][1] > 0 else -g
+                    n = _flat_poly(acc, g, Q(g * inv.numerator, L * inv.denominator))
                 else:
-                    n = 0
-                    for c, k, i, j in terms:
-                        t = m[k]
-                        if t is None:
-                            t = m[k] = cores[k] * pa[i] * pb[j]
-                        n += c * t
-                    x = field(n, d)
-            values[cell] = x
-        return x
+                    n = zero.num
+                # a cell numerator is nonzero and sigma injective: at an affine point (n, d) is canonical
+                if not affine:  # cancelling against a monic d leaves it monic
+                    n, d, _ = _cancel(n, d)
+                x = _ratfunc(n, d)
+            else:
+                n = 0
+                for c, m in terms:
+                    n += c * ms[m]
+                x = Q(n, ds[layout])
+            values[key] = x
+        return list(map(values.__getitem__, order))
 
-    return value
+    return evaluate
 
 
 _last = None  # the evaluation kept for the last point: see _evaluation
@@ -335,7 +395,7 @@ _last = None  # the evaluation kept for the last point: see _evaluation
 
 def _evaluation(a: Scalar, b: Scalar) -> list:
     """The tables' evaluation at (a, b), kept for the last point as
-    [key, value, kernel rows].  The key is (field, a, b) after
+    [key, evaluate, kernel rows].  The key is (field, a, b) after
     _point, so a point of Q and the same constants in Q(a, b) never
     share it; the rows stay None until kernel_basis builds them, there or
     for recover_parameters at a point it reads off.  A degenerate point
@@ -363,7 +423,7 @@ def kernel_basis(a: Scalar, b: Scalar) -> Subspace:
     returns them again."""
     entry = _evaluation(a, b)
     if entry[2] is None:
-        values = list(map(entry[1], _KERNEL_CELLS))
+        values = entry[1](_KERNEL_CELLS)
         entry[2] = tuple(row(values) for row in _KERNEL_ROWS)
     return Subspace(rows=entry[2], ambient=24)
 
@@ -419,6 +479,7 @@ _PLANE_TABLE = (
     ((_1, 0, -1, 1, 0, -1, 0), (_1, 0, 1, -1, 0, 1, -1), (_1, 0, -1, -1, 0, -1, 0), (_1, 0, 1, 1, 0, 1, 1), (_1, 0, 0, 0, 0, 0, 2), (_1, 0, 0, -2, 0, 0, -2), (_1, 0, 0, 2, 0, 0, 0), 0),
     ((_1, 0, -1, -1, 0, 1, 0), (_1, 0, 1, 1, 0, 1, 1), (_1, 0, -1, -1, 0, -1, 0), (_1, 0, 1, 1, 0, -1, -1), (_1, 0, 0, 0, 0, -2, -2), (_1, 0, 0, 0, 0, 0, 2), 0, (_1, 0, 0, 0, 0, 2, 0)),
 )
+_PLANE_CELLS = _PLANE_TABLE[0] + _PLANE_TABLE[1]  # the two rows, evaluated as one table
 
 
 class LInvariantPlane(Value):
@@ -444,8 +505,8 @@ def l_invariant_plane(a: Scalar, b: Scalar) -> LInvariantPlane:
     no poles off the degenerate locus.  (a, b) is read off them by two
     ratios that no scale of a row moves: b = -g2/g3 - 1 in row 0, where
     g3 = 2b, and a = b g4/g2 in row 1, where g2 = 2b^2."""
-    value = _evaluation(a, b)[1]
-    basis_fg = tuple(tuple(map(value, cells)) for cells in _PLANE_TABLE)
+    values = _evaluation(a, b)[1](_PLANE_CELLS)
+    basis_fg = (tuple(values[:8]), tuple(values[8:]))
     (*_, g2, g3, _), (*_, h2, _, h4) = basis_fg
     b = -g2 / g3 - 1
     return LInvariantPlane(
@@ -519,11 +580,13 @@ _SUITE_TABLE = {
     "g3": ((1, (_1, -1, 0, -1, 0, 0, 0), -1, 0), (0, 0, 0, -1), (0, 0, 0, (_1, 1, 0, 1, 0, 0, 0)), (0, 0, 0, -1)),
     "g4": ((1, (_A, 0, 0, 1, 0, 0, 0), (_A, 1, 0, 0, 0, 0, 0), (_A, 2, 0, 0, 0, 0, 0)), (0, 0, 0, (_A, 1, 0, 0, 0, 0, 0)), (0, 0, 0, (_A, 0, 0, -1, 0, 0, 0)), (0, 0, 0, -1)),
 }
+_SUITE_CELLS = tuple(c for M in _SUITE_TABLE.values() for row in M for c in row)  # evaluated as one table
 
 
 def matrix_suite(a: Scalar, b: Scalar) -> dict:
     """Images of the eight distinguished generators, written in the
     filtration basis (v1, v2, v3, v4), by evaluating the committed suite
     table."""
-    value = _evaluation(a, b)[1]
-    return {label: [[value(cell) for cell in row] for row in M] for label, M in _SUITE_TABLE.items()}
+    values = _evaluation(a, b)[1](_SUITE_CELLS)
+    rows = [values[i : i + 4] for i in range(0, len(values), 4)]
+    return {label: rows[i : i + 4] for label, i in zip(_SUITE_TABLE, range(0, len(rows), 4))}

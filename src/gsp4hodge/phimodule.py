@@ -59,8 +59,21 @@ class PhiModuleData(Value):
     b: Scalar
 
     def __post_init__(self):
+        """The one gate of the record's rules: four alphas and four weights,
+        and exact fields, so that nothing downstream truncates or rounds.
+        p and the weights are ints, the alphas ints or Fractions, and a and
+        b ints, Fractions or RatFuncs; a TypeError names any other field's
+        type, a float and a bool among them."""
         if len(self.alphas) != 4 or len(self.weights) != 4:
             raise InvalidData("alphas and weights need four entries each")
+        integer, rational, scalar = (int,), (int, Q), (int, Q, RatFunc)
+        kinds = {integer: "an int", rational: "an int or a Fraction", scalar: "an int, a Fraction or a RatFunc"}
+        fields = [("p", self.p, integer), ("a", self.a, scalar), ("b", self.b, scalar)]
+        fields += [(f"alphas[{i}]", x, rational) for i, x in enumerate(self.alphas)]
+        fields += [(f"weights[{i}]", h, integer) for i, h in enumerate(self.weights)]
+        for name, x, types in fields:
+            if type(x) not in types:
+                raise TypeError(f"{name} must be {kinds[types]}, not {type(x).__name__!r}")
 
     @property
     def symbolic(self) -> bool:
@@ -136,7 +149,7 @@ def validate(d: PhiModuleData) -> ValidityReport:
                 break
     checks.append(CheckResult("genericity", generic, gen_witness))
 
-    h = tuple(int(x) for x in d.weights)
+    h = tuple(d.weights)  # ints, as the record checks
     desc = h[0] > h[1] > h[2] > h[3]
     checks.append(CheckResult("weights-strictly-decreasing", desc, f"h={h}"))
     wsum = h[0] + h[3] == h[1] + h[2]

@@ -236,6 +236,18 @@ def _poly(view, scale: Q) -> Poly2:
     return p
 
 
+def _flat_poly(terms, k: int, scale: Q) -> Poly2:
+    """The Poly2 scale * view for flat nonzero integer terms
+    ((b-degree, a-degree), c) whose content, signed like the leading one,
+    is k: the view is the terms divided by k, nested as Poly2 keeps it."""
+    view, last = {}, None
+    for (db, da), c in terms:
+        if db != last:  # terms of one b-degree come together
+            u, last = view.setdefault(db, {}), db
+        u[da] = c // k
+    return _poly(view, scale)
+
+
 # ---------------------------------------------------------------------------
 # Integer polynomials.  A Poly2 keeps its coefficients as one rational scale
 # times a primitive integer polynomial viewed in b over Z[a].  A polynomial
@@ -733,11 +745,12 @@ def parse_scalar(text: str, symbolic: bool = False) -> Scalar:
     try:
         # ast.parse(text, mode="eval") is this call, made from a module without future imports
         tree = compile(text.strip(), "<unknown>", "eval", _ast.PyCF_ONLY_AST, True)
-        return _as_field(_eval_node(tree, symbolic))
-    except ParseError:
-        raise  # a construct or bound rejected by _eval_node
     except (SyntaxError, ValueError) as exc:  # compile's ValueError: a lone surrogate, or a null byte before 3.12
         raise ParseError(f"bad scalar expression {text!r}: {exc}") from exc
+    except (RecursionError, MemoryError) as exc:  # MemoryError: the parser's own stack overflowed
+        raise ParseError("scalar expression nests too deeply") from exc
+    try:
+        return _as_field(_eval_node(tree, symbolic))
     except RecursionError as exc:
         raise ParseError("scalar expression nests too deeply") from exc
 

@@ -334,10 +334,10 @@ def table_evaluator_by_field_ops(a: Scalar, b: Scalar):
     that field; each distinct cell is evaluated once, and each denominator,
     the product of the nondegeneracy factors it indexes, is built by field
     operations and inverted on first use, so a table pays only for its own.
-    The library's kernel._table_evaluator returns such a function too, but
-    forms each cell in the ring under the field, from the factor pairs of
-    phimodule.nondeg_factors, and reduces it once; the tests compare the
-    two functions' values cell by cell, in type and canonical form."""
+    The library's kernel._table_evaluator evaluates whole tables instead,
+    each cell in the ring under the field, from the factor pairs of
+    phimodule.nondeg_factors, reduced once; the tests compare the two
+    routes' values cell by cell, in type and canonical form."""
     zero = a - a
     one = zero + 1
     ab = a * b

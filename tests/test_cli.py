@@ -544,6 +544,13 @@ class TestRejectedInputs:
         report = self.run(capsys, ["kernel", "--input", str(doc)])
         assert report["payload"]["error"] == "scalar expression nests too deeply"
 
+    def test_deep_unary_nesting(self, capsys, tmp_path):
+        # 10,000 unary minus signs overflow compile's parser stack
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"a": "-" * 10_000 + "1", "b": "3"}))
+        report = self.run(capsys, ["kernel", "--input", str(doc)])
+        assert report["payload"]["error"] == "scalar expression nests too deeply"
+
     @pytest.mark.parametrize(
         "command, text",
         (

@@ -798,6 +798,11 @@ TABLE_CELLS = tuple(
 )
 
 
+def table_values(evaluate) -> dict:
+    """Every cell of TABLE_CELLS by its value from a table evaluator."""
+    return dict(zip(TABLE_CELLS, evaluate(TABLE_CELLS)))
+
+
 def shifted(c1, c2, c3):
     return A + RatFunc.const(c1), B * RatFunc.const(c2) + RatFunc.const(c3)
 
@@ -935,8 +940,8 @@ class TestCertificate:
     @staticmethod
     def plane_rows():
         """The plane table over Q(a, b), one row per meet."""
-        value = _table_evaluator(A, B)
-        return [[value(cell) for cell in cells] for cells in _PLANE_TABLE]
+        evaluate = _table_evaluator(A, B)
+        return [evaluate(cells) for cells in _PLANE_TABLE]
 
     def test_plane_rows_are_meet_multiples(self, generic):
         _, K = generic
@@ -1091,10 +1096,10 @@ class TestEvaluatedKernel:
     def assert_evaluators_agree(a, b):
         # every cell of the three tables: the ring evaluator's value is the field
         # route's value, in the same type and canonical form
-        value = _table_evaluator(a, b)
+        value = table_values(_table_evaluator(a, b))
         oracle = table_evaluator_by_field_ops(a, b)
         for cell in TABLE_CELLS:
-            want, got = oracle(cell), value(cell)
+            want, got = oracle(cell), value[cell]
             assert type(got) is type(want) and got == want, cell
 
     @pytest.mark.parametrize(
@@ -1225,8 +1230,8 @@ class TestAffinePoints:
         layouts, recovered, inits, leads, gcds = self.construction_counts(monkeypatch, point)
         assert not inits and len(leads) == len(layouts) == 9
         assert recovered == point
-        value = _evaluation(*point)[1]  # the plane's cells; its read-off of (a, b) divides in the field
-        cells = {cell: value(cell) for cell in TABLE_CELLS}
+        # the plane's cells too; its read-off of (a, b) divides in the field
+        cells = table_values(_evaluation(*point)[1])
         monkeypatch.undo()
         assert not gcds, "a gcd at an affine point"
         oracle = table_evaluator_by_field_ops(*point)
@@ -1239,9 +1244,9 @@ class TestAffinePoints:
         point = shifted(Q(2, 3), Q(-3, 2), Q(1, 3))
         (an, _), *_, (qn, _) = nondeg_factors(*point)
         assert qn.leading_coeff() == (an * qn).leading_coeff() == Q(-3, 2)
-        value, oracle = _table_evaluator(*point), table_evaluator_by_field_ops(*point)
+        value, oracle = table_values(_table_evaluator(*point)), table_evaluator_by_field_ops(*point)
         for cell in TABLE_CELLS:
-            x, y = value(cell), oracle(cell)
+            x, y = value[cell], oracle(cell)
             assert (x.num, x.den, hash(x)) == (y.num, y.den, hash(y)), cell
             assert x.den.leading_coeff() == 1, cell
 
@@ -1256,6 +1261,35 @@ class TestAffinePoints:
         rows = tuple(tuple(parse_scalar(str(y), True) for y in row) for row in K.rows)
         gsp4hodge.kernel._last = None
         assert recover_parameters(Subspace(rows=rows, ambient=24)) == point
+
+    def test_cells_sum_no_polynomials(self, monkeypatch):
+        # a kernel + recovery + suite op sums Poly2s only for three factors in
+        # nondeg_factors: each table cell numerator is an integer sum over the
+        # terms of its monomials, not a linear_combination
+        import gsp4hodge.scalars
+
+        point = shifted(3, 2, 5)
+        calls, real = [], gsp4hodge.scalars.linear_combination
+        for module in (gsp4hodge.scalars, gsp4hodge.kernel):
+            monkeypatch.setattr(module, "linear_combination", lambda terms: calls.append(1) or real(terms), raising=False)
+        gsp4hodge.kernel._last = None
+        assert recover_parameters(kernel_basis(*point)) == point
+        matrix_suite(*point)
+        monkeypatch.undo()
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("point, vanishing", (((A, A / (A - 1)), 3), ((A, A), 1)), ids=("(a,a/(a-1))", "(a,a)"))
+    def test_vanishing_numerators_are_canonical(self, point, vanishing):
+        # two kernel cells and a plane cell at (a, a/(a - 1)), and a plane cell
+        # at (a, a), sum to 0: they are the canonical 0/1, and every cell is
+        # the field route's in type, pair and hash
+        value, oracle = table_values(_table_evaluator(*point)), table_evaluator_by_field_ops(*point)
+        for cell in TABLE_CELLS:
+            x, y = value[cell], oracle(cell)
+            assert type(x) is type(y) is RatFunc, cell
+            assert (x.num, x.den, hash(x)) == (y.num, y.den, hash(y)), cell
+        zeros = [x for cell, x in value.items() if not isinstance(cell, int) and x.num.is_zero()]
+        assert len(zeros) == vanishing and all(x.den == Poly2.const(1) for x in zeros)
 
     @pytest.mark.parametrize("name", CANCELLING)
     def test_other_points_build_no_ratfunc(self, monkeypatch, name):
@@ -1274,8 +1308,7 @@ class TestAffinePoints:
         assert not _affine_point(*(x for pair in nondeg_factors(*point)[:2] for x in pair))
         pairs, real = [], gsp4hodge.scalars.poly_gcd
         monkeypatch.setattr(gsp4hodge.scalars, "poly_gcd", lambda p, q: pairs.append((p, q)) or real(p, q))
-        value = _table_evaluator(*point)
-        cells = {cell: value(cell) for cell in TABLE_CELLS}
+        cells = table_values(_table_evaluator(*point))
         monkeypatch.undo()
         assert any(not (p.is_const() or q.is_const()) for p, q in pairs)
         oracle = table_evaluator_by_field_ops(*point)

@@ -427,6 +427,14 @@ class TestSerialization:
                 with pytest.raises(ParseError, match="^bad scalar expression "):
                     parse_scalar(text, symbolic)
 
+    @pytest.mark.parametrize("depth", (10_000, 20_000))
+    def test_deep_unary_nesting(self, depth):
+        # compile's own parser stack overflows here with a MemoryError, which
+        # is the same rejection as a RecursionError while evaluating
+        for symbolic in (False, True):
+            with pytest.raises(ParseError, match="^scalar expression nests too deeply$"):
+                parse_scalar("-" * depth + "1", symbolic)
+
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(_SYNTAX, st.booleans())
     def test_accepts_what_the_whitelist_accepts(self, text, symbolic):
@@ -813,11 +821,23 @@ class TestArgumentTypes:
             (partial(padic_val, p=3), 0.1, "x must be an int or a Fraction, not 'float'"),
             (partial(padic_val, p=3), True, "x must be an int or a Fraction, not 'bool'"),
             (partial(padic_val, p=3), "9", "x must be an int or a Fraction, not 'str'"),
-            (weak_admissibility, PhiModuleData(3, (1.0, 9, 81, 729), (0, -2, -4, -6), Q(2), Q(3)),
-             "x must be an int or a Fraction, not 'float'"),
+            # the record is the one type gate: a float alpha never reaches padic_val
+            (lambda alphas: weak_admissibility(PhiModuleData(3, alphas, (0, -2, -4, -6), Q(2), Q(3))),
+             (1.0, 9, 81, 729), "alphas[0] must be an int or a Fraction, not 'float'"),
+            # weights are not truncated, alphas not read as 1, and a is not a float
+            (partial(PhiModuleData, 3, (1, 9, 81, 729), a=2, b=3), (0.9, -2.5, -4, -6.5),
+             "weights[0] must be an int, not 'float'"),
+            (partial(PhiModuleData, 3, weights=(0, -2, -4, -6), a=2, b=3), (1.0, 9, 81, 729),
+             "alphas[0] must be an int or a Fraction, not 'float'"),
+            (partial(PhiModuleData, 3, weights=(0, -2, -4, -6), a=2, b=3), (True, 9, 81, 729),
+             "alphas[0] must be an int or a Fraction, not 'bool'"),
+            (partial(PhiModuleData, 3, (1, 9, 81, 729), (0, -2, -4, -6), b=3), 0.5,
+             "a must be an int, a Fraction or a RatFunc, not 'float'"),
         ),
         ids=("recover_parameters", "Poly2", "parse_scalar", "validate", "hecke_charpoly", "from_word",
-             "padic_val-float", "padic_val-bool", "padic_val-str", "weak_admissibility-float-alpha"),
+             "padic_val-float", "padic_val-bool", "padic_val-str", "weak_admissibility-float-alpha",
+             "PhiModuleData-float-weights", "PhiModuleData-float-alpha", "PhiModuleData-bool-alpha",
+             "PhiModuleData-float-a"),
     )
     def test_wrong_type_is_a_type_error(self, call, arg, message):
         # the argument is named, not met by an AttributeError or a silent coercion
