@@ -12,39 +12,50 @@ from fractions import Fraction as Q
 
 from ._value import Value
 from .errors import InconsistentData, InvalidData
-from .scalars import is_prime, padic_val
+from .scalars import INTEGER, RATIONAL, is_prime, padic_val, require_type
 
 GAP_SLOPE = 20170901
 GAP_OFFSET = 20260630
 
 
 class HeckeData(Value):
+    """The prime l and the three unramified Hecke eigenvalues: l an int,
+    the eigenvalues ints or Fractions, stored as Fractions; a TypeError
+    names any other field's type, a float and a bool among them."""
+
     l: int
     c0: Q
     c1: Q
     c2: Q
 
     def __post_init__(self):
+        require_type("l", self.l, INTEGER)
         if not is_prime(self.l):
             raise InvalidData(f"l = {self.l} is not prime")
         for name in ("c0", "c1", "c2"):
-            object.__setattr__(self, name, Q(getattr(self, name)))
+            c = getattr(self, name)
+            require_type(name, c, RATIONAL)
+            object.__setattr__(self, name, Q(c))
         if self.c0 == 0:
             raise InvalidData("c0 must be invertible")
 
 
 class FrobeniusData(Value):
     """Monic quartic coefficients (T^4 + q3 T^3 + q2 T^2 + q1 T + q0) and
-    the similitude value of Frobenius."""
+    the similitude value of Frobenius: ints or Fractions, stored as
+    Fractions; a TypeError names any other field's type."""
 
     coeffs: tuple
     sim: Q
 
     def __post_init__(self):
-        coeffs = tuple(Q(x) for x in self.coeffs)
+        coeffs = tuple(self.coeffs)
         if len(coeffs) != 4:
             raise InvalidData("need exactly the four non-leading coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
+        for i, x in enumerate(coeffs):
+            require_type(f"coeffs[{i}]", x, RATIONAL)
+        require_type("sim", self.sim, RATIONAL)
+        object.__setattr__(self, "coeffs", tuple(map(Q, coeffs)))
         object.__setattr__(self, "sim", Q(self.sim))
 
 
@@ -107,16 +118,23 @@ class ClassicalityReport(Value):
 def classicality_classify(alphas, weights, p: int, C) -> ClassicalityReport:
     """Check the valuation bound, the weight-gap bound, and collect the
     admissible partial-sum set; flag very-classical when only the identity
-    survives."""
+    survives.  p and the weights are ints, the alphas and C ints or
+    Fractions; a TypeError names any other, so no weight is truncated."""
+    require_type("p", p, INTEGER)
     if not is_prime(p):
         raise InvalidData(f"p = {p} is not prime")
+    require_type("C", C, RATIONAL)
     C = Q(C)
     if C <= 0:
         raise InvalidData("the bound C must be positive")
-    alphas = tuple(Q(x) for x in alphas)
-    h = tuple(int(x) for x in weights)
+    alphas, h = tuple(alphas), tuple(weights)
     if len(alphas) != 4 or len(h) != 4:
         raise InvalidData("alphas and weights need four entries each")
+    for i, x in enumerate(alphas):
+        require_type(f"alphas[{i}]", x, RATIONAL)
+    for i, x in enumerate(h):
+        require_type(f"weights[{i}]", x, INTEGER)
+    alphas = tuple(map(Q, alphas))
     if any(x == 0 for x in alphas):
         raise InvalidData("zero eigenvalue")
     if not (h[0] > h[1] > h[2] > h[3]) or h[0] + h[3] != h[1] + h[2]:

@@ -6,7 +6,7 @@ eight generator matrices in the filtration basis, and the invariant plane.
 The kernel, the matrix suite and the invariant plane are committed tables
 over Q(a, b), which one evaluator evaluates at a point, kept for the last
 point; nothing is eliminated or normalised per point.  Each table has a
-plan, compiled on its first evaluation (_plan), and is evaluated in flat
+plan (_plan), built with the tables at import, and is evaluated in flat
 passes over it: its monomials, its denominators, then each cell as an
 integer sum over its monomials' terms.  A point is an int,
 a Fraction or a RatFunc in each of a and b (_point); a float, a bool or
@@ -41,7 +41,7 @@ from ._value import Value
 from .errors import DegenerateIntersection, InvalidData, NotALine
 from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, rref
 from .phimodule import coordinate_subspace, filtration_basis, nondeg_factors, vanishing_factor
-from .scalars import RatFunc, Scalar, _cancel, _flat_poly, _ratfunc, is_zero
+from .scalars import SCALAR, RatFunc, Scalar, _cancel, _flat_poly, _ratfunc, is_zero, require_type
 from .symplectic import Subspace, gsp4_coordinates
 
 if TYPE_CHECKING:
@@ -80,9 +80,8 @@ def _point(a: Scalar, b: Scalar) -> tuple:
     ta, tb = type(a), type(b)
     if ta is tb and (ta is Q or ta is RatFunc):  # already one field
         return a, b
-    for name, t in (("a", ta), ("b", tb)):
-        if t not in (int, Q, RatFunc):
-            raise TypeError(f"{name} must be an int, a Fraction or a RatFunc, not {t.__name__!r}")
+    require_type("a", a, SCALAR)
+    require_type("b", b, SCALAR)
     if RatFunc in (ta, tb):
         return tuple(x if type(x) is RatFunc else RatFunc.const(x) for x in (a, b))
     return Q(a), Q(b)
@@ -208,12 +207,41 @@ _KERNEL_FREE_BLOCK = (
     (0, 0, 0, 1, -1, -1, 0),
     (0, 0, 0, 0, 0, 0, -1),
 )
-# The kernel table's distinct cells, and for each row an itemgetter that
-# gathers its 24 entries from their values in one call.
+# The plane K / glue in the generator coordinates, in GENERATOR_LABELS
+# order: 2b times the kernel's meet with span(f1..f4, g1, g2, g3), which
+# projects onto (g2, g3) along (b + 1, -1), and 2ab times its meet with
+# span(f1..f4, g1, g2, g4), which projects onto (g2, g4) along (b, a).
+_PLANE_TABLE = (
+    ((_1, 0, -1, 1, 0, -1, 0), (_1, 0, 1, -1, 0, 1, -1), (_1, 0, -1, -1, 0, -1, 0), (_1, 0, 1, 1, 0, 1, 1), (_1, 0, 0, 0, 0, 0, 2), (_1, 0, 0, -2, 0, 0, -2), (_1, 0, 0, 2, 0, 0, 0), 0),
+    ((_1, 0, -1, -1, 0, 1, 0), (_1, 0, 1, 1, 0, 1, 1), (_1, 0, -1, -1, 0, -1, 0), (_1, 0, 1, 1, 0, -1, -1), (_1, 0, 0, 0, 0, -2, -2), (_1, 0, 0, 0, 0, 0, 2), 0, (_1, 0, 0, 0, 0, 2, 0)),
+)
+# The eight generator images in the filtration basis (v1, v2, v3, v4), in
+# GENERATOR_LABELS order: each nu_operator on the eigenline grid, conjugated
+# by the filtration basis.  Their denominators are a, b + 1, q and a + b.
+_SUITE_TABLE = {
+    "f1": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)),
+    "f2": ((1, 0, 0, 0), (0, 1, (_B1, 2, 0, 0, 0, 0, 0), 0), (0, 0, -1, 0), (0, 0, 0, -1)),
+    "f3": ((1, 0, (_Q, 2, 0, 0, 0, 0, 0), (_Q, 2, 0, 2, 0, 0, 0)), (0, 1, (_Q, 2, 2, 0, 0, 0, 0), (_Q, 2, 0, 0, 0, 0, 0)), (0, 0, -1, 0), (0, 0, 0, -1)),
+    "f4": ((1, 0, (_S, 2, 0, 0, 0, 0, 0), (_S, 2, 0, 0, 0, 0, 0)), (0, 1, (_S, 2, 0, 0, 0, 0, 0), (_S, 2, 0, 0, 0, 0, 0)), (0, 0, -1, 0), (0, 0, 0, -1)),
+    "g1": ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, -1)),
+    "g2": ((1, -1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, -1)),
+    "g3": ((1, (_1, -1, 0, -1, 0, 0, 0), -1, 0), (0, 0, 0, -1), (0, 0, 0, (_1, 1, 0, 1, 0, 0, 0)), (0, 0, 0, -1)),
+    "g4": ((1, (_A, 0, 0, 1, 0, 0, 0), (_A, 1, 0, 0, 0, 0, 0), (_A, 2, 0, 0, 0, 0, 0)), (0, 0, 0, (_A, 1, 0, 0, 0, 0, 0)), (0, 0, 0, (_A, 0, 0, -1, 0, 0, 0)), (0, 0, 0, -1)),
+}
+# Each table's cells in the order its caller reads them: the kernel's
+# distinct cells, which _KERNEL_ROWS gathers into rows, and the plane's and
+# the suite's row by row.  A distinct cell of the three tables is keyed by
+# its place among them in a point's values, so a cell that two tables hold
+# is one value.
 _KERNEL_CELLS = tuple(dict.fromkeys((0, 1, *(c for cells in _KERNEL_FREE_BLOCK for c in cells))))
+_PLANE_CELLS = _PLANE_TABLE[0] + _PLANE_TABLE[1]
+_SUITE_CELLS = tuple(c for M in _SUITE_TABLE.values() for row in M for c in row)
+_CELL_KEYS = {cell: i for i, cell in enumerate(dict.fromkeys(_KERNEL_CELLS + _SUITE_CELLS + _PLANE_CELLS))}
 
 
 def _kernel_row(pivot: int, cells: tuple) -> itemgetter:
+    """The itemgetter that gathers the kernel row of pivot and cells, all
+    24 entries, from the values of _KERNEL_CELLS in one call."""
     row = [0] * 24
     row[pivot] = 1
     for col, cell in zip(_KERNEL_FREE, cells):
@@ -239,30 +267,27 @@ def _cell_layout(cell: tuple) -> tuple:
     return (den, I - i, J - j), tuple((c, (k, I - u, J - v)) for c, k, u, v in used)
 
 
-@lru_cache(maxsize=1)
-def _cell_keys() -> dict:
-    """Each distinct cell of the three tables by its place among them, its
-    key in a point's values: a cell that two tables hold is one value."""
-    return {cell: i for i, cell in enumerate(dict.fromkeys(_KERNEL_CELLS + _SUITE_CELLS + _PLANE_CELLS))}
-
-
-@lru_cache(maxsize=None)
 def _plan(cells: tuple) -> tuple:
-    """The plan that evaluates table cells, compiled on their first
-    evaluation: the layouts (den, sa, sb) and the monomial keys (k, x, y)
-    of _cell_layout that the cells use, one entry per distinct cell, and
-    the cells' keys (_cell_keys) in their order.  An entry is
-    (key, layout, terms), terms being ((c, monomial), ...) over the
-    plan's positions, or (key, None, c) for an integer cell c."""
-    keys, layouts, monomials, entries = _cell_keys(), {}, {}, []
+    """The plan that evaluates table cells: the layouts (den, sa, sb) and
+    the monomial keys (k, x, y) of _cell_layout that the cells use, one
+    entry per distinct cell, and the cells' keys (_CELL_KEYS) in their
+    order.  An entry is (key, layout, terms), terms being
+    ((c, monomial), ...) over the plan's positions, or (key, None, c) for
+    an integer cell c.  Each table's plan is built once, below."""
+    layouts, monomials, entries = {}, {}, []
     for cell in dict.fromkeys(cells):
         if isinstance(cell, int):
-            entries.append((keys[cell], None, cell))
+            entries.append((_CELL_KEYS[cell], None, cell))
         else:
             powers, terms = _cell_layout(cell)
             terms = tuple((c, monomials.setdefault(m, len(monomials))) for c, m in terms)
-            entries.append((keys[cell], layouts.setdefault(powers, len(layouts)), terms))
-    return tuple(layouts), tuple(monomials), tuple(entries), tuple(map(keys.get, cells))
+            entries.append((_CELL_KEYS[cell], layouts.setdefault(powers, len(layouts)), terms))
+    return tuple(layouts), tuple(monomials), tuple(entries), tuple(map(_CELL_KEYS.get, cells))
+
+
+_KERNEL_PLAN = _plan(_KERNEL_CELLS)
+_SUITE_PLAN = _plan(_SUITE_CELLS)
+_PLANE_PLAN = _plan(_PLANE_CELLS)
 
 
 def _affine_point(an, ad, bn, bd) -> bool:
@@ -282,7 +307,7 @@ def _affine_point(an, ad, bn, bd) -> bool:
 def _table_evaluator(a: Scalar, b: Scalar):
     """The function that evaluates tables at (a, b), lifted into one
     field, where every denominator the cells use is nonzero: given a
-    table's cells, it returns their values in order.
+    table's plan, it returns the values of the table's cells in order.
 
     Each cell is numerator over denominator in the ring under the field,
     Z for Q and Q[a, b] for Q(a, b), from the pairs of nondeg_factors.
@@ -321,8 +346,8 @@ def _table_evaluator(a: Scalar, b: Scalar):
     cores = (one, an, bn, an * an, an * bn, bn * bn)
     monomials, denominators, values = {}, {}, {}
 
-    def evaluate(cells: tuple) -> list:
-        layouts, keys, entries, order = _plan(cells)
+    def evaluate(plan: tuple) -> list:
+        layouts, keys, entries, order = plan
         keys = [(k, xa[x], xb[y]) for k, x, y in keys]
         for key in keys:
             if key not in monomials:
@@ -423,7 +448,7 @@ def kernel_basis(a: Scalar, b: Scalar) -> Subspace:
     returns them again."""
     entry = _evaluation(a, b)
     if entry[2] is None:
-        values = entry[1](_KERNEL_CELLS)
+        values = entry[1](_KERNEL_PLAN)
         entry[2] = tuple(row(values) for row in _KERNEL_ROWS)
     return Subspace(rows=entry[2], ambient=24)
 
@@ -471,17 +496,6 @@ def glue_subspace() -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-# The plane K / glue in the generator coordinates, in GENERATOR_LABELS
-# order: 2b times the kernel's meet with span(f1..f4, g1, g2, g3), which
-# projects onto (g2, g3) along (b + 1, -1), and 2ab times its meet with
-# span(f1..f4, g1, g2, g4), which projects onto (g2, g4) along (b, a).
-_PLANE_TABLE = (
-    ((_1, 0, -1, 1, 0, -1, 0), (_1, 0, 1, -1, 0, 1, -1), (_1, 0, -1, -1, 0, -1, 0), (_1, 0, 1, 1, 0, 1, 1), (_1, 0, 0, 0, 0, 0, 2), (_1, 0, 0, -2, 0, 0, -2), (_1, 0, 0, 2, 0, 0, 0), 0),
-    ((_1, 0, -1, -1, 0, 1, 0), (_1, 0, 1, 1, 0, 1, 1), (_1, 0, -1, -1, 0, -1, 0), (_1, 0, 1, 1, 0, -1, -1), (_1, 0, 0, 0, 0, -2, -2), (_1, 0, 0, 0, 0, 0, 2), 0, (_1, 0, 0, 0, 0, 2, 0)),
-)
-_PLANE_CELLS = _PLANE_TABLE[0] + _PLANE_TABLE[1]  # the two rows, evaluated as one table
-
-
 class LInvariantPlane(Value):
     """Kernel-mod-glue presentation: two representatives in the generator
     coordinates f1..f4, g1..g4, the rows of the committed plane table at
@@ -505,7 +519,7 @@ def l_invariant_plane(a: Scalar, b: Scalar) -> LInvariantPlane:
     no poles off the degenerate locus.  (a, b) is read off them by two
     ratios that no scale of a row moves: b = -g2/g3 - 1 in row 0, where
     g3 = 2b, and a = b g4/g2 in row 1, where g2 = 2b^2."""
-    values = _evaluation(a, b)[1](_PLANE_CELLS)
+    values = _evaluation(a, b)[1](_PLANE_PLAN)
     basis_fg = (tuple(values[:8]), tuple(values[8:]))
     (*_, g2, g3, _), (*_, h2, _, h4) = basis_fg
     b = -g2 / g3 - 1
@@ -567,26 +581,10 @@ def recover_parameters(K: Subspace):
 # ---------------------------------------------------------------------------
 
 
-# The eight generator images in the filtration basis (v1, v2, v3, v4), in
-# GENERATOR_LABELS order: each nu_operator on the eigenline grid, conjugated
-# by the filtration basis.  Their denominators are a, b + 1, q and a + b.
-_SUITE_TABLE = {
-    "f1": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)),
-    "f2": ((1, 0, 0, 0), (0, 1, (_B1, 2, 0, 0, 0, 0, 0), 0), (0, 0, -1, 0), (0, 0, 0, -1)),
-    "f3": ((1, 0, (_Q, 2, 0, 0, 0, 0, 0), (_Q, 2, 0, 2, 0, 0, 0)), (0, 1, (_Q, 2, 2, 0, 0, 0, 0), (_Q, 2, 0, 0, 0, 0, 0)), (0, 0, -1, 0), (0, 0, 0, -1)),
-    "f4": ((1, 0, (_S, 2, 0, 0, 0, 0, 0), (_S, 2, 0, 0, 0, 0, 0)), (0, 1, (_S, 2, 0, 0, 0, 0, 0), (_S, 2, 0, 0, 0, 0, 0)), (0, 0, -1, 0), (0, 0, 0, -1)),
-    "g1": ((1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, -1)),
-    "g2": ((1, -1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, -1)),
-    "g3": ((1, (_1, -1, 0, -1, 0, 0, 0), -1, 0), (0, 0, 0, -1), (0, 0, 0, (_1, 1, 0, 1, 0, 0, 0)), (0, 0, 0, -1)),
-    "g4": ((1, (_A, 0, 0, 1, 0, 0, 0), (_A, 1, 0, 0, 0, 0, 0), (_A, 2, 0, 0, 0, 0, 0)), (0, 0, 0, (_A, 1, 0, 0, 0, 0, 0)), (0, 0, 0, (_A, 0, 0, -1, 0, 0, 0)), (0, 0, 0, -1)),
-}
-_SUITE_CELLS = tuple(c for M in _SUITE_TABLE.values() for row in M for c in row)  # evaluated as one table
-
-
 def matrix_suite(a: Scalar, b: Scalar) -> dict:
     """Images of the eight distinguished generators, written in the
     filtration basis (v1, v2, v3, v4), by evaluating the committed suite
     table."""
-    values = _evaluation(a, b)[1](_SUITE_CELLS)
+    values = _evaluation(a, b)[1](_SUITE_PLAN)
     rows = [values[i : i + 4] for i in range(0, len(values), 4)]
     return {label: rows[i : i + 4] for label, i in zip(_SUITE_TABLE, range(0, len(rows), 4))}

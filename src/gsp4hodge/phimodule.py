@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from ._value import Value
 from .errors import InvalidData, ParseError
-from .scalars import RatFunc, Scalar, is_prime, padic_val, ring_pair
+from .scalars import INTEGER, RATIONAL, SCALAR, RatFunc, Scalar, is_prime, padic_val, require_type, ring_pair
 
 # linalg, symplectic and weyl are imported where used: validate uses none.
 if TYPE_CHECKING:
@@ -66,14 +66,11 @@ class PhiModuleData(Value):
         type, a float and a bool among them."""
         if len(self.alphas) != 4 or len(self.weights) != 4:
             raise InvalidData("alphas and weights need four entries each")
-        integer, rational, scalar = (int,), (int, Q), (int, Q, RatFunc)
-        kinds = {integer: "an int", rational: "an int or a Fraction", scalar: "an int, a Fraction or a RatFunc"}
-        fields = [("p", self.p, integer), ("a", self.a, scalar), ("b", self.b, scalar)]
-        fields += [(f"alphas[{i}]", x, rational) for i, x in enumerate(self.alphas)]
-        fields += [(f"weights[{i}]", h, integer) for i, h in enumerate(self.weights)]
+        fields = [("p", self.p, INTEGER), ("a", self.a, SCALAR), ("b", self.b, SCALAR)]
+        fields += [(f"alphas[{i}]", x, RATIONAL) for i, x in enumerate(self.alphas)]
+        fields += [(f"weights[{i}]", h, INTEGER) for i, h in enumerate(self.weights)]
         for name, x, types in fields:
-            if type(x) not in types:
-                raise TypeError(f"{name} must be {kinds[types]}, not {type(x).__name__!r}")
+            require_type(name, x, types)
 
     @property
     def symbolic(self) -> bool:

@@ -25,6 +25,19 @@ from .errors import (
 
 Monomial = tuple[int, int]  # (exponent of a, exponent of b)
 
+#: The exact types of an integer and of a rational value, as require_type
+#: names them; SCALAR, below RatFunc, adds the field Q(a, b).
+INTEGER, RATIONAL = (int,), (int, Q)
+_KINDS = {INTEGER: "an int", RATIONAL: "an int or a Fraction"}
+
+
+def require_type(name: str, x, types: tuple) -> None:
+    """The one type gate of exact values: a TypeError that names x and its
+    type unless that is one of types (INTEGER, RATIONAL or SCALAR) itself,
+    so a float (not exact) and a bool (an int subclass) are rejected."""
+    if type(x) not in types:
+        raise TypeError(f"{name} must be {_KINDS[types]}, not {type(x).__name__!r}")
+
 
 def _degree_cap() -> int | None:
     raw = os.environ.get("GSP4H_MAX_DEGREE")
@@ -50,7 +63,10 @@ class Poly2:
     def __init__(self, terms: dict[Monomial, Q] | None = None):
         if not isinstance(terms, (dict, type(None))):
             raise TypeError(f"Poly2 terms must be a dict, not {type(terms).__name__!r}")
-        coeffs = [(mono, Q(c)) for mono, c in (terms or {}).items()]
+        coeffs = []
+        for mono, c in (terms or {}).items():
+            require_type(f"terms[{mono}]", c, RATIONAL)
+            coeffs.append((mono, Q(c)))
         denom = _int_lcm(*(c.denominator for _, c in coeffs))
         view: dict = {}
         for (da, db), c in coeffs:
@@ -62,6 +78,7 @@ class Poly2:
 
     @staticmethod
     def const(c) -> "Poly2":
+        require_type("c", c, RATIONAL)
         c = Q(c)
         return _poly(_UNIT if c else {}, c)
 
@@ -569,6 +586,8 @@ def _as_ratfunc(x) -> "RatFunc":
 # ---------------------------------------------------------------------------
 
 Scalar = Q | RatFunc
+SCALAR = (int, Q, RatFunc)  # the exact types of a point's a and b
+_KINDS[SCALAR] = "an int, a Fraction or a RatFunc"
 
 
 def is_zero(x: Scalar) -> bool:
@@ -604,8 +623,7 @@ def padic_val(x, p: int) -> int:
     is_prime(p), since for p = 1 the count would not end.  x must be an
     int or a Fraction; a TypeError names any other, a float (not exact),
     a bool and a str too."""
-    if type(x) not in (int, Q):
-        raise TypeError(f"x must be an int or a Fraction, not {type(x).__name__!r}")
+    require_type("x", x, RATIONAL)
     if not is_prime(p):
         raise InvalidData(f"p-adic valuation needs a prime p, got {p}")
     x = Q(x)

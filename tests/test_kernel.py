@@ -33,6 +33,7 @@ from gsp4hodge.kernel import (
     _affine_point,
     _cell_layout,
     _evaluation,
+    _plan,
     _require_nondegenerate,
     _table_evaluator,
 )
@@ -558,6 +559,22 @@ class TestKeptEvaluation:
         assert recover_parameters(kernels[1]) == points[1]
         assert kernels[0] == kernels[2] and kernels[0].rows is not kernels[2].rows
 
+    @pytest.mark.parametrize("point", ((Q(-7, 3), Q(11, 5)), (A + 7, 3 * B - 2)), ids=("Q", "Qab"))
+    def test_plans_are_built_at_import(self, monkeypatch, point):
+        # each table's plan was built with the tables: the kernel at a new
+        # point, recovery of a rebuilt copy of its rows (which evaluates the
+        # kernel again), the suite and the plane there plan nothing
+        plans, real = [], gsp4hodge.kernel._plan
+        monkeypatch.setattr(gsp4hodge.kernel, "_plan", lambda cells: plans.append(cells) or real(cells))
+        gsp4hodge.kernel._last = None
+        rows = kernel_basis(*point).rows
+        gsp4hodge.kernel._last = None
+        assert recover_parameters(Subspace(rows=tuple(map(tuple, rows)), ambient=24)) == point
+        assert matrix_suite(*point) == matrix_suite_by_elimination(*point)
+        plane = l_invariant_plane(*point)
+        assert (plane.a, plane.b) == point
+        assert not plans
+
     @pytest.mark.parametrize("call", (kernel_basis, matrix_suite, l_invariant_plane))
     def test_degenerate_point_keeps_the_entry(self, call):
         K = kernel_basis(Q(2), Q(3))
@@ -748,6 +765,26 @@ class TestWeylRelabeling:
             with pytest.MonkeyPatch.context() as patch:
                 assert TestRecovery.count_rrefs(patch, K) == (phi(w, (a, b)), 1)
 
+    @pytest.mark.parametrize("point", ((Q(2), Q(3)), (A, B)), ids=("Q", "Qab"))
+    def test_plane_of_the_relabeled_point(self, point):
+        # the plane at phi_w(a, b) reads phi_w(a, b) back, and its cells are
+        # the field route's, in type and canonical form; over Q(a, b) no
+        # orbit point but (a, b) is affine, so the plane's cells there are
+        # reduced by _cancel
+        for w in W_ALL:
+            image = phi(w, point)
+            if type(point[0]) is RatFunc:
+                ring = [x for pair in nondeg_factors(*image)[:2] for x in pair]
+                assert _affine_point(*ring) == (w == W_ID)
+            gsp4hodge.kernel._last = None
+            plane = l_invariant_plane(*image)
+            assert (plane.a, plane.b) == image
+            value = table_evaluator_by_field_ops(*image)
+            for got, cells in zip(plane.basis_fg, _PLANE_TABLE):
+                for x, cell in zip(got, cells):
+                    want = value(cell)
+                    assert type(x) is type(want) and x == want, (w.word, cell)
+
     def test_convention(self):
         # s1s2 is no involution: R_w moves the block of u to u * w^-1, and
         # moving it to u * w instead relabels by w^-1
@@ -798,9 +835,13 @@ TABLE_CELLS = tuple(
 )
 
 
+#: The plan of TABLE_CELLS, evaluated as one table.
+TABLE_PLAN = _plan(TABLE_CELLS)
+
+
 def table_values(evaluate) -> dict:
     """Every cell of TABLE_CELLS by its value from a table evaluator."""
-    return dict(zip(TABLE_CELLS, evaluate(TABLE_CELLS)))
+    return dict(zip(TABLE_CELLS, evaluate(TABLE_PLAN)))
 
 
 def shifted(c1, c2, c3):
@@ -941,7 +982,7 @@ class TestCertificate:
     def plane_rows():
         """The plane table over Q(a, b), one row per meet."""
         evaluate = _table_evaluator(A, B)
-        return [evaluate(cells) for cells in _PLANE_TABLE]
+        return [evaluate(_plan(cells)) for cells in _PLANE_TABLE]
 
     def test_plane_rows_are_meet_multiples(self, generic):
         _, K = generic

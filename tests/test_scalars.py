@@ -25,7 +25,7 @@ from gsp4hodge.errors import (
 import gsp4hodge._polygcd as polygcd
 import gsp4hodge.scalars as scalars
 from gsp4hodge._polygcd import _certified_coprime
-from gsp4hodge.hecke import hecke_charpoly
+from gsp4hodge.hecke import FrobeniusData, HeckeData, classicality_classify, hecke_charpoly, ideal_generators
 from gsp4hodge.kernel import (
     eigenline_grid,
     jbar_matrix,
@@ -833,11 +833,39 @@ class TestArgumentTypes:
              "alphas[0] must be an int or a Fraction, not 'bool'"),
             (partial(PhiModuleData, 3, (1, 9, 81, 729), (0, -2, -4, -6), b=3), 0.5,
              "a must be an int, a Fraction or a RatFunc, not 'float'"),
+            # a constant is exact: a float's would be its binary value, a bool's 0 or 1
+            (lambda c: Poly2({(1, 0): c}), 0.1, "terms[(1, 0)] must be an int or a Fraction, not 'float'"),
+            (lambda c: Poly2({(0, 0): 1, (0, 1): c}), True, "terms[(0, 1)] must be an int or a Fraction, not 'bool'"),
+            (Poly2.const, 0.5, "c must be an int or a Fraction, not 'float'"),
+            (Poly2.const, True, "c must be an int or a Fraction, not 'bool'"),
+            (RatFunc.const, 0.5, "c must be an int or a Fraction, not 'float'"),
+            (RatFunc.const, True, "c must be an int or a Fraction, not 'bool'"),
+            (RatFunc.const, "1/2", "c must be an int or a Fraction, not 'str'"),
+            # a weight is not truncated: -2.5 once read as -2, so that h_1 - h_2 = 2
+            (partial(classicality_classify, [1, 9, 81, 729], p=3, C=10), [0, -2.5, -4, -6],
+             "weights[1] must be an int, not 'float'"),
+            (partial(classicality_classify, [1, 9, 81, 729], [0, -2, -4, -6], 3), 10.0,
+             "C must be an int or a Fraction, not 'float'"),
+            (partial(classicality_classify, weights=[0, -2, -4, -6], p=3, C=10), [1, 9.0, 81, 729],
+             "alphas[1] must be an int or a Fraction, not 'float'"),
+            (partial(classicality_classify, [1, 9, 81, 729], [0, -2, -4, -6], C=10), 3.0,
+             "p must be an int, not 'float'"),
+            (partial(HeckeData, c0=1, c1=0, c2=0), 2.0, "l must be an int, not 'float'"),
+            (partial(HeckeData, 2, c1=0, c2=0), 0.1, "c0 must be an int or a Fraction, not 'float'"),
+            (partial(HeckeData, 2, 1, 0), True, "c2 must be an int or a Fraction, not 'bool'"),
+            (partial(FrobeniusData, sim=Q(8)), (0, 10, 0.5, 64), "coeffs[2] must be an int or a Fraction, not 'float'"),
+            (partial(FrobeniusData, (0, 10, 0, 64)), 8.0, "sim must be an int or a Fraction, not 'float'"),
+            # the inverse map builds a HeckeData, whose gate names l
+            (partial(ideal_generators, FrobeniusData((0, 10, 0, 64), Q(8))), 2.0, "l must be an int, not 'float'"),
         ),
         ids=("recover_parameters", "Poly2", "parse_scalar", "validate", "hecke_charpoly", "from_word",
              "padic_val-float", "padic_val-bool", "padic_val-str", "weak_admissibility-float-alpha",
              "PhiModuleData-float-weights", "PhiModuleData-float-alpha", "PhiModuleData-bool-alpha",
-             "PhiModuleData-float-a"),
+             "PhiModuleData-float-a", "Poly2-float-term", "Poly2-bool-term", "Poly2.const-float",
+             "Poly2.const-bool", "RatFunc.const-float", "RatFunc.const-bool", "RatFunc.const-str",
+             "classify-float-weight", "classify-float-C", "classify-float-alpha", "classify-float-p",
+             "HeckeData-float-l", "HeckeData-float-c0", "HeckeData-bool-c2", "FrobeniusData-float-coeff",
+             "FrobeniusData-float-sim", "ideal_generators-float-l"),
     )
     def test_wrong_type_is_a_type_error(self, call, arg, message):
         # the argument is named, not met by an AttributeError or a silent coercion
