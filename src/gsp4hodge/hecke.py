@@ -80,7 +80,10 @@ def ideal_generators(f: FrobeniusData, l: int) -> HeckeData:
     hecke_charpoly gives sim = l^3 c0, q3 = -c1, q2 = (l^3 + l) c0 + l c2,
     q1 = sim q3 and q0 = sim^2.  So once q1 and q0 are checked, the
     inverse is the identity c0 = sim / l^3, c1 = -q3 and
-    c2 = q2 / l - (l^-1 + l^-3) sim, over any field."""
+    c2 = q2 / l - (l^-1 + l^-3) sim, over any field.  An f that is not a
+    FrobeniusData is a TypeError."""
+    if not isinstance(f, FrobeniusData):
+        raise TypeError(f"f must be a FrobeniusData, not {type(f).__name__!r}")
     if not is_prime(l):
         raise InvalidData(f"l = {l} is not prime")
     lq = Q(l)

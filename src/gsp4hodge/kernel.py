@@ -7,8 +7,10 @@ The kernel, the matrix suite and the invariant plane are committed tables
 over Q(a, b), which one evaluator evaluates at a point, kept for the last
 point; nothing is eliminated or normalised per point.  Each table has a
 plan (_plan), built with the tables at import, and is evaluated in flat
-passes over it: its monomials, its denominators, then each cell as an
-integer sum over its monomials' terms.  A point is an int,
+passes over it, one per field: its monomials, its denominators, then each
+cell as an integer sum over its monomials' terms.  Over Q that sum and
+its denominator are ints, reduced by one gcd into a Fraction built from
+the pair; no Fraction constructor runs.  A point is an int,
 a Fraction or a RatFunc in each of a and b (_point); a float, a bool or
 anything else is a TypeError.  The parameters are read off two cells of
 the kernel table and checked against the kernel at that point, unless the
@@ -41,7 +43,7 @@ from ._value import Value
 from .errors import DegenerateIntersection, InvalidData, NotALine
 from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, rref
 from .phimodule import coordinate_subspace, filtration_basis, nondeg_factors, vanishing_factor
-from .scalars import SCALAR, RatFunc, Scalar, _cancel, _flat_poly, _ratfunc, is_zero, require_type
+from .scalars import SCALAR, RatFunc, Scalar, _cancel, _flat_poly, _fraction, _ratfunc, is_zero, require_type
 from .symplectic import Subspace, gsp4_coordinates
 
 if TYPE_CHECKING:
@@ -304,6 +306,12 @@ def _affine_point(an, ad, bn, bd) -> bool:
     return p * s != q * r
 
 
+# The integer cells of the three tables, 0, ±1 and ±2, built once per
+# field: Fractions and RatFuncs are immutable, so every point shares them.
+_Q_CELLS = {c: Q(c) for c in _CELL_KEYS if isinstance(c, int)}
+_QAB_CELLS = {c: RatFunc.const(c) for c in _Q_CELLS}
+
+
 def _table_evaluator(a: Scalar, b: Scalar):
     """The function that evaluates tables at (a, b), lifted into one
     field, where every denominator the cells use is nonzero: given a
@@ -317,27 +325,61 @@ def _table_evaluator(a: Scalar, b: Scalar):
     over dn.  Both sides take the least powers of ad and bd that clear the
     negative exponents (_cell_layout), so neither ad nor bd is put on
     both.  A table's plan (_plan) names its layouts, monomials and cells,
-    and the evaluation makes three flat passes over it: each monomial
-    an^u * bn^v * ad^x * bd^y and each denominator layout is built once per
-    point, whichever table needs it first, and each distinct cell is
-    evaluated once per point, so the tables share one evaluator per point
-    through _evaluation.  Over Q a cell is one Fraction of the sum of its
-    terms.  Over Q(a, b) each denominator is made monic once, and a
-    monomial is kept as its integer terms times one scale; a table brings
-    its monomials to one common denominator L, so a cell numerator is an
-    integer sum over its monomials' terms, whose content and sign (its
-    leading integer's) move into one Fraction scale, and the denominator's
-    monic scale with it.  At an affine point (_affine_point) that pair is
-    the cell's canonical pair; elsewhere one _cancel makes it so, since it
-    keeps the denominator monic; either way _ratfunc builds the cell.
+    and each field has a pass of its own over it: _q_pass and _qab_pass.
+    Either keeps the point's values, so each distinct cell is evaluated
+    once per point and the tables share one evaluator per point through
+    _evaluation; an integer cell is its field's constant, built at import.
     (a, b) is a point in one field, as _point gives it; InvalidData names
     the first factor that vanishes there."""
     factors = nondeg_factors(a, b)
     _require_nondegenerate(a, b, factors)
+    return (_qab_pass if type(a) is RatFunc else _q_pass)(factors)
+
+
+def _q_pass(factors: tuple):
+    """The evaluator over Q, in Z: for each plan, its monomials
+    an^u * bn^v * ad^x * bd^y and its layout denominators are int lists,
+    and a cell is the integer sum of its terms over its layout's
+    denominator, one gcd and one Fraction built by _fraction; no
+    Fraction.__new__ runs."""
     (an, ad), (bn, bd) = factors[:2]
-    zero = a * 0
-    symbolic = type(a) is RatFunc
-    affine = symbolic and _affine_point(an, ad, bn, bd)
+    nums = [n for n, _ in factors]
+    pa, pb = (1, ad, ad * ad), (1, bd, bd * bd)
+    cores = (1, an, bn, an * an, an * bn, bn * bn)
+    values = {}
+
+    def evaluate(plan: tuple) -> list:
+        layouts, keys, entries, order = plan
+        ms = [cores[k] * pa[x] * pb[y] for k, x, y in keys]
+        ds = [prod(map(nums.__getitem__, den)) * pa[sa] * pb[sb] for den, sa, sb in layouts]
+        for key, layout, terms in entries:
+            if key in values:
+                continue
+            if layout is None:
+                values[key] = _Q_CELLS[terms]
+            else:
+                n = 0
+                for c, m in terms:
+                    n += c * ms[m]
+                values[key] = _fraction(n, ds[layout])
+        return list(map(values.__getitem__, order))
+
+    return evaluate
+
+
+def _qab_pass(factors: tuple):
+    """The evaluator over Q(a, b), in Q[a, b].  Each monomial and each
+    denominator layout is built once per point, whichever table needs it
+    first.  Each denominator is made monic once, and a monomial is kept as
+    its integer terms times one scale; a table brings its monomials to one
+    common denominator L, so a cell numerator is an integer sum over its
+    monomials' terms, whose content and sign (its leading integer's) move
+    into one Fraction scale, and the denominator's monic scale with it.
+    At an affine point (_affine_point) that pair is the cell's canonical
+    pair; elsewhere one _cancel makes it so, since it keeps the
+    denominator monic; either way _ratfunc builds the cell."""
+    (an, ad), (bn, bd) = factors[:2]
+    affine = _affine_point(an, ad, bn, bd)
     one = an**0  # the ring's 1
     pa, pb = (one, ad, ad * ad), (one, bd, bd * bd)
     # where ad = 1, monomials that differ only in its exponent are one, and likewise for bd
@@ -357,59 +399,48 @@ def _table_evaluator(a: Scalar, b: Scalar):
                     m = m * pa[x]
                 if y:
                     m = m * pb[y]
-                if symbolic:  # its integer terms, keyed (b-degree, a-degree), and its scale
-                    m = [((db, da), c) for db, u in m._view.items() for da, c in u.items()], m._scale
-                monomials[key] = m
+                # its integer terms, keyed (b-degree, a-degree), and its scale
+                monomials[key] = [((db, da), c) for db, u in m._view.items() for da, c in u.items()], m._scale
         ds = []
         for powers in layouts:
             d = denominators.get(powers)
             if d is None:
                 den, sa, sb = powers
                 d = prod(factors[f][0] for f in den) * pa[sa] * pb[sb]
-                if symbolic:  # monic once, with the scale each numerator takes
-                    inv = 1 / d.leading_coeff()
-                    d = d.scale(inv), inv
-                denominators[powers] = d
+                inv = 1 / d.leading_coeff()  # monic once, with the scale each numerator takes
+                d = denominators[powers] = d.scale(inv), inv
             ds.append(d)
-        if symbolic:  # each monomial's terms over the table's common denominator L, by position in exps
-            ms = {key: monomials[key] for key in keys}
-            L = lcm(*(s.denominator for _, s in ms.values()))
-            exps = sorted({e for t, _ in ms.values() for e, _ in t})  # (b-degree, a-degree), the leading one last
-            at = {e: i for i, e in enumerate(exps)}
-            for key, (t, s) in ms.items():
-                n = s.numerator * (L // s.denominator)
-                ms[key] = [(at[e], v * n) for e, v in t]
-            ms = [ms[key] for key in keys]
-        else:
-            ms = [monomials[key] for key in keys]
+        # each monomial's terms over the table's common denominator L, by position in exps
+        ms = {key: monomials[key] for key in keys}
+        L = lcm(*(s.denominator for _, s in ms.values()))
+        exps = sorted({e for t, _ in ms.values() for e, _ in t})  # (b-degree, a-degree), the leading one last
+        at = {e: i for i, e in enumerate(exps)}
+        for key, (t, s) in ms.items():
+            n = s.numerator * (L // s.denominator)
+            ms[key] = [(at[e], v * n) for e, v in t]
+        ms = [ms[key] for key in keys]
         for key, layout, terms in entries:
             if key in values:
                 continue
             if layout is None:
-                x = zero + terms
-            elif symbolic:
-                acc = [0] * len(exps)
-                for c, m in terms:
-                    for i, v in ms[m]:
-                        acc[i] += c * v
-                d, inv = ds[layout]
-                g = gcd(*acc)
-                if g:  # the content, signed like the leading integer
-                    acc = [(e, v) for e, v in zip(exps, acc) if v]
-                    g = g if acc[-1][1] > 0 else -g
-                    n = _flat_poly(acc, g, Q(g * inv.numerator, L * inv.denominator))
-                else:
-                    n = zero.num
-                # a cell numerator is nonzero and sigma injective: at an affine point (n, d) is canonical
-                if not affine:  # cancelling against a monic d leaves it monic
-                    n, d, _ = _cancel(n, d)
-                x = _ratfunc(n, d)
+                values[key] = _QAB_CELLS[terms]
+                continue
+            acc = [0] * len(exps)
+            for c, m in terms:
+                for i, v in ms[m]:
+                    acc[i] += c * v
+            d, inv = ds[layout]
+            g = gcd(*acc)
+            if g:  # the content, signed like the leading integer
+                acc = [(e, v) for e, v in zip(exps, acc) if v]
+                g = g if acc[-1][1] > 0 else -g
+                n = _flat_poly(acc, g, _fraction(g * inv.numerator, L * inv.denominator))
             else:
-                n = 0
-                for c, m in terms:
-                    n += c * ms[m]
-                x = Q(n, ds[layout])
-            values[key] = x
+                n = _QAB_CELLS[0].num
+            # a cell numerator is nonzero and sigma injective: at an affine point (n, d) is canonical
+            if not affine:  # cancelling against a monic d leaves it monic
+                n, d, _ = _cancel(n, d)
+            values[key] = _ratfunc(n, d)
         return list(map(values.__getitem__, order))
 
     return evaluate

@@ -146,7 +146,7 @@ class Poly2:
 
     def __mul__(self, other):
         if not isinstance(other, Poly2):
-            return self.scale(other) if isinstance(other, (int, Q)) else NotImplemented
+            return self.scale(other) if type(other) in RATIONAL else NotImplemented
         # A constant factor changes only the scale.
         if other.is_const():
             return self.scale(other._scale)
@@ -244,6 +244,19 @@ def _as_poly(x) -> "Poly2":
     if isinstance(x, (int, Q)):
         return Poly2.const(x)
     return NotImplemented
+
+
+def _fraction(n: int, d: int) -> Q:
+    """The Fraction n/d for ints n and d != 0, reduced by one gcd whose
+    sign is d's, so the denominator is positive, and built without
+    Fraction.__new__, as CPython's Fraction._from_coprime_ints (3.12+)
+    does: the two slots are set on a bare instance."""
+    g = _int_gcd(n, d)
+    if d < 0:
+        g = -g
+    x = object.__new__(Q)
+    x._numerator, x._denominator = n // g, d // g
+    return x
 
 
 def _poly(view, scale: Q) -> Poly2:
@@ -497,7 +510,7 @@ class RatFunc:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Q)):  # c * num is coprime to den for c != 0
+        if type(other) in RATIONAL:  # c * num is coprime to den for c != 0
             return _ratfunc(self.num.scale(other), self.den) if other else RatFunc.const(0)
         other = _as_ratfunc(other)
         if other is NotImplemented:
@@ -511,7 +524,7 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Q)):
+        if type(other) in RATIONAL:
             if not other:
                 raise DivisionByZero("division by zero rational function")
             return _ratfunc(self.num.scale(Q(other.denominator, other.numerator)), self.den)

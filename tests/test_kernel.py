@@ -1167,6 +1167,39 @@ class TestEvaluatedKernel:
         self.assert_evaluators_agree(*point)
 
     @pytest.mark.parametrize(
+        "point", [(Q(-7, 3), Q(5, 4)), (Q(-TALL - 1, 3), Q(TALL - 5, TALL - 1))], ids=("low", "tall")
+    )
+    def test_q_pass_calls_no_fraction_constructor(self, point):
+        # each cell is built from its reduced pair by scalars._fraction and each
+        # integer cell is built at import, so a fresh numeric kernel and its rank
+        # never reach Fraction.__new__
+        real, calls = Q.__dict__["__new__"], []
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return real.__func__(cls, *args, **kwargs)
+
+        gsp4hodge.kernel._last = None
+        Q.__new__ = counted
+        try:
+            kernel_basis(*point)
+            jbar_rank(*point)
+        finally:
+            Q.__new__ = real
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "points",
+        ([(Q(2), Q(3)), (Q(-TALL - 1, 3), Q(5, 4))], [shifted(0, 1, 0), ((A + 1) / (B + 2), A / (B - 1))]),
+        ids=("q", "qab"),
+    )
+    def test_integer_cells_are_shared_across_points(self, points):
+        # an integer cell is its field's constant, built once at import
+        first, second = (table_values(_table_evaluator(*p)) for p in points)
+        integers = [c for c in TABLE_CELLS if isinstance(c, int)]
+        assert integers and all(first[c] is second[c] == c for c in integers)
+
+    @pytest.mark.parametrize(
         "point",
         (((A + 1) / (B + 2), A / (B - 1)), (1 / A, 1 / B), (-A, -B / (B + 1))),
         ids=("rational", "inverse", "s2"),

@@ -857,6 +857,8 @@ class TestArgumentTypes:
             (partial(FrobeniusData, (0, 10, 0, 64)), 8.0, "sim must be an int or a Fraction, not 'float'"),
             # the inverse map builds a HeckeData, whose gate names l
             (partial(ideal_generators, FrobeniusData((0, 10, 0, 64), Q(8))), 2.0, "l must be an int, not 'float'"),
+            (partial(ideal_generators, l=2), (0, 10, 0, 64), "f must be a FrobeniusData, not 'tuple'"),
+            (partial(ideal_generators, l=2), None, "f must be a FrobeniusData, not 'NoneType'"),
         ),
         ids=("recover_parameters", "Poly2", "parse_scalar", "validate", "hecke_charpoly", "from_word",
              "padic_val-float", "padic_val-bool", "padic_val-str", "weak_admissibility-float-alpha",
@@ -865,12 +867,44 @@ class TestArgumentTypes:
              "Poly2.const-bool", "RatFunc.const-float", "RatFunc.const-bool", "RatFunc.const-str",
              "classify-float-weight", "classify-float-C", "classify-float-alpha", "classify-float-p",
              "HeckeData-float-l", "HeckeData-float-c0", "HeckeData-bool-c2", "FrobeniusData-float-coeff",
-             "FrobeniusData-float-sim", "ideal_generators-float-l"),
+             "FrobeniusData-float-sim", "ideal_generators-float-l", "ideal_generators-tuple-f",
+             "ideal_generators-None-f"),
     )
     def test_wrong_type_is_a_type_error(self, call, arg, message):
         # the argument is named, not met by an AttributeError or a silent coercion
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             call(arg)
+
+    @pytest.mark.parametrize(
+        "x, op",
+        [(Poly2.var("a"), op) for op in (operator.add, operator.sub, operator.mul)]
+        + [(A, op) for op in (operator.add, operator.sub, operator.mul, operator.truediv)],
+        ids=("Poly2-add", "Poly2-sub", "Poly2-mul", "RatFunc-add", "RatFunc-sub", "RatFunc-mul", "RatFunc-truediv"),
+    )
+    @pytest.mark.parametrize("c", (True, False, 0.5), ids=("True", "False", "float"))
+    def test_bool_and_float_operands_are_type_errors(self, x, op, c):
+        # a bool is no exact constant to any operator, in either order: a * True was a
+        for left, right in ((x, c), (c, x)):
+            with pytest.raises(TypeError):
+                op(left, right)
+
+
+class TestFractionFromPair:
+    """scalars._fraction builds n/d from one gcd and the two slots that
+    CPython's Fraction keeps, _numerator and _denominator (3.10 to 3.13)."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        st.one_of(st.just(0), st.integers(-(2**200), 2**200)),
+        st.one_of(st.sampled_from((1, -1)), st.integers(-(2**200), 2**200).filter(bool)),
+    )
+    @example(0, -1)
+    @example(-6, -4)
+    def test_matches_the_constructor(self, n, d):
+        got, want = scalars._fraction(n, d), Q(n, d)
+        assert type(got) is Q
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert hash(got) == hash(want) and str(got) == str(want) and got == want
 
 
 class TestCoprimeCertificate:
