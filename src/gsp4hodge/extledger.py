@@ -15,6 +15,7 @@ from itertools import combinations
 
 from ._value import Value
 from .errors import InvalidData, InvalidIndexSet, LedgerInconsistent
+from .scalars import INTEGER, RATIONAL, require_type
 from .weyl import LEVI_CENTERS, TORUS_BASIS, CocharTuple, WeylElem, L_map
 
 
@@ -22,7 +23,8 @@ class AddChar(Value):
     """Additive character with val- and log-coefficient tuples.
 
     shape "qp_to_t": 4 + 4 coefficients with the torus constraint on each
-    half; shape "T_to_E": 3 + 3 coefficients, unconstrained.
+    half; shape "T_to_E": 3 + 3 coefficients, unconstrained.  Each is an
+    int or a Fraction, kept as a Fraction; a TypeError names any other.
     """
 
     shape: str
@@ -30,8 +32,8 @@ class AddChar(Value):
     log: tuple
 
     def __post_init__(self):
-        val = tuple(Q(x) for x in self.val)
-        log = tuple(Q(x) for x in self.log)
+        val = tuple(require_type(f"val[{i}]", x, RATIONAL) for i, x in enumerate(self.val))
+        log = tuple(require_type(f"log[{i}]", x, RATIONAL) for i, x in enumerate(self.log))
         if self.shape == "qp_to_t":
             for half in (val, log):
                 if len(half) != 4 or half[0] + half[3] != half[1] + half[2]:
@@ -119,8 +121,8 @@ class Constituent(Value):
 
     @staticmethod
     def C(index_set, reflection: int) -> "Constituent":
-        I = frozenset(int(x) for x in index_set)
-        if reflection not in (1, 2):
+        I = frozenset(require_type("an index_set entry", x, INTEGER) for x in index_set)
+        if require_type("reflection", reflection, INTEGER) not in (1, 2):
             raise InvalidIndexSet(f"reflection must be 1 or 2, got {reflection}")
         if len(I) != reflection:
             raise InvalidIndexSet(f"|I| = {len(I)} != i = {reflection}")
@@ -143,7 +145,7 @@ class Constituent(Value):
 
 def constituents(i: int):
     """All labels C(I, s_i): singletons for i = 1, sum-not-5 pairs for i = 2."""
-    if i not in (1, 2):
+    if require_type("i", i, INTEGER) not in (1, 2):
         raise InvalidIndexSet(f"reflection index {i} out of range")
     out = []
     for I in combinations((1, 2, 3, 4), i):
@@ -158,7 +160,7 @@ def all_constituents():
 
 def constituent_of(w: WeylElem, i: int) -> Constituent:
     """C(w, s_i) identified by its index-set invariant w^{-1}({1..i})."""
-    if i not in (1, 2):
+    if require_type("i", i, INTEGER) not in (1, 2):
         raise InvalidIndexSet(f"reflection index {i} out of range")
     winv = w.inv()
     return Constituent.C(frozenset(winv(j) for j in range(1, i + 1)), i)
@@ -170,7 +172,7 @@ def socle_constituents(X: str, I) -> list:
     Siegel side: the singletons inside the pair I plus C(I, s2).
     Klingen side: C(I, s1) plus the valid pairs containing the singleton I.
     """
-    I = frozenset(int(x) for x in I)
+    I = frozenset(require_type("an I entry", x, INTEGER) for x in I)
     if X == "P":
         if len(I) != 2 or sum(I) == 5:
             raise InvalidIndexSet(f"bad Siegel index set {sorted(I)}")

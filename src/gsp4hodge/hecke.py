@@ -33,9 +33,7 @@ class HeckeData(Value):
         if not is_prime(self.l):
             raise InvalidData(f"l = {self.l} is not prime")
         for name in ("c0", "c1", "c2"):
-            c = getattr(self, name)
-            require_type(name, c, RATIONAL)
-            object.__setattr__(self, name, Q(c))
+            object.__setattr__(self, name, require_type(name, getattr(self, name), RATIONAL))
         if self.c0 == 0:
             raise InvalidData("c0 must be invertible")
 
@@ -49,14 +47,11 @@ class FrobeniusData(Value):
     sim: Q
 
     def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) != 4:
+        if len(self.coeffs) != 4:
             raise InvalidData("need exactly the four non-leading coefficients")
-        for i, x in enumerate(coeffs):
-            require_type(f"coeffs[{i}]", x, RATIONAL)
-        require_type("sim", self.sim, RATIONAL)
-        object.__setattr__(self, "coeffs", tuple(map(Q, coeffs)))
-        object.__setattr__(self, "sim", Q(self.sim))
+        coeffs = tuple(require_type(f"coeffs[{i}]", x, RATIONAL) for i, x in enumerate(self.coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "sim", require_type("sim", self.sim, RATIONAL))
 
 
 def hecke_charpoly(d: HeckeData) -> FrobeniusData:
@@ -81,10 +76,10 @@ def ideal_generators(f: FrobeniusData, l: int) -> HeckeData:
     q1 = sim q3 and q0 = sim^2.  So once q1 and q0 are checked, the
     inverse is the identity c0 = sim / l^3, c1 = -q3 and
     c2 = q2 / l - (l^-1 + l^-3) sim, over any field.  An f that is not a
-    FrobeniusData is a TypeError."""
+    FrobeniusData, or an l that is not an int, is a TypeError."""
     if not isinstance(f, FrobeniusData):
         raise TypeError(f"f must be a FrobeniusData, not {type(f).__name__!r}")
-    if not is_prime(l):
+    if not is_prime(require_type("l", l, INTEGER)):
         raise InvalidData(f"l = {l} is not prime")
     lq = Q(l)
     q3, q2, q1, q0 = f.coeffs
@@ -126,18 +121,15 @@ def classicality_classify(alphas, weights, p: int, C) -> ClassicalityReport:
     require_type("p", p, INTEGER)
     if not is_prime(p):
         raise InvalidData(f"p = {p} is not prime")
-    require_type("C", C, RATIONAL)
-    C = Q(C)
+    C = require_type("C", C, RATIONAL)
     if C <= 0:
         raise InvalidData("the bound C must be positive")
     alphas, h = tuple(alphas), tuple(weights)
     if len(alphas) != 4 or len(h) != 4:
         raise InvalidData("alphas and weights need four entries each")
-    for i, x in enumerate(alphas):
-        require_type(f"alphas[{i}]", x, RATIONAL)
+    alphas = tuple(require_type(f"alphas[{i}]", x, RATIONAL) for i, x in enumerate(alphas))
     for i, x in enumerate(h):
         require_type(f"weights[{i}]", x, INTEGER)
-    alphas = tuple(map(Q, alphas))
     if any(x == 0 for x in alphas):
         raise InvalidData("zero eigenvalue")
     if not (h[0] > h[1] > h[2] > h[3]) or h[0] + h[3] != h[1] + h[2]:

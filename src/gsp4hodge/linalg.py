@@ -2,22 +2,27 @@
 
 Works uniformly over ``fractions.Fraction`` and :class:`~gsp4hodge.scalars.RatFunc`
 entries.  Matrices are lists of row lists; vectors are row tuples.  Raw ints
-in input are coerced to the ambient field so that division never leaves it.
+in input are lifted to the ambient field so that division never leaves it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .scalars import RatFunc
+from .scalars import RATIONAL, RatFunc, require_type
 
 
 def coerce_rows(rows):
-    """Coerce every entry to one field: RatFunc if any entry is one, else Q."""
+    """Lift every entry into one field: RatFunc if any entry is one, else Q.
+    Any other entry must be an int or a Fraction; a TypeError names it."""
     rows = [list(r) for r in rows]
     field = RatFunc if any(isinstance(x, RatFunc) for r in rows for x in r) else Q
-    conv = RatFunc.const if field is RatFunc else Q
-    return [[x if type(x) is field else conv(x) for x in r] for r in rows]
+
+    def lift(x, i, j):  # the slow path: an int, or a wrong type named by its place
+        x = require_type(f"rows[{i}][{j}]", x, RATIONAL)
+        return RatFunc.const(x) if field is RatFunc else x
+
+    return [[x if type(x) is field else lift(x, i, j) for j, x in enumerate(r)] for i, r in enumerate(rows)]
 
 
 def identity(n: int):

@@ -61,16 +61,17 @@ class PhiModuleData(Value):
     def __post_init__(self):
         """The one gate of the record's rules: four alphas and four weights,
         and exact fields, so that nothing downstream truncates or rounds.
-        p and the weights are ints, the alphas ints or Fractions, and a and
-        b ints, Fractions or RatFuncs; a TypeError names any other field's
-        type, a float and a bool among them."""
+        p and the weights are ints, the alphas ints or Fractions, stored as
+        Fractions, and a and b ints, Fractions or RatFuncs; a TypeError
+        names any other field's type, a float and a bool among them."""
         if len(self.alphas) != 4 or len(self.weights) != 4:
             raise InvalidData("alphas and weights need four entries each")
-        fields = [("p", self.p, INTEGER), ("a", self.a, SCALAR), ("b", self.b, SCALAR)]
-        fields += [(f"alphas[{i}]", x, RATIONAL) for i, x in enumerate(self.alphas)]
-        fields += [(f"weights[{i}]", h, INTEGER) for i, h in enumerate(self.weights)]
-        for name, x, types in fields:
+        for name, x, types in (("p", self.p, INTEGER), ("a", self.a, SCALAR), ("b", self.b, SCALAR)):
             require_type(name, x, types)
+        alphas = tuple(require_type(f"alphas[{i}]", x, RATIONAL) for i, x in enumerate(self.alphas))
+        for i, h in enumerate(self.weights):
+            require_type(f"weights[{i}]", h, INTEGER)
+        object.__setattr__(self, "alphas", alphas)
 
     @property
     def symbolic(self) -> bool:
@@ -121,7 +122,7 @@ def validate(d: PhiModuleData) -> ValidityReport:
 
     checks.append(CheckResult("p-prime", is_prime(d.p), f"p={d.p}"))
 
-    alphas = tuple(Q(x) for x in d.alphas)
+    alphas = d.alphas  # Fractions, as the record stores them
     nz = all(x != 0 for x in alphas)
     checks.append(CheckResult("alphas-nonzero", nz, "" if nz else "zero eigenvalue"))
 

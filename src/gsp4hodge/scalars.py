@@ -31,12 +31,14 @@ INTEGER, RATIONAL = (int,), (int, Q)
 _KINDS = {INTEGER: "an int", RATIONAL: "an int or a Fraction"}
 
 
-def require_type(name: str, x, types: tuple) -> None:
-    """The one type gate of exact values: a TypeError that names x and its
-    type unless that is one of types (INTEGER, RATIONAL or SCALAR) itself,
-    so a float (not exact) and a bool (an int subclass) are rejected."""
+def require_type(name: str, x, types: tuple):
+    """The one type gate of an exact value a caller hands in: x, an int
+    lifted to a Fraction under RATIONAL, if its type is one of types
+    (INTEGER, RATIONAL or SCALAR) itself; else a TypeError names x and its
+    type, so no float (not exact), bool (an int subclass) or str is read."""
     if type(x) not in types:
         raise TypeError(f"{name} must be {_KINDS[types]}, not {type(x).__name__!r}")
+    return Q(x) if types is RATIONAL and type(x) is int else x
 
 
 def _degree_cap() -> int | None:
@@ -65,21 +67,21 @@ class Poly2:
             raise TypeError(f"Poly2 terms must be a dict, not {type(terms).__name__!r}")
         coeffs = []
         for mono, c in (terms or {}).items():
-            require_type(f"terms[{mono}]", c, RATIONAL)
-            coeffs.append((mono, Q(c)))
+            for e in mono:
+                require_type(f"an exponent of {mono}", e, INTEGER)
+            coeffs.append((mono, require_type(f"terms[{mono}]", c, RATIONAL)))
         denom = _int_lcm(*(c.denominator for _, c in coeffs))
         view: dict = {}
         for (da, db), c in coeffs:
             if c:
-                view.setdefault(int(db), {})[int(da)] = c.numerator * (denom // c.denominator)
+                view.setdefault(db, {})[da] = c.numerator * (denom // c.denominator)
         self._view, self._scale = _strip(view, Q(1, denom))
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def const(c) -> "Poly2":
-        require_type("c", c, RATIONAL)
-        c = Q(c)
+        c = require_type("c", c, RATIONAL)
         return _poly(_UNIT if c else {}, c)
 
     @staticmethod
@@ -121,7 +123,7 @@ class Poly2:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = _as_poly(other)
+        other = _lift(other, Poly2)
         if other is NotImplemented:
             return NotImplemented
         if not other._view:
@@ -136,7 +138,7 @@ class Poly2:
         return _poly(self._view, -self._scale)
 
     def __sub__(self, other):
-        other = _as_poly(other)
+        other = _lift(other, Poly2)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
@@ -166,7 +168,7 @@ class Poly2:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
+        if require_type("n", n, INTEGER) < 0:
             raise ValueError("negative power of a polynomial")
         out = Poly2.const(1)
         base = self
@@ -184,13 +186,13 @@ class Poly2:
         return _poly(self._view, self._scale * c) if c else _poly({}, Q(0))
 
     def evaluate(self, a, b) -> Q:
-        a, b = Q(a), Q(b)
+        a, b = require_type("a", a, RATIONAL), require_type("b", b, RATIONAL)
         return sum((c * a**da * b**db for (da, db), c in self._terms().items()), Q(0))
 
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other):
-        other = _as_poly(other)
+        other = _lift(other, Poly2)
         if other is NotImplemented:
             return NotImplemented
         return self._scale == other._scale and self._view == other._view
@@ -238,12 +240,13 @@ def linear_combination(terms) -> Poly2:
     return _poly(*_strip(out, Q(k, den)))
 
 
-def _as_poly(x) -> "Poly2":
-    if isinstance(x, Poly2):
+def _lift(x, cls):
+    """An operand of cls (Poly2 or RatFunc) arithmetic as a cls: itself, or
+    the constant of an int or a Fraction.  Any other, a bool and a float
+    among them, is NotImplemented, so == is False and + raises TypeError."""
+    if isinstance(x, cls):
         return x
-    if isinstance(x, (int, Q)):
-        return Poly2.const(x)
-    return NotImplemented
+    return cls.const(x) if type(x) in RATIONAL else NotImplemented
 
 
 def _fraction(n: int, d: int) -> Q:
@@ -483,7 +486,7 @@ class RatFunc:
     # product or quotient of monic polynomials is monic.  Only / rescales.
 
     def __add__(self, other):
-        other = _as_ratfunc(other)
+        other = _lift(other, RatFunc)
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero():
@@ -501,7 +504,7 @@ class RatFunc:
         return _ratfunc(-self.num, self.den)
 
     def __sub__(self, other):
-        other = _as_ratfunc(other)
+        other = _lift(other, RatFunc)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
@@ -512,7 +515,7 @@ class RatFunc:
     def __mul__(self, other):
         if type(other) in RATIONAL:  # c * num is coprime to den for c != 0
             return _ratfunc(self.num.scale(other), self.den) if other else RatFunc.const(0)
-        other = _as_ratfunc(other)
+        other = _lift(other, RatFunc)
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -528,7 +531,7 @@ class RatFunc:
             if not other:
                 raise DivisionByZero("division by zero rational function")
             return _ratfunc(self.num.scale(Q(other.denominator, other.numerator)), self.den)
-        other = _as_ratfunc(other)
+        other = _lift(other, RatFunc)
         if other is NotImplemented:
             return NotImplemented
         if other.is_zero():
@@ -537,13 +540,13 @@ class RatFunc:
         return self * _ratfunc(other.den.scale(inv), other.num.scale(inv))
 
     def __rtruediv__(self, other):
-        other = _as_ratfunc(other)
+        other = _lift(other, RatFunc)
         if other is NotImplemented:
             return NotImplemented
         return other / self
 
     def __pow__(self, n: int):
-        if n < 0:
+        if require_type("n", n, INTEGER) < 0:
             return RatFunc.const(1) / self ** (-n)
         return _ratfunc(self.num**n, self.den**n)
 
@@ -556,9 +559,9 @@ class RatFunc:
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Q)):  # the canonical pair of c is (c, 1)
+        if type(other) in RATIONAL:  # the canonical pair of c is (c, 1)
             return self.is_const() and self.num._scale == other
-        other = _as_ratfunc(other)
+        other = _lift(other, RatFunc)
         if other is NotImplemented:
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -586,14 +589,6 @@ def _ratfunc(num: Poly2, den: Poly2) -> RatFunc:
     return r
 
 
-def _as_ratfunc(x) -> "RatFunc":
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, (int, Q)):
-        return RatFunc.const(x)
-    return NotImplemented
-
-
 # ---------------------------------------------------------------------------
 # Scalar-level operations
 # ---------------------------------------------------------------------------
@@ -604,10 +599,11 @@ _KINDS[SCALAR] = "an int, a Fraction or a RatFunc"
 
 
 def is_zero(x: Scalar) -> bool:
-    """Exact zero test on either scalar variant."""
+    """Exact zero test on either scalar variant.  x must be an int, a
+    Fraction or a RatFunc; a TypeError names any other."""
     if isinstance(x, RatFunc):
         return x.is_zero()
-    return Q(x) == 0
+    return not require_type("x", x, RATIONAL)
 
 
 def ring_pair(x) -> tuple:
@@ -617,8 +613,9 @@ def ring_pair(x) -> tuple:
 
 
 def _int_val(n: int, p: int) -> int:
-    """Exponent of p in a positive integer; doubling ladder keeps the
-    division count logarithmic in the exponent."""
+    """Exponent v of p in a positive integer, by a doubling ladder: each
+    pass divides by the largest p**(2**k) that divides, so O(log² v)
+    divisions in all; each is CPython's long division, quadratic in n's size."""
     if p == 2:  # trailing zero bits; the ladder divides in time quadratic in n's size
         return (n & -n).bit_length() - 1
     v = 0
@@ -636,10 +633,9 @@ def padic_val(x, p: int) -> int:
     is_prime(p), since for p = 1 the count would not end.  x must be an
     int or a Fraction; a TypeError names any other, a float (not exact),
     a bool and a str too."""
-    require_type("x", x, RATIONAL)
+    x = require_type("x", x, RATIONAL)
     if not is_prime(p):
         raise InvalidData(f"p-adic valuation needs a prime p, got {p}")
-    x = Q(x)
     if x == 0:
         raise ZeroArgument("p-adic valuation of zero")
     return _int_val(abs(x.numerator), p) - _int_val(x.denominator, p)
@@ -683,10 +679,11 @@ def is_prime(n: int) -> bool:
 
 
 def scalar_str(x: Scalar) -> str:
-    """Canonical string form: "num/den" rationals or polynomial quotients."""
+    """Canonical string form: "num/den" rationals or polynomial quotients.
+    x must be an int, a Fraction or a RatFunc; a TypeError names any other."""
     if isinstance(x, RatFunc):
         return str(x)
-    return str(Q(x))
+    return str(require_type("x", x, RATIONAL))
 
 
 #: The largest exponent parse_scalar accepts.  Integer literals, and bits of

@@ -13,14 +13,17 @@ from fractions import Fraction as Q
 
 from ._value import Value
 from .errors import ConstraintViolated, InvalidData, ParseError
+from .scalars import INTEGER, RATIONAL, require_type
 
 
 class WeylElem(Value):
-    """Weyl group element in one-line permutation notation (1-indexed)."""
+    """Weyl group element in one-line permutation notation (1-indexed), of ints."""
 
     perm: tuple[int, int, int, int]
 
     def __post_init__(self):
+        for i, x in enumerate(self.perm):
+            require_type(f"perm[{i}]", x, INTEGER)
         if sorted(self.perm) != [1, 2, 3, 4]:
             raise InvalidData(f"not a permutation of 1..4: {self.perm}")
         if self.perm[0] + self.perm[3] != 5 or self.perm[1] + self.perm[2] != 5:
@@ -135,7 +138,7 @@ def from_word(word: str) -> WeylElem:
 
 
 def from_oneline(perm) -> WeylElem:
-    return WeylElem(tuple(int(x) for x in perm))
+    return WeylElem(tuple(perm))
 
 
 _SWAP_LETTERS = str.maketrans("12", "21")
@@ -152,28 +155,27 @@ def check_involution(w: WeylElem) -> WeylElem:
 
 
 class Weight(Value):
-    """Exponents (n1, n2, n3) of p1, p2, p3; rationals allowed."""
+    """Exponents (n1, n2, n3) of p1, p2, p3: ints or Fractions, kept as Fractions."""
 
     n1: Q
     n2: Q
     n3: Q
 
     def __post_init__(self):
-        object.__setattr__(self, "n1", Q(self.n1))
-        object.__setattr__(self, "n2", Q(self.n2))
-        object.__setattr__(self, "n3", Q(self.n3))
+        for name in ("n1", "n2", "n3"):
+            object.__setattr__(self, name, require_type(name, getattr(self, name), RATIONAL))
 
     def coords(self) -> tuple[Q, Q, Q]:
         return (self.n1, self.n2, self.n3)
 
 
 class CocharTuple(Value):
-    """Diagonal cocharacter exponents (m1, m2, m3, m4) with m1+m4 = m2+m3."""
+    """Diagonal cocharacter exponents (m1, m2, m3, m4), ints or Fractions, with m1+m4 = m2+m3."""
 
     m: tuple
 
     def __post_init__(self):
-        m = tuple(Q(x) for x in self.m)
+        m = tuple(require_type(f"m[{i}]", x, RATIONAL) for i, x in enumerate(self.m))
         if m[0] + m[3] != m[1] + m[2]:
             raise ConstraintViolated(f"m1+m4 != m2+m3 in {m}")
         object.__setattr__(self, "m", m)

@@ -43,9 +43,8 @@ from gsp4hodge.scalars import (
     RatFunc,
     Scalar,
     _add,
-    _as_poly,
-    _as_ratfunc,
     _degree_cap,
+    _lift,
     _mul,
     _poly,
     _strip,
@@ -75,7 +74,7 @@ def poly2_scale_by_lift(self, c):
 
 
 def poly2_mul_by_views(self, other):
-    other = _as_poly(other)
+    other = _lift(other, Poly2)
     if other is NotImplemented:
         return NotImplemented
     # A product of views is a view (Gauss's lemma).
@@ -94,7 +93,7 @@ def ratfunc_const_by_gcd(c) -> RatFunc:
 
 
 def ratfunc_mul_by_cross_gcds(self, other):
-    other = _as_ratfunc(other)
+    other = _lift(other, RatFunc)
     if other is NotImplemented:
         return NotImplemented
     if self.is_zero() or other.is_zero():
@@ -109,7 +108,7 @@ def ratfunc_mul_by_cross_gcds(self, other):
 
 
 def ratfunc_truediv_by_cross_gcds(self, other):
-    other = _as_ratfunc(other)
+    other = _lift(other, RatFunc)
     if other is NotImplemented:
         return NotImplemented
     if other.is_zero():
@@ -118,7 +117,7 @@ def ratfunc_truediv_by_cross_gcds(self, other):
 
 
 def ratfunc_eq_by_lift(self, other):
-    other = _as_ratfunc(other)
+    other = _lift(other, RatFunc)
     if other is NotImplemented:
         return NotImplemented
     return self.num == other.num and self.den == other.den

@@ -25,6 +25,7 @@ from gsp4hodge.errors import (
 import gsp4hodge._polygcd as polygcd
 import gsp4hodge.scalars as scalars
 from gsp4hodge._polygcd import _certified_coprime
+from gsp4hodge.extledger import AddChar, Constituent, constituent_of, constituents, socle_constituents
 from gsp4hodge.hecke import FrobeniusData, HeckeData, classicality_classify, hecke_charpoly, ideal_generators
 from gsp4hodge.kernel import (
     eigenline_grid,
@@ -35,6 +36,7 @@ from gsp4hodge.kernel import (
     matrix_suite,
     recover_parameters,
 )
+from gsp4hodge.linalg import rank
 from gsp4hodge.phimodule import PhiModuleData, validate, weak_admissibility
 from gsp4hodge.scalars import (
     MAX_EXPONENT,
@@ -50,7 +52,8 @@ from gsp4hodge.scalars import (
     poly_gcd,
     scalar_str,
 )
-from gsp4hodge.weyl import from_word
+from gsp4hodge.symplectic import Subspace
+from gsp4hodge.weyl import W_ID, CocharTuple, Weight, WeylElem, from_oneline, from_word
 from oracles import (
     parse_scalar_by_whitelist,
     poly2_add_by_scale_ratio,
@@ -859,6 +862,30 @@ class TestArgumentTypes:
             (partial(ideal_generators, FrobeniusData((0, 10, 0, 64), Q(8))), 2.0, "l must be an int, not 'float'"),
             (partial(ideal_generators, l=2), (0, 10, 0, 64), "f must be a FrobeniusData, not 'tuple'"),
             (partial(ideal_generators, l=2), None, "f must be a FrobeniusData, not 'NoneType'"),
+            (partial(ideal_generators, FrobeniusData((0, 10, 0, 64), Q(8))), True, "l must be an int, not 'bool'"),
+            # a matrix entry is exact: rank([[0.5, "3"]]) was 1, and a span read 0.1 as its binary value
+            (rank, [[0.5, "3"]], "rows[0][0] must be an int or a Fraction, not 'float'"),
+            (rank, [[1, "3"]], "rows[0][1] must be an int or a Fraction, not 'str'"),
+            (Subspace.span, [[0.1, 1, 0, 0]], "rows[0][0] must be an int or a Fraction, not 'float'"),
+            (Subspace.span, [[A, 0.5, 0, 0]], "rows[0][1] must be an int or a Fraction, not 'float'"),
+            (lambda n1: Weight(n1, 0, 0), 0.1, "n1 must be an int or a Fraction, not 'float'"),
+            (lambda m2: CocharTuple((1, m2, 0, 0)), True, "m[1] must be an int or a Fraction, not 'bool'"),
+            (lambda v: AddChar("T_to_E", (0, 0, v), (0, 0, 0)), "1", "val[2] must be an int or a Fraction, not 'str'"),
+            (lambda v: AddChar("T_to_E", (0, 0, 0), (v, 0, 0)), 0.5, "log[0] must be an int or a Fraction, not 'float'"),
+            (is_zero, 0.0, "x must be an int or a Fraction, not 'float'"),
+            (scalar_str, 0.5, "x must be an int or a Fraction, not 'float'"),
+            (lambda a: Poly2.var("a").evaluate(a, 1), 0.5, "a must be an int or a Fraction, not 'float'"),
+            # an index is not truncated, nor a bool read as 1
+            (from_oneline, [1.9, 2, 3, 4], "perm[0] must be an int, not 'float'"),
+            (WeylElem, (True, 2, 3, 4), "perm[0] must be an int, not 'bool'"),
+            (partial(Constituent.C, reflection=1), {1.7}, "an index_set entry must be an int, not 'float'"),
+            (partial(Constituent.C, {1}), True, "reflection must be an int, not 'bool'"),
+            (constituents, True, "i must be an int, not 'bool'"),
+            (partial(constituent_of, W_ID), 1.0, "i must be an int, not 'float'"),
+            (partial(socle_constituents, "Q"), {1.0}, "an I entry must be an int, not 'float'"),
+            (lambda n: Poly2.var("a") ** n, True, "n must be an int, not 'bool'"),
+            (lambda n: A**n, 2.0, "n must be an int, not 'float'"),
+            (lambda e: Poly2({(e, 0): 1}), 1.5, "an exponent of (1.5, 0) must be an int, not 'float'"),
         ),
         ids=("recover_parameters", "Poly2", "parse_scalar", "validate", "hecke_charpoly", "from_word",
              "padic_val-float", "padic_val-bool", "padic_val-str", "weak_admissibility-float-alpha",
@@ -868,7 +895,12 @@ class TestArgumentTypes:
              "classify-float-weight", "classify-float-C", "classify-float-alpha", "classify-float-p",
              "HeckeData-float-l", "HeckeData-float-c0", "HeckeData-bool-c2", "FrobeniusData-float-coeff",
              "FrobeniusData-float-sim", "ideal_generators-float-l", "ideal_generators-tuple-f",
-             "ideal_generators-None-f"),
+             "ideal_generators-None-f", "ideal_generators-bool-l", "rank-float", "rank-str",
+             "Subspace.span-float", "Subspace.span-float-symbolic", "Weight-float", "CocharTuple-bool",
+             "AddChar-str-val", "AddChar-float-log", "is_zero-float", "scalar_str-float", "Poly2.evaluate-float",
+             "from_oneline-float", "WeylElem-bool", "Constituent.C-float-index", "Constituent.C-bool-reflection",
+             "constituents-bool", "constituent_of-float", "socle_constituents-float", "Poly2-pow-bool",
+             "RatFunc-pow-float", "Poly2-float-exponent"),
     )
     def test_wrong_type_is_a_type_error(self, call, arg, message):
         # the argument is named, not met by an AttributeError or a silent coercion
@@ -877,16 +909,36 @@ class TestArgumentTypes:
 
     @pytest.mark.parametrize(
         "x, op",
-        [(Poly2.var("a"), op) for op in (operator.add, operator.sub, operator.mul)]
-        + [(A, op) for op in (operator.add, operator.sub, operator.mul, operator.truediv)],
-        ids=("Poly2-add", "Poly2-sub", "Poly2-mul", "RatFunc-add", "RatFunc-sub", "RatFunc-mul", "RatFunc-truediv"),
+        [(Poly2.var("a"), op) for op in (operator.add, operator.sub, operator.mul, operator.pow)]
+        + [(A, op) for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.pow)],
+        ids=("Poly2-add", "Poly2-sub", "Poly2-mul", "Poly2-pow", "RatFunc-add", "RatFunc-sub", "RatFunc-mul",
+             "RatFunc-truediv", "RatFunc-pow"),
     )
     @pytest.mark.parametrize("c", (True, False, 0.5), ids=("True", "False", "float"))
     def test_bool_and_float_operands_are_type_errors(self, x, op, c):
-        # a bool is no exact constant to any operator, in either order: a * True was a
+        # a bool is no exact constant to any operator, in either order: a * True
+        # and a ** True were a
         for left, right in ((x, c), (c, x)):
             with pytest.raises(TypeError):
                 op(left, right)
+
+    @pytest.mark.parametrize(
+        "x",
+        (Poly2.const(1), Poly2.const(0), Poly2.const(Q(1, 2)), RatFunc.const(1), RatFunc.const(0),
+         RatFunc.const(Q(1, 2)), A),
+        ids=("Poly2-1", "Poly2-0", "Poly2-half", "RatFunc-1", "RatFunc-0", "RatFunc-half", "RatFunc-a"),
+    )
+    @pytest.mark.parametrize("c", (True, False, 0.5), ids=("True", "False", "float"))
+    def test_equality_with_a_bool_or_float_is_false(self, x, c):
+        # Poly2.const(1) == True raised TypeError, and RatFunc.const(1) == True was True
+        assert (x == c) is False and (c == x) is False
+        assert x != c and c != x
+        assert x not in [c] and c not in [x]
+
+    def test_equality_with_an_exact_constant_holds(self):
+        assert Poly2.const(1) == 1 and 1 == Poly2.const(1)
+        assert RatFunc.const(1) == Q(1) and Q(1) == RatFunc.const(1)
+        assert Poly2.const(Q(1, 2)) == Q(1, 2) and RatFunc.const(0) == 0
 
 
 class TestFractionFromPair:
