@@ -117,8 +117,6 @@ def _gcd_mod_p(u: list, v: list) -> list:
 
 def _at(u, x: int) -> int:
     """A number congruent mod _P to u(x), for u over Z, a dict."""
-    if not x:  # a0 is 0 at most gcds, and u(0) is one lookup
-        return u.get(0, 0)
     return sum([c * x**d for d, c in u.items()]) % _P
 
 

@@ -43,7 +43,7 @@ from ._value import Value
 from .errors import DegenerateIntersection, InvalidData, NotALine
 from .linalg import coerce_rows, inverse, mat_mul, meet_coordinates, rref
 from .phimodule import coordinate_subspace, filtration_basis, nondeg_factors, vanishing_factor
-from .scalars import SCALAR, RatFunc, Scalar, _cancel, _flat_poly, _fraction, _ratfunc, is_zero, require_type
+from .scalars import INTEGER, SCALAR, RatFunc, Scalar, _cancel, _flat_poly, _fraction, _ratfunc, is_zero, require_type
 from .symplectic import Subspace, gsp4_coordinates
 
 if TYPE_CHECKING:
@@ -104,6 +104,8 @@ class EigenlineGrid(Value):
     lines: dict
 
     def line(self, w: WeylElem, i: int):
+        if require_type("i", i, INTEGER) not in (1, 2, 3, 4):
+            raise InvalidData(f"line index {i} is not in 1..4")
         return self.lines[w.perm][i - 1]
 
 

@@ -197,9 +197,13 @@ def standard_filtration(d: PhiModuleData) -> HodgeFlag:
 
 
 def coordinate_subspace(indices) -> Subspace:
-    """E_S, the span of e_i for i in S, whose sorted unit rows are in RREF."""
+    """E_S, the span of e_i for i in S, whose sorted unit rows are in RREF;
+    each index must be an int in 1..4."""
     from .symplectic import Subspace
-    units = [tuple(Q(int(j == i)) for j in (1, 2, 3, 4)) for i in sorted(set(indices))]
+    S = {require_type("an index", i, INTEGER) for i in indices}
+    if not S <= {1, 2, 3, 4}:
+        raise InvalidData(f"indices {sorted(S)} are not all in 1..4")
+    units = [tuple(Q(int(j == i)) for j in (1, 2, 3, 4)) for i in sorted(S)]
     return Subspace(rows=tuple(units))
 
 

@@ -126,10 +126,6 @@ class Poly2:
         other = _lift(other, Poly2)
         if other is NotImplemented:
             return NotImplemented
-        if not other._view:
-            return self
-        if not self._view:
-            return other
         return linear_combination(((1, self), (1, other)))
 
     __radd__ = __add__
@@ -201,7 +197,8 @@ class Poly2:
         return bool(self._view)
 
     def __hash__(self):
-        return hash(frozenset(self._terms().items()))
+        # a constant hashes as the int or Fraction that it equals
+        return hash(self._scale) if self.is_const() else hash(frozenset(self._terms().items()))
 
     # -- display ---------------------------------------------------------
 
@@ -423,7 +420,7 @@ class RatFunc:
     Invariants: the denominator is nonzero with grlex leading coefficient 1,
     and gcd(num, den) = 1.  Equality and hashing act on the canonical pair.
     Two constructors, as for Poly2: RatFunc(num, den) takes any pair of
-    Poly2s, cancels it through _cancel, maps zero to 0/1 and makes the
+    Poly2s, cancels it through _cancel, which maps 0/d to 0/1, and makes the
     denominator monic; _ratfunc builds a pair that is canonical already,
     as the field operations below and the table evaluator produce.
     Immutable: ``num`` and ``den`` cannot be reassigned or deleted, so a
@@ -439,13 +436,9 @@ class RatFunc:
                 raise TypeError(f"RatFunc {name} must be a Poly2, not {type(part).__name__!r}")
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
-        if num.is_zero():
-            den = _ONE_POLY
-        else:
-            num, den, _ = _cancel(num, den)
-        lead = den.leading_coeff()
-        if lead != 1:
-            num, den = num.scale(1 / lead), den.scale(1 / lead)
+        num, den, _ = _cancel(num, den)
+        inv = 1 / den.leading_coeff()
+        num, den = num.scale(inv), den.scale(inv)
         _set(self, "num", num)
         _set(self, "den", den)
 
@@ -489,10 +482,6 @@ class RatFunc:
         other = _lift(other, RatFunc)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         # Henrici: with denominators d1*g and d2*g, only g can share a factor with the sum
         d1, d2, g = _cancel(self.den, other.den)
         num, g, _ = _cancel(self.num * d2 + other.num * d1, g)
@@ -518,8 +507,6 @@ class RatFunc:
         other = _lift(other, RatFunc)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RatFunc.const(0)
         n1, d2, _ = _cancel(self.num, other.den)
         n2, d1, _ = _cancel(other.num, self.den)
         return _ratfunc(n1 * n2, d1 * d2)
@@ -559,8 +546,6 @@ class RatFunc:
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):
-        if type(other) in RATIONAL:  # the canonical pair of c is (c, 1)
-            return self.is_const() and self.num._scale == other
         other = _lift(other, RatFunc)
         if other is NotImplemented:
             return NotImplemented
@@ -570,7 +555,8 @@ class RatFunc:
         return not self.num.is_zero()
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # over the denominator 1, as its numerator, so a constant hashes as its value
+        return hash(self.num) if self.den.is_const() else hash((self.num, self.den))
 
     def __str__(self):
         if self.den.is_const() and self.den.const_value() == 1:

@@ -30,6 +30,8 @@ class WeylElem(Value):
             raise InvalidData(f"permutation {self.perm} is not in the Weyl group")
 
     def __call__(self, i: int) -> int:
+        if require_type("i", i, INTEGER) not in (1, 2, 3, 4):
+            raise InvalidData(f"index {i} is not in 1..4")
         return self.perm[i - 1]
 
     def __mul__(self, other: "WeylElem") -> "WeylElem":

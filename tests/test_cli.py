@@ -206,6 +206,21 @@ class TestDispatch:
         report, code = call("ledger")
         assert code == EXIT_OK and report["payload"]["ok"]
 
+    def test_broken_ledger(self, capsys, monkeypatch):
+        # with one expected hom-space dimension broken, check_ledger raises
+        # and carries its report; the command prints that report and exits 2
+        import gsp4hodge.extledger as extledger
+        from gsp4hodge.errors import LedgerInconsistent
+
+        monkeypatch.setitem(extledger._EXPECTED_HOM_DIMS, "sm_t", 4)
+        with pytest.raises(LedgerInconsistent, match="^ledger identities failed: hom-dim-sm_t$") as info:
+            extledger.check_ledger()
+        assert [c.name for c in info.value.report.checks if not c.passed] == ["hom-dim-sm_t"]
+        assert main(["ledger"]) == EXIT_INVALID
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "invalid" and report["payload"]["ok"] is False
+        assert [c["name"] for c in report["payload"]["checks"] if not c["passed"]] == ["hom-dim-sm_t"]
+
     def test_socle(self):
         report, code = call("socle", {"kind": "pimin"})
         assert code == EXIT_OK
@@ -487,6 +502,12 @@ class TestRejectedInputs:
         doc.write_text("[1, 2]")
         report = self.run(capsys, [command, "--input", str(doc)])
         assert report["status"] == "invalid" and "JSON object" in report["payload"]["error"]
+
+    def test_short_kernel_row(self, capsys, tmp_path):
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"kernel": [["0"] * 24] * 16 + [["0"] * 23]}))
+        report = self.run(capsys, ["recover", "--input", str(doc)])
+        assert report["payload"] == {"error": "kernel rows must have 24 entries"}
 
     @pytest.mark.parametrize("command", ("validate", "classify"))
     def test_three_weights(self, capsys, tmp_path, command):

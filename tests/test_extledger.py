@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 from itertools import combinations
 
@@ -157,6 +158,34 @@ class TestConstituents:
             assert len(socle_constituents("P", I)) == 3
         for x in (1, 2, 3, 4):
             assert len(socle_constituents("Q", {x})) == 3
+
+
+class TestFailureBranches:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        (
+            (lambda: Constituent.C({1, 2}, 1), InvalidIndexSet, "|I| = 2 != i = 1"),
+            (lambda: Constituent.C({6}, 1), InvalidIndexSet, "index set [6] out of range"),
+            (lambda: constituents(3), InvalidIndexSet, "reflection index 3 out of range"),
+            (lambda: constituent_of(W_ID, 3), InvalidIndexSet, "reflection index 3 out of range"),
+            (lambda: socle_constituents("P", {1}), InvalidIndexSet, "bad Siegel index set [1]"),
+            (lambda: socle_constituents("Q", {1, 2}), InvalidIndexSet, "bad Klingen index set [1, 2]"),
+            (lambda: socle_constituents("X", {1}), InvalidData, "unknown parabolic side 'X'"),
+            (lambda: socle_diagram("x"), InvalidData, "unknown socle diagram kind 'x'"),
+            (lambda: check_ledger().entry("x"), KeyError, "'x'"),
+            (lambda: AddChar("T_to_E", (1, 0), (0, 0, 0)), InvalidData, "T-characters need 3 + 3 coefficients"),
+            (lambda: AddChar("x", (1, 0, 0), (0, 0, 0)), InvalidData, "unknown AddChar shape 'x'"),
+            (lambda: hom_space("x"), InvalidData, "unknown hom-space kind 'x'"),
+            (lambda: ell_map(AddChar("T_to_E", (1, 0, 0), (0, 0, 0))), InvalidData,
+             "ell_map expects a qp_to_t character"),
+        ),
+        ids=("Constituent.C-size", "Constituent.C-range", "constituents", "constituent_of", "socle-Siegel",
+             "socle-Klingen", "socle-side", "socle_diagram", "LedgerReport.entry", "AddChar-T-length",
+             "AddChar-shape", "hom_space", "ell_map-T-character"),
+    )
+    def test_error_names_its_cause(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestSocleDiagrams:

@@ -47,6 +47,20 @@ class TestCharpoly:
             HeckeData(l=6, c0=Q(1), c1=Q(1), c2=Q(1))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda: FrobeniusData((0, 10, 0), Q(8)), "need exactly the four non-leading coefficients"),
+        (lambda: ideal_generators(FrobeniusData((0, 10, 0, 64), Q(8)), 4), "l = 4 is not prime"),
+        (lambda: classicality_classify([0, 9, 81, 729], [0, -2, -4, -6], 3, 10), "zero eigenvalue"),
+    ),
+    ids=("FrobeniusData-three-coefficients", "ideal_generators-composite-l", "classify-zero-alpha"),
+)
+def test_invalid_data_names_its_cause(call, message):
+    with pytest.raises(InvalidData, match=f"^{message}$"):
+        call()
+
+
 class TestIdealGenerators:
     def test_round_trip_reference(self):
         f = hecke_charpoly(HeckeData(l=2, c0=Q(1), c1=Q(0), c2=Q(0)))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsp4hodge.linalg import mat_mul, meet_coordinates, rref
+from gsp4hodge.linalg import inverse, mat_mul, meet_coordinates, rref
 from gsp4hodge.scalars import RatFunc
 from oracles import dense_mat_mul, dense_meet_coordinates, dense_rref
 
@@ -73,3 +73,8 @@ def test_meet_coordinates_matches_dense(data, fields, m):
     ann = data.draw(sparse_matrices(fields[1], cols=m))
     out, dense = meet_coordinates(gens, ann), dense_meet_coordinates(gens, ann)
     assert out == dense and types(out) == types(dense)
+
+
+def test_inverse_of_a_singular_matrix():
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        inverse([[1, 2], [2, 4]])

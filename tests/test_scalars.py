@@ -37,7 +37,7 @@ from gsp4hodge.kernel import (
     recover_parameters,
 )
 from gsp4hodge.linalg import rank
-from gsp4hodge.phimodule import PhiModuleData, validate, weak_admissibility
+from gsp4hodge.phimodule import PhiModuleData, coordinate_subspace, validate, weak_admissibility
 from gsp4hodge.scalars import (
     MAX_EXPONENT,
     PRIME_BOUND,
@@ -53,7 +53,7 @@ from gsp4hodge.scalars import (
     scalar_str,
 )
 from gsp4hodge.symplectic import Subspace
-from gsp4hodge.weyl import W_ID, CocharTuple, Weight, WeylElem, from_oneline, from_word
+from gsp4hodge.weyl import S1, W_ID, CocharTuple, Weight, WeylElem, from_oneline, from_word
 from oracles import (
     parse_scalar_by_whitelist,
     poly2_add_by_scale_ratio,
@@ -126,6 +126,24 @@ class TestFieldArith:
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
             A / RatFunc.const(0)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        (
+            (lambda: Poly2.var("a").const_value(), ValueError, "not a constant polynomial"),
+            (lambda: A.const_value(), ValueError, "not a constant rational function"),
+            (lambda: Poly2().leading_coeff(), ValueError, "zero polynomial has no leading coefficient"),
+            (lambda: Poly2.var("a") ** -1, ValueError, "negative power of a polynomial"),
+            (lambda: poly_divexact(Poly2.var("a"), Poly2()), DivisionByZero, "polynomial division by zero"),
+            (lambda: RatFunc(Poly2.var("a"), Poly2()), DivisionByZero, "rational function with zero denominator"),
+            (lambda: (1 / A).evaluate(0, 1), DivisionByZero, "denominator vanishes at (0, 1)"),
+        ),
+        ids=("Poly2.const_value", "RatFunc.const_value", "leading_coeff-zero", "Poly2-negative-power",
+             "poly_divexact-zero", "RatFunc-zero-denominator", "RatFunc.evaluate-pole"),
+    )
+    def test_failure_branch(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestIsZero:
@@ -229,11 +247,22 @@ class TestFieldAxioms:
 
 class TestCanonicalForm:
     def test_idempotent(self):
+        # RatFunc(num, den) gives a canonical pair back, and a zero operand of
+        # + or * takes the general path to the same pair, or to 0/1
         rng = random.Random(11)
+        zero, one = RatFunc.const(0), Poly2.const(1)
         for _ in range(200):
             x = rand_ratfunc(rng)
-            again = RatFunc(x.num, x.den)
-            assert again.num == x.num and again.den == x.den
+            for again in (RatFunc(x.num, x.den), x + zero, zero + x, x + 0, 0 + x, x - zero):
+                assert again.num == x.num and again.den == x.den and hash(again) == hash(x)
+            for product in (x * zero, zero * x, RatFunc(Poly2(), x.den), RatFunc(Poly2(), x.den.scale(-3))):
+                assert product.num == Poly2() and product.den == one and product == 0
+            assert x.den.leading_coeff() == 1
+            if x.is_const():
+                c = x.const_value()
+                assert x == c and c == x and x in {c} and x != c + 1
+            else:
+                assert x != 0 and 0 != x and x != 1 and x not in {0, 1}
 
     def test_equality_via_cross_multiplication(self):
         x = (A * A - B * B) / (A - B)
@@ -271,10 +300,21 @@ class TestCanonicalForm:
         routes = (
             Poly2(p._terms()), -Poly2((-p)._terms()), (p + q) - q, q - (q - p),
             poly_divexact(p * q, q), -(-p), p.scale(c).scale(1 / c),
+            p + 0, 0 + p, p + Poly2(), Poly2() + p, p - Poly2(),
         )
         for r in routes:
             assert r == p and hash(r) == hash(p)
         assert p - p == Poly2() and hash(p - p) == hash(Poly2())
+        # a RatFunc over 1 hashes as its numerator, and a constant of either
+        # class as the int or Fraction it equals
+        assert hash(RatFunc(p)) == hash(p)
+        for value, constants in (
+            (c, (Poly2.const(c), Poly2.const(1).scale(c), RatFunc.const(c), RatFunc(q.scale(c), q))),
+            (0, (p - p, Poly2.const(0), RatFunc.const(0), RatFunc(p - p, q))),
+            (1, (Poly2.const(1), RatFunc(q, q), RatFunc(q) / RatFunc(q))),
+        ):
+            for k in constants:
+                assert k == value and hash(k) == hash(value) and k in {value} and {k: "k"}.get(value) == "k"
 
     @given(_FACTORS, _FACTORS, _FACTORS, _NONZERO_Q, _NONZERO_Q)
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -886,6 +926,10 @@ class TestArgumentTypes:
             (lambda n: Poly2.var("a") ** n, True, "n must be an int, not 'bool'"),
             (lambda n: A**n, 2.0, "n must be an int, not 'float'"),
             (lambda e: Poly2({(e, 0): 1}), 1.5, "an exponent of (1.5, 0) must be an int, not 'float'"),
+            # coordinate_subspace([1.0, 2.5]) was e1 and a zero row, S1(True) was 2
+            (coordinate_subspace, [1.0, 2.5], "an index must be an int, not 'float'"),
+            (S1, True, "i must be an int, not 'bool'"),
+            (partial(eigenline_grid(2, 3).line, W_ID), 1.0, "i must be an int, not 'float'"),
         ),
         ids=("recover_parameters", "Poly2", "parse_scalar", "validate", "hecke_charpoly", "from_word",
              "padic_val-float", "padic_val-bool", "padic_val-str", "weak_admissibility-float-alpha",
@@ -900,11 +944,27 @@ class TestArgumentTypes:
              "AddChar-str-val", "AddChar-float-log", "is_zero-float", "scalar_str-float", "Poly2.evaluate-float",
              "from_oneline-float", "WeylElem-bool", "Constituent.C-float-index", "Constituent.C-bool-reflection",
              "constituents-bool", "constituent_of-float", "socle_constituents-float", "Poly2-pow-bool",
-             "RatFunc-pow-float", "Poly2-float-exponent"),
+             "RatFunc-pow-float", "Poly2-float-exponent", "coordinate_subspace-float", "WeylElem-call-bool",
+             "EigenlineGrid.line-float"),
     )
     def test_wrong_type_is_a_type_error(self, call, arg, message):
         # the argument is named, not met by an AttributeError or a silent coercion
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            call(arg)
+
+    @pytest.mark.parametrize(
+        "call, arg, message",
+        (
+            # a zero row once stood in for e_7, S1(0) read perm[-1], and line 0 was line 4
+            (coordinate_subspace, [1, 7], "indices [1, 7] are not all in 1..4"),
+            (S1, 0, "index 0 is not in 1..4"),
+            (S1, 5, "index 5 is not in 1..4"),
+            (partial(eigenline_grid(2, 3).line, W_ID), 0, "line index 0 is not in 1..4"),
+        ),
+        ids=("coordinate_subspace", "WeylElem-call-0", "WeylElem-call-5", "EigenlineGrid.line"),
+    )
+    def test_index_outside_one_to_four_is_invalid(self, call, arg, message):
+        with pytest.raises(InvalidData, match=f"^{re.escape(message)}$"):
             call(arg)
 
     @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
 
-from gsp4hodge.errors import NotSymplectic
+from gsp4hodge.errors import InvalidData, NotSymplectic
 from gsp4hodge.linalg import (
     identity,
     mat_eq,
@@ -303,6 +304,22 @@ def _random_word_element(rng, root_gens):
         X = root_gens[rng.randrange(len(root_gens))]
         M = mat_mul(M, _exp_nilpotent(X, Q(rng.randint(-2, 2))))
     return M
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda: Flag(members=(Subspace.span([E[0], E[1]]),), kind="klingen"),
+         "klingen flag needs member dims (1, 3), got (2,)"),
+        (lambda: Flag(members=(Subspace.span([E[0]]), Subspace.span([E[1], E[2]]), Subspace.span(E[1:])),
+                      kind="complete"), "flag members are not nested"),
+        (lambda: gsp4_coordinates([[1, 0, 0, 0]] + [[0] * 4] * 3), "matrix is not in gsp4"),
+    ),
+    ids=("Flag-dims", "Flag-not-nested", "gsp4_coordinates-off-gsp4"),
+)
+def test_invalid_data_names_its_cause(call, message):
+    with pytest.raises(InvalidData, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestGsp4Coordinates:

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gsp4hodge.errors import ConstraintViolated, InvalidData
+from gsp4hodge.errors import ConstraintViolated, InvalidData, ParseError
 from gsp4hodge.weyl import (
     ALPHA,
     ALPHA_CHECK,
@@ -47,6 +47,11 @@ class TestGroupStructure:
     def test_d4_membership_guard(self):
         with pytest.raises(InvalidData):
             WeylElem((2, 1, 3, 4))
+
+    @pytest.mark.parametrize("word", ("s3", "s1s"), ids=("unknown-letter", "odd-length"))
+    def test_bad_word_is_a_parse_error(self, word):
+        with pytest.raises(ParseError, match=f"^bad Weyl word '{word}'$"):
+            from_word(word)
 
     def test_word_round_trip(self):
         for w in W_ALL:
