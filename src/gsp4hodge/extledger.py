@@ -16,7 +16,7 @@ from itertools import combinations
 from ._value import Value
 from .errors import InvalidData, InvalidIndexSet, LedgerInconsistent
 from .scalars import INTEGER, RATIONAL, require_type
-from .weyl import LEVI_CENTERS, TORUS_BASIS, CocharTuple, WeylElem, L_map
+from .weyl import LEVI_CENTERS, TORUS_BASIS, WEYL, CocharTuple, WeylElem, L_map
 
 
 class AddChar(Value):
@@ -162,7 +162,7 @@ def constituent_of(w: WeylElem, i: int) -> Constituent:
     """C(w, s_i) identified by its index-set invariant w^{-1}({1..i})."""
     if require_type("i", i, INTEGER) not in (1, 2):
         raise InvalidIndexSet(f"reflection index {i} out of range")
-    winv = w.inv()
+    winv = require_type("w", w, WEYL).inv()
     return Constituent.C(frozenset(winv(j) for j in range(1, i + 1)), i)
 
 
@@ -209,7 +209,7 @@ def socle_diagram(kind: str, w: WeylElem | None = None) -> SocleDiagram:
         if w is None:
             raise InvalidData("the PS1 diagram needs a Weyl element")
         return SocleDiagram(
-            kind=f"PS1({w.word or 'e'})",
+            kind=f"PS1({require_type('w', w, WEYL).word or 'e'})",
             layers=((pi,), (constituent_of(w, 1), constituent_of(w, 2))),
         )
     if kind == "pi1":
@@ -258,27 +258,6 @@ class LedgerReport(Value):
         return {"ok": self.ok, "entries": entries, "checks": tuple(c._asdict() for c in self.checks)}
 
 
-#: The ledger's entries in report order, each with where its value comes from.
-_LEDGER_TABLE = (
-    ("deformations", "stated"),
-    ("deformations_triangular", "stated"),
-    ("deformations_parabolic", "stated"),
-    ("deformations_kernel0", "stated"),
-    ("deformations_derham", "derived: kernel0 + smooth model"),
-    ("deformations_twisted_derham", "derived: kernel0 + twisted model"),
-    ("ext_selfext", "hom-space model"),
-    ("ext_selfext_lalg", "hom-space model"),
-    ("ext_PS1", "additivity"),
-    ("ext_pi1", "additivity"),
-    ("ext_parabolic", "additivity"),
-    ("ext_parabolic_gprime", "hom-space model"),
-    ("L_invariant", "kernel computation"),
-    ("deformations_U", "additivity"),
-    ("deformations_U_triangular", "stated"),
-    ("ext_U_gprime", "additivity"),
-    ("ext_U", "additivity"),
-)
-
 #: The hom-space models behind the ledger, with their expected dimensions.
 _EXPECTED_HOM_DIMS = {
     "full_t": 6, "sm_t": 3, "gprime_t": 4, "P_gprime_t": 5, "Q_gprime_t": 5,
@@ -299,25 +278,30 @@ def check_ledger() -> LedgerReport:
     # exact kernel computations at a sample nondegenerate point
     K = kernel_basis(Q(2), Q(3))
     glue = glue_subspace()
-    dims = {
-        "deformations": 12,
-        "deformations_triangular": 8,
-        "deformations_parabolic": 9,
-        "deformations_kernel0": 2,
-        "deformations_derham": 5,
-        "deformations_twisted_derham": 6,
-        "deformations_U_triangular": 3,
-        "ext_selfext": hom["gprime_T"],
-        "ext_selfext_lalg": hom["sm_T"],
-        "ext_parabolic_gprime": hom["P_gprime_T"],
-        "L_invariant": K.dim - glue.dim,
-    }
-    dims["ext_PS1"] = dims["ext_selfext"] + 2
-    dims["ext_pi1"] = dims["ext_selfext"] + n_constituents
-    dims["ext_parabolic"] = dims["ext_selfext"] + 3
-    dims["deformations_U"] = dims["deformations"] - dims["deformations_derham"]
-    dims["ext_U_gprime"] = dims["deformations_twisted_derham"] - dims["deformations_derham"]
-    dims["ext_U"] = dims["ext_U_gprime"] + n_constituents
+    entries, dims = [], {}
+
+    def entry(name: str, dim: int, source: str) -> None:
+        dims[name] = dim
+        entries.append(LedgerEntry(name=name, dim=dim, source=source))
+
+    # one statement per entry, in report order; a derived entry reads only entries above it
+    entry("deformations", 12, "stated")
+    entry("deformations_triangular", 8, "stated")
+    entry("deformations_parabolic", 9, "stated")
+    entry("deformations_kernel0", 2, "stated")
+    entry("deformations_derham", 5, "derived: kernel0 + smooth model")
+    entry("deformations_twisted_derham", 6, "derived: kernel0 + twisted model")
+    entry("ext_selfext", hom["gprime_T"], "hom-space model")
+    entry("ext_selfext_lalg", hom["sm_T"], "hom-space model")
+    entry("ext_PS1", dims["ext_selfext"] + 2, "additivity")
+    entry("ext_pi1", dims["ext_selfext"] + n_constituents, "additivity")
+    entry("ext_parabolic", dims["ext_selfext"] + 3, "additivity")
+    entry("ext_parabolic_gprime", hom["P_gprime_T"], "hom-space model")
+    entry("L_invariant", K.dim - glue.dim, "kernel computation")
+    entry("deformations_U", dims["deformations"] - dims["deformations_derham"], "additivity")
+    entry("deformations_U_triangular", 3, "stated")
+    entry("ext_U_gprime", dims["deformations_twisted_derham"] - dims["deformations_derham"], "additivity")
+    entry("ext_U", dims["ext_U_gprime"] + n_constituents, "additivity")
 
     pairs = [frozenset(p) for p in combinations((1, 2, 3, 4), 2) if sum(p) != 5]
     identities = (
@@ -362,10 +346,7 @@ def check_ledger() -> LedgerReport:
         LedgerCheck(name=name, passed=lhs == rhs, detail=f"{detail}: {lhs} vs {rhs}")
         for name, lhs, rhs, detail in identities
     )
-    entries = tuple(
-        LedgerEntry(name=name, dim=dims[name], source=source) for name, source in _LEDGER_TABLE
-    )
-    report = LedgerReport(entries=entries, checks=checks)
+    report = LedgerReport(entries=tuple(entries), checks=checks)
     if not report.ok:
         failed = [c.name for c in checks if not c.passed]
         exc = LedgerInconsistent(f"ledger identities failed: {', '.join(failed)}")

@@ -54,8 +54,8 @@ GENERATOR_LABELS = ("f1", "f2", "f3", "f4", "g1", "g2", "g3", "g4")
 
 def block_index(w: WeylElem) -> int:
     """The block of w: its place in weyl.W_ALL."""
-    from .weyl import W_ALL
-    return W_ALL.index(w)
+    from .weyl import W_ALL, WEYL
+    return W_ALL.index(require_type("w", w, WEYL))
 
 
 def torus_block_coords(t) -> tuple:
@@ -104,9 +104,10 @@ class EigenlineGrid(Value):
     lines: dict
 
     def line(self, w: WeylElem, i: int):
+        from .weyl import WEYL
         if require_type("i", i, INTEGER) not in (1, 2, 3, 4):
             raise InvalidData(f"line index {i} is not in 1..4")
-        return self.lines[w.perm][i - 1]
+        return self.lines[require_type("w", w, WEYL).perm][i - 1]
 
 
 def eigenline_grid(a: Scalar, b: Scalar) -> EigenlineGrid:
@@ -145,8 +146,9 @@ def eigenline_grid(a: Scalar, b: Scalar) -> EigenlineGrid:
 
 def nu_operator(grid: EigenlineGrid, w: WeylElem, t):
     """The unique operator acting as t_i on the i-th eigenline of w."""
+    from .weyl import WEYL
     torus_block_coords(t)  # rejects t off the torus
-    U = [list(col) for col in zip(*grid.lines[w.perm])]  # columns are the lines
+    U = [list(col) for col in zip(*grid.lines[require_type("w", w, WEYL).perm])]  # columns are the lines
     Uinv = inverse(U)
     D = [[t[i] if i == j else Q(0) for j in range(4)] for i in range(4)]
     return mat_mul(mat_mul(U, coerce_rows(D)), Uinv)
@@ -396,11 +398,7 @@ def _qab_pass(factors: tuple):
         for key in keys:
             if key not in monomials:
                 k, x, y = key
-                m = cores[k]
-                if x:
-                    m = m * pa[x]
-                if y:
-                    m = m * pb[y]
+                m = cores[k] * pa[x] * pb[y]
                 # its integer terms, keyed (b-degree, a-degree), and its scale
                 monomials[key] = [((db, da), c) for db, u in m._view.items() for da, c in u.items()], m._scale
         ds = []

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from ._value import Value
 from .errors import InvalidData, ParseError
-from .scalars import INTEGER, RATIONAL, SCALAR, RatFunc, Scalar, is_prime, padic_val, require_type, ring_pair
+from .scalars import INTEGER, RATIONAL, SCALAR, RatFunc, Scalar, is_prime, padic_val, parse_integer, parse_list, parse_scalar, require_type, required_field, ring_pair
 
 # linalg, symplectic and weyl are imported where used: validate uses none.
 if TYPE_CHECKING:
@@ -303,7 +303,6 @@ def hodge_parameters(doc: dict, symbolic: bool) -> tuple:
     """The Hodge parameters (a, b) of an input document, read by one rule
     for every command: a parameter that is absent or JSON null is missing,
     which over Q is a ParseError and over Q(a, b) is the variable itself."""
-    from .scalars import parse_scalar
     texts = [doc.get(name) for name in ("a", "b")]
     if not symbolic and any(text is None for text in texts):
         raise ParseError("the document needs Hodge parameters a and b (or --symbolic)")
@@ -316,7 +315,6 @@ def phi_module_from_json(doc: dict, symbolic: bool) -> PhiModuleData:
     """Build PhiModuleData from its wire form (see External Interfaces).
     a and b live in Q(a, b) when symbolic is true.  A bad field raises its
     reader's ParseError, as in every other command."""
-    from .scalars import parse_integer, parse_list, parse_scalar, required_field
     return PhiModuleData(
         parse_integer(required_field(doc, "p")),
         tuple(parse_scalar(str(s)) for s in parse_list(required_field(doc, "alphas"))),

@@ -26,7 +26,7 @@ from .errors import (
 Monomial = tuple[int, int]  # (exponent of a, exponent of b)
 
 #: The exact types of an integer and of a rational value, as require_type
-#: names them; SCALAR, below RatFunc, adds the field Q(a, b).
+#: names them; SCALAR, below RatFunc, adds the field Q(a, b), and weyl.WEYL a Weyl element.
 INTEGER, RATIONAL = (int,), (int, Q)
 _KINDS = {INTEGER: "an int", RATIONAL: "an int or a Fraction"}
 
@@ -34,7 +34,7 @@ _KINDS = {INTEGER: "an int", RATIONAL: "an int or a Fraction"}
 def require_type(name: str, x, types: tuple):
     """The one type gate of an exact value a caller hands in: x, an int
     lifted to a Fraction under RATIONAL, if its type is one of types
-    (INTEGER, RATIONAL or SCALAR) itself; else a TypeError names x and its
+    (INTEGER, RATIONAL, SCALAR or weyl.WEYL) itself; else a TypeError names x and its
     type, so no float (not exact), bool (an int subclass) or str is read."""
     if type(x) not in types:
         raise TypeError(f"{name} must be {_KINDS[types]}, not {type(x).__name__!r}")

@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 
 from ._value import Value
 from .errors import ConstraintViolated, InvalidData, ParseError
-from .scalars import INTEGER, RATIONAL, require_type
+from .scalars import _KINDS, INTEGER, RATIONAL, require_type
 
 
 class WeylElem(Value):
@@ -36,6 +36,8 @@ class WeylElem(Value):
 
     def __mul__(self, other: "WeylElem") -> "WeylElem":
         # (w * v)(i) = w(v(i)): v acts first, matching matrix products.
+        if type(other) is not WeylElem:
+            return NotImplemented
         return WeylElem(tuple(self.perm[other.perm[i] - 1] for i in range(4)))
 
     def inv(self) -> "WeylElem":
@@ -66,6 +68,9 @@ class WeylElem(Value):
             M[self.perm[i] - 1][i] = Q(1)
         return M
 
+
+WEYL = (WeylElem,)  # the exact type of a Weyl element, as require_type names it
+_KINDS[WEYL] = "a WeylElem"
 
 W_ID = WeylElem((1, 2, 3, 4))
 S1 = WeylElem((2, 1, 4, 3))
@@ -148,7 +153,7 @@ _SWAP_LETTERS = str.maketrans("12", "21")
 
 def check_involution(w: WeylElem) -> WeylElem:
     """The diagram automorphism exchanging s1 and s2."""
-    return from_word(w.word.translate(_SWAP_LETTERS))
+    return from_word(require_type("w", w, WEYL).word.translate(_SWAP_LETTERS))
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +206,7 @@ def weyl_act_weight(w: WeylElem, mu: Weight) -> Weight:
 
 def weyl_act(w: WeylElem, x):
     """Action on Weight or CocharTuple."""
+    require_type("w", w, WEYL)
     if isinstance(x, Weight):
         return weyl_act_weight(w, x)
     if isinstance(x, CocharTuple):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gsp4hodge.errors import InvalidData, InvalidIndexSet
+from gsp4hodge.errors import InvalidData, InvalidIndexSet, LedgerInconsistent
 from gsp4hodge.extledger import (
     AddChar,
     Constituent,
@@ -237,6 +237,20 @@ class TestLedger:
     def test_report_dict(self):
         d = check_ledger().as_dict()
         assert d["ok"] and len(d["entries"]) == 17
+
+    def test_derived_entries_follow_their_inputs(self, monkeypatch):
+        # a wrong self-extension model moves the three entries derived from it,
+        # and exactly the identities that read those four fail
+        import gsp4hodge.extledger as extledger
+
+        real = extledger.hom_space_dim
+        monkeypatch.setattr(extledger, "hom_space_dim", lambda kind: 5 if kind == "gprime_T" else real(kind))
+        message = "^ledger identities failed: hom-dim-gprime_T, ext-PS1, ext-pi1, ext-parabolic$"
+        with pytest.raises(LedgerInconsistent, match=message) as info:
+            check_ledger()
+        report = info.value.report
+        dims = {name: report.entry(name).dim for name in ("ext_selfext", "ext_PS1", "ext_pi1", "ext_parabolic")}
+        assert dims == {"ext_selfext": 5, "ext_PS1": 7, "ext_pi1": 13, "ext_parabolic": 8}
 
 
 class TestLInvariantPlane:

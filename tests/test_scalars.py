@@ -25,19 +25,22 @@ from gsp4hodge.errors import (
 import gsp4hodge._polygcd as polygcd
 import gsp4hodge.scalars as scalars
 from gsp4hodge._polygcd import _certified_coprime
-from gsp4hodge.extledger import AddChar, Constituent, constituent_of, constituents, socle_constituents
+from gsp4hodge.extledger import AddChar, Constituent, constituent_of, constituents, socle_constituents, socle_diagram
 from gsp4hodge.hecke import FrobeniusData, HeckeData, classicality_classify, hecke_charpoly, ideal_generators
 from gsp4hodge.kernel import (
+    block_index,
     eigenline_grid,
+    embed_block,
     jbar_matrix,
     jbar_rank,
     kernel_basis,
     l_invariant_plane,
     matrix_suite,
+    nu_operator,
     recover_parameters,
 )
 from gsp4hodge.linalg import rank
-from gsp4hodge.phimodule import PhiModuleData, coordinate_subspace, validate, weak_admissibility
+from gsp4hodge.phimodule import PhiModuleData, coordinate_subspace, refinement_weights, validate, weak_admissibility
 from gsp4hodge.scalars import (
     MAX_EXPONENT,
     PRIME_BOUND,
@@ -53,7 +56,19 @@ from gsp4hodge.scalars import (
     scalar_str,
 )
 from gsp4hodge.symplectic import Subspace
-from gsp4hodge.weyl import S1, W_ID, CocharTuple, Weight, WeylElem, from_oneline, from_word
+from gsp4hodge.weyl import (
+    ALPHA,
+    S1,
+    TORUS_BASIS,
+    W_ID,
+    CocharTuple,
+    Weight,
+    WeylElem,
+    check_involution,
+    from_oneline,
+    from_word,
+    weyl_act,
+)
 from oracles import (
     parse_scalar_by_whitelist,
     poly2_add_by_scale_ratio,
@@ -930,6 +945,20 @@ class TestArgumentTypes:
             (coordinate_subspace, [1.0, 2.5], "an index must be an int, not 'float'"),
             (S1, True, "i must be an int, not 'bool'"),
             (partial(eigenline_grid(2, 3).line, W_ID), 1.0, "i must be an int, not 'float'"),
+            # a Weyl element is a WeylElem: a one-line tuple or a word once ended in an
+            # AttributeError, and block_index in a bare ValueError
+            (lambda w: eigenline_grid(2, 3).line(w, 1), (1, 2, 3, 4), "w must be a WeylElem, not 'tuple'"),
+            (lambda w: nu_operator(eigenline_grid(2, 3), w, TORUS_BASIS[0]), (1, 2, 3, 4),
+             "w must be a WeylElem, not 'tuple'"),
+            (lambda v: S1 * v, 2, "unsupported operand type(s) for *: 'WeylElem' and 'int'"),
+            (lambda v: S1 * v, (1, 2, 3, 4), "can't multiply sequence by non-int of type 'WeylElem'"),
+            (partial(weyl_act, x=ALPHA), "s1", "w must be a WeylElem, not 'str'"),
+            (partial(constituent_of, i=1), (2, 1, 4, 3), "w must be a WeylElem, not 'tuple'"),
+            (partial(socle_diagram, "PS1"), "s1", "w must be a WeylElem, not 'str'"),
+            (partial(refinement_weights, weights=(0, -2, -4, -6)), (1, 2, 3, 4), "w must be a WeylElem, not 'tuple'"),
+            (check_involution, "s1", "w must be a WeylElem, not 'str'"),
+            (block_index, (1, 2, 3, 4), "w must be a WeylElem, not 'tuple'"),
+            (partial(embed_block, TORUS_BASIS[0]), (1, 2, 3, 4), "w must be a WeylElem, not 'tuple'"),
         ),
         ids=("recover_parameters", "Poly2", "parse_scalar", "validate", "hecke_charpoly", "from_word",
              "padic_val-float", "padic_val-bool", "padic_val-str", "weak_admissibility-float-alpha",
@@ -945,7 +974,9 @@ class TestArgumentTypes:
              "from_oneline-float", "WeylElem-bool", "Constituent.C-float-index", "Constituent.C-bool-reflection",
              "constituents-bool", "constituent_of-float", "socle_constituents-float", "Poly2-pow-bool",
              "RatFunc-pow-float", "Poly2-float-exponent", "coordinate_subspace-float", "WeylElem-call-bool",
-             "EigenlineGrid.line-float"),
+             "EigenlineGrid.line-float", "EigenlineGrid.line-tuple-w", "nu_operator-tuple-w", "WeylElem-mul-int",
+             "WeylElem-mul-tuple", "weyl_act-str-w", "constituent_of-tuple-w", "socle_diagram-str-w",
+             "refinement_weights-tuple-w", "check_involution-str-w", "block_index-tuple-w", "embed_block-tuple-w"),
     )
     def test_wrong_type_is_a_type_error(self, call, arg, message):
         # the argument is named, not met by an AttributeError or a silent coercion
