@@ -99,7 +99,7 @@ def hom_space_dim(kind: str) -> int:
 
 def ell_map(psi: AddChar) -> AddChar:
     """The lattice map L_map, applied to the val and the log coordinates."""
-    if psi.shape != "qp_to_t":
+    if require_type("psi", psi, (AddChar,)).shape != "qp_to_t":
         raise InvalidData("ell_map expects a qp_to_t character")
     return _tchar(*(L_map(CocharTuple(half)).coords() for half in (psi.val, psi.log)))
 

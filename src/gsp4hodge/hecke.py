@@ -58,9 +58,7 @@ def hecke_charpoly(d: HeckeData) -> FrobeniusData:
     """Characteristic polynomial of Frobenius from the three eigenvalues:
     T^4 - c1 T^3 + ((l^3+l)c0 + l c2) T^2 - l^3 c0 c1 T + l^6 c0^2.
     A d that is not a HeckeData is a TypeError."""
-    if not isinstance(d, HeckeData):
-        raise TypeError(f"d must be a HeckeData, not {type(d).__name__!r}")
-    l = Q(d.l)
+    l = Q(require_type("d", d, (HeckeData,)).l)
     q3 = -d.c1
     q2 = (l**3 + l) * d.c0 + l * d.c2
     q1 = -(l**3) * d.c0 * d.c1
@@ -77,8 +75,7 @@ def ideal_generators(f: FrobeniusData, l: int) -> HeckeData:
     inverse is the identity c0 = sim / l^3, c1 = -q3 and
     c2 = q2 / l - (l^-1 + l^-3) sim, over any field.  An f that is not a
     FrobeniusData, or an l that is not an int, is a TypeError."""
-    if not isinstance(f, FrobeniusData):
-        raise TypeError(f"f must be a FrobeniusData, not {type(f).__name__!r}")
+    require_type("f", f, (FrobeniusData,))
     if not is_prime(require_type("l", l, INTEGER)):
         raise InvalidData(f"l = {l} is not prime")
     lq = Q(l)

@@ -60,10 +60,9 @@ def block_index(w: WeylElem) -> int:
 
 def torus_block_coords(t) -> tuple:
     """Block coordinates (x, y, z) of diag(t1, t2, t3, t4) = diag(x,y,z-y,z-x)."""
-    t1, t2, t3, t4 = t
-    if t1 + t4 != t2 + t3:
+    if len(t) != 4 or t[0] + t[3] != t[1] + t[2]:
         raise InvalidData(f"diagonal {t} breaks the torus constraint")
-    return (t1, t2, t1 + t4)
+    return (t[0], t[1], t[0] + t[3])
 
 
 def embed_block(t, w: WeylElem):
@@ -148,7 +147,8 @@ def nu_operator(grid: EigenlineGrid, w: WeylElem, t):
     """The unique operator acting as t_i on the i-th eigenline of w."""
     from .weyl import WEYL
     torus_block_coords(t)  # rejects t off the torus
-    U = [list(col) for col in zip(*grid.lines[require_type("w", w, WEYL).perm])]  # columns are the lines
+    lines = require_type("grid", grid, (EigenlineGrid,)).lines[require_type("w", w, WEYL).perm]
+    U = [list(col) for col in zip(*lines)]  # columns are the lines
     Uinv = inverse(U)
     D = [[t[i] if i == j else Q(0) for j in range(4)] for i in range(4)]
     return mat_mul(mat_mul(U, coerce_rows(D)), Uinv)
@@ -579,9 +579,7 @@ def recover_parameters(K: Subspace):
     a witness: a row length, the pivots, a zero cell, the vanishing factor,
     or the first mismatching (row, column).
     """
-    if not isinstance(K, Subspace):
-        raise TypeError(f"K must be a Subspace, not {type(K).__name__!r}")
-    rows, entry = K.rows, _last
+    rows, entry = require_type("K", K, (Subspace,)).rows, _last
     if entry is not None and entry[2] is not None and rows is entry[2]:
         return entry[0][1:]
     for r, row in enumerate(rows):

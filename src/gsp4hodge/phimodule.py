@@ -116,11 +116,7 @@ class ValidityReport(Value):
 def validate(d: PhiModuleData) -> ValidityReport:
     """Run every structural invariant; failures carry witnesses.  A d
     that is not a PhiModuleData is a TypeError."""
-    if not isinstance(d, PhiModuleData):
-        raise TypeError(f"d must be a PhiModuleData, not {type(d).__name__!r}")
-    checks = []
-
-    checks.append(CheckResult("p-prime", is_prime(d.p), f"p={d.p}"))
+    checks = [CheckResult("p-prime", is_prime(require_type("d", d, (PhiModuleData,)).p), f"p={d.p}")]
 
     alphas = d.alphas  # Fractions, as the record stores them
     nz = all(x != 0 for x in alphas)
@@ -225,9 +221,10 @@ def general_position(hf: HodgeFlag) -> bool:
     """Whether every coordinate subspace meets the flag in expected dimension.
     For the standard flag at a nondegenerate point this is certified true
     (tests/test_kernel.py, TestCertificate), so the flag command prints it."""
+    rows = [F.rows for F in require_type("hf", hf, (HodgeFlag,)).flag.members]
     for size in (1, 2, 3):
         for S in combinations((1, 2, 3, 4), size):
-            meets = _coordinate_meets([F.rows for F in hf.flag.members], S)
+            meets = _coordinate_meets(rows, S)
             if any(meets[i] != max(0, i + size - 4) for i in (1, 2, 3)):
                 return False
     return True

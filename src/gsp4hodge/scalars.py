@@ -25,19 +25,21 @@ from .errors import (
 
 Monomial = tuple[int, int]  # (exponent of a, exponent of b)
 
-#: The exact types of an integer and of a rational value, as require_type
-#: names them; SCALAR, below RatFunc, adds the field Q(a, b), and weyl.WEYL a Weyl element.
+#: The exact types of an integer and of a rational value; SCALAR, below
+#: RatFunc, adds the field Q(a, b), and weyl.WEYL is a Weyl element.
 INTEGER, RATIONAL = (int,), (int, Q)
-_KINDS = {INTEGER: "an int", RATIONAL: "an int or a Fraction"}
 
 
 def require_type(name: str, x, types: tuple):
-    """The one type gate of an exact value a caller hands in: x, an int
-    lifted to a Fraction under RATIONAL, if its type is one of types
-    (INTEGER, RATIONAL, SCALAR or weyl.WEYL) itself; else a TypeError names x and its
-    type, so no float (not exact), bool (an int subclass) or str is read."""
+    """The one type gate of a value a caller hands in: x, an int lifted to
+    a Fraction under RATIONAL, if its type is one of types itself, so no
+    float (not exact) or bool (an int subclass) is read; else a TypeError
+    names x, each type with its article ("an int, a Fraction or a
+    RatFunc") and the type of x."""
     if type(x) not in types:
-        raise TypeError(f"{name} must be {_KINDS[types]}, not {type(x).__name__!r}")
+        *init, last = [f"{'an' if t.__name__[0] in 'AEIOUaeiou' else 'a'} {t.__name__}" for t in types]
+        kind = f"{', '.join(init)} or {last}" if init else last
+        raise TypeError(f"{name} must be {kind}, not {type(x).__name__!r}")
     return Q(x) if types is RATIONAL and type(x) is int else x
 
 
@@ -63,12 +65,12 @@ class Poly2:
     __slots__ = ("_scale", "_view")
 
     def __init__(self, terms: dict[Monomial, Q] | None = None):
-        if not isinstance(terms, (dict, type(None))):
-            raise TypeError(f"Poly2 terms must be a dict, not {type(terms).__name__!r}")
         coeffs = []
-        for mono, c in (terms or {}).items():
-            for e in mono:
+        for mono, c in require_type("Poly2 terms", {} if terms is None else terms, (dict,)).items():
+            for e in require_type("a monomial", mono, (tuple,)):
                 require_type(f"an exponent of {mono}", e, INTEGER)
+            if len(mono) != 2 or min(mono) < 0:
+                raise InvalidData(f"a monomial is a pair of exponents >= 0, not {mono}")
             coeffs.append((mono, require_type(f"terms[{mono}]", c, RATIONAL)))
         denom = _int_lcm(*(c.denominator for _, c in coeffs))
         view: dict = {}
@@ -432,8 +434,7 @@ class RatFunc:
     def __init__(self, num: Poly2, den: Poly2 | None = None):
         den = _ONE_POLY if den is None else den
         for name, part in (("numerator", num), ("denominator", den)):
-            if not isinstance(part, Poly2):
-                raise TypeError(f"RatFunc {name} must be a Poly2, not {type(part).__name__!r}")
+            require_type(f"RatFunc {name}", part, (Poly2,))
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
         num, den, _ = _cancel(num, den)
@@ -581,7 +582,6 @@ def _ratfunc(num: Poly2, den: Poly2) -> RatFunc:
 
 Scalar = Q | RatFunc
 SCALAR = (int, Q, RatFunc)  # the exact types of a point's a and b
-_KINDS[SCALAR] = "an int, a Fraction or a RatFunc"
 
 
 def is_zero(x: Scalar) -> bool:
@@ -754,8 +754,7 @@ def parse_scalar(text: str, symbolic: bool = False) -> Scalar:
     Exponents, literals and powers are bounded as stated at MAX_EXPONENT,
     and an expression too deep to evaluate recursively is a ParseError.
     A text that is not a str is a TypeError."""
-    if not isinstance(text, str):
-        raise TypeError(f"text must be a str, not {type(text).__name__!r}")
+    require_type("text", text, (str,))
     try:
         # ast.parse(text, mode="eval") is this call, made from a module without future imports
         tree = compile(text.strip(), "<unknown>", "eval", _ast.PyCF_ONLY_AST, True)

@@ -25,7 +25,7 @@ from .linalg import (
     trace,
     transpose,
 )
-from .scalars import Scalar, is_zero
+from .scalars import Scalar, is_zero, require_type
 
 #: The fixed alternating form.  J^2 = -I and J^T = -J.
 J = [
@@ -36,9 +36,17 @@ J = [
 ]
 
 
+def _square(M):
+    """M lifted by coerce_rows, if it is 4 x 4; else InvalidData names its row lengths."""
+    M = coerce_rows(M)
+    if len(M) != 4 or any(len(r) != 4 for r in M):
+        raise InvalidData(f"expected a 4 x 4 matrix, got rows of lengths {[len(r) for r in M]}")
+    return M
+
+
 def similitude(M) -> Scalar:
     """The scalar sim(M) with M^T J M = sim(M) J; raises NotSymplectic."""
-    M = coerce_rows(M)
+    M = _square(M)
     lhs = mat_mul(mat_mul(transpose(M), J), M)
     c = lhs[0][3]
     if is_zero(c) or not mat_eq(lhs, mat_scale(J, c)):
@@ -48,7 +56,7 @@ def similitude(M) -> Scalar:
 
 def lie_membership(A) -> tuple[bool, Scalar]:
     """Whether A^T J + J A = (tr(A)/2) J; returns (flag, tr(A)/2)."""
-    A = coerce_rows(A)
+    A = _square(A)
     f = trace(A) / 2
     lhs = mat_add(mat_mul(transpose(A), J), mat_mul(J, A))
     return mat_eq(lhs, mat_scale(J, f)), f
@@ -56,17 +64,16 @@ def lie_membership(A) -> tuple[bool, Scalar]:
 
 def adjoint(A):
     """The form-adjoint A* = J^{-1} A^T J (so r(Ax, y) = r(x, A*y))."""
-    A = coerce_rows(A)
+    A = _square(A)
     # J^{-1} = -J
     return mat_scale(mat_mul(mat_mul(J, transpose(A)), J), -1)
 
 
 def s_involution(A):
     """The twist A -> -A* + (tr A / 2) I; its fixed space is gsp4."""
-    A = coerce_rows(A)
+    A = _square(A)
     f = trace(A) / 2
-    n = len(A)
-    shift = [[f if i == j else f * 0 for j in range(n)] for i in range(n)]
+    shift = [[f if i == j else f * 0 for j in range(4)] for i in range(4)]
     return mat_add(mat_scale(adjoint(A), -1), shift)
 
 
@@ -128,9 +135,10 @@ class Subspace(Value):
         return rank([*self.rows, v]) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return all(self.contains(r) for r in require_type("other", other, (Subspace,)).rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        other = require_type("other", other, (Subspace,))
         rows = intersect_row_spaces(list(self.rows), list(other.rows), self.ambient)
         return Subspace(rows=tuple(rows), ambient=self.ambient)
 
@@ -153,11 +161,9 @@ class Flag(Value):
         dims = FLAG_DIMS.get(self.kind)
         if dims is None:
             raise InvalidData(f"unknown flag kind {self.kind!r}")
-        if tuple(m.dim for m in self.members) != dims:
-            raise InvalidData(
-                f"{self.kind} flag needs member dims {dims}, got "
-                f"{tuple(m.dim for m in self.members)}"
-            )
+        got = tuple(require_type(f"members[{i}]", m, (Subspace,)).dim for i, m in enumerate(self.members))
+        if got != dims:
+            raise InvalidData(f"{self.kind} flag needs member dims {dims}, got {got}")
         for small, big in zip(self.members, self.members[1:]):
             if not big.contains_subspace(small):
                 raise InvalidData("flag members are not nested")
@@ -165,5 +171,5 @@ class Flag(Value):
 
 def flag_anisotropy_check(flag: Flag) -> bool:
     """True iff every member equals the perp of its dual-index member."""
-    ms = flag.members
+    ms = require_type("flag", flag, (Flag,)).members
     return all(ms[i] == ms[len(ms) - 1 - i].perp() for i in range(len(ms)))

@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 
 from ._value import Value
 from .errors import ConstraintViolated, InvalidData, ParseError
-from .scalars import _KINDS, INTEGER, RATIONAL, require_type
+from .scalars import INTEGER, RATIONAL, require_type
 
 
 class WeylElem(Value):
@@ -69,8 +69,7 @@ class WeylElem(Value):
         return M
 
 
-WEYL = (WeylElem,)  # the exact type of a Weyl element, as require_type names it
-_KINDS[WEYL] = "a WeylElem"
+WEYL = (WeylElem,)  # the exact type of a Weyl element
 
 W_ID = WeylElem((1, 2, 3, 4))
 S1 = WeylElem((2, 1, 4, 3))
@@ -136,9 +135,7 @@ def _act_word(word: str, x, s1, s2):
 def from_word(word: str) -> WeylElem:
     """Parse words like "s1s2s1"; "e" or "" is the identity.  A word that
     is not a str is a TypeError."""
-    if not isinstance(word, str):
-        raise TypeError(f"word must be a str, not {type(word).__name__!r}")
-    word = word.strip()
+    word = require_type("word", word, (str,)).strip()
     if word in ("", "e", "id"):
         return W_ID
     return _act_word(word, W_ID, S1.__mul__, S2.__mul__)
@@ -183,6 +180,8 @@ class CocharTuple(Value):
 
     def __post_init__(self):
         m = tuple(require_type(f"m[{i}]", x, RATIONAL) for i, x in enumerate(self.m))
+        if len(m) != 4:
+            raise InvalidData(f"a cocharacter has 4 entries, not {len(m)}")
         if m[0] + m[3] != m[1] + m[2]:
             raise ConstraintViolated(f"m1+m4 != m2+m3 in {m}")
         object.__setattr__(self, "m", m)
@@ -201,7 +200,8 @@ def _swap_12(c: tuple) -> tuple:
 
 def weyl_act_weight(w: WeylElem, mu: Weight) -> Weight:
     """Action on the character lattice: s1 swaps n1, n2; s2 negates n2 into n3."""
-    return Weight(*_act_word(w.word, mu.coords(), _swap_12, lambda c: (c[0], -c[1], c[1] + c[2])))
+    word, coords = require_type("w", w, WEYL).word, require_type("mu", mu, (Weight,)).coords()
+    return Weight(*_act_word(word, coords, _swap_12, lambda c: (c[0], -c[1], c[1] + c[2])))
 
 
 def weyl_act(w: WeylElem, x):
@@ -216,11 +216,12 @@ def weyl_act(w: WeylElem, x):
 
 def pairing(mu: Weight, c: CocharTuple) -> Q:
     """Canonical character/cocharacter pairing."""
-    m1, m2, _, m4 = c.m
-    return mu.n1 * m1 + mu.n2 * m2 + mu.n3 * (m1 + m4)
+    n1, n2, n3 = require_type("mu", mu, (Weight,)).coords()
+    m1, m2, _, m4 = require_type("c", c, (CocharTuple,)).m
+    return n1 * m1 + n2 * m2 + n3 * (m1 + m4)
 
 
 def L_map(c: CocharTuple) -> Weight:
     """The lattice isomorphism diag(m1..m4) -> (m1-m3, m1-m2, m4)."""
-    m1, m2, m3, m4 = c.m
+    m1, m2, m3, m4 = require_type("c", c, (CocharTuple,)).m
     return Weight(m1 - m3, m1 - m2, m4)

@@ -1,16 +1,24 @@
 """The package's re-exports: every name resolves, from a fresh interpreter
-too, to the object its defining module binds."""
+too, to the object its defining module binds; every callable among them
+meets a wrong-typed argument with a TypeError or a library error, and
+every TypeError of the package is raised by its one type gate."""
 
+import ast
 import importlib
+import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gsp4hodge
+from gsp4hodge.errors import GSp4Error
 
 #: The names the package exports, by module: those of its first release but
 #: the character API listed in REMOVED.
@@ -146,3 +154,96 @@ def test_annotations_resolve():
     assert out.returncode == 0, out.stderr
     checked, failed = json.loads(out.stdout)
     assert checked > 200 and failed == []
+
+
+CALLABLES = [name for name in gsp4hodge.__all__ if callable(getattr(gsp4hodge, name))]
+_P = st.sampled_from((-2, 0, 1, 4))  # p that is negative, zero, a unit and not prime
+_LEAF = st.one_of(st.floats(), st.booleans(), st.none(), st.text(max_size=3), _P)
+_KEY = st.one_of(_P, st.text(max_size=2), st.none(), st.lists(_P, max_size=3).map(tuple))
+_ARG = st.recursive(
+    _LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple), st.dictionaries(_KEY, inner, max_size=2)
+    ),
+    max_leaves=12,
+)
+CALL_SECONDS = 5
+
+
+def _arity_range(f) -> range:
+    """The positional argument counts f takes: a record's fields, with or
+    without their defaults, or its signature's parameters."""
+    defaults = getattr(f, "_defaults", None)
+    if defaults is not None:
+        return range(len(f.__slots__) - len(defaults), len(f.__slots__) + 1)
+    try:
+        params = inspect.signature(f).parameters.values()
+    except ValueError:  # an exception class: any few arguments
+        return range(3)
+    return range(sum(p.default is p.empty for p in params), len(params) + 1)
+
+
+class _Expired(BaseException):
+    pass
+
+
+def _expire(signum, frame):
+    raise _Expired
+
+
+@pytest.mark.parametrize("name", CALLABLES)
+def test_wrong_arguments_meet_a_library_error(name):
+    """Drawn floats, bools, None, str, lists, tuples, dicts and p in
+    {-2, 0, 1, 4}: each call returns, or raises a TypeError or a GSp4Error,
+    within its time bound.  Before every record argument was gated,
+    pairing, L_map, ell_map, general_position and flag_anisotropy_check
+    raised AttributeError, similitude, lie_membership, adjoint,
+    s_involution and CocharTuple IndexError, and nu_operator ValueError."""
+    f = getattr(gsp4hodge, name)
+    arities = _arity_range(f)
+
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(st.sampled_from(arities).flatmap(lambda n: st.lists(_ARG, min_size=n, max_size=n)))
+    def call(args):
+        previous = signal.signal(signal.SIGALRM, _expire)
+        signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
+        try:
+            f(*args)
+        except (TypeError, GSp4Error):
+            pass
+        except _Expired:
+            raise AssertionError(f"{name}{tuple(args)!r} ran past {CALL_SECONDS} s") from None
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    call()
+
+
+def _type_error_raisers(tree, scope) -> list:
+    """The qualified names of the functions in tree that raise TypeError."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _type_error_raisers(node, f"{scope}.{node.name}")
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "TypeError":
+                found.append(scope)
+        found += _type_error_raisers(node, scope)
+    return found
+
+
+def test_one_type_gate():
+    """scalars.require_type raises every TypeError of a wrong-typed value,
+    naming the types from the tuple it is given, and Value.__init__ keeps
+    its arity error; no registry of kinds comes back."""
+    raisers, registry = [], []
+    for path in sorted(Path(SRC, "gsp4hodge").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        raisers += _type_error_raisers(tree, path.stem)
+        names = ({getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None)} for n in ast.walk(tree))
+        registry += [path.name for found in names if "_KINDS" in found]
+    assert sorted(raisers) == ["_value.Value.__init__", "scalars.require_type"]
+    assert registry == []

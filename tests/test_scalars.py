@@ -25,12 +25,21 @@ from gsp4hodge.errors import (
 import gsp4hodge._polygcd as polygcd
 import gsp4hodge.scalars as scalars
 from gsp4hodge._polygcd import _certified_coprime
-from gsp4hodge.extledger import AddChar, Constituent, constituent_of, constituents, socle_constituents, socle_diagram
+from gsp4hodge.extledger import (
+    AddChar,
+    Constituent,
+    constituent_of,
+    constituents,
+    ell_map,
+    socle_constituents,
+    socle_diagram,
+)
 from gsp4hodge.hecke import FrobeniusData, HeckeData, classicality_classify, hecke_charpoly, ideal_generators
 from gsp4hodge.kernel import (
     block_index,
     eigenline_grid,
     embed_block,
+    torus_block_coords,
     jbar_matrix,
     jbar_rank,
     kernel_basis,
@@ -40,7 +49,14 @@ from gsp4hodge.kernel import (
     recover_parameters,
 )
 from gsp4hodge.linalg import rank
-from gsp4hodge.phimodule import PhiModuleData, coordinate_subspace, refinement_weights, validate, weak_admissibility
+from gsp4hodge.phimodule import (
+    PhiModuleData,
+    coordinate_subspace,
+    general_position,
+    refinement_weights,
+    validate,
+    weak_admissibility,
+)
 from gsp4hodge.scalars import (
     MAX_EXPONENT,
     PRIME_BOUND,
@@ -55,19 +71,23 @@ from gsp4hodge.scalars import (
     poly_gcd,
     scalar_str,
 )
-from gsp4hodge.symplectic import Subspace
+from gsp4hodge.symplectic import Flag, Subspace, flag_anisotropy_check
 from gsp4hodge.weyl import (
     ALPHA,
+    ALPHA_CHECK,
     S1,
     TORUS_BASIS,
     W_ID,
     CocharTuple,
     Weight,
     WeylElem,
+    L_map,
     check_involution,
     from_oneline,
     from_word,
+    pairing,
     weyl_act,
+    weyl_act_weight,
 )
 from oracles import (
     parse_scalar_by_whitelist,
@@ -959,6 +979,20 @@ class TestArgumentTypes:
             (check_involution, "s1", "w must be a WeylElem, not 'str'"),
             (block_index, (1, 2, 3, 4), "w must be a WeylElem, not 'tuple'"),
             (partial(embed_block, TORUS_BASIS[0]), (1, 2, 3, 4), "w must be a WeylElem, not 'tuple'"),
+            (partial(weyl_act_weight, mu=ALPHA), (2, 1, 4, 3), "w must be a WeylElem, not 'tuple'"),
+            # a record is its class: each of these once ended in an AttributeError
+            (partial(pairing, c=ALPHA_CHECK), (1, -1, 0), "mu must be a Weight, not 'tuple'"),
+            (partial(pairing, ALPHA), (1, -1, 1, -1), "c must be a CocharTuple, not 'tuple'"),
+            (L_map, (1, -1, 1, -1), "c must be a CocharTuple, not 'tuple'"),
+            (partial(weyl_act_weight, S1), (1, -1, 0), "mu must be a Weight, not 'tuple'"),
+            (ell_map, ((1, 0, 0, 1), (0, 0, 0, 0)), "psi must be an AddChar, not 'tuple'"),
+            (general_position, None, "hf must be a HodgeFlag, not 'NoneType'"),
+            (flag_anisotropy_check, [], "flag must be a Flag, not 'list'"),
+            (lambda grid: nu_operator(grid, W_ID, TORUS_BASIS[0]), {}, "grid must be an EigenlineGrid, not 'dict'"),
+            (Subspace.span([[1, 0, 0, 0]]).intersect, [[1, 0, 0, 0]], "other must be a Subspace, not 'list'"),
+            (Subspace.span([[1, 0, 0, 0]]).contains_subspace, [[1, 0, 0, 0]], "other must be a Subspace, not 'list'"),
+            (lambda m: Flag((m,), "siegel"), [[1, 0, 0, 0], [0, 1, 0, 0]], "members[0] must be a Subspace, not 'list'"),
+            (lambda mono: Poly2({mono: 1}), 1, "a monomial must be a tuple, not 'int'"),
         ),
         ids=("recover_parameters", "Poly2", "parse_scalar", "validate", "hecke_charpoly", "from_word",
              "padic_val-float", "padic_val-bool", "padic_val-str", "weak_admissibility-float-alpha",
@@ -976,7 +1010,10 @@ class TestArgumentTypes:
              "RatFunc-pow-float", "Poly2-float-exponent", "coordinate_subspace-float", "WeylElem-call-bool",
              "EigenlineGrid.line-float", "EigenlineGrid.line-tuple-w", "nu_operator-tuple-w", "WeylElem-mul-int",
              "WeylElem-mul-tuple", "weyl_act-str-w", "constituent_of-tuple-w", "socle_diagram-str-w",
-             "refinement_weights-tuple-w", "check_involution-str-w", "block_index-tuple-w", "embed_block-tuple-w"),
+             "refinement_weights-tuple-w", "check_involution-str-w", "block_index-tuple-w", "embed_block-tuple-w",
+             "weyl_act_weight-tuple-w", "pairing-tuple-mu", "pairing-tuple-c", "L_map-tuple", "weyl_act_weight-tuple-mu",
+             "ell_map-tuple", "general_position-None", "flag_anisotropy_check-list", "nu_operator-dict-grid",
+             "Subspace.intersect-list", "Subspace.contains_subspace-list", "Flag-list-member", "Poly2-int-monomial"),
     )
     def test_wrong_type_is_a_type_error(self, call, arg, message):
         # the argument is named, not met by an AttributeError or a silent coercion
@@ -995,6 +1032,25 @@ class TestArgumentTypes:
         ids=("coordinate_subspace", "WeylElem-call-0", "WeylElem-call-5", "EigenlineGrid.line"),
     )
     def test_index_outside_one_to_four_is_invalid(self, call, arg, message):
+        with pytest.raises(InvalidData, match=f"^{re.escape(message)}$"):
+            call(arg)
+
+    @pytest.mark.parametrize(
+        "call, arg, message",
+        (
+            # Poly2({(): 1}) once ended in a ValueError, and Poly2({(-2, 0): 1}) printed a**-2
+            (lambda mono: Poly2({mono: 1}), (), "a monomial is a pair of exponents >= 0, not ()"),
+            (lambda mono: Poly2({mono: 1}), (1, 0, 0), "a monomial is a pair of exponents >= 0, not (1, 0, 0)"),
+            (lambda mono: Poly2({mono: 1}), (-2, 0), "a monomial is a pair of exponents >= 0, not (-2, 0)"),
+            # a short tuple once ended in an IndexError, a short diagonal in a ValueError
+            (CocharTuple, (1, 0, 1), "a cocharacter has 4 entries, not 3"),
+            (torus_block_coords, (), "diagonal () breaks the torus constraint"),
+            (lambda t: nu_operator(eigenline_grid(2, 3), W_ID, t), [], "diagonal [] breaks the torus constraint"),
+        ),
+        ids=("Poly2-empty-monomial", "Poly2-long-monomial", "Poly2-negative-exponent", "CocharTuple-short",
+             "torus_block_coords-empty", "nu_operator-empty-t"),
+    )
+    def test_wrong_length_is_invalid(self, call, arg, message):
         with pytest.raises(InvalidData, match=f"^{re.escape(message)}$"):
             call(arg)
 

@@ -33,6 +33,19 @@ def rand_mat(rng, span=5):
     return [[Q(rng.randint(-span, span)) for _ in range(4)] for _ in range(4)]
 
 
+class TestShape:
+    @pytest.mark.parametrize("call", (similitude, lie_membership, adjoint, s_involution), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "M, lengths",
+        (([], []), ([[1, 2], [3, 4]], [2, 2]), ([[1, 0, 0, 0]] * 3 + [[1, 0]], [4, 4, 4, 2])),
+        ids=("empty", "two-by-two", "ragged"),
+    )
+    def test_not_four_by_four_is_invalid(self, call, M, lengths):
+        # each once ended in a bare IndexError
+        with pytest.raises(InvalidData, match=rf"^expected a 4 x 4 matrix, got rows of lengths {re.escape(str(lengths))}$"):
+            call(M)
+
+
 class TestJForm:
     def test_j_squared(self):
         assert mat_eq(mat_mul(J, J), mat_scale(identity(4), Q(-1)))
